@@ -46,6 +46,8 @@ def _load_config(path, overrides) -> RunConfig:
         raise ValueError("--config is required")
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     for key, val in overrides.items():
         if val is not None:
             raw[key] = val

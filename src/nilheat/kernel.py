@@ -9,12 +9,17 @@ for time h is
         * exp(-sum_j |z_j|^2 a_j lambda coth(a_j lambda) / 4h).
 
 E is smooth, even, positive, bounded by 1, and decays at the exponential
-rate r(lambda) -> sum_j k_j a_j + sum_j |z_j|^2 a_j/(4h).  The integral is
-computed with 15-point Gauss-Legendre panels sized to resolve the cosine
-(>= `osc_factor` panels per period) and refined adaptively where an
-embedded 7-point rule disagrees.  The cutoff is placed where the local
-tail bound E(L)/r(L) falls below a tenth of the tolerance.  All reduction
-is plain `np.sum` (pairwise, single threaded), so results are bit-stable.
+rate r(lambda) -> sum_j k_j a_j + sum_j |z_j|^2 a_j/(4h).  Each point gets
+its own plan from one shared probe of E: the cutoff where the local tail
+bound E(L)/r(L) falls below a tenth of the tolerance, an envelope estimate
+and an initial panel count (>= `osc_factor` panels per cosine period).
+Points whose quantized panel count, cutoff and decay rate agree form a
+bucket that shares one panelization.  Each panel carries the nested
+Gauss-Kronrod pair G7/K15: E and the cosine are evaluated at the 15
+Kronrod nodes only, K15 gives the value and |K15 - G7| (G7 reusing the
+odd-indexed nodes) drives adaptive refinement.  Node sums are fixed
+15-term dot products and panel sums plain `np.sum`, so a given batch gives
+bit-identical results from run to run.
 
 Tolerances are relative to the envelope integral int E dlambda.  Because
 the cosine may cancel most of the envelope, the achievable *relative*
@@ -100,8 +105,26 @@ class KernelValue:
     error: float
 
 
-_GL15 = np.polynomial.legendre.leggauss(15)
-_GL7 = np.polynomial.legendre.leggauss(7)
+# Gauss-Kronrod pair G7/K15 on [-1, 1] (Kronrod 1965; QUADPACK qk15): the
+# 15 Kronrod nodes in ascending order, the odd-indexed ones being the 7
+# Gauss-Legendre nodes.  _G7W holds the G7 weights at those nodes, zeros
+# elsewhere, so both rules contract the same 15 values.
+_KX_POS = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_KW_POS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_KX = np.concatenate([-_KX_POS, _KX_POS[-2::-1]])
+_KW = np.concatenate([_KW_POS, _KW_POS[-2::-1]])
+_G7W = np.zeros(15)
+_G7W[1::2] = np.polynomial.legendre.leggauss(7)[1]
 
 
 def _w_over_sinh_log(x):
@@ -158,105 +181,97 @@ def _decay_rate(params: GroupParams, h, zsq, lam):
     return rate
 
 
-def _panel_nodes(edges):
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes15 = mid[:, None] + half[:, None] * _GL15[0]
-    nodes7 = mid[:, None] + half[:, None] * _GL7[0]
-    return nodes15, nodes7, half
-
-
 def _eval_panels(params, h, zsq, tau, edges, want_extras=False):
-    """Per-panel GL15/GL7 cosine sums, envelope sums, optional moments."""
-    a = np.asarray(params.a)
+    """Per-panel K15 and G7 cosine integrals and K15 envelope integrals.
+
+    E and the cosine are evaluated at the 15 Kronrod nodes only; G7 reuses
+    the values at its nodes.  want_extras adds the derivative moments.
+    """
     m = zsq.shape[0]
-    nodes15, nodes7, half = _panel_nodes(edges)
-    P = edges.size - 1
-    pan15 = np.empty((m, P))
-    pan7 = np.empty((m, P))
-    env15 = np.empty((m, P))
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _KX  # (P, 15)
+    kron = np.empty((m, half.size))
+    gauss = np.empty((m, half.size))
+    env = np.empty((m, half.size))
     extras = None
     if want_extras:
         extras = {"coth": np.empty((m, params.l)), "sin": np.empty(m)}
-        cothw = _x_coth(nodes15[..., None] * a)  # (P, 15, l)
-    chunk = max(1, int(4e6 // max(nodes15.size, 1)))
+        cothw = _x_coth(nodes[..., None] * np.asarray(params.a)) * _KW[:, None]  # (P, 15, l)
+    chunk = max(1, int(4e6 // nodes.size))
     for s in range(0, m, chunk):
         e = min(m, s + chunk)
-        E15 = np.exp(
-            _log_envelope(params, h, zsq[s:e, None, None, :], nodes15[None, :, :])
-        )  # (c, P, 15)
-        E7 = np.exp(
-            _log_envelope(params, h, zsq[s:e, None, None, :], nodes7[None, :, :])
-        )
-        c15 = np.cos(tau[s:e, None, None] * nodes15)
-        c7 = np.cos(tau[s:e, None, None] * nodes7)
-        w15 = E15 * _GL15[1]
-        pan15[s:e] = np.sum(c15 * w15, axis=-1) * half
-        pan7[s:e] = np.sum(c7 * E7 * _GL7[1], axis=-1) * half
-        env15[s:e] = np.sum(w15, axis=-1) * half
+        E = np.exp(_log_envelope(params, h, zsq[s:e, None, None, :], nodes))  # (c, P, 15)
+        phase = tau[s:e, None, None] * nodes
+        ce = np.cos(phase) * E
+        kron[s:e] = (ce @ _KW) * half
+        gauss[s:e] = (ce @ _G7W) * half
+        env[s:e] = (E @ _KW) * half
         if want_extras:
-            cw = c15 * w15  # (c, P, 15)
-            extras["coth"][s:e] = np.sum(
-                np.sum(cw[..., None] * cothw, axis=-2) * half[:, None], axis=-2
-            )
-            s15 = np.sin(tau[s:e, None, None] * nodes15)
-            extras["sin"][s:e] = np.sum(
-                np.sum(s15 * w15 * nodes15, axis=-1) * half, axis=-1
-            )
-    return pan15, pan7, env15, extras
+            extras["coth"][s:e] = np.einsum("cpn,pnl,p->cl", ce, cothw, half)
+            extras["sin"][s:e] = np.sum(((np.sin(phase) * E * nodes) @ _KW) * half, axis=-1)
+    return kron, gauss, env, extras
 
 
-def _integral_core(params, h, zsq, t, spec, derivs=False):
-    """Shared-grid quadrature for a batch of points.
+def _plan(params, h, zsq, spec):
+    """Per-point cutoff, envelope estimate, tail bound and decay rate.
 
-    zsq: (m, l), t: (m,).  Returns the cosine integral, envelope integral,
-    error estimate, and optionally the derivative moments.
+    All points share one 385-point probe of E, long enough for the slowest
+    asymptotic decay rate among them; each point's cutoff is its first probe
+    node where the tail bound E/r is below tol/10 of its envelope estimate.
     """
-    zsq = np.atleast_2d(np.asarray(zsq, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    m = zsq.shape[0]
     a = np.asarray(params.a)
-    k = np.asarray(params.k, dtype=float)
-
-    # cutoff: probe log E and stop where the local tail bound is small
-    r_inf = float(np.sum(k * a)) + float(np.min(np.sum(zsq * a, axis=-1))) / (4.0 * h)
-    lam_hi = min(spec.lambda_max, max(90.0 / r_inf, 5.0))
+    rate = float(np.sum(np.asarray(params.k) * a)) + np.sum(zsq * a, axis=-1) / (4.0 * h)
+    lam_hi = min(spec.lambda_max, max(90.0 / rate.min(initial=math.inf), 5.0))
     probe = np.linspace(0.0, lam_hi, 385)
-    logE = _log_envelope(params, h, zsq[:, None, :], probe[None, :])  # (m, 385)
-    env_probe = np.exp(logE)
-    env_est = np.maximum(np.trapezoid(env_probe, probe, axis=-1), 1e-300)  # (m,)
-    rate = _decay_rate(params, h, zsq[:, None, :], probe[None, :])
-    tail_bound = env_probe / np.maximum(rate, 1e-300)
-    tail_ok = tail_bound <= 0.1 * spec.tol * env_est[:, None]
-    tail_ok[:, 0] = False
-    if not bool(tail_ok.any(axis=-1).all()):
-        raise QuadratureError(
-            f"tail bound tol/10 not reachable below lambda_max={spec.lambda_max}"
-        )
-    idx = np.argmax(tail_ok, axis=-1)
-    lam_cut = float(np.max(probe[idx]))
-    tail = tail_bound[np.arange(m), idx]
+    m = zsq.shape[0]
+    lam_cut, env_est, tail = np.empty(m), np.empty(m), np.empty(m)
+    chunk = 2048  # bounds the (chunk, 385, l) probe temporaries
+    for s in range(0, m, chunk):
+        z = zsq[s : s + chunk, None, :]
+        env_probe = np.exp(_log_envelope(params, h, z, probe))  # (c, 385)
+        est = np.maximum(np.trapezoid(env_probe, probe, axis=-1), 1e-300)
+        bound = env_probe / np.maximum(_decay_rate(params, h, z, probe), 1e-300)
+        ok = bound <= 0.1 * spec.tol * est[:, None]
+        ok[:, 0] = False
+        if not bool(ok.any(axis=-1).all()):
+            raise QuadratureError(
+                f"tail bound tol/10 not reachable below lambda_max={spec.lambda_max}"
+            )
+        idx = np.argmax(ok, axis=-1)
+        lam_cut[s : s + chunk] = probe[idx]
+        env_est[s : s + chunk] = est
+        tail[s : s + chunk] = bound[np.arange(idx.size), idx]
+    return lam_cut, env_est, tail, rate
 
-    # initial panelization: resolve the cosine and the decay scale
-    tau = t / (4.0 * h)
-    tau_max = float(np.max(np.abs(tau)))
-    npan = 24
-    if tau_max > 0:
-        period = 2.0 * math.pi / tau_max
-        npan = max(npan, int(math.ceil(lam_cut / period * spec.osc_factor)))
-    npan = max(npan, int(math.ceil(lam_cut * r_inf / 6.0)))
+
+def _panel_count(lam_cut, tau, rate, spec):
+    """Initial panels: at least 24, `osc_factor` per cosine period, one per
+    six decay lengths."""
+    osc = np.ceil(lam_cut * np.abs(tau) / (2.0 * math.pi) * spec.osc_factor)
+    return np.maximum(np.maximum(osc, np.ceil(lam_cut * rate / 6.0)), 24).astype(int)
+
+
+def _integral_core(params, h, zsq, tau, plan, npan, spec, derivs=False):
+    """Shared-grid quadrature for one bucket of planned points.
+
+    zsq: (m, l), tau: (m,), plan: the points' (lam_cut, env_est, tail),
+    npan: initial panels on [0, max lam_cut].  Returns the cosine integral,
+    the error estimate and, with derivs, the derivative moments.
+    """
+    lam_cut, env_est, tail = plan
     if npan > spec.panel_budget:
         raise QuadratureError(
             f"needs {npan} panels to resolve the integrand, budget {spec.panel_budget}"
         )
-    edges = np.linspace(0.0, lam_cut, npan + 1)
+    edges = np.linspace(0.0, float(lam_cut.max()), npan + 1)
+    target = spec.tol * env_est
 
-    # adaptive refinement driven by the GL15-vs-GL7 disagreement
+    # adaptive refinement driven by the K15-vs-G7 disagreement; the
+    # derivative moments ride along, since the first grid usually suffices
     for _ in range(10):
-        pan15, pan7, env15, _ = _eval_panels(params, h, zsq, tau, edges)
-        perr = np.abs(pan15 - pan7)
+        kron, gauss, env, extras = _eval_panels(params, h, zsq, tau, edges, derivs)
+        perr = np.abs(kron - gauss)
         total_err = perr.sum(axis=-1)
-        target = spec.tol * env_est
         if np.all(total_err <= target):
             break
         P = edges.size - 1
@@ -283,41 +298,41 @@ def _integral_core(params, h, zsq, t, spec, derivs=False):
     else:
         raise QuadratureError("adaptive refinement failed to converge")
 
-    extras = None
-    if derivs:
-        _, _, _, extras = _eval_panels(params, h, zsq, tau, edges, want_extras=True)
-    env_int = env15.sum(axis=-1)
+    env_int = env.sum(axis=-1)
     noise = np.finfo(float).eps * env_int * 4.0
     return {
-        "cos": pan15.sum(axis=-1),
-        "env": env_int,
-        "err": perr.sum(axis=-1) + tail + noise,
+        "cos": kron.sum(axis=-1),
+        "err": total_err + tail + noise,
         "extras": extras,
-        "edges": edges,
     }
 
 
-def _batched_core(params, h, zs, ts, spec, derivs=False, chunk=16384):
-    """Sort points by |t| (so each chunk's panel count matches its own
-    oscillation), run the core per chunk, and restore the input order."""
+def _batched_core(params, h, zs, ts, spec, derivs=False):
+    """Plan every point once, bucket points by quantized panel count,
+    cutoff and decay rate, and run the refine loop per bucket."""
     m = zs.shape[0]
-    order = np.argsort(np.abs(ts), kind="stable")
-    inv = np.empty(m, dtype=np.intp)
-    inv[order] = np.arange(m)
+    lam_cut, env_est, tail, rate = _plan(params, h, zs, spec)
+    tau = ts / (4.0 * h)
+    npan = _panel_count(lam_cut, tau, rate, spec)
+    # quarter-octave bins: a bucket's shared grid exceeds any member's own
+    # panel count or cutoff by less than 19 %
+    keys = np.ceil(4.0 * np.log2(np.stack([npan, lam_cut, rate], axis=-1)))
+    _, bucket, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    order = np.argsort(bucket.ravel(), kind="stable")
     cos = np.empty(m)
     err = np.empty(m)
-    env = np.empty(m)
     extras = {"coth": np.empty((m, params.l)), "sin": np.empty(m)} if derivs else None
-    for s in range(0, m, chunk):
-        sel = order[s : s + chunk]
-        out = _integral_core(params, h, zs[sel], ts[sel], spec, derivs)
+    ends = np.cumsum(counts)
+    for lo, hi in zip(ends - counts, ends):
+        sel = order[lo:hi]
+        plan = (lam_cut[sel], env_est[sel], tail[sel])
+        out = _integral_core(params, h, zs[sel], tau[sel], plan, int(npan[sel].max()), spec, derivs)
         cos[sel] = out["cos"]
         err[sel] = out["err"]
-        env[sel] = out["env"]
         if derivs:
             extras["coth"][sel] = out["extras"]["coth"]
             extras["sin"][sel] = out["extras"]["sin"]
-    return {"cos": cos, "err": err, "env": env, "extras": extras}
+    return {"cos": cos, "err": err, "extras": extras}
 
 
 def kernel_zsq(params: GroupParams, h: float, zsq, t, spec=None):
@@ -372,41 +387,19 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
     zsq = np.atleast_2d(np.asarray(zsq, dtype=float))
     tvals = np.atleast_1d(np.asarray(tvals, dtype=float))
     m1 = zsq.shape[0]
-    a = np.asarray(params.a)
-    k = np.asarray(params.k, dtype=float)
-
-    r_inf = float(np.sum(k * a)) + float(np.min(np.sum(zsq * a, axis=-1))) / (4.0 * h)
-    lam_hi = min(spec.lambda_max, max(90.0 / r_inf, 5.0))
-    probe = np.linspace(0.0, lam_hi, 385)
-    slow = np.argmin(np.sum(zsq * a, axis=-1))
-    logE = _log_envelope(params, h, zsq[slow], probe)
-    envp = np.exp(logE)
-    env_est = max(float(np.trapezoid(envp, probe)), 1e-300)
-    rate = _decay_rate(params, h, zsq[slow], probe)
-    ok = envp / np.maximum(rate, 1e-300) <= 0.1 * spec.tol * env_est
-    ok[0] = False
-    if not ok.any():
-        raise QuadratureError("tail bound not reachable below lambda_max")
-    lam_cut = float(probe[np.argmax(ok)])
-    tail = np.exp(_log_envelope(params, h, zsq, np.full(m1, lam_cut))) / np.maximum(
-        _decay_rate(params, h, zsq, np.full(m1, lam_cut)), 1e-300
-    )
-
+    lam_cut, _, tail, rate = _plan(params, h, zsq, spec)
+    lam_cut = float(lam_cut.max())
+    r_inf = float(rate.min())
     tau = tvals / (4.0 * h)
-    tau_max = float(np.max(np.abs(tau)))
-    npan = 24
-    if tau_max > 0:
-        npan = max(npan, int(math.ceil(lam_cut * tau_max / (2.0 * math.pi) * spec.osc_factor)))
-    npan = max(npan, int(math.ceil(lam_cut * r_inf / 6.0)))
+    npan = int(_panel_count(lam_cut, np.max(np.abs(tau)), r_inf, spec))
     if 2 * npan > spec.panel_budget:
         raise QuadratureError("panel budget exceeded on the product grid")
 
     def _value(npanels):
         edges = np.linspace(0.0, lam_cut, npanels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * _GL15[0]).ravel()
-        wts = (half[:, None] * _GL15[1]).ravel()
+        nodes = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _KX).ravel()
+        wts = (half[:, None] * _KW).ravel()
         out = np.empty((m1, tvals.size))
         cosM = np.cos(np.multiply.outer(tau, nodes))  # (m2, N)
         chunk = max(1, int(8e6 // max(nodes.size, 1)))

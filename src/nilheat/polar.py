@@ -44,7 +44,7 @@ import numpy as np
 
 from .distance import distance_squared_arrays, solve_theta, Branch
 from .groups import GroupParams, GroupPoint, block_norms_sq, horizontal_components
-from .kernel import QuadratureSpec, kernel_zsq
+from .kernel import QuadratureSpec, _sphere_surface, kernel_zsq
 from .reports import VerificationReport
 
 __all__ = [
@@ -609,7 +609,7 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
         axes, wts = [], []
         for j in range(params.l):
             nj, wj = _axis_nodes(float(rho_lo[j]), float(rho_hi[j]), 8)
-            wj = wj * _sphere_surface_local(params.k[j]) * nj ** (2 * params.k[j] - 1)
+            wj = wj * _sphere_surface(params.k[j]) * nj ** (2 * params.k[j] - 1)
             axes.append(nj)
             wts.append(wj)
         ne, we = _axis_nodes(float(e0), float(e1), 1)
@@ -634,10 +634,6 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
     )
     rep.require(rel <= 1e-4, "pushforward integral mismatch beyond quadrature error")
     return rep
-
-
-def _sphere_surface_local(kdim: int) -> float:
-    return 2.0 * math.pi**kdim / math.factorial(kdim - 1)
 
 
 def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: float = 25.0):

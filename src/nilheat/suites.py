@@ -86,31 +86,58 @@ class RunConfig:
         return table.get(self.group.label(), {}).get(suite)
 
 
+def _reject_unknown(where: str, block, allowed):
+    """ValueError unless block is a dict whose keys are all in allowed."""
+    if not isinstance(block, dict):
+        raise ValueError(f"config {where} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; choose from {sorted(allowed)}")
+
+
 def _quadrature_from_dict(q) -> ker.QuadratureSpec:
     """QuadratureSpec from the config's quadrature block; ValueError if malformed."""
-    if not isinstance(q, dict):
-        raise ValueError(f"config quadrature must be an object, got {q!r}")
-    names = [f.name for f in fields(ker.QuadratureSpec)]
-    unknown = sorted(set(q) - set(names))
-    if unknown:
-        raise ValueError(f"unknown quadrature keys {unknown}; choose from {names}")
+    _reject_unknown("quadrature", q, [f.name for f in fields(ker.QuadratureSpec)])
     for key, val in q.items():
         if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
             raise ValueError(f"quadrature {key} must be a finite number, got {val!r}")
     return ker.QuadratureSpec(**q)
 
 
+# the keys config_from_dict reads; seed, output_dir and workers double as
+# command-line overrides
+_CONFIG_KEYS = (
+    "seed", "group", "output_dir", "suites", "quadrature", "diffusion", "workers", "h_values", "sizes",
+)
+
+
+def _h_values_from(h) -> tuple:
+    """Time parameters from the config; ValueError unless a non-empty list
+    of positive finite numbers."""
+    if not isinstance(h, list) or not h or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
+        for v in h
+    ):
+        raise ValueError(f"h_values must be a non-empty list of positive finite numbers, got {h!r}")
+    return tuple(h)
+
+
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from a parsed config file plus CLI overrides."""
     if "seed" not in d:
         raise ValueError("config must set a seed")
+    _reject_unknown("config", d, _CONFIG_KEYS)
+    _reject_unknown("sizes", d.get("sizes", {}), _DEFAULT_SIZES)
     g = d.get("group", {})
     try:
         group = GroupParams(int(g["l"]), tuple(g["k"]), tuple(g["a"]))
     except KeyError as exc:
         raise ValueError(f"config group is missing {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"config group is malformed: {exc}") from exc
     quad = _quadrature_from_dict(d.get("quadrature", {}))
     diff = d.get("diffusion", {})
+    _reject_unknown("diffusion", diff, ("steps", "paths"))
     return RunConfig(
         group=group,
         seed=int(d["seed"]),
@@ -120,7 +147,7 @@ def config_from_dict(d: dict) -> RunConfig:
         diffusion_steps=int(diff.get("steps", 200)),
         diffusion_paths=int(diff.get("paths", 10000)),
         workers=int(d.get("workers", 1)),
-        h_values=tuple(d.get("h_values", (0.25, 0.5, 1.0, 2.0))),
+        h_values=_h_values_from(d.get("h_values", [0.25, 0.5, 1.0, 2.0])),
         sizes=dict(d.get("sizes", {})),
     )
 
@@ -267,7 +294,7 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
             rep.stats["origin_abs_error"] <= 1e-6,
             "unit-time origin value off the 1/64 anchor",
         )
-        # a looser oscillation factor is plenty here: GL15 resolves a full
+        # a looser oscillation factor is plenty here: K15 resolves a full
         # cosine period per panel far below the 1e-6 target
         mass_spec = ker.QuadratureSpec(tol=1e-9, osc_factor=2.0)
         norm = ker.integrate_radial(

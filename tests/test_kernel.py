@@ -238,3 +238,53 @@ def test_log_gradient_bound_along_ray(h1):
         ratios.append(float(np.sqrt(np.sum(grad**2))) / d)
     assert np.isfinite(ratios).all()
     assert max(ratios) <= 5.0 * min(ratios)
+
+
+def test_k15_integrates_polynomials_to_degree_22():
+    for j in range(23):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert abs(ker._KX**j @ ker._KW - exact) <= 1e-14
+
+
+def test_g7_nested_in_k15():
+    gx, gw = np.polynomial.legendre.leggauss(7)
+    assert_allclose(ker._KX[1::2], gx, rtol=0, atol=1e-15)
+    assert_allclose(ker._G7W[1::2], gw, rtol=0, atol=1e-15)
+    assert np.all(ker._G7W[0::2] == 0.0)
+
+
+def test_mixed_batch_matches_single_point_calls(noniso, monkeypatch):
+    import nilheat.polar as polar
+
+    # ray nodes: the block norms and t values one ray integral sends to the kernel
+    calls = []
+
+    def recording_kernel_zsq(params, h, zsq, t, spec=None):
+        calls.append((np.array(zsq, dtype=float), np.array(t, dtype=float)))
+        return kernel_zsq(params, h, zsq, t, spec)
+
+    monkeypatch.setattr(polar, "kernel_zsq", recording_kernel_zsq)
+    ray = polar.PolarPoint((np.array([0.4 + 0.2j]), np.array([0.3j, 0.8 + 0j])), 0.9)
+    polar.ray_integral_check(noniso, ray)
+    ray_zsq, ray_t = calls[0]
+    pick = np.linspace(0, ray_t.size - 1, 8).astype(int)
+
+    rng = philox(31, 0)
+    zero_zsq = rng.uniform(0.0, 2.0, (6, noniso.l))
+    far_zsq = rng.uniform(0.0, 1.0, (6, noniso.l))
+    far_t = np.array([-30.5, -30.0, -29.5, 29.5, 30.0, 30.5])
+    zsq = np.concatenate([zero_zsq, far_zsq, ray_zsq[pick]])
+    t = np.concatenate([np.zeros(6), far_t, ray_t[pick]])
+    vals, errs = kernel_zsq(noniso, 1.0, zsq, t)
+    for i in range(t.size):
+        v1, e1 = kernel_zsq(noniso, 1.0, zsq[i], t[i])
+        assert abs(float(vals[i]) - float(v1)) <= float(errs[i]) + float(e1)
+
+
+def test_batch_with_unreachable_tail_raises(h1):
+    # the z = 0 point keeps E/r far above tol/10 up to lambda_max = 5,
+    # while the far point alone would be fine
+    spec = QuadratureSpec(lambda_max=5.0)
+    kernel_zsq(h1, 1.0, np.array([[400.0]]), np.array([0.0]), spec)
+    with pytest.raises(QuadratureError):
+        kernel_zsq(h1, 1.0, np.array([[400.0], [0.0]]), np.array([0.0, 0.0]), spec)

@@ -233,3 +233,44 @@ def test_config_rejects_bad_quadrature(tmp_path, cli_env):
         path.write_text(json.dumps(cfg))
         r = _run_cli(["--config", str(path), "verify", "distance"], tmp_path, cli_env)
         _assert_usage_error(r)
+
+
+def _assert_config_rejected(tmp_path, cli_env, **changes):
+    # the config is refused before any suite runs or any report is written
+    cfg = dict(CONFIG_H1, **changes)
+    path = tmp_path / "badcfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    r = _run_cli(["--config", str(path), "verify", "distance", "--output-dir", str(out)], tmp_path, cli_env)
+    _assert_usage_error(r)
+    assert not out.exists()
+
+
+def test_config_rejects_malformed_group(tmp_path, cli_env):
+    for group in ({"l": 1, "k": 1, "a": [1.0]}, {"l": 1, "k": [1], "a": 1.0}):
+        _assert_config_rejected(tmp_path, cli_env, group=group)
+
+
+def test_config_rejects_unknown_key(tmp_path, cli_env):
+    _assert_config_rejected(tmp_path, cli_env, diffusoin={"steps": 10})
+
+
+def test_config_rejects_unknown_sizes_key(tmp_path, cli_env):
+    for sizes in ({"distance_pionts": 3000}, [3000]):
+        _assert_config_rejected(tmp_path, cli_env, sizes=sizes)
+
+
+def test_config_rejects_unknown_diffusion_key(tmp_path, cli_env):
+    _assert_config_rejected(tmp_path, cli_env, diffusion={"steps": 120, "path": 6000})
+
+
+def test_config_rejects_non_object(tmp_path, cli_env):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([CONFIG_H1]))
+    r = _run_cli(["--config", str(path), "--seed", "1", "verify", "distance"], tmp_path, cli_env)
+    _assert_usage_error(r)
+
+
+def test_config_rejects_bad_h_values(tmp_path, cli_env):
+    for h in ("abc", [], [0.5, -1.0], [0.5, 0.0], [math.inf], [True], ["0.5"], 0.5):
+        _assert_config_rejected(tmp_path, cli_env, h_values=h)
