@@ -69,7 +69,6 @@ from .semigroup import (
     check_log_sobolev_poincare,
     check_translation_dilation_reduction,
     grad_semigroup,
-    sample_heat_point,
     sample_heat_points,
     semigroup_apply,
 )

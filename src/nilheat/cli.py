@@ -33,7 +33,7 @@ import numpy as np
 from . import distance as dist
 from . import kernel as ker
 from . import polar
-from .groups import GroupParams, GroupPoint, dilate_flat
+from .groups import GroupParams, GroupPoint, block_norms_sq_flat, dilate_flat
 from .reports import write_csv, write_report
 from .sampling import philox
 from .suites import SUITE_NAMES, RunConfig, config_from_dict, run_suite
@@ -129,11 +129,9 @@ def _cmd_plot(args) -> int:
     cfg = _load_config(args.config, {"seed": args.seed})
     params = cfg.group
     coord_names = []
-    pair = 0
     for i, ki in enumerate(params.k):
         for j in range(ki):
             coord_names += [f"x_{i + 1}_{j + 1}", f"y_{i + 1}_{j + 1}"]
-            pair += 1
     coord_names.append("t")
 
     if args.quantity == "kernel-slice":
@@ -149,26 +147,14 @@ def _cmd_plot(args) -> int:
         rng = philox(cfg.seed, 77)
         dirs = rng.standard_normal((args.points, params.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        rows = []
-        for i in range(args.points):
-            zsq = np.stack(
-                [
-                    np.sum(dirs[i, 2 * s.start : 2 * s.stop] ** 2, axis=-1)
-                    for s in params.block_slices()
-                ],
-                axis=-1,
-            )
-            d = math.sqrt(float(dist.distance_squared_arrays(params, zsq, dirs[i, -1])))
-            on_sphere = dilate_flat(params, 1.0 / d, dirs[i])
-            zs = np.stack(
-                [
-                    np.sum(on_sphere[2 * s.start : 2 * s.stop] ** 2, axis=-1)
-                    for s in params.block_slices()
-                ],
-                axis=-1,
-            )
-            dcheck = math.sqrt(float(dist.distance_squared_arrays(params, zs, on_sphere[-1])))
-            rows.append(list(on_sphere) + [dcheck])
+
+        def distance_of(pts):
+            zsq = block_norms_sq_flat(params, pts)
+            return np.sqrt(dist.distance_squared_arrays(params, zsq, pts[:, -1]))
+
+        d = distance_of(dirs)
+        on_sphere = np.array([dilate_flat(params, 1.0 / d[i], dirs[i]) for i in range(args.points)])
+        rows = [list(p) + [float(dp)] for p, dp in zip(on_sphere, distance_of(on_sphere))]
         write_csv(args.out, coord_names + ["distance"], rows)
     elif args.quantity == "ratio-cloud":
         u, eta, labels, _ = polar.sample_exterior_cloud(params, args.points, cfg.seed)

@@ -33,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupParams, GroupPoint, block_norms_sq, inverse, multiply
+from .groups import (
+    GroupParams,
+    GroupPoint,
+    block_norms_sq,
+    block_norms_sq_flat,
+    inverse,
+    multiply,
+)
 
 __all__ = [
     "Branch",
@@ -126,21 +133,19 @@ def mu_inverse(v: float) -> float:
     return sign * theta
 
 
-def boundary_threshold(params: GroupParams, zsq) -> float:
-    """sup over theta of the angle-equation right side when z_l = 0."""
+def boundary_threshold(params: GroupParams, zsq):
+    """sup over theta of the angle-equation right side when z_l = 0.
+
+    zsq: (..., l).  One threshold per point, a float for a single point;
+    zero on single-block groups.
+    """
     zsq = np.asarray(zsq, dtype=float)
     a = np.asarray(params.a[:-1])
-    if a.size == 0:
-        return 0.0
-    return float(np.sum(a * mu(a * math.pi) * zsq[..., :-1], axis=-1))
+    thresh = np.sum(a * mu(a * math.pi) * zsq[..., :-1], axis=-1)
+    return float(thresh) if thresh.ndim == 0 else thresh
 
 
-def _angle_rhs(params: GroupParams, zsq, theta):
-    a = np.asarray(params.a)
-    return np.sum(a * mu(np.multiply.outer(theta, a)) * zsq, axis=-1)
-
-
-def solve_theta_arrays(params: GroupParams, zsq, t, tol=1e-12):
+def solve_theta_arrays(params: GroupParams, zsq, t):
     """Vectorized angle-equation solve.
 
     zsq: (..., l) block norm squares; t: (...).  Returns (theta, branch,
@@ -154,11 +159,7 @@ def solve_theta_arrays(params: GroupParams, zsq, t, tol=1e-12):
     t = np.broadcast_to(t, shape).astype(float)
 
     zl_zero = zsq[..., -1] == 0.0
-    thresh = np.zeros(shape)
-    if params.l > 1:
-        a_head = np.asarray(params.a[:-1])
-        thresh = np.sum(a_head * mu(a_head * math.pi) * zsq[..., :-1], axis=-1)
-    boundary = zl_zero & (np.abs(t) >= thresh)
+    boundary = zl_zero & (np.abs(t) >= boundary_threshold(params, zsq))
     allzero = np.all(zsq == 0.0, axis=-1) & (t == 0.0)
     if np.any(allzero):
         raise ValueError("angle equation is undefined at the origin")
@@ -193,12 +194,12 @@ def solve_theta_arrays(params: GroupParams, zsq, t, tol=1e-12):
     return theta, branch, residual
 
 
-def solve_theta(params: GroupParams, g: GroupPoint, tol=1e-12) -> ThetaSolution:
+def solve_theta(params: GroupParams, g: GroupPoint) -> ThetaSolution:
     """Scalar angle-equation solve with explicit branch classification."""
     zsq = block_norms_sq(g)
     if np.all(zsq == 0.0) and g.t == 0.0:
         raise ValueError("angle equation is undefined at the origin")
-    theta, branch, residual = solve_theta_arrays(params, zsq, g.t, tol)
+    theta, branch, residual = solve_theta_arrays(params, zsq, g.t)
     code = int(branch)
     if code == 2:
         return ThetaSolution(None, Branch.ZL_ZERO_BOUNDARY, 0.0, int(np.sign(g.t)) or 1)
@@ -250,11 +251,7 @@ def distance_squared_arrays(params: GroupParams, zsq, t, return_parts=False):
 
     # boundary branch
     zl_zero = zsq_b[..., -1] == 0.0
-    thresh = np.zeros(shape)
-    if params.l > 1:
-        a_head = a[:-1]
-        thresh = np.sum(a_head * mu(a_head * math.pi) * zsq_b[..., :-1], axis=-1)
-    boundary = zl_zero & (np.abs(t_b) >= thresh) & ~at_origin
+    boundary = zl_zero & (np.abs(t_b) >= boundary_threshold(params, zsq_b)) & ~at_origin
     if np.any(boundary):
         extra = np.zeros(shape)
         if params.l > 1:
@@ -323,14 +320,8 @@ def check_distance_equivalence(params: GroupParams, cloud, frozen=None):
 
     coords = uniform_box(params, cloud)
     zsq = np.sum(coords[:, : 2 * params.n] ** 2, axis=-1)
-    blocks = np.empty((cloud.count, params.l))
-    start = 0
-    for i, ki in enumerate(params.k):
-        seg = coords[:, 2 * start : 2 * (start + ki)]
-        blocks[:, i] = np.sum(seg**2, axis=-1)
-        start += ki
     t = coords[:, -1]
-    d2 = distance_squared_arrays(params, blocks, t)
+    d2 = distance_squared_arrays(params, block_norms_sq_flat(params, coords), t)
     ratio = d2 / (zsq + np.abs(t))
     rep = VerificationReport(
         identifier="distance-equivalence",

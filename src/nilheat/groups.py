@@ -40,7 +40,6 @@ __all__ = [
     "multiply_flat",
     "inverse_flat",
     "dilate_flat",
-    "left_translate_flat",
     "block_norms_sq",
     "block_norms_sq_flat",
     "horizontal_components",
@@ -158,13 +157,18 @@ def _check_conformal(params: GroupParams, g: GroupPoint):
         raise ValueError("point block shapes do not match the group parameters")
 
 
-def block_norms_sq(g: GroupPoint) -> np.ndarray:
-    """|z_i|^2 per block, recomputed from the coordinates."""
-    return np.array([float(np.sum(b.real**2 + b.imag**2)) for b in g.z])
+def block_norms_sq(g) -> np.ndarray:
+    """|z_i|^2 per block of a GroupPoint, or of a tuple of complex blocks."""
+    blocks = g.z if isinstance(g, GroupPoint) else g
+    return np.array([float(np.sum(b.real**2 + b.imag**2)) for b in blocks])
 
 
 def block_norms_sq_flat(params: GroupParams, coords) -> np.ndarray:
-    """|z_i|^2 per block for flat coordinate arrays, shape (..., l)."""
+    """|z_i|^2 per block, shape (..., l).
+
+    coords is either a flat point array (..., 2n+1) or a chart array of
+    horizontal coordinates only (..., 2n); a trailing t is ignored.
+    """
     coords = np.asarray(coords, dtype=float)
     n = params.n
     sq = coords[..., : 2 * n] ** 2
@@ -228,17 +232,13 @@ def dilate_flat(params: GroupParams, r: float, coords) -> np.ndarray:
     return out
 
 
-def left_translate_flat(params: GroupParams, g0_flat, coords) -> np.ndarray:
-    """g0 . coords for a single g0 against a batch of points."""
-    return multiply_flat(params, np.asarray(g0_flat, dtype=float), coords)
-
-
 # ---------------------------------------------------------------------------
 # Horizontal frame.
 # ---------------------------------------------------------------------------
 
 def _field_coefficient(params: GroupParams, which, coords, right: bool):
-    """t-coefficient of the requested field at the given flat points."""
+    """Euclidean column and t-coefficient of the requested field at the
+    given flat points: the field is d/d(column) + coefficient d/dt."""
     i, j, kind = which
     if not (0 <= i < params.l) or not (0 <= j < params.k[i]):
         raise ValueError(f"no field with block index ({i},{j})")
@@ -250,10 +250,15 @@ def _field_coefficient(params: GroupParams, which, coords, right: bool):
     y = coords[..., 2 * pair + 1]
     sgn = -1.0 if right else 1.0
     if kind == "x":
-        coef = sgn * 2.0 * ai * y
-    else:
-        coef = -sgn * 2.0 * ai * x
-    return pair, coef
+        return 2 * pair, sgn * 2.0 * ai * y
+    return 2 * pair + 1, -sgn * 2.0 * ai * x
+
+
+def _apply_field(params: GroupParams, which, f, coords, right: bool):
+    """Frame field `which` applied to f at flat points (..., 2n+1)."""
+    col, coef = _field_coefficient(params, which, coords, right)
+    grad = f.gradient(coords)
+    return grad[..., col] + coef * grad[..., 2 * params.n]
 
 
 def apply_left_field(params: GroupParams, which, f, g: GroupPoint) -> float:
@@ -261,20 +266,12 @@ def apply_left_field(params: GroupParams, which, f, g: GroupPoint) -> float:
 
     `which` is (block, index, 'x'|'y'), 0-based.  Needs f.gradient.
     """
-    coords = g.flat()
-    pair, coef = _field_coefficient(params, which, coords, right=False)
-    grad = f.gradient(coords)
-    col = 2 * pair if which[2] == "x" else 2 * pair + 1
-    return float(grad[col] + coef * grad[2 * params.n])
+    return float(_apply_field(params, which, f, g.flat(), right=False))
 
 
 def apply_right_field(params: GroupParams, which, f, g: GroupPoint) -> float:
     """Directional derivative along the right-invariant frame at g."""
-    coords = g.flat()
-    pair, coef = _field_coefficient(params, which, coords, right=True)
-    grad = f.gradient(coords)
-    col = 2 * pair if which[2] == "x" else 2 * pair + 1
-    return float(grad[col] + coef * grad[2 * params.n])
+    return float(_apply_field(params, which, f, g.flat(), right=True))
 
 
 def horizontal_components(params: GroupParams, euclid_grad, coords, which="left"):

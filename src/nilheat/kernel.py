@@ -396,10 +396,7 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
         raise QuadratureError("panel budget exceeded on the product grid")
 
     def _value(npanels):
-        edges = np.linspace(0.0, lam_cut, npanels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _KX).ravel()
-        wts = (half[:, None] * _KW).ravel()
+        nodes, wts = _panel_rule(np.linspace(0.0, lam_cut, npanels + 1), _KX, _KW)
         out = np.empty((m1, tvals.size))
         cosM = np.cos(np.multiply.outer(tau, nodes))  # (m2, N)
         chunk = max(1, int(8e6 // max(nodes.size, 1)))
@@ -554,16 +551,25 @@ def _sphere_surface(kdim: int) -> float:
     return 2.0 * math.pi**kdim / math.factorial(kdim - 1)
 
 
-def _composite_gl(lo, hi, panel_width, points):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    npan = max(1, int(math.ceil((hi - lo) / panel_width)))
-    edges = np.linspace(lo, hi, npan + 1)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(points)
+def _panel_rule(edges, x, w):
+    """Composite rule from a rule (x, w) on [-1, 1] mapped onto each panel
+    [edges[i], edges[i+1]]: flat nodes and weights, panel by panel."""
+    edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gl_x).ravel()
-    wts = (half[:, None] * gl_w).ravel()
-    return nodes, wts
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def _tensor_rule(nodes, weights):
+    """Tensor product of per-axis rules: the meshgrid ('ij' order) points,
+    shape (N, d), and their outer-product weights, shape (N,)."""
+    w = weights[0]
+    for ww in weights[1:]:
+        w = np.multiply.outer(w, ww)
+    pts = np.empty(np.shape(w) + (len(nodes),))
+    for d, axis in enumerate(np.meshgrid(*nodes, indexing="ij", sparse=True)):
+        pts[..., d] = axis
+    return pts.reshape(-1, len(nodes)), np.ravel(w)
 
 
 def integrate_radial(params: GroupParams, func, rho_max, t_max, points=16, scale=1.0):
@@ -575,21 +581,18 @@ def integrate_radial(params: GroupParams, func, rho_max, t_max, points=16, scale
 
     func maps (zsq (..., l), t (...)) -> values (...).
     """
+    gl = np.polynomial.legendre.leggauss(points)
+
+    def axis(lo, hi, panel_width):
+        npan = max(1, int(math.ceil((hi - lo) / panel_width)))
+        return _panel_rule(np.linspace(lo, hi, npan + 1), *gl)
+
     rho_max = np.broadcast_to(np.asarray(rho_max, dtype=float), (params.l,))
     axes_nodes, axes_weights = [], []
     for j in range(params.l):
-        nodes, wts = _composite_gl(0.0, rho_max[j], 1.5 * math.sqrt(scale), points)
-        wts = wts * _sphere_surface(params.k[j]) * nodes ** (2 * params.k[j] - 1)
+        nodes, wts = axis(0.0, rho_max[j], 1.5 * math.sqrt(scale))
         axes_nodes.append(nodes)
-        axes_weights.append(wts)
-    t_nodes, t_wts = _composite_gl(-t_max, t_max, 2.5 * scale, points)
-    axes_nodes.append(t_nodes)
-    axes_weights.append(t_wts)
-
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    zsq = np.stack([mesh[j] ** 2 for j in range(params.l)], axis=-1)
-    vals = func(zsq, mesh[-1])
-    w = axes_weights[0]
-    for ww in axes_weights[1:]:
-        w = np.multiply.outer(w, ww)
-    return float(np.sum(vals * w))
+        axes_weights.append(wts * _sphere_surface(params.k[j]) * nodes ** (2 * params.k[j] - 1))
+    t_nodes, t_wts = axis(-t_max, t_max, 2.5 * scale)
+    pts, w = _tensor_rule(axes_nodes + [t_nodes], axes_weights + [t_wts])
+    return float(np.sum(func(pts[:, :-1] ** 2, pts[:, -1]) * w))

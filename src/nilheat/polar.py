@@ -42,10 +42,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import distance_squared_arrays, solve_theta, Branch
-from .groups import GroupParams, GroupPoint, block_norms_sq, horizontal_components
-from .kernel import QuadratureSpec, _sphere_surface, kernel_zsq
+from .distance import Branch, distance_squared_arrays, solve_theta, solve_theta_arrays
+from .groups import (
+    GroupParams,
+    GroupPoint,
+    block_norms_sq,
+    block_norms_sq_flat,
+    horizontal_components,
+)
+from .kernel import (
+    QuadratureSpec,
+    _panel_rule,
+    _sphere_surface,
+    _tensor_rule,
+    integrate_radial,
+    kernel_zsq,
+)
 from .reports import VerificationReport
+from .sampling import philox
 
 __all__ = [
     "ANGLE_SPLIT",
@@ -98,12 +112,7 @@ class PolarPoint:
             raise PolarDomainError("top block u_l must be nonzero")
 
     def block_norms_sq(self) -> np.ndarray:
-        return np.array([float(np.sum(b.real**2 + b.imag**2)) for b in self.u])
-
-    @property
-    def U(self) -> float:
-        """(4 sum a_j^2 |u_j|^2)^{1/2} requires params; see speed()."""
-        raise AttributeError("use speed(params, point) - U depends on the group")
+        return block_norms_sq(self.u)
 
 
 def speed(params: GroupParams, p: PolarPoint) -> float:
@@ -155,11 +164,8 @@ def psi_flat(params: GroupParams, u_flat, eta):
     out = np.empty(shape + (params.dim,))
     out[..., 0 : 2 * n : 2] = (1.0 - C) * re - S * im
     out[..., 1 : 2 * n : 2] = S * re + (1.0 - C) * im
-    pair_sq = re**2 + im**2
     wb = eta[..., None] * np.asarray(params.a)
-    usq = np.empty(shape + (params.l,))
-    for i, sl in enumerate(params.block_slices()):
-        usq[..., i] = pair_sq[..., sl].sum(axis=-1)
+    usq = block_norms_sq_flat(params, u_flat)
     out[..., 2 * n] = np.sum(
         2.0 * np.asarray(params.a) * usq * _vertical_factor(wb), axis=-1
     )
@@ -389,8 +395,9 @@ def kernel_estimate_polar(params: GroupParams, usq, eta):
     return np.where(inside, 1.0, out)
 
 
-def pj_estimate_arrays(params: GroupParams, usq, eta):
-    """Piecewise comparison quantity for p * J on U|eta| >= 1."""
+def _pj_cases(params: GroupParams, usq, eta):
+    """The p * J comparison formulas: (wide-angle value, narrow-angle value,
+    wide mask), the narrow value already split on the crowd size."""
     usq = np.asarray(usq, dtype=float)
     eta = np.asarray(eta, dtype=float)
     Usq, gap, head, crowd = _region_quantities(params, usq, eta)
@@ -398,8 +405,6 @@ def pj_estimate_arrays(params: GroupParams, usq, eta):
     ulsq = usq[..., -1]
     kl = params.k[-1]
     gauss = np.exp(-Usq * eta**2 / 4.0)
-    wide = gap >= ANGLE_MARGIN
-    big = crowd >= SIZE_SPLIT
     case1 = unorm * np.abs(eta) ** (2 * params.n + 1) * gauss
     case2 = np.sqrt(head * gap + ulsq) * gap ** (kl - 0.5) * gauss
     case3 = (
@@ -408,7 +413,13 @@ def pj_estimate_arrays(params: GroupParams, usq, eta):
         * (head * gap + ulsq)
         * gauss
     )
-    return np.where(wide, case1, np.where(big, case2, case3))
+    return case1, np.where(crowd >= SIZE_SPLIT, case2, case3), gap >= ANGLE_MARGIN
+
+
+def pj_estimate_arrays(params: GroupParams, usq, eta):
+    """Piecewise comparison quantity for p * J on U|eta| >= 1."""
+    wide_value, narrow_value, wide = _pj_cases(params, usq, eta)
+    return np.where(wide, wide_value, narrow_value)
 
 
 def pj_estimate(params: GroupParams, p: PolarPoint) -> float:
@@ -476,12 +487,7 @@ def ray_integral_check(params: GroupParams, p: PolarPoint, spec=None, points=10)
     vmax = math.pi / abs(eta)
     decay = Usq * eta * eta
     v_hi = min(vmax, math.sqrt(1.0 + 4.0 * _RAY_TAIL_MARGIN / max(decay, 1e-12)))
-    edges = _ray_edges(eta, decay, v_hi)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(points)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    v = (mid[:, None] + half[:, None] * gl_x).ravel()
-    wts = (half[:, None] * gl_w).ravel()
+    v, wts = _panel_rule(_ray_edges(eta, decay, v_hi), *np.polynomial.legendre.leggauss(points))
 
     etav = v * eta
     zsq = usq * _angle_factor_sq(np.multiply.outer(etav, a))
@@ -529,8 +535,6 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
     block-polar volume factors, the chart side through the same factors in
     u.  Agreement is limited only by quadrature error.
     """
-    from .kernel import integrate_radial
-
     a = np.asarray(params.a)
 
     # block-radial bump: product of C^2 profiles in each |z_j|^2 and in t
@@ -568,8 +572,6 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
         corner = np.where([(mask >> j) & 1 for j in range(params.l)], zsq_hi, zsq_lo)
         corners.append(corner)
     corners = np.asarray(corners)
-    from .distance import solve_theta_arrays
-
     th, _, _ = solve_theta_arrays(
         params,
         np.tile(corners, (2, 1)),
@@ -584,13 +586,7 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
     # curved region whose u-radii scale like 1/(a eta), so per-slab radial
     # bounds stay tight where a single global box would be astronomically
     # wasteful
-    gl_x, gl_w = np.polynomial.legendre.leggauss(10)
-
-    def _axis_nodes(lo, hi, panels):
-        edges = np.linspace(lo, hi, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        return (mid[:, None] + half[:, None] * gl_x).ravel(), (half[:, None] * gl_w).ravel()
+    gl = np.polynomial.legendre.leggauss(10)
 
     n_slabs = max(24, int(math.ceil((eta_hi - eta_lo) / 0.05)))
     slab_edges = np.linspace(eta_lo, eta_hi, n_slabs + 1)
@@ -608,22 +604,15 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
         rho_hi = np.sqrt(zsq_hi / fac_min) * 1.02 + 1e-3
         axes, wts = [], []
         for j in range(params.l):
-            nj, wj = _axis_nodes(float(rho_lo[j]), float(rho_hi[j]), 8)
-            wj = wj * _sphere_surface(params.k[j]) * nj ** (2 * params.k[j] - 1)
+            nj, wj = _panel_rule(np.linspace(rho_lo[j], rho_hi[j], 9), *gl)
             axes.append(nj)
-            wts.append(wj)
-        ne, we = _axis_nodes(float(e0), float(e1), 1)
-        axes.append(ne)
-        wts.append(we)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        usq = np.stack([mesh[j] ** 2 for j in range(params.l)], axis=-1)
-        eta = mesh[-1]
+            wts.append(wj * _sphere_surface(params.k[j]) * nj ** (2 * params.k[j] - 1))
+        ne, we = _panel_rule([e0, e1], *gl)
+        pts, w = _tensor_rule(axes + [ne], wts + [we])
+        usq, eta = pts[:, :-1] ** 2, pts[:, -1]
         zsq_chart = usq * _angle_factor_sq(eta[..., None] * a)
         t_chart = np.sum(2.0 * a * usq * _vertical_factor(eta[..., None] * a), axis=-1)
         vals = F(zsq_chart, t_chart) * jacobian_closed_form_arrays(params, usq, eta)
-        w = wts[0]
-        for ww in wts[1:]:
-            w = np.multiply.outer(w, ww)
         chart += float(np.sum(vals * w))
 
     rel = abs(chart - direct) / max(abs(direct), 1e-300)
@@ -646,8 +635,6 @@ def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: fl
     kernel evaluation remains well conditioned.  Rejected draws are
     counted in the returned diagnostics.
     """
-    from .sampling import philox
-
     rng = philox(seed, 31)
     a = np.asarray(params.a)
     n2 = 2 * params.n
@@ -667,10 +654,6 @@ def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: fl
             top[0] += 0.5
         return w / np.sqrt(np.sum(w**2))
 
-    def _block_sq(u_flat):
-        pair_sq = u_flat[0::2] ** 2 + u_flat[1::2] ** 2
-        return np.array([pair_sq[sl].sum() for sl in params.block_slices()])
-
     while sum(got.values()) < count:
         region = next(r for r in (1, 2, 3) if got[r] < quota[r])
         if region == 1:
@@ -680,7 +663,7 @@ def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: fl
         elif region == 2:
             eta = rng.uniform(ANGLE_SPLIT * 1.02, ANGLE_SPLIT * 1.12)
             w = _unit_u(top_heavy=True)
-            wsq = _block_sq(w)
+            wsq = block_norms_sq_flat(params, w)
             gap = math.pi - eta
             crowd_unit = (wsq[:-1].sum() * gap + wsq[-1]) * gap
             scale_sq = rng.uniform(1.02, 1.3) * SIZE_SPLIT / crowd_unit
@@ -690,9 +673,9 @@ def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: fl
             target_U = rng.uniform(1.02, 4.0) / eta
             w = _unit_u()
         eta = float(eta * rng.choice([-1.0, 1.0]))
-        wsq = _block_sq(w)
+        wsq = block_norms_sq_flat(params, w)
         u = w * target_U / (2.0 * math.sqrt(float(np.sum(a**2 * wsq))))
-        usq = _block_sq(u)
+        usq = block_norms_sq_flat(params, u)
         if 4.0 * float(np.sum(a**2 * usq)) * eta**2 < 1.0:
             rejected += 1
             continue
@@ -784,11 +767,8 @@ def horizontal_path_check(params: GroupParams, p: PolarPoint, f, s_values=None) 
     gnorm = np.sqrt(np.sum(hgrad**2, axis=-1))
     cs_slack = float(np.max(np.abs(dds) - Ueta * gnorm))
 
-    d2 = distance_squared_arrays(
-        params,
-        np.array([float(np.sum(b.real**2 + b.imag**2)) for b in psi(params, p).z]),
-        psi(params, p).t,
-    )
+    end = psi_flat(params, u_flat, np.asarray(p.eta))
+    d2 = distance_squared_arrays(params, block_norms_sq_flat(params, end), end[-1])
     len_err = abs(math.sqrt(float(d2)) - Ueta) / max(Ueta, 1e-300)
 
     rep = VerificationReport(

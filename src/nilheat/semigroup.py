@@ -40,17 +40,20 @@ import numpy as np
 from .distance import distance_squared_arrays
 from .groups import (
     GroupParams,
+    _apply_field,
     block_norms_sq_flat,
     horizontal_components,
     multiply_flat,
 )
 from .kernel import (
     QuadratureSpec,
+    _panel_rule,
+    _tensor_rule,
     kernel_derivatives,
     kernel_points,
     kernel_product_grid,
 )
-from .reports import VerificationReport
+from .reports import VerificationReport, within_band
 from .sampling import ball_bounding_box, philox
 
 __all__ = [
@@ -151,14 +154,6 @@ def sample_heat_points(params: GroupParams, h: float, spec: DiffusionSpec) -> np
     return out
 
 
-def sample_heat_point(params: GroupParams, h: float, spec: DiffusionSpec):
-    """A single diffusion endpoint as a GroupPoint."""
-    from .groups import GroupPoint
-
-    one = DiffusionSpec(spec.steps, 1, spec.seed, spec.stream, spec.chunk, 1)
-    return GroupPoint.from_flat(params, sample_heat_points(params, h, one)[0])
-
-
 # ---------------------------------------------------------------------------
 # Derived scalar fields
 # ---------------------------------------------------------------------------
@@ -181,18 +176,8 @@ class _Closure:
 
 def right_field_of(params: GroupParams, which, f):
     """The scalar field (right-invariant frame applied to f)."""
-    i, j, kind = which
-    pair = sum(params.k[:i]) + j
-    ai = params.a[i]
-    col = 2 * pair if kind == "x" else 2 * pair + 1
-
     def fn(coords):
-        grad = f.gradient(coords)
-        if kind == "x":
-            coef = -2.0 * ai * coords[..., 2 * pair + 1]
-        else:
-            coef = 2.0 * ai * coords[..., 2 * pair]
-        return grad[..., col] + coef * grad[..., 2 * params.n]
+        return _apply_field(params, which, f, coords, right=True)
 
     return _Closure(fn, box=f.support_box())
 
@@ -230,23 +215,7 @@ class TransformedField:
         n = params.n
         z_lo = (lo[: 2 * n] - self.g_flat[: 2 * n]) / r
         z_hi = (hi[: 2 * n] - self.g_flat[: 2 * n]) / r
-        twist = 0.0
-        start = 0
-        for i, ki in enumerate(params.k):
-            gz = self.g_flat[2 * start : 2 * (start + ki)]
-            sup = math.sqrt(
-                float(
-                    np.sum(
-                        np.maximum(
-                            np.abs(z_lo[2 * start : 2 * (start + ki)]),
-                            np.abs(z_hi[2 * start : 2 * (start + ki)]),
-                        )
-                        ** 2
-                    )
-                )
-            )
-            twist += 2.0 * params.a[i] * math.sqrt(float(np.sum(gz**2))) * sup
-            start += ki
+        twist = _twist_bound(params, self.g_flat, np.maximum(np.abs(z_lo), np.abs(z_hi)))
         t_lo = (lo[-1] - self.g_flat[-1] - r * twist) / (r * r)
         t_hi = (hi[-1] - self.g_flat[-1] + r * twist) / (r * r)
         return np.concatenate([z_lo, [t_lo]]), np.concatenate([z_hi, [t_hi]])
@@ -273,6 +242,15 @@ class TransformedField:
 # Convolution evaluation
 # ---------------------------------------------------------------------------
 
+def _twist_bound(params, g_flat, z_bound):
+    """Bound on the center shift 2 sum_i a_i |Im<g_i, z'_i>| that a left
+    translation by g adds, over z' whose coordinates satisfy
+    |z'_c| <= z_bound[c] (Cauchy-Schwarz per block)."""
+    g_norm = np.sqrt(block_norms_sq_flat(params, g_flat))
+    z_norm = np.sqrt(block_norms_sq_flat(params, np.broadcast_to(z_bound, (2 * params.n,))))
+    return float(np.sum(2.0 * np.asarray(params.a) * g_norm * z_norm))
+
+
 def _support_grid(params, f, grid_points, h=None, g_flat=None):
     """Composite tensor GL nodes/weights covering f's support box.
 
@@ -292,40 +270,17 @@ def _support_grid(params, f, grid_points, h=None, g_flat=None):
         reach_z = 10.0 * math.sqrt(h)
         lo[: 2 * n] = np.maximum(lo[: 2 * n], g_flat[: 2 * n] - reach_z)
         hi[: 2 * n] = np.minimum(hi[: 2 * n], g_flat[: 2 * n] + reach_z)
-        twist = 0.0
-        start = 0
-        for i, ki in enumerate(params.k):
-            gz = g_flat[2 * start : 2 * (start + ki)]
-            twist += (
-                2.0
-                * params.a[i]
-                * math.sqrt(float(np.sum(gz**2)))
-                * reach_z
-                * math.sqrt(2.0 * ki)
-            )
-            start += ki
-        reach_t = 40.0 * h + twist
+        reach_t = 40.0 * h + _twist_bound(params, g_flat, reach_z)
         lo[-1] = max(lo[-1], g_flat[-1] - reach_t)
         hi[-1] = min(hi[-1], g_flat[-1] + reach_t)
         if np.any(lo >= hi):
             return None, None
     extents = hi - lo
     base = float(np.min(extents))
-    gl_x, gl_w = np.polynomial.legendre.leggauss(grid_points)
-    axes, wts1 = [], []
-    for d in range(params.dim):
-        npan = max(1, int(math.ceil(extents[d] / base - 1e-9)))
-        edges = np.linspace(lo[d], hi[d], npan + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        axes.append((mid[:, None] + half[:, None] * gl_x).ravel())
-        wts1.append((half[:, None] * gl_w).ravel())
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    wt = wts1[0]
-    for ww in wts1[1:]:
-        wt = np.multiply.outer(wt, ww)
-    return nodes, wt.ravel()
+    gl = np.polynomial.legendre.leggauss(grid_points)
+    npan = np.maximum(1, np.ceil(extents / base - 1e-9).astype(int))
+    rules = [_panel_rule(np.linspace(lo[d], hi[d], npan[d] + 1), *gl) for d in range(params.dim)]
+    return _tensor_rule(*zip(*rules))
 
 
 def _field_scale(f):
@@ -353,12 +308,7 @@ def _reduced_grid(params, f, h, g_flat, grid_points):
     hi_v = np.empty(params.dim)
     lo_v[: 2 * n] = np.maximum(-B_z, (lo[: 2 * n] - g_flat[: 2 * n]) / r)
     hi_v[: 2 * n] = np.minimum(B_z, (hi[: 2 * n] - g_flat[: 2 * n]) / r)
-    twist = 0.0
-    start = 0
-    for i, ki in enumerate(params.k):
-        gz = g_flat[2 * start : 2 * (start + ki)]
-        twist += 2.0 * params.a[i] * math.sqrt(float(np.sum(gz**2))) * B_z * math.sqrt(2.0 * ki)
-        start += ki
+    twist = _twist_bound(params, g_flat, B_z)
     lo_v[-1] = max(-B_t, (lo[-1] - g_flat[-1] - r * twist) / h)
     hi_v[-1] = min(B_t, (hi[-1] - g_flat[-1] + r * twist) / h)
     if np.any(lo_v >= hi_v):
@@ -372,25 +322,17 @@ def _reduced_grid(params, f, h, g_flat, grid_points):
         npan = max(1, int(math.ceil((hi_v[d] - lo_v[d]) / width)))
         # single-panel axes get the full order; multi-panel axes share it
         order = grid_points if npan == 1 else 10
-        gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-        edges = np.linspace(lo_v[d], hi_v[d], npan + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        axes.append((mid[:, None] + half[:, None] * gl_x).ravel())
-        wts1.append((half[:, None] * gl_w).ravel())
+        nodes, wts = _panel_rule(
+            np.linspace(lo_v[d], hi_v[d], npan + 1), *np.polynomial.legendre.leggauss(order)
+        )
+        axes.append(nodes)
+        wts1.append(wts)
     # the kernel factorizes over (z block norms) x (center coordinate), so
     # its values come from one product-grid evaluation
-    zmesh = np.meshgrid(*axes[:-1], indexing="ij")
-    zpart = np.stack([m.ravel() for m in zmesh], axis=-1)  # (m1, 2n)
-    pair_sq = zpart[:, 0::2] ** 2 + zpart[:, 1::2] ** 2
-    zsq = np.stack(
-        [pair_sq[:, sl].sum(axis=-1) for sl in params.block_slices()], axis=-1
-    )
+    zpart, wz = _tensor_rule(axes[:-1], wts1[:-1])  # (m1, 2n), (m1,)
+    zsq = block_norms_sq_flat(params, zpart)
     pvals, _ = kernel_product_grid(params, 1.0, zsq, axes[-1])  # (m1, m2)
-    wz = wts1[0]
-    for ww in wts1[1:-1]:
-        wz = np.multiply.outer(wz, ww)
-    weights = (pvals * wz.ravel()[:, None] * wts1[-1]).ravel()
+    weights = (pvals * wz[:, None] * wts1[-1]).ravel()
     m1, m2 = zsq.shape[0], axes[-1].size
     W = np.empty((m1 * m2, params.dim))
     W[:, : 2 * n] = np.repeat(zpart, m2, axis=0) * r
@@ -433,31 +375,21 @@ def semigroup_apply(params, f, h, g_flat, method="mc", dspec=None, qspec=None, g
     return semigroup_estimate(params, f, h, g_flat, method, dspec, qspec, grid_points)[0]
 
 
-def _chain_rule_components(params, f, g_flat, W, wts, which="left"):
-    """Weighted means of the frame applied to g -> f(g . w), all 2n at once.
+def _chain_rule_components(params, grad, g_flat, W):
+    """Left frame applied to g -> f(g . w) at each sample w: the X and the
+    Y components, each (N, n).
 
-    Left frame coefficients at g use (y(g) - Im w, Re w - x(g)); the right
-    frame collapses to the right frame of f at g . w.
+    grad holds the Euclidean gradient of f at g . w, one row per sample;
+    the coefficients at g use (y(g) - Im w, Re w - x(g)).
     """
     n = params.n
     a = params.pair_a
-    pts = multiply_flat(params, g_flat, W)
-    grad = f.gradient(pts)
-    gt = grad[..., 2 * n]
-    wx, wy = W[..., 0 : 2 * n : 2], W[..., 1 : 2 * n : 2]
+    gt = grad[:, 2 * n, None]
+    wx, wy = W[:, 0 : 2 * n : 2], W[:, 1 : 2 * n : 2]
     gx, gy = g_flat[0 : 2 * n : 2], g_flat[1 : 2 * n : 2]
-    if which == "left":
-        cx = grad[..., 0 : 2 * n : 2] + 2.0 * a * (gy - wy) * gt[..., None]
-        cy = grad[..., 1 : 2 * n : 2] + 2.0 * a * (wx - gx) * gt[..., None]
-    else:
-        cx = grad[..., 0 : 2 * n : 2] - 2.0 * a * (gy + wy) * gt[..., None]
-        cy = grad[..., 1 : 2 * n : 2] + 2.0 * a * (gx + wx) * gt[..., None]
-    comps = np.empty(W.shape[:-1] + (2 * n,))
-    comps[..., 0::2] = cx
-    comps[..., 1::2] = cy
-    mean = np.sum(comps * wts[..., None], axis=0)
-    se = np.std(comps, axis=0) / math.sqrt(W.shape[0])
-    return mean, se
+    cx = grad[:, 0 : 2 * n : 2] + 2.0 * a * (gy - wy) * gt
+    cy = grad[:, 1 : 2 * n : 2] + 2.0 * a * (wx - gx) * gt
+    return cx, cy
 
 
 def grad_semigroup_components(params, f, h, g_flat, method="mc", dspec=None, qspec=None, grid_points=16):
@@ -469,27 +401,29 @@ def grad_semigroup_components(params, f, h, g_flat, method="mc", dspec=None, qsp
     analytic partials carry the derivative.
     """
     g_flat = np.asarray(g_flat, dtype=float)
+    if method not in ("mc", "quadrature"):
+        raise ValueError("method must be 'mc' or 'quadrature'")
+    if method == "quadrature" and 2.0 * math.sqrt(h) >= _field_scale(f):
+        nodes, wt = _support_grid(params, f, grid_points, h, g_flat)
+        if nodes is None:
+            return np.zeros(2 * params.n), None
+        shifted = multiply_flat(params, -g_flat, nodes)
+        der = kernel_derivatives(params, h, shifted, qspec)
+        hat = horizontal_components(params, der["dp"], shifted, "right")
+        mean = -np.sum((f.value(nodes) * wt)[:, None] * hat, axis=0)
+        return mean, None
     if method == "mc":
         W = sample_heat_points(params, h, dspec)
         wts = np.full(W.shape[0], 1.0 / W.shape[0])
-        mean, se = _chain_rule_components(params, f, g_flat, W, wts, "left")
-        return mean, se
-    if method != "quadrature":
-        raise ValueError("method must be 'mc' or 'quadrature'")
-    if 2.0 * math.sqrt(h) < _field_scale(f):
+    else:
         W, wts = _reduced_grid(params, f, h, g_flat, grid_points)
         if W is None:
             return np.zeros(2 * params.n), None
-        mean, _ = _chain_rule_components(params, f, g_flat, W, wts, "left")
-        return mean, None
-    nodes, wt = _support_grid(params, f, grid_points, h, g_flat)
-    if nodes is None:
-        return np.zeros(2 * params.n), None
-    shifted = multiply_flat(params, -g_flat, nodes)
-    der = kernel_derivatives(params, h, shifted, qspec)
-    hat = horizontal_components(params, der["dp"], shifted, "right")
-    mean = -np.sum((f.value(nodes) * wt)[:, None] * hat, axis=0)
-    return mean, None
+    comps = np.empty((W.shape[0], 2 * params.n))
+    grad = f.gradient(multiply_flat(params, g_flat, W))
+    comps[:, 0::2], comps[:, 1::2] = _chain_rule_components(params, grad, g_flat, W)
+    mean = np.sum(comps * wts[:, None], axis=0)
+    return mean, (np.std(comps, axis=0) / math.sqrt(W.shape[0]) if method == "mc" else None)
 
 
 def grad_semigroup(params, f, h, g_flat, method="mc", dspec=None, qspec=None, grid_points=16) -> float:
@@ -544,24 +478,18 @@ def check_li_inequality(params, family, points, h_values, dspec, frozen=None) ->
     Denominators below ten Monte Carlo standard errors are excluded so the
     sup never divides noise by noise.
     """
-    n = params.n
-    a = params.pair_a
     best = 0.0
     best_case = None
     ratios = []
     excluded = 0
     for hi, h in enumerate(h_values):
         W = sample_heat_points(params, h, dspec.with_stream(hi + 1))
-        wx, wy = W[:, 0 : 2 * n : 2], W[:, 1 : 2 * n : 2]
         for gi, g_flat in enumerate(points):
             g_flat = np.asarray(g_flat, dtype=float)
             pts = multiply_flat(params, g_flat, W)
-            gx, gy = g_flat[0 : 2 * n : 2], g_flat[1 : 2 * n : 2]
             for fi, f in enumerate(family):
                 grad = f.gradient(pts)
-                gt = grad[:, 2 * n]
-                cx = grad[:, 0 : 2 * n : 2] + 2.0 * a * (gy - wy) * gt[:, None]
-                cy = grad[:, 1 : 2 * n : 2] + 2.0 * a * (wx - gx) * gt[:, None]
+                cx, cy = _chain_rule_components(params, grad, g_flat, W)
                 num = math.sqrt(
                     float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2))
                 )
@@ -602,8 +530,6 @@ def check_li_inequality(params, family, points, h_values, dspec, frozen=None) ->
     rep.require(np.isfinite(best), "empirical constant must be finite")
     if frozen:
         rep.frozen = dict(frozen)
-        from .reports import within_band
-
         rep.require(
             within_band(best, frozen["constant"]),
             "empirical constant left the frozen 20 percent band",
@@ -702,8 +628,6 @@ def check_cheeger(params, family, dspec, ball_count=200000, frozen=None) -> Veri
     rep.require(all(np.isfinite(v) for v in sups.values()), "ratios must be finite")
     if frozen:
         rep.frozen = dict(frozen)
-        from .reports import within_band
-
         for key in sups:
             rep.require(
                 within_band(sups[key], frozen[key]),
@@ -761,8 +685,6 @@ def check_log_sobolev_poincare(params, family, points, h_values, dspec, frozen=N
     rep.require(np.isfinite(sup_ent) and np.isfinite(sup_var), "constants must be finite")
     if frozen:
         rep.frozen = dict(frozen)
-        from .reports import within_band
-
         rep.require(
             within_band(sup_ent, frozen["entropy_constant"]),
             "entropy constant left the frozen band",
@@ -781,23 +703,17 @@ def check_holder_corollary(params, family, points, h_values, dspec, constant) ->
     dominates the mean within Monte Carlo error, and the gradient bound
     holds with the supplied empirical constant K.
     """
-    n = params.n
-    a = params.pair_a
     worst_gap = -np.inf
     worst_chain = -np.inf
     excluded = 0
     for hi, h in enumerate(h_values):
         W = sample_heat_points(params, h, dspec.with_stream(80 + hi))
-        wx, wy = W[:, 0 : 2 * n : 2], W[:, 1 : 2 * n : 2]
         for g_flat in points:
             g_flat = np.asarray(g_flat, dtype=float)
             pts = multiply_flat(params, g_flat, W)
-            gx, gy = g_flat[0 : 2 * n : 2], g_flat[1 : 2 * n : 2]
             for f in family:
                 grad = f.gradient(pts)
-                gt = grad[:, 2 * n]
-                cx = grad[:, 0 : 2 * n : 2] + 2.0 * a * (gy - wy) * gt[:, None]
-                cy = grad[:, 1 : 2 * n : 2] + 2.0 * a * (wx - gx) * gt[:, None]
+                cx, cy = _chain_rule_components(params, grad, g_flat, W)
                 num = math.sqrt(
                     float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2))
                 )
@@ -877,24 +793,15 @@ def check_integration_by_parts(params, f, qspec=None, grid_points=18) -> Verific
     """
     qspec = qspec or QuadratureSpec(tol=1e-9)
     lo, hi = f.support_box()
-    gl_x, gl_w = np.polynomial.legendre.leggauss(grid_points)
-    axes, wts1 = [], []
-    for d in range(params.dim):
-        mid, half = 0.5 * (hi[d] + lo[d]), 0.5 * (hi[d] - lo[d])
-        axes.append(mid + half * gl_x)
-        wts1.append(half * gl_w)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([mm.ravel() for mm in mesh], axis=-1)
-    wt = wts1[0]
-    for ww in wts1[1:]:
-        wt = np.multiply.outer(wt, ww)
-    wt = wt.ravel()
+    gl = np.polynomial.legendre.leggauss(grid_points)
+    # one panel per axis
+    rules = [_panel_rule([lo[d], hi[d]], *gl) for d in range(params.dim)]
+    pts, wt = _tensor_rule(*zip(*rules))
 
     out = kernel_derivatives(params, 1.0, pts, qspec)
     p, dp = out["p"], out["dp"]
     fval = f.value(pts)
     fgrad = f.gradient(pts)
-    n = params.n
     worst = 0.0
     details = {}
     for which in ("left", "right"):

@@ -15,7 +15,7 @@ here or deeper in the library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,7 +23,14 @@ from . import distance as dist
 from . import kernel as ker
 from . import polar
 from . import semigroup as sg
-from .groups import GroupParams, GroupPoint, block_norms_sq_flat, inverse_flat
+from .groups import (
+    GroupParams,
+    GroupPoint,
+    block_norms_sq_flat,
+    horizontal_components,
+    inverse_flat,
+    multiply_flat,
+)
 from .reports import VerificationReport, load_frozen_bounds, within_band
 from .sampling import CloudSpec, kernel_feasible_mask, philox, uniform_box
 from .testfuncs import indicator_like, standard_family
@@ -122,6 +129,18 @@ def _h_values_from(h) -> tuple:
     return tuple(h)
 
 
+def _count_from(where: str, val) -> int:
+    """A count from the config; ValueError unless an integer >= 1 (an
+    integral float such as 200.0 is accepted, a bool is not)."""
+    if (
+        isinstance(val, bool)
+        or not isinstance(val, (int, float))
+        or not (math.isfinite(val) and val == int(val) and val >= 1)
+    ):
+        raise ValueError(f"{where} must be an integer >= 1, got {val!r}")
+    return int(val)
+
+
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from a parsed config file plus CLI overrides."""
     if "seed" not in d:
@@ -138,26 +157,24 @@ def config_from_dict(d: dict) -> RunConfig:
     quad = _quadrature_from_dict(d.get("quadrature", {}))
     diff = d.get("diffusion", {})
     _reject_unknown("diffusion", diff, ("steps", "paths"))
-    return RunConfig(
+    cfg = RunConfig(
         group=group,
         seed=int(d["seed"]),
         output_dir=d.get("output_dir", "reports"),
         suites=tuple(d.get("suites", SUITE_NAMES)),
         quadrature=quad,
-        diffusion_steps=int(diff.get("steps", 200)),
-        diffusion_paths=int(diff.get("paths", 10000)),
-        workers=int(d.get("workers", 1)),
+        diffusion_steps=_count_from("diffusion steps", diff.get("steps", 200)),
+        diffusion_paths=_count_from("diffusion paths", diff.get("paths", 10000)),
+        workers=_count_from("workers", d.get("workers", 1)),
         h_values=_h_values_from(d.get("h_values", [0.25, 0.5, 1.0, 2.0])),
-        sizes=dict(d.get("sizes", {})),
+        sizes={k: _count_from(f"sizes {k}", v) for k, v in d.get("sizes", {}).items()},
     )
+    cfg.diffusion()  # DiffusionSpec's own checks (the steps floor) fail here, not mid-run
+    return cfg
 
 
 def _is_h1(group: GroupParams) -> bool:
     return group.l == 1 and group.k == (1,) and group.a == (1.0,)
-
-
-def _block_sq(params, coords):
-    return block_norms_sq_flat(params, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +186,7 @@ def suite_distance(cfg: RunConfig) -> VerificationReport:
     count = cfg.sizes["distance_points"]
     cloud = CloudSpec(count, 2.0, 3.0, cfg.seed)
     coords = uniform_box(params, cloud, stream=1)
-    zsq = _block_sq(params, coords)
+    zsq = block_norms_sq_flat(params, coords)
     t = coords[:, -1]
     rep = VerificationReport(
         identifier="distance",
@@ -200,8 +217,6 @@ def suite_distance(cfg: RunConfig) -> VerificationReport:
     rep.require(float(rel.max()) <= 1e-10, "closed-form variants disagree beyond 1e-10")
 
     # t = 0 slice: d = |z|
-    z_only = coords.copy()
-    z_only[:, -1] = 0.0
     d2z = dist.distance_squared_arrays(params, zsq, np.zeros(count))
     relz = np.abs(d2z - zsq.sum(axis=-1)) / np.maximum(zsq.sum(axis=-1), 1e-300)
     rep.stats["z_slice_max"] = float(relz.max())
@@ -233,7 +248,7 @@ def suite_distance(cfg: RunConfig) -> VerificationReport:
     # boundary-branch continuity: interior distance approaches the boundary
     # formula as |t| climbs to the threshold with z_l -> 0
     base = np.abs(coords[0, : 2 * params.n]) + 0.5
-    zsq_head = _block_sq(params, np.concatenate([base, [0.0]]))
+    zsq_head = block_norms_sq_flat(params, np.concatenate([base, [0.0]]))
     zsq_head[-1] = 0.0
     thr = dist.boundary_threshold(params, zsq_head)
     cont_err = 0.0
@@ -343,18 +358,13 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     rep.stats["rotation_identity_max"] = rot_err
     rep.require(rot_err <= 1e-8, "x d_y p = y d_x p identity broken")
 
-    # equivalent complex-frame identity
-    a = params.pair_a
-    gt = dp[:, 2 * n]
+    # equivalent complex-frame identity: conj(z) (X-hat + i Y-hat) p
+    # = z (X - i Y) p, with hats the right-invariant frame
     zc = x + 1j * y
-    left = np.conj(zc) * (
-        (dp[:, 0 : 2 * n : 2] - 2.0 * a * y * gt[:, None])
-        + 1j * (dp[:, 1 : 2 * n : 2] + 2.0 * a * x * gt[:, None])
-    )
-    right = zc * (
-        (dp[:, 0 : 2 * n : 2] + 2.0 * a * y * gt[:, None])
-        - 1j * (dp[:, 1 : 2 * n : 2] - 2.0 * a * x * gt[:, None])
-    )
+    rfr = horizontal_components(params, dp, pts, "right")
+    lfr = horizontal_components(params, dp, pts, "left")
+    left = np.conj(zc) * (rfr[:, 0::2] + 1j * rfr[:, 1::2])
+    right = zc * (lfr[:, 0::2] - 1j * lfr[:, 1::2])
     cscale = max(float(np.max(np.abs(left))), 1e-300)
     frame_err = float(np.max(np.abs(left - right)) / cscale)
     rep.stats["complex_frame_identity_max"] = frame_err
@@ -364,17 +374,15 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     ncl = cfg.sizes["kernel_cloud"]
     cl = uniform_box(params, CloudSpec(ncl, 2.0, 2.0, cfg.seed), stream=6)
     cl = cl[kernel_feasible_mask(params, cl, h=min(cfg.h_values))]
+    d = np.sqrt(dist.distance_squared_arrays(params, block_norms_sq_flat(params, cl), cl[:, -1]))
+    sel = d > 0.1
     c3 = 0.0
     c4 = 0.0
     for h in cfg.h_values:
         der = ker.kernel_derivatives(params, h, cl, spec)
         egrad = der["dp"] / der["p"][:, None]
-        from .groups import horizontal_components
-
         comps = horizontal_components(params, egrad, cl, "left")
         gnorm = np.sqrt(np.sum(comps**2, axis=-1))
-        d = np.sqrt(dist.distance_squared_arrays(params, _block_sq(params, cl), cl[:, -1]))
-        sel = d > 0.1
         c3 = max(c3, float(np.max(h * gnorm[sel] / d[sel])))
         c4 = max(c4, float(np.max(h * np.abs(egrad[:, -1]))))
     rep.stats["log_gradient_constant"] = c3
@@ -404,13 +412,7 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     # halving the tolerance must stay inside the coarser error estimate
     probe_pts = cl[:8]
     coarse_v, coarse_e = ker.kernel_points(params, 1.0, probe_pts, spec)
-    fine_spec = ker.QuadratureSpec(
-        tol=spec.tol / 2.0,
-        lambda_max=spec.lambda_max,
-        panel_budget=spec.panel_budget,
-        osc_factor=spec.osc_factor,
-    )
-    fine_v, _ = ker.kernel_points(params, 1.0, probe_pts, fine_spec)
+    fine_v, _ = ker.kernel_points(params, 1.0, probe_pts, replace(spec, tol=spec.tol / 2.0))
     conv_ok = bool(np.all(np.abs(fine_v - coarse_v) <= np.maximum(coarse_e, 1e-16)))
     rep.stats["refinement_consistent"] = conv_ok
     rep.require(conv_ok, "tolerance halving moved values beyond the error estimate")
@@ -440,7 +442,7 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     )
     u, eta = _random_polar_cloud(params, count, cfg.seed)
     coords = polar.psi_flat(params, u, eta)
-    zsq = _block_sq(params, coords)
+    zsq = block_norms_sq_flat(params, coords)
 
     # angle coordinate and distance along the chart
     theta, branch, _ = dist.solve_theta_arrays(params, zsq, coords[:, -1])
@@ -449,10 +451,7 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     rep.require(ang_err <= 1e-10, "angle coordinate of the chart is off")
 
     a = np.asarray(params.a)
-    usq = np.stack(
-        [np.sum(u[:, 2 * s.start : 2 * s.stop] ** 2, axis=-1) for s in params.block_slices()],
-        axis=-1,
-    )
+    usq = block_norms_sq_flat(params, u)
     Ueta = np.sqrt(4.0 * np.sum(a**2 * usq, axis=-1)) * np.abs(eta)
     d = np.sqrt(dist.distance_squared_arrays(params, zsq, coords[:, -1]))
     d_err = float(np.max(np.abs(d - Ueta) / Ueta))
@@ -513,10 +512,7 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     # piecewise p*J comparison on the exterior cloud
     n_ext = max(count // 2, 200)
     ue, ee, labels, diag = polar.sample_exterior_cloud(params, n_ext, cfg.seed)
-    usq_e = np.stack(
-        [np.sum(ue[:, 2 * s.start : 2 * s.stop] ** 2, axis=-1) for s in params.block_slices()],
-        axis=-1,
-    )
+    usq_e = block_norms_sq_flat(params, ue)
     ce = polar.psi_flat(params, ue, ee)
     pe, _ = ker.kernel_points(params, 1.0, ce, cfg.quadrature)
     Je = polar.jacobian_closed_form_arrays(params, usq_e, ee)
@@ -534,19 +530,7 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     gap = math.pi - np.abs(ee)
     zone = (gap >= polar.ANGLE_MARGIN) & (gap <= polar.ANGLE_SPLIT)
     if np.any(zone):
-        usz, esz = usq_e[zone], ee[zone]
-        Usq, gapz, head, crowd = polar._region_quantities(params, usz, esz)
-        gauss = np.exp(-Usq * esz**2 / 4.0)
-        kl = params.k[-1]
-        wide = np.sqrt(usz.sum(-1)) * np.abs(esz) ** (2 * params.n + 1) * gauss
-        narrow = np.where(
-            crowd >= polar.SIZE_SPLIT,
-            np.sqrt(head * gapz + usz[..., -1]) * gapz ** (kl - 0.5) * gauss,
-            (usz[..., -1] + np.sqrt(head) + np.sqrt(usz[..., -1]) * gapz) ** (kl - 1)
-            * gapz ** (2 * kl - 1)
-            * (head * gapz + usz[..., -1])
-            * gauss,
-        )
+        wide, narrow, _ = polar._pj_cases(params, usq_e[zone], ee[zone])
         ov = wide / narrow
         rep.stats["overlap_factor_min"] = float(ov.min())
         rep.stats["overlap_factor_max"] = float(ov.max())
@@ -708,8 +692,6 @@ def suite_li(cfg: RunConfig) -> VerificationReport:
     W1 = sg.sample_heat_points(params, h1v, cfg.diffusion(23))
     W2 = sg.sample_heat_points(params, h2v, cfg.diffusion(24))
     W12 = sg.sample_heat_points(params, h1v + h2v, cfg.diffusion(25))
-    from .groups import multiply_flat
-
     fsel = fam[6]
     two_stage = fsel.value(multiply_flat(params, W1, W2))
     one_stage = fsel.value(W12)
@@ -746,8 +728,6 @@ def suite_lse_poe(cfg: RunConfig) -> VerificationReport:
     ratios = []
     for hi, h in enumerate((0.1, 0.05)):
         W = sg.sample_heat_points(params, h, cfg.diffusion(60 + hi))
-        from .groups import multiply_flat
-
         pts = multiply_flat(params, g0, W)
         phi = f.value(pts)
         gsq = sg.hgrad_norm_of(params, f, power=2).value(pts)

@@ -12,6 +12,7 @@ from nilheat.groups import (
     apply_left_field,
     apply_right_field,
     block_norms_sq,
+    block_norms_sq_flat,
     dilate,
     dilate_flat,
     horizontal_gradient_norm,
@@ -392,6 +393,31 @@ def test_point_serialization_roundtrip(any_group, rng):
     nsq = block_norms_sq(g)
     assert nsq.shape == (params.l,)
     assert abs(nsq.sum() - np.sum(coords[:-1] ** 2)) <= 1e-14
+
+
+def test_block_norms_flat_accepts_chart_and_point_layouts(any_group, rng):
+    params = any_group
+    pts = rng.uniform(-2, 2, (4, 3, params.dim))
+    from_points = block_norms_sq_flat(params, pts)
+    from_chart = block_norms_sq_flat(params, pts[..., :-1])
+    assert from_points.shape == from_chart.shape == (4, 3, params.l)
+    assert np.array_equal(from_points, from_chart)
+    want = block_norms_sq(GroupPoint.from_flat(params, pts[1, 2]))
+    assert_allclose(from_points[1, 2], want, rtol=1e-14, atol=0)
+
+
+def test_every_export_resolves():
+    import importlib
+    import pkgutil
+
+    import nilheat
+
+    for info in pkgutil.iter_modules(nilheat.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"nilheat.{info.name}")
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert not missing, f"nilheat.{info.name}.__all__ names {missing}"
 
 
 def test_params_validation():

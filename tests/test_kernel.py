@@ -253,6 +253,28 @@ def test_g7_nested_in_k15():
     assert np.all(ker._G7W[0::2] == 0.0)
 
 
+def test_panel_and_tensor_rule_exact_for_separable_polynomials():
+    # p Gauss points per panel integrate degree 2p - 1 per axis exactly,
+    # on non-uniform panels and through the tensor product
+    p = 5
+    gl = np.polynomial.legendre.leggauss(p)
+    edges = [np.array([-1.0, -0.3, 0.2, 1.5]), np.array([0.0, 0.1, 0.7, 2.0, 2.25])]
+    polys = [
+        np.polynomial.Polynomial(np.linspace(1.0, -0.8, 2 * p)),
+        np.polynomial.Polynomial(np.cos(np.arange(2 * p))),
+    ]
+    nodes, weights = zip(*(ker._panel_rule(e, *gl) for e in edges))
+    for e, x, w, P in zip(edges, nodes, weights, polys):
+        assert x.shape == w.shape == (p * (e.size - 1),)
+        exact = P.integ()(e[-1]) - P.integ()(e[0])
+        assert abs(w @ P(x) - exact) <= 1e-14 * abs(exact)
+    pts, wt = ker._tensor_rule(nodes, weights)
+    assert pts.shape == (nodes[0].size * nodes[1].size, 2) and wt.shape == (pts.shape[0],)
+    exact = math.prod(P.integ()(e[-1]) - P.integ()(e[0]) for e, P in zip(edges, polys))
+    got = wt @ (polys[0](pts[:, 0]) * polys[1](pts[:, 1]))
+    assert abs(got - exact) <= 1e-14 * abs(exact)
+
+
 def test_mixed_batch_matches_single_point_calls(noniso, monkeypatch):
     import nilheat.polar as polar
 

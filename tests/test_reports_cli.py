@@ -235,13 +235,17 @@ def test_config_rejects_bad_quadrature(tmp_path, cli_env):
         _assert_usage_error(r)
 
 
+def _write_config(tmp_path, **changes):
+    path = tmp_path / "badcfg.json"
+    path.write_text(json.dumps(dict(CONFIG_H1, **changes)))
+    return str(path)
+
+
 def _assert_config_rejected(tmp_path, cli_env, **changes):
     # the config is refused before any suite runs or any report is written
-    cfg = dict(CONFIG_H1, **changes)
-    path = tmp_path / "badcfg.json"
-    path.write_text(json.dumps(cfg))
+    path = _write_config(tmp_path, **changes)
     out = tmp_path / "out"
-    r = _run_cli(["--config", str(path), "verify", "distance", "--output-dir", str(out)], tmp_path, cli_env)
+    r = _run_cli(["--config", path, "verify", "distance", "--output-dir", str(out)], tmp_path, cli_env)
     _assert_usage_error(r)
     assert not out.exists()
 
@@ -274,3 +278,48 @@ def test_config_rejects_non_object(tmp_path, cli_env):
 def test_config_rejects_bad_h_values(tmp_path, cli_env):
     for h in ("abc", [], [0.5, -1.0], [0.5, 0.0], [math.inf], [True], ["0.5"], 0.5):
         _assert_config_rejected(tmp_path, cli_env, h_values=h)
+
+
+def test_config_rejects_bad_diffusion_counts(tmp_path, cli_env):
+    # non-integral, zero, a bool, a string, and steps below the sampler's floor
+    for diffusion in (
+        {"steps": 1.5, "paths": 6000},
+        {"steps": 120, "paths": 0},
+        {"steps": True, "paths": 6000},
+        {"steps": 120, "paths": "6000"},
+        {"steps": 50, "paths": 6000},
+    ):
+        _assert_config_rejected(tmp_path, cli_env, diffusion=diffusion)
+
+
+def test_config_rejects_bad_sizes_counts(tmp_path, cli_env):
+    for sizes in ({"distance_points": -5}, {"distance_points": 2.5}, {"ball_count": 0}, {"family": True}):
+        _assert_config_rejected(tmp_path, cli_env, sizes=sizes)
+
+
+def test_config_rejects_bad_workers(tmp_path, cli_env):
+    for workers in (0, 1.5, True):
+        _assert_config_rejected(tmp_path, cli_env, workers=workers)
+    out = tmp_path / "out"
+    r = _run_cli(
+        ["--config", _write_config(tmp_path), "verify", "distance", "--workers", "0", "--output-dir", str(out)],
+        tmp_path,
+        cli_env,
+    )
+    _assert_usage_error(r)
+    assert not out.exists()
+
+
+def test_config_rejects_bad_counts_before_eval(tmp_path, cli_env):
+    # eval reads no count, but the whole config is checked at load
+    path = _write_config(
+        tmp_path, diffusion={"steps": 1.5, "paths": 0}, sizes={"distance_points": -5}, workers=0
+    )
+    r = _run_cli(["--config", path, "eval", "distance", "0.6,0.8,0"], tmp_path, cli_env)
+    _assert_usage_error(r)
+
+
+def test_config_accepts_integral_float_counts(tmp_path, cli_env):
+    path = _write_config(tmp_path, diffusion={"steps": 120.0, "paths": 6000.0}, workers=1.0)
+    r = _run_cli(["--config", path, "eval", "distance", "0.6,0.8,0"], tmp_path, cli_env)
+    assert r.returncode == 0, r.stderr
