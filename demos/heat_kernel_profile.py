@@ -21,6 +21,7 @@ from nilheat.kernel import (
     kernel,
     kernel_derivatives,
     kernel_points,
+    kernel_product_grid,
     kernel_zsq,
 )
 from nilheat.groups import horizontal_components
@@ -45,10 +46,11 @@ for h in (0.25, 1.7, 4.0):
     rep = check_scaling(h1, h, g, spec)
     print(f"  h = {h}: deviation {rep.stats['deviation']:.2e}")
 
-# the kernel integrates to one (block-radial reduction of the full integral)
+# the kernel integrates to one (block-radial reduction of the full integral;
+# the block-norm and t rules meet in one product-grid kernel call)
 mass_spec = QuadratureSpec(tol=1e-9, osc_factor=2.0)
 mass = integrate_radial(
-    h1, lambda zs, t: kernel_zsq(h1, 1.0, zs, t, mass_spec)[0], rho_max=11.0, t_max=55.0
+    h1, lambda zs, t: kernel_product_grid(h1, 1.0, zs, t, mass_spec)[0], rho_max=11.0, t_max=55.0
 )
 print(f"\nkernel mass over the whole group: {mass:.10f}")
 

@@ -4,8 +4,10 @@ Thin orchestration only: parse the config, dispatch to the suites, write
 reports, map verdicts to exit codes.  Every number in a report comes from
 a library call.
 
-Exit codes: 0 all verdicts pass, 1 at least one verdict fails, 2 usage or
-configuration error.
+Exit codes: 0 all verdicts pass, 1 at least one verdict fails or the
+kernel quadrature cannot deliver a value (QuadratureError,
+KernelConditioningError), 2 usage or configuration error, including a
+non-finite coordinate or an --h that is not finite and positive.
 
 Commands:
   nilheat verify <suite> [...] --config cfg.json [--seed N] [--output-dir D]
@@ -61,7 +63,20 @@ def _parse_point(params: GroupParams, text: str) -> np.ndarray:
             f"point needs {params.dim} coordinates "
             f"[x_11, y_11, ..., t] for this group, got {len(vals)}"
         )
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"point coordinates must be finite, got {text!r}")
     return np.asarray(vals)
+
+
+def _positive_time(text: str) -> float:
+    """argparse type for --h: a finite positive float."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not (math.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError(f"h must be finite and positive, got {text!r}")
+    return val
 
 
 def _cmd_verify(args) -> int:
@@ -200,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate the kernel or the distance at a point")
     e.add_argument("quantity", choices=["kernel", "distance"])
     e.add_argument("point", help="comma-separated flat coordinates x_11,y_11,...,t")
-    e.add_argument("--h", type=float, default=1.0, help="kernel time parameter")
+    e.add_argument("--h", type=_positive_time, default=1.0, help="kernel time parameter")
 
     p = sub.add_parser(
         "plot",
@@ -217,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--extent", type=float, default=6.0, help="kernel-slice t range")
-    p.add_argument("--h", type=float, default=1.0)
+    p.add_argument("--h", type=_positive_time, default=1.0)
     return ap
 
 
@@ -237,6 +252,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
+    except (ker.QuadratureError, ker.KernelConditioningError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return _USAGE_ERROR
 
 

@@ -9,10 +9,15 @@ for time h is
         * exp(-sum_j |z_j|^2 a_j lambda coth(a_j lambda) / 4h).
 
 E is smooth, even, positive, bounded by 1, and decays at the exponential
-rate r(lambda) -> sum_j k_j a_j + sum_j |z_j|^2 a_j/(4h).  Each point gets
-its own plan from one shared probe of E: the cutoff where the local tail
-bound E(L)/r(L) falls below a tenth of the tolerance, an envelope estimate
-and an initial panel count (>= `osc_factor` panels per cosine period).
+rate r(lambda) -> sum_j k_j a_j + sum_j |z_j|^2 a_j/(4h).  log E is a
+function of lambda alone minus a sum linear in the block norms, and so is
+r: each node grid (the probe, a refinement pass, a product grid) is
+tabled once (sum_j k_j log(x_j/sinh x_j) and x_j coth x_j, x_j = a_j
+lambda), and m points meet N nodes in one (m, l) x (l, N) product, with
+no (points, nodes, blocks) array.  Each point gets its own plan from one
+shared probe of E: the cutoff where the local tail bound E(L)/r(L) falls
+below a tenth of the tolerance, an envelope estimate and an initial panel
+count (>= `osc_factor` panels per cosine period).
 Points whose quantized panel count, cutoff and decay rate agree form a
 bucket that shares one panelization.  Each panel carries the nested
 Gauss-Kronrod pair G7/K15: E and the cosine are evaluated at the 15
@@ -63,6 +68,7 @@ __all__ = [
     "log_kernel_left_gradient",
     "log_kernel_t_derivative",
     "check_scaling",
+    "scaling_deviation",
     "kernel_comparison_log_rhs",
     "check_kernel_comparison",
     "integrate_radial",
@@ -156,29 +162,39 @@ def _x_coth(x):
     return np.where(small, series, out)
 
 
-def _log_envelope(params: GroupParams, h, zsq, lam):
-    """log E(lambda).  lam: any shape; zsq: broadcastable to lam shape + (l,)."""
-    a = np.asarray(params.a)
-    k = np.asarray(params.k, dtype=float)
-    x = np.asarray(lam, dtype=float)[..., None] * a
-    logw = np.sum(k * _w_over_sinh_log(x), axis=-1)
-    s = np.sum(np.asarray(zsq, dtype=float) * _x_coth(x), axis=-1)
-    return logw - s / (4.0 * h)
+def _envelope_tables(params: GroupParams, lam):
+    """Node tables of log E at flat nodes lam (N,): logw (N,) =
+    sum_j k_j log(x_j / sinh x_j) and xc (N, l) = x_j coth x_j, x_j = a_j lam."""
+    x = np.multiply.outer(np.asarray(lam, dtype=float), np.asarray(params.a))
+    return np.sum(np.asarray(params.k, dtype=float) * _w_over_sinh_log(x), axis=-1), _x_coth(x)
 
 
-def _decay_rate(params: GroupParams, h, zsq, lam):
-    """-d log E / d lambda; increases monotonically to its asymptote."""
+def _log_envelope(h, zsq, tables):
+    """log E at points zsq (m, l) and the tabled nodes: (m, N).  log E is
+    linear in the block norms, so the points enter through one product."""
+    logw, xc = tables
+    return logw - (zsq @ xc.T) / (4.0 * h)
+
+
+def _rate_tables(params: GroupParams, lam):
+    """Node tables of -d log E / d lambda at flat nodes lam (N,): the
+    geometric part sum_j k_j a_j (coth x_j - 1/x_j) (N,) and
+    a_j d(x_j coth x_j)/dx_j (N, l)."""
     a = np.asarray(params.a)
-    k = np.asarray(params.k, dtype=float)
-    x = np.asarray(lam, dtype=float)[..., None] * a
+    x = np.multiply.outer(np.asarray(lam, dtype=float), a)
     small = x < 1e-4
     xs = np.where(small, 1.0, x)
     coth = np.where(xs > 30.0, 1.0, 1.0 / np.tanh(np.minimum(xs, 30.0)))
     geom = np.where(small, x / 3.0, coth - 1.0 / xs)
     dxcoth = np.where(small, 2.0 * x / 3.0, coth - xs * (coth**2 - 1.0))
-    rate = np.sum(k * a * geom, axis=-1)
-    rate = rate + np.sum(np.asarray(zsq, dtype=float) * a * dxcoth, axis=-1) / (4.0 * h)
-    return rate
+    return np.sum(np.asarray(params.k, dtype=float) * a * geom, axis=-1), a * dxcoth
+
+
+def _decay_rate(h, zsq, tables):
+    """-d log E / d lambda at points zsq (m, l) and the tabled nodes: (m, N);
+    increases monotonically in lambda to its asymptote."""
+    geom, adx = tables
+    return geom + (zsq @ adx.T) / (4.0 * h)
 
 
 def _eval_panels(params, h, zsq, tau, edges, want_extras=False):
@@ -190,17 +206,18 @@ def _eval_panels(params, h, zsq, tau, edges, want_extras=False):
     m = zsq.shape[0]
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _KX  # (P, 15)
+    tables = _envelope_tables(params, nodes.ravel())
     kron = np.empty((m, half.size))
     gauss = np.empty((m, half.size))
     env = np.empty((m, half.size))
     extras = None
     if want_extras:
         extras = {"coth": np.empty((m, params.l)), "sin": np.empty(m)}
-        cothw = _x_coth(nodes[..., None] * np.asarray(params.a)) * _KW[:, None]  # (P, 15, l)
+        cothw = tables[1].reshape(nodes.shape + (params.l,)) * _KW[:, None]  # (P, 15, l)
     chunk = max(1, int(4e6 // nodes.size))
     for s in range(0, m, chunk):
         e = min(m, s + chunk)
-        E = np.exp(_log_envelope(params, h, zsq[s:e, None, None, :], nodes))  # (c, P, 15)
+        E = np.exp(_log_envelope(h, zsq[s:e], tables)).reshape((e - s,) + nodes.shape)
         phase = tau[s:e, None, None] * nodes
         ce = np.cos(phase) * E
         kron[s:e] = (ce @ _KW) * half
@@ -223,14 +240,15 @@ def _plan(params, h, zsq, spec):
     rate = float(np.sum(np.asarray(params.k) * a)) + np.sum(zsq * a, axis=-1) / (4.0 * h)
     lam_hi = min(spec.lambda_max, max(90.0 / rate.min(initial=math.inf), 5.0))
     probe = np.linspace(0.0, lam_hi, 385)
+    env_tables, rate_tables = _envelope_tables(params, probe), _rate_tables(params, probe)
     m = zsq.shape[0]
     lam_cut, env_est, tail = np.empty(m), np.empty(m), np.empty(m)
-    chunk = 2048  # bounds the (chunk, 385, l) probe temporaries
+    chunk = 2048  # bounds the (chunk, 385) probe temporaries
     for s in range(0, m, chunk):
-        z = zsq[s : s + chunk, None, :]
-        env_probe = np.exp(_log_envelope(params, h, z, probe))  # (c, 385)
+        z = zsq[s : s + chunk]
+        env_probe = np.exp(_log_envelope(h, z, env_tables))  # (c, 385)
         est = np.maximum(np.trapezoid(env_probe, probe, axis=-1), 1e-300)
-        bound = env_probe / np.maximum(_decay_rate(params, h, z, probe), 1e-300)
+        bound = env_probe / np.maximum(_decay_rate(h, z, rate_tables), 1e-300)
         ok = bound <= 0.1 * spec.tol * est[:, None]
         ok[:, 0] = False
         if not bool(ok.any(axis=-1).all()):
@@ -242,6 +260,16 @@ def _plan(params, h, zsq, spec):
         env_est[s : s + chunk] = est
         tail[s : s + chunk] = bound[np.arange(idx.size), idx]
     return lam_cut, env_est, tail, rate
+
+
+def _check_inputs(h, zsq, t):
+    """Reject a time, block norm or t value the quadrature cannot use."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"time parameter h must be finite and positive, got {h}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t values must be finite")
+    if not np.all(np.isfinite(zsq) & (zsq >= 0.0)):
+        raise ValueError("block norms |z_j|^2 must be finite and non-negative")
 
 
 def _panel_count(lam_cut, tau, rate, spec):
@@ -340,11 +368,10 @@ def kernel_zsq(params: GroupParams, h: float, zsq, t, spec=None):
 
     Returns (values, errors) with the (4 pi h)^{-(n+1)} prefactor applied.
     """
-    if h <= 0:
-        raise ValueError("time parameter h must be positive")
     spec = spec or QuadratureSpec()
     zsq = np.asarray(zsq, dtype=float)
     t = np.asarray(t, dtype=float)
+    _check_inputs(h, zsq, t)
     shape = np.broadcast_shapes(zsq.shape[:-1], t.shape)
     zs = np.ascontiguousarray(np.broadcast_to(zsq, shape + (params.l,)).reshape(-1, params.l))
     ts = np.ascontiguousarray(np.broadcast_to(t, shape).reshape(-1))
@@ -374,18 +401,21 @@ def kernel_points(params: GroupParams, h: float, coords, spec=None):
 def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
     """Kernel on the product of a block-norm set and a t set.
 
-    zsq: (m1, l), tvals: (m2,).  Returns (values, errors) of shape
-    (m1, m2).  All pairs share one panelization, so the cosine transform
-    becomes a single matrix contraction; the error estimate compares the
-    working grid against one with doubled panels.  Intended for tensor
-    grids where evaluating every (z, t) pair separately would repeat the
-    envelope work m2 times.
+    zsq: (..., l), read as m1 rows; tvals: any shape, read as m2 values.
+    Returns (values, errors) of shape (m1, m2), so the (m1, 1, l) and
+    (1, m2) arrays of `integrate_radial` can be passed straight in.  All
+    pairs share one panelization, so the cosine transform becomes a single
+    matrix contraction; the error estimate compares the working grid
+    against one with doubled panels.  Intended for tensor grids where
+    evaluating every (z, t) pair separately would repeat the envelope work
+    m2 times.
     """
-    if h <= 0:
-        raise ValueError("time parameter h must be positive")
     spec = spec or QuadratureSpec(tol=1e-9)
-    zsq = np.atleast_2d(np.asarray(zsq, dtype=float))
-    tvals = np.atleast_1d(np.asarray(tvals, dtype=float))
+    zsq = np.asarray(zsq, dtype=float).reshape(-1, params.l)
+    tvals = np.ravel(np.asarray(tvals, dtype=float))
+    _check_inputs(h, zsq, tvals)
+    if zsq.shape[0] == 0 or tvals.size == 0:
+        raise ValueError("empty product grid")
     m1 = zsq.shape[0]
     lam_cut, _, tail, rate = _plan(params, h, zsq, spec)
     lam_cut = float(lam_cut.max())
@@ -397,12 +427,13 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
 
     def _value(npanels):
         nodes, wts = _panel_rule(np.linspace(0.0, lam_cut, npanels + 1), _KX, _KW)
+        tables = _envelope_tables(params, nodes)
         out = np.empty((m1, tvals.size))
         cosM = np.cos(np.multiply.outer(tau, nodes))  # (m2, N)
         chunk = max(1, int(8e6 // max(nodes.size, 1)))
         for s in range(0, m1, chunk):
             e = min(m1, s + chunk)
-            Ew = np.exp(_log_envelope(params, h, zsq[s:e, None, :], nodes[None, :])) * wts
+            Ew = np.exp(_log_envelope(h, zsq[s:e], tables)) * wts
             out[s:e] = Ew @ cosM.T
         return out
 
@@ -418,13 +449,12 @@ def kernel_derivatives(params: GroupParams, h: float, coords, spec=None):
 
     Returns dict with 'p' (...), 'dp' (..., 2n+1), 'err' (...).
     """
-    if h <= 0:
-        raise ValueError("time parameter h must be positive")
     spec = spec or QuadratureSpec()
     coords = np.asarray(coords, dtype=float)
     shape = coords.shape[:-1]
     flat = coords.reshape(-1, params.dim)
     zsq = block_norms_sq_flat(params, flat)
+    _check_inputs(h, zsq, flat[:, -1])
     norm = (4.0 * math.pi * h) ** (-(params.n + 1))
     out = _batched_core(params, h, zsq, np.ascontiguousarray(flat[:, -1]), spec, derivs=True)
     p = norm * out["cos"]
@@ -470,18 +500,25 @@ def log_kernel_t_derivative(params: GroupParams, h: float, g: GroupPoint, spec=N
     return float(out["dp"][..., -1] / out["p"])
 
 
+def scaling_deviation(params: GroupParams, h, left, left_err, right, right_err):
+    """Scaling-law deviation |h^{n+1} p_h(z, t) - p_1(z/sqrt h, t/h)| relative
+    to the right side, and the summed relative error estimates of both
+    sides; elementwise over arrays of h and kernel values."""
+    dev = np.abs(h ** (params.n + 1) * left - right) / right
+    return dev, left_err / left + right_err / right
+
+
 def check_scaling(params: GroupParams, h: float, g: GroupPoint, spec=None) -> VerificationReport:
     """Scaling law: h^{n+1} p_h(z, t) against p_1(z/sqrt h, t/h)."""
     spec = spec or QuadratureSpec()
     left = kernel(params, h, g, spec)
     scaled = GroupPoint(tuple(b / math.sqrt(h) for b in g.z), g.t / h)
     right = kernel(params, 1.0, scaled, spec)
-    dev = abs(h ** (params.n + 1) * left.value - right.value) / right.value
-    rel_err = left.error / left.value + right.error / right.value
+    dev, rel_err = scaling_deviation(params, h, left.value, left.error, right.value, right.error)
     rep = VerificationReport(
         identifier="kernel-scaling",
         config={"h": h, "group": params.label()},
-        stats={"deviation": dev, "error_budget": 10.0 * rel_err},
+        stats={"deviation": float(dev), "error_budget": 10.0 * rel_err},
     )
     rep.require(dev <= 10.0 * rel_err, "scaling deviation exceeds quadrature error budget")
     return rep
@@ -579,7 +616,9 @@ def integrate_radial(params: GroupParams, func, rho_max, t_max, points=16, scale
     panel width (use sqrt(h) scaling in rho and h scaling in t so the
     kernel's analyticity strip is resolved).
 
-    func maps (zsq (..., l), t (...)) -> values (...).
+    func maps block norms zsq (m1, 1, l) and t nodes (1, m2) to values
+    broadcastable to (m1, m2): the block-norm rule and the t rule stay
+    separate, so `kernel_product_grid` can serve as the integrand.
     """
     gl = np.polynomial.legendre.leggauss(points)
 
@@ -593,6 +632,7 @@ def integrate_radial(params: GroupParams, func, rho_max, t_max, points=16, scale
         nodes, wts = axis(0.0, rho_max[j], 1.5 * math.sqrt(scale))
         axes_nodes.append(nodes)
         axes_weights.append(wts * _sphere_surface(params.k[j]) * nodes ** (2 * params.k[j] - 1))
+    rho, w_rho = _tensor_rule(axes_nodes, axes_weights)
     t_nodes, t_wts = axis(-t_max, t_max, 2.5 * scale)
-    pts, w = _tensor_rule(axes_nodes + [t_nodes], axes_weights + [t_wts])
-    return float(np.sum(func(pts[:, :-1] ** 2, pts[:, -1]) * w))
+    vals = func(rho[:, None, :] ** 2, t_nodes[None, :])
+    return float(np.sum(vals * np.multiply.outer(w_rho, t_wts)))

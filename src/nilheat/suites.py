@@ -314,7 +314,7 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
         mass_spec = ker.QuadratureSpec(tol=1e-9, osc_factor=2.0)
         norm = ker.integrate_radial(
             params,
-            lambda zs, tt: ker.kernel_zsq(params, 1.0, zs, tt, mass_spec)[0],
+            lambda zs, tt: ker.kernel_product_grid(params, 1.0, zs, tt, mass_spec)[0],
             rho_max=11.0,
             t_max=55.0,
         )
@@ -328,13 +328,18 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     keep = kernel_feasible_mask(params, cloud, h=0.25)
     cloud = cloud[keep]
     hs = rng.uniform(0.25, 4.0, size=cloud.shape[0])
-    worst = 0.0
-    for i in range(cloud.shape[0]):
-        g = GroupPoint.from_flat(params, cloud[i])
-        r = ker.check_scaling(params, float(hs[i]), g, spec)
-        worst = max(worst, r.stats["deviation"])
+    zsq, t = block_norms_sq_flat(params, cloud), cloud[:, -1]
+    # each point has its own h on the left; the right side is one h = 1 batch
+    left = np.array([ker.kernel_zsq(params, h, z, tt, spec) for h, z, tt in zip(hs, zsq, t)])
+    right, right_err = ker.kernel_zsq(params, 1.0, zsq / hs[:, None], t / hs, spec)
+    dev, _ = ker.scaling_deviation(params, hs, left[:, 0], left[:, 1], right, right_err)
+    worst = float(np.max(dev, initial=0.0))
     rep.stats["scaling_max_deviation"] = worst
     rep.stats["scaling_cases"] = int(cloud.shape[0])
+    rep.require(
+        bool(np.all(left[:, 0] > 0) and np.all(right > 0)),
+        "scaling-law kernel values must be positive",
+    )
     rep.require(worst <= 1e-8, "scaling law deviation above 1e-8")
 
     # symmetry identities
@@ -580,17 +585,24 @@ def suite_lemma6(cfg: RunConfig) -> VerificationReport:
     u, eta, labels, diag = polar.sample_exterior_cloud(params, count, cfg.seed)
     sups = {1: 0.0, 2: 0.0, 3: 0.0}
     ratios = np.empty(count)
+    rel_errors = np.empty(count)
     for i in range(count):
         pp = polar.polar_point_from_flat(params, u[i], float(eta[i]))
         out = polar.ray_integral_check(params, pp, cfg.quadrature)
         ratios[i] = out["ratio"]
+        rel_errors[i] = out["integral_error"] / abs(out["integral"])
         sups[int(labels[i])] = max(sups[int(labels[i])], out["ratio"])
     rep.stats["region_counts"] = {f"R{k}": int(v) for k, v in diag["per_region"].items()}
     rep.stats["sup_ratio"] = float(np.max(ratios))
     rep.stats["per_region_sup"] = {f"R{k}": v for k, v in sorted(sups.items())}
     rep.stats["min_ratio"] = float(np.min(ratios))
+    rep.stats["integral_rel_error_max"] = float(np.max(rel_errors))
     rep.require(bool(np.isfinite(ratios).all()), "ray-integral ratio not finite everywhere")
     rep.require(float(np.min(ratios)) > 0.0, "ray-integral ratio must be positive")
+    rep.require(
+        rep.stats["integral_rel_error_max"] <= 1e-4,
+        "ray-integral error estimate above 1e-4 of the integral",
+    )
     rep.require(
         all(v > 0 for v in diag["per_region"].values()), "all three regions must be covered"
     )

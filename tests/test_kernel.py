@@ -20,6 +20,7 @@ from nilheat.kernel import (
     kernel,
     kernel_derivatives,
     kernel_points,
+    kernel_product_grid,
     kernel_zsq,
     log_kernel_left_gradient,
     log_kernel_t_derivative,
@@ -171,6 +172,28 @@ def test_invalid_inputs(h1):
         kernel(h1, 0.0, origin(h1))
     with pytest.raises(ValueError):
         QuadratureSpec(tol=-1.0)
+    # bad h, t or block norm at every kernel entry point: (h, |z|^2, t)
+    for h, zsq, t in [
+        (math.nan, 0.5, 0.0),
+        (math.inf, 0.5, 0.0),
+        (-1.0, 0.5, 0.0),
+        (1.0, 0.5, math.nan),
+        (1.0, 0.5, -math.inf),
+        (1.0, -0.5, 0.0),
+        (1.0, math.nan, 0.0),
+        (1.0, math.inf, 0.0),
+    ]:
+        with pytest.raises(ValueError):
+            kernel_zsq(h1, h, np.array([[zsq]]), np.array([t]))
+        with pytest.raises(ValueError):
+            kernel_product_grid(h1, h, np.array([[zsq]]), np.array([t]))
+        if not zsq < 0:  # a coordinate cannot carry a negative |z|^2
+            with pytest.raises(ValueError):
+                kernel_derivatives(h1, h, np.array([math.sqrt(zsq), 0.0, t]))
+    with pytest.raises(ValueError):
+        kernel_product_grid(h1, 1.0, np.empty((0, 1)), np.array([0.0]))
+    with pytest.raises(ValueError):
+        kernel_product_grid(h1, 1.0, np.array([[0.5]]), np.array([]))
 
 
 def test_refinement_consistency(noniso):
@@ -201,6 +224,62 @@ def test_scaled_mass_normalization(h1):
         scale=h,
     )
     assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_product_grid_mass_normalization(h1, h):
+    # integrate_radial hands its block-norm and t rules to the product grid
+    spec = QuadratureSpec(tol=1e-9, osc_factor=2.0)
+    total = integrate_radial(
+        h1,
+        lambda zs, t: kernel_product_grid(h1, h, zs, t, spec)[0],
+        rho_max=11.0 * math.sqrt(h),
+        t_max=55.0 * h,
+        scale=h,
+    )
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
+# lambda nodes whose x_j = a_j lambda fall in all three branches of the
+# envelope helpers on both groups: x < 1e-4, the middle range, x > 30
+_BRANCH_NODES = np.array([0.0, 2e-5, 9e-5, 0.05, 0.7, 3.0, 12.0, 45.0, 90.0, 250.0])
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_envelope_tables_match_per_point_formula(group, request):
+    params = request.getfixturevalue(group)
+    x = np.multiply.outer(_BRANCH_NODES, params.a)
+    assert (x < 1e-4).any() and ((x > 1e-4) & (x < 30.0)).any() and (x > 30.0).any()
+    zsq = philox(32, 0).uniform(0.0, 3.0, (5, params.l))
+    zsq[0] = 0.0
+    h = 0.7
+    got = ker._log_envelope(h, zsq, ker._envelope_tables(params, _BRANCH_NODES))
+    want = np.empty_like(got)
+    for i in range(zsq.shape[0]):
+        for n, lam in enumerate(_BRANCH_NODES):
+            logw = sum(k * ker._w_over_sinh_log(a * lam) for k, a in zip(params.k, params.a))
+            s = sum(z * ker._x_coth(a * lam) for z, a in zip(zsq[i], params.a))
+            want[i, n] = logw - s / (4.0 * h)
+    if params.l == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_decay_rate_is_minus_log_envelope_slope(group, request):
+    params = request.getfixturevalue(group)
+    lam = _BRANCH_NODES[1:]
+    zsq = philox(33, 0).uniform(0.0, 3.0, (4, params.l))
+    h = 0.7
+    eps = 1e-6 * np.maximum(lam, 1.0)
+
+    def log_e(nodes):
+        return ker._log_envelope(h, zsq, ker._envelope_tables(params, nodes))
+
+    fd = -(log_e(lam + eps) - log_e(lam - eps)) / (2.0 * eps)
+    rate = ker._decay_rate(h, zsq, ker._rate_tables(params, lam))
+    assert_allclose(rate, fd, rtol=1e-6, atol=1e-8)
 
 
 def test_two_sided_comparison(any_group):

@@ -172,6 +172,30 @@ def test_cli_eval_kernel_anchor(tmp_path, config_path, cli_env):
     assert r.returncode == 2
 
 
+def test_cli_eval_rejects_non_finite_input(tmp_path, config_path, cli_env):
+    for args in (
+        ["eval", "kernel", "0,0,0", "--h", "nan"],
+        ["eval", "kernel", "0,0,0", "--h", "inf"],
+        ["eval", "kernel", "0,0,0", "--h", "0"],
+        ["eval", "kernel", "0,nan,0"],
+        ["eval", "distance", "0,nan,0"],
+        ["eval", "distance", "0,0,inf"],
+    ):
+        r = _run_cli(["--config", config_path, *args], tmp_path, cli_env)
+        _assert_usage_error(r)
+        assert r.stdout == ""
+
+
+def test_cli_eval_quadrature_failure_is_an_error_line(tmp_path, cli_env):
+    # a panel budget too small for the point: exit 1, one error line
+    path = _write_config(tmp_path, quadrature={"panel_budget": 8})
+    args = ["--config", path, "eval", "kernel", "0.3,0,1.5", "--h", "0.25"]
+    r = _run_cli(args, tmp_path, cli_env)
+    assert r.returncode == 1, r.stderr
+    assert "error:" in r.stderr and "panel" in r.stderr
+    assert "Traceback" not in r.stderr, r.stderr
+
+
 def test_cli_plot_outputs(tmp_path, config_path, cli_env):
     sphere = tmp_path / "sphere.csv"
     r = _run_cli(
