@@ -24,7 +24,6 @@ from nilheat.polar import (
     jacobian_closed_form,
     jacobian_matrix,
     path_velocity,
-    polar_point_from_flat,
     psi,
     psi_inverse,
     ray_integral_check,
@@ -63,7 +62,7 @@ print("\nray-integral comparison at one point per region:")
 print(f"{'region':>7} {'eta':>7} {'ratio':>10} {'rel err':>9}")
 for r in (1, 2, 3):
     i = int(np.where(labels == r)[0][0])
-    out = ray_integral_check(params, polar_point_from_flat(params, u[i], float(eta[i])))
+    out = ray_integral_check(params, PolarPoint.from_flat(params, u[i], float(eta[i])))
     print(f"{'R' + str(r):>7} {eta[i]:7.3f} {out['ratio']:10.4f} "
           f"{out['integral_error'] / abs(out['integral']):9.1e}")
 

@@ -7,7 +7,8 @@ a library call.
 Exit codes: 0 all verdicts pass, 1 at least one verdict fails or the
 kernel quadrature cannot deliver a value (QuadratureError,
 KernelConditioningError), 2 usage or configuration error, including a
-non-finite coordinate or an --h that is not finite and positive.
+non-finite coordinate, a point whose block norms |z_j|^2 overflow, or an
+--h that is not finite and positive.
 
 Commands:
   nilheat verify <suite> [...] --config cfg.json [--seed N] [--output-dir D]
@@ -35,7 +36,7 @@ import numpy as np
 from . import distance as dist
 from . import kernel as ker
 from . import polar
-from .groups import GroupParams, GroupPoint, block_norms_sq_flat, dilate_flat
+from .groups import GroupParams, block_norms_sq_flat, dilate_flat
 from .reports import write_csv, write_report
 from .sampling import philox
 from .suites import SUITE_NAMES, RunConfig, config_from_dict, run_suite
@@ -56,7 +57,8 @@ def _load_config(path, overrides) -> RunConfig:
     return config_from_dict(raw)
 
 
-def _parse_point(params: GroupParams, text: str) -> np.ndarray:
+def _parse_point(params: GroupParams, text: str):
+    """Flat point and its block norms |z_j|^2; ValueError unless both are finite."""
     vals = [float(v) for v in text.replace(" ", "").split(",") if v != ""]
     if len(vals) != params.dim:
         raise ValueError(
@@ -65,7 +67,12 @@ def _parse_point(params: GroupParams, text: str) -> np.ndarray:
         )
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"point coordinates must be finite, got {text!r}")
-    return np.asarray(vals)
+    point = np.asarray(vals)
+    with np.errstate(over="ignore"):
+        zsq = block_norms_sq_flat(params, point)
+    if not np.all(np.isfinite(zsq)):
+        raise ValueError(f"block norms |z_j|^2 overflow at {text!r}")
+    return point, zsq
 
 
 def _positive_time(text: str) -> float:
@@ -125,15 +132,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_config(args.config, {"seed": args.seed})
-    point = _parse_point(cfg.group, args.point)
+    point, zsq = _parse_point(cfg.group, args.point)
     if args.quantity == "kernel":
-        g = GroupPoint.from_flat(cfg.group, point)
-        kv = ker.kernel(cfg.group, args.h, g, cfg.quadrature)
+        vals, errs = ker.kernel_zsq(cfg.group, args.h, zsq, point[-1], cfg.quadrature)
+        kv = ker.KernelValue(float(vals), float(errs))
         print(json.dumps({"h": args.h, "value": kv.value, "error": kv.error}, sort_keys=True))
         return 0
     if args.quantity == "distance":
-        g = GroupPoint.from_flat(cfg.group, point)
-        d2 = dist.distance_squared(cfg.group, g)
+        d2 = float(dist.distance_squared_arrays(cfg.group, zsq, point[-1]))
         print(json.dumps({"distance": math.sqrt(d2), "distance_squared": d2}, sort_keys=True))
         return 0
     print(f"error: unknown quantity {args.quantity!r}", file=sys.stderr)
@@ -175,7 +181,7 @@ def _cmd_plot(args) -> int:
         u, eta, labels, _ = polar.sample_exterior_cloud(params, args.points, cfg.seed)
         rows = []
         for i in range(args.points):
-            pp = polar.polar_point_from_flat(params, u[i], float(eta[i]))
+            pp = polar.PolarPoint.from_flat(params, u[i], float(eta[i]))
             out = polar.ray_integral_check(params, pp, cfg.quadrature)
             rows.append(
                 list(u[i])

@@ -36,7 +36,6 @@ import numpy as np
 from .groups import (
     GroupParams,
     GroupPoint,
-    block_norms_sq,
     block_norms_sq_flat,
     inverse,
     multiply,
@@ -196,7 +195,7 @@ def solve_theta_arrays(params: GroupParams, zsq, t):
 
 def solve_theta(params: GroupParams, g: GroupPoint) -> ThetaSolution:
     """Scalar angle-equation solve with explicit branch classification."""
-    zsq = block_norms_sq(g)
+    zsq = block_norms_sq_flat(params, g.flat())
     if np.all(zsq == 0.0) and g.t == 0.0:
         raise ValueError("angle equation is undefined at the origin")
     theta, branch, residual = solve_theta_arrays(params, zsq, g.t)
@@ -277,8 +276,7 @@ def distance_squared_arrays(params: GroupParams, zsq, t, return_parts=False):
 
 
 def distance_squared(params: GroupParams, g: GroupPoint) -> float:
-    zsq = block_norms_sq(g)
-    return float(distance_squared_arrays(params, zsq, g.t))
+    return float(distance_squared_arrays(params, block_norms_sq_flat(params, g.flat()), g.t))
 
 
 def distance(params: GroupParams, g: GroupPoint) -> float:

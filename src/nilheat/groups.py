@@ -18,10 +18,12 @@ opposite conjugation convention would flip the sign of the twist and break
 these field formulas, which is why the convention is fixed here once and
 used everywhere.
 
-Points are plain value records; every operation is a pure function of
-(params, point).  Heavy code paths work on flat coordinate arrays with
-layout [x_{1,1}, y_{1,1}, ..., x_{l,k_l}, y_{l,k_l}, t] (trailing axis of
-length 2n+1), which is also the serialization order.
+Flat coordinate arrays are the main representation: layout
+[x_{1,1}, y_{1,1}, ..., x_{l,k_l}, y_{l,k_l}, t] (trailing axis of length
+2n+1), which is also the serialization order, and every quantity has one
+body over such arrays that broadcasts over leading axes.  GroupPoint is a
+value record for scalar callers; a record function converts at the edge
+(`flat()` in, one call to the array body, `GroupPoint.from_flat` out).
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ __all__ = [
     "multiply_flat",
     "inverse_flat",
     "dilate_flat",
-    "block_norms_sq",
     "block_norms_sq_flat",
+    "interleave_blocks",
+    "split_blocks",
     "horizontal_components",
     "apply_left_field",
     "apply_right_field",
@@ -125,27 +128,32 @@ class GroupPoint:
 
     def flat(self) -> np.ndarray:
         """Serialize to [x_{1,1}, y_{1,1}, ..., x_{l,k_l}, y_{l,k_l}, t]."""
-        parts = []
-        for b in self.z:
-            xy = np.empty(2 * b.size)
-            xy[0::2] = b.real
-            xy[1::2] = b.imag
-            parts.append(xy)
-        parts.append(np.array([self.t]))
-        return np.concatenate(parts)
+        return np.append(interleave_blocks(self.z), self.t)
 
     @staticmethod
     def from_flat(params: GroupParams, coords) -> "GroupPoint":
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (params.dim,):
             raise ValueError(f"expected {params.dim} coordinates, got {coords.shape}")
-        blocks = []
-        off = 0
-        for ki in params.k:
-            seg = coords[off : off + 2 * ki]
-            blocks.append(seg[0::2] + 1j * seg[1::2])
-            off += 2 * ki
-        return GroupPoint(tuple(blocks), coords[-1])
+        return GroupPoint(split_blocks(params, coords[:-1]), coords[-1])
+
+
+def interleave_blocks(blocks) -> np.ndarray:
+    """Complex blocks -> [Re b_{1,1}, Im b_{1,1}, ..., Re b_{l,k_l}, Im b_{l,k_l}]."""
+    z = np.concatenate(blocks)
+    out = np.empty(2 * z.size)
+    out[0::2] = z.real
+    out[1::2] = z.imag
+    return out
+
+
+def split_blocks(params: GroupParams, pairs) -> tuple:
+    """Inverse of `interleave_blocks`: 2n interleaved reals -> l complex blocks."""
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.shape != (2 * params.n,):
+        raise ValueError(f"expected {2 * params.n} block coordinates, got {pairs.shape}")
+    z = pairs[0::2] + 1j * pairs[1::2]
+    return tuple(z[sl] for sl in params.block_slices())
 
 
 def origin(params: GroupParams) -> GroupPoint:
@@ -155,12 +163,6 @@ def origin(params: GroupParams) -> GroupPoint:
 def _check_conformal(params: GroupParams, g: GroupPoint):
     if len(g.z) != params.l or any(b.shape != (ki,) for b, ki in zip(g.z, params.k)):
         raise ValueError("point block shapes do not match the group parameters")
-
-
-def block_norms_sq(g) -> np.ndarray:
-    """|z_i|^2 per block of a GroupPoint, or of a tuple of complex blocks."""
-    blocks = g.z if isinstance(g, GroupPoint) else g
-    return np.array([float(np.sum(b.real**2 + b.imag**2)) for b in blocks])
 
 
 def block_norms_sq_flat(params: GroupParams, coords) -> np.ndarray:
@@ -183,11 +185,7 @@ def multiply(params: GroupParams, g: GroupPoint, g2: GroupPoint) -> GroupPoint:
     """Group product (z,t)(z',t') = (z+z', t+t' + 2 sum a_i Im<z_i, z_i'>)."""
     _check_conformal(params, g)
     _check_conformal(params, g2)
-    z = tuple(b1 + b2 for b1, b2 in zip(g.z, g2.z))
-    twist = 0.0
-    for ai, b1, b2 in zip(params.a, g.z, g2.z):
-        twist += 2.0 * ai * float(np.sum(b1.imag * b2.real - b1.real * b2.imag))
-    return GroupPoint(z, g.t + g2.t + twist)
+    return GroupPoint.from_flat(params, multiply_flat(params, g.flat(), g2.flat()))
 
 
 def inverse(g: GroupPoint) -> GroupPoint:
@@ -207,6 +205,7 @@ def dilate(r: float, g: GroupPoint) -> GroupPoint:
 # ---------------------------------------------------------------------------
 
 def multiply_flat(params: GroupParams, A, B) -> np.ndarray:
+    """Group product on flat points (..., 2n+1); the body behind `multiply`."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = params.n

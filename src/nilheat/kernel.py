@@ -50,8 +50,8 @@ from .distance import distance_squared_arrays, solve_theta_arrays
 from .groups import (
     GroupParams,
     GroupPoint,
-    block_norms_sq,
     block_norms_sq_flat,
+    dilate,
     horizontal_components,
 )
 from .reports import VerificationReport
@@ -107,8 +107,14 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class KernelValue:
+    """A kernel value above the positivity floor, with its error estimate."""
+
     value: float
     error: float
+
+    def __post_init__(self):
+        if self.value <= _POSITIVITY_FLOOR:
+            raise KernelConditioningError("kernel value at or below the positivity floor")
 
 
 # Gauss-Kronrod pair G7/K15 on [-1, 1] (Kronrod 1965; QUADPACK qk15): the
@@ -384,11 +390,8 @@ def kernel_zsq(params: GroupParams, h: float, zsq, t, spec=None):
 
 def kernel(params: GroupParams, h: float, g: GroupPoint, spec=None) -> KernelValue:
     """Heat kernel p_h at a point, with an error estimate."""
-    vals, errs = kernel_zsq(params, h, block_norms_sq(g), g.t, spec)
-    v = float(vals)
-    if v <= _POSITIVITY_FLOOR:
-        raise KernelConditioningError("kernel value at or below the positivity floor")
-    return KernelValue(v, float(errs))
+    vals, errs = kernel_zsq(params, h, block_norms_sq_flat(params, g.flat()), g.t, spec)
+    return KernelValue(float(vals), float(errs))
 
 
 def kernel_points(params: GroupParams, h: float, coords, spec=None):
@@ -512,8 +515,7 @@ def check_scaling(params: GroupParams, h: float, g: GroupPoint, spec=None) -> Ve
     """Scaling law: h^{n+1} p_h(z, t) against p_1(z/sqrt h, t/h)."""
     spec = spec or QuadratureSpec()
     left = kernel(params, h, g, spec)
-    scaled = GroupPoint(tuple(b / math.sqrt(h) for b in g.z), g.t / h)
-    right = kernel(params, 1.0, scaled, spec)
+    right = kernel(params, 1.0, dilate(1.0 / math.sqrt(h), g), spec)
     dev, rel_err = scaling_deviation(params, h, left.value, left.error, right.value, right.error)
     rep = VerificationReport(
         identifier="kernel-scaling",

@@ -42,13 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import Branch, distance_squared_arrays, solve_theta, solve_theta_arrays
+from .distance import distance_squared_arrays, solve_theta_arrays
 from .groups import (
     GroupParams,
     GroupPoint,
-    block_norms_sq,
     block_norms_sq_flat,
     horizontal_components,
+    interleave_blocks,
+    split_blocks,
 )
 from .kernel import (
     QuadratureSpec,
@@ -70,14 +71,16 @@ __all__ = [
     "psi",
     "psi_flat",
     "psi_inverse",
+    "psi_inverse_flat",
+    "speed_sq_arrays",
     "jacobian_matrix",
+    "jacobian_matrix_flat",
     "det_bordered",
     "jacobian_closed_form",
     "jacobian_closed_form_arrays",
     "jacobian_comparison_arrays",
     "classify_region",
     "classify_region_arrays",
-    "kernel_estimate_polar",
     "pj_estimate",
     "pj_estimate_arrays",
     "ray_integral_check",
@@ -97,7 +100,12 @@ class PolarDomainError(ValueError):
 
 @dataclass(frozen=True)
 class PolarPoint:
-    """Coordinates (u, eta) with u_l != 0 and 0 < |eta| < pi."""
+    """Coordinates (u, eta) with u_l != 0 and 0 < |eta| < pi.
+
+    A record for scalar callers: the chart quantities take u as a flat
+    array (..., 2n) laid out like the horizontal part of a group point,
+    and a record function converts with `flat()` and `from_flat`.
+    """
 
     u: tuple
     eta: float
@@ -111,14 +119,23 @@ class PolarPoint:
         if np.all(u[-1] == 0):
             raise PolarDomainError("top block u_l must be nonzero")
 
-    def block_norms_sq(self) -> np.ndarray:
-        return block_norms_sq(self.u)
+    def flat(self) -> np.ndarray:
+        """u as [Re u_{1,1}, Im u_{1,1}, ..., Re u_{l,k_l}, Im u_{l,k_l}]."""
+        return interleave_blocks(self.u)
+
+    @staticmethod
+    def from_flat(params: GroupParams, u_flat, eta: float) -> "PolarPoint":
+        return PolarPoint(split_blocks(params, u_flat), eta)
+
+
+def speed_sq_arrays(params: GroupParams, usq):
+    """U^2 = 4 sum_j a_j^2 |u_j|^2 from block norms (..., l)."""
+    return 4.0 * np.sum(np.asarray(params.a) ** 2 * usq, axis=-1)
 
 
 def speed(params: GroupParams, p: PolarPoint) -> float:
     """U = (4 sum a_j^2 |u_j|^2)^{1/2}; path speed is U |eta|."""
-    usq = p.block_norms_sq()
-    return float(np.sqrt(4.0 * np.sum(np.asarray(params.a) ** 2 * usq)))
+    return float(np.sqrt(speed_sq_arrays(params, block_norms_sq_flat(params, p.flat()))))
 
 
 def _angle_factor_sq(w):
@@ -174,65 +191,79 @@ def psi_flat(params: GroupParams, u_flat, eta):
 
 def psi(params: GroupParams, p: PolarPoint) -> GroupPoint:
     """Chart map Psi(u, eta) as a GroupPoint."""
-    u_flat = np.concatenate(
-        [np.stack([b.real, b.imag], axis=-1).reshape(-1) for b in p.u]
-    )
-    coords = psi_flat(params, u_flat, np.asarray(p.eta))
-    return GroupPoint.from_flat(params, coords)
+    return GroupPoint.from_flat(params, psi_flat(params, p.flat(), np.asarray(p.eta)))
+
+
+def psi_inverse_flat(params: GroupParams, coords):
+    """Vectorized chart inverse: flat (..., 2n+1) -> (u_flat (..., 2n), eta (...)).
+
+    eta is the angle coordinate and u_j = z_j / (1 - e^{-2i a_j eta}),
+    written in real arithmetic with |1 - e^{-2iw}|^2 = 2 - 2 cos 2w.
+    Needs z_l != 0 and t != 0 at every point, so the angle equation has an
+    interior solution with 0 < |eta| < pi.
+    """
+    coords = np.asarray(coords, dtype=float)
+    n = params.n
+    zsq = block_norms_sq_flat(params, coords)
+    t = coords[..., 2 * n]
+    if np.any(zsq[..., -1] == 0.0):
+        raise PolarDomainError("chart inverse needs z_l != 0")
+    if np.any(t == 0.0):
+        raise PolarDomainError("chart inverse needs t != 0")
+    eta, _, _ = solve_theta_arrays(params, zsq, t)
+    w = eta[..., None] * params.pair_a
+    C, S = np.cos(2.0 * w), np.sin(2.0 * w)
+    fac = _angle_factor_sq(w)
+    zx, zy = coords[..., 0 : 2 * n : 2], coords[..., 1 : 2 * n : 2]
+    u_flat = np.empty(coords.shape[:-1] + (2 * n,))
+    u_flat[..., 0::2] = ((1.0 - C) * zx + S * zy) / fac
+    u_flat[..., 1::2] = (-S * zx + (1.0 - C) * zy) / fac
+    return u_flat, eta
 
 
 def psi_inverse(params: GroupParams, g: GroupPoint) -> PolarPoint:
-    """Invert the chart: eta is the angle coordinate, u_j = z_j / (1 - e^{-2i a_j eta})."""
-    zsq = block_norms_sq(g)
-    if zsq[-1] == 0.0:
-        raise PolarDomainError("chart inverse needs z_l != 0")
-    if g.t == 0.0:
-        raise PolarDomainError("chart inverse needs t != 0")
-    sol = solve_theta(params, g)
-    if sol.branch is Branch.ZL_ZERO_BOUNDARY:
-        raise PolarDomainError("point is on the boundary branch")
-    eta = sol.theta
-    u = []
-    for ai, b in zip(params.a, g.z):
-        factor = 1.0 - np.exp(-2.0j * ai * eta)
-        u.append(b / factor)
-    return PolarPoint(tuple(u), eta)
+    """Invert the chart at one group point; see `psi_inverse_flat`."""
+    u_flat, eta = psi_inverse_flat(params, g.flat())
+    return PolarPoint.from_flat(params, u_flat, float(eta))
 
 
 # ---------------------------------------------------------------------------
 # Jacobian
 # ---------------------------------------------------------------------------
 
-def jacobian_matrix(params: GroupParams, p: PolarPoint) -> np.ndarray:
-    """Jacobian of the chart in coordinates (Re u, Im u, ..., eta)."""
-    n = params.n
+def jacobian_matrix_flat(params: GroupParams, u_flat, eta):
+    """Jacobian of the chart in coordinates (Re u, Im u, ..., eta):
+    u_flat (..., 2n), eta (...) -> (..., dim, dim)."""
+    u_flat = np.asarray(u_flat, dtype=float)
+    eta = np.asarray(eta, dtype=float)
     dim = params.dim
-    M = np.zeros((dim, dim))
-    eta = p.eta
-    pair = 0
-    for i in range(params.l):
-        ai = params.a[i]
-        C, S = math.cos(2.0 * ai * eta), math.sin(2.0 * ai * eta)
-        kap = 2.0 * ai * eta - S
-        for j in range(params.k[i]):
-            re = float(p.u[i][j].real)
-            im = float(p.u[i][j].imag)
-            r0, r1 = 2 * pair, 2 * pair + 1
-            M[r0, r0] = 1.0 - C
-            M[r0, r1] = -S
-            M[r1, r0] = S
-            M[r1, r1] = 1.0 - C
-            M[r0, dim - 1] = 2.0 * ai * (S * re - C * im)
-            M[r1, dim - 1] = 2.0 * ai * (S * im + C * re)
-            M[dim - 1, r0] = 4.0 * ai * re * kap
-            M[dim - 1, r1] = 4.0 * ai * im * kap
-            pair += 1
-    usq = p.block_norms_sq()
-    a = np.asarray(params.a)
-    M[dim - 1, dim - 1] = float(
-        np.sum(4.0 * a**2 * usq * (1.0 - np.cos(2.0 * a * eta)))
+    a = params.pair_a
+    w2 = 2.0 * a * eta[..., None]  # (..., n)
+    C, S = np.cos(w2), np.sin(w2)
+    kap = w2 - S
+    re, im = u_flat[..., 0::2], u_flat[..., 1::2]
+    r0 = np.arange(0, dim - 1, 2)
+    r1 = r0 + 1
+    M = np.zeros(np.broadcast_shapes(u_flat.shape[:-1], eta.shape) + (dim, dim))
+    M[..., r0, r0] = 1.0 - C
+    M[..., r0, r1] = -S
+    M[..., r1, r0] = S
+    M[..., r1, r1] = 1.0 - C
+    M[..., r0, dim - 1] = 2.0 * a * (S * re - C * im)
+    M[..., r1, dim - 1] = 2.0 * a * (S * im + C * re)
+    M[..., dim - 1, r0] = 4.0 * a * re * kap
+    M[..., dim - 1, r1] = 4.0 * a * im * kap
+    ab = np.asarray(params.a)
+    usq = block_norms_sq_flat(params, u_flat)
+    M[..., dim - 1, dim - 1] = np.sum(
+        4.0 * ab**2 * usq * (1.0 - np.cos(2.0 * ab * eta[..., None])), axis=-1
     )
     return M
+
+
+def jacobian_matrix(params: GroupParams, p: PolarPoint) -> np.ndarray:
+    """Jacobian matrix at one chart point; see `jacobian_matrix_flat`."""
+    return jacobian_matrix_flat(params, p.flat(), p.eta)
 
 
 def _det_cofactor(M):
@@ -327,7 +358,8 @@ def jacobian_closed_form_arrays(params: GroupParams, usq, eta):
 
 
 def jacobian_closed_form(params: GroupParams, p: PolarPoint) -> float:
-    return float(jacobian_closed_form_arrays(params, p.block_norms_sq(), np.asarray(p.eta)))
+    usq = block_norms_sq_flat(params, p.flat())
+    return float(jacobian_closed_form_arrays(params, usq, np.asarray(p.eta)))
 
 
 def jacobian_comparison_arrays(params: GroupParams, usq, eta):
@@ -351,8 +383,7 @@ def jacobian_comparison_arrays(params: GroupParams, usq, eta):
 def _region_quantities(params, usq, eta):
     usq = np.asarray(usq, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    a = np.asarray(params.a)
-    Usq = 4.0 * np.sum(a**2 * usq, axis=-1)
+    Usq = speed_sq_arrays(params, usq)
     gap = math.pi - np.abs(eta)
     head = usq[..., :-1].sum(axis=-1) if params.l > 1 else np.zeros(eta.shape)
     crowd = head * gap**2 + usq[..., -1] * gap
@@ -372,27 +403,9 @@ def classify_region_arrays(params: GroupParams, usq, eta):
 
 
 def classify_region(params: GroupParams, p: PolarPoint) -> str:
-    code = int(classify_region_arrays(params, p.block_norms_sq(), np.asarray(p.eta)))
+    usq = block_norms_sq_flat(params, p.flat())
+    code = int(classify_region_arrays(params, usq, np.asarray(p.eta)))
     return f"R{code}"
-
-
-def kernel_estimate_polar(params: GroupParams, usq, eta):
-    """Piecewise comparison quantity for the kernel p_1 in polar coordinates."""
-    usq = np.asarray(usq, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    Usq, gap, head, crowd = _region_quantities(params, usq, eta)
-    unorm = np.sqrt(usq.sum(axis=-1))
-    ulsq = usq[..., -1]
-    kl = params.k[-1]
-    gauss = np.exp(-Usq * eta**2 / 4.0)
-    inside = Usq * eta**2 <= 1.0
-    wide = gap >= ANGLE_MARGIN
-    big = crowd >= SIZE_SPLIT
-    case1 = gauss / np.maximum(unorm * np.abs(eta), 1e-300)
-    case2 = gauss / np.maximum(np.sqrt(head * gap + ulsq) * gap ** (kl - 0.5), 1e-300)
-    case3 = (ulsq + np.sqrt(head) + np.sqrt(ulsq) * gap) ** (kl - 1) * gauss
-    out = np.where(wide, case1, np.where(big, case2, case3))
-    return np.where(inside, 1.0, out)
 
 
 def _pj_cases(params: GroupParams, usq, eta):
@@ -423,7 +436,8 @@ def pj_estimate_arrays(params: GroupParams, usq, eta):
 
 
 def pj_estimate(params: GroupParams, p: PolarPoint) -> float:
-    return float(pj_estimate_arrays(params, p.block_norms_sq(), np.asarray(p.eta)))
+    usq = block_norms_sq_flat(params, p.flat())
+    return float(pj_estimate_arrays(params, usq, np.asarray(p.eta)))
 
 
 def cancellation_exponent_polar(params: GroupParams, usq, eta, h=1.0):
@@ -432,7 +446,7 @@ def cancellation_exponent_polar(params: GroupParams, usq, eta, h=1.0):
     usq = np.asarray(usq, dtype=float)
     eta = np.asarray(eta, dtype=float)
     a = np.asarray(params.a)
-    Usq = 4.0 * np.sum(a**2 * usq, axis=-1)
+    Usq = speed_sq_arrays(params, usq)
     zsq = np.sum(usq * _angle_factor_sq(eta[..., None] * a), axis=-1)
     return (Usq * eta**2 - zsq) / (4.0 * h)
 
@@ -462,9 +476,10 @@ def _ray_edges(eta, decay, v_hi, panels=28):
 
 
 _RAY_TAIL_MARGIN = 40.0  # log-units; e^-40 relative truncation of the ray
+_GAUSS10 = np.polynomial.legendre.leggauss(10)  # per-panel rule on the rays and chart slabs
 
 
-def ray_integral_check(params: GroupParams, p: PolarPoint, spec=None, points=10):
+def ray_integral_check(params: GroupParams, p: PolarPoint, spec=None):
     """Integral of p*J along the dilation ray against its comparison value.
 
     Computes int_1^{pi/|eta|} p(Psi(u, v eta)) J(u, v eta) dv by composite
@@ -480,14 +495,14 @@ def ray_integral_check(params: GroupParams, p: PolarPoint, spec=None, points=10)
     enters the error estimate through the analytic Gaussian bound.
     """
     spec = spec or QuadratureSpec(tol=1e-9)
-    usq = p.block_norms_sq()
+    usq = block_norms_sq_flat(params, p.flat())
     a = np.asarray(params.a)
-    Usq = 4.0 * float(np.sum(a**2 * usq))
+    Usq = float(speed_sq_arrays(params, usq))
     eta = p.eta
     vmax = math.pi / abs(eta)
     decay = Usq * eta * eta
     v_hi = min(vmax, math.sqrt(1.0 + 4.0 * _RAY_TAIL_MARGIN / max(decay, 1e-12)))
-    v, wts = _panel_rule(_ray_edges(eta, decay, v_hi), *np.polynomial.legendre.leggauss(points))
+    v, wts = _panel_rule(_ray_edges(eta, decay, v_hi), *_GAUSS10)
 
     etav = v * eta
     zsq = usq * _angle_factor_sq(np.multiply.outer(etav, a))
@@ -586,8 +601,6 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
     # curved region whose u-radii scale like 1/(a eta), so per-slab radial
     # bounds stay tight where a single global box would be astronomically
     # wasteful
-    gl = np.polynomial.legendre.leggauss(10)
-
     n_slabs = max(24, int(math.ceil((eta_hi - eta_lo) / 0.05)))
     slab_edges = np.linspace(eta_lo, eta_hi, n_slabs + 1)
     chart = 0.0
@@ -604,10 +617,10 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
         rho_hi = np.sqrt(zsq_hi / fac_min) * 1.02 + 1e-3
         axes, wts = [], []
         for j in range(params.l):
-            nj, wj = _panel_rule(np.linspace(rho_lo[j], rho_hi[j], 9), *gl)
+            nj, wj = _panel_rule(np.linspace(rho_lo[j], rho_hi[j], 9), *_GAUSS10)
             axes.append(nj)
             wts.append(wj * _sphere_surface(params.k[j]) * nj ** (2 * params.k[j] - 1))
-        ne, we = _panel_rule([e0, e1], *gl)
+        ne, we = _panel_rule([e0, e1], *_GAUSS10)
         pts, w = _tensor_rule(axes + [ne], wts + [we])
         usq, eta = pts[:, :-1] ** 2, pts[:, -1]
         zsq_chart = usq * _angle_factor_sq(eta[..., None] * a)
@@ -636,7 +649,6 @@ def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: fl
     counted in the returned diagnostics.
     """
     rng = philox(seed, 31)
-    a = np.asarray(params.a)
     n2 = 2 * params.n
     quota = {1: int(0.6 * count), 2: int(0.15 * count)}
     quota[3] = count - quota[1] - quota[2]
@@ -667,16 +679,16 @@ def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: fl
             gap = math.pi - eta
             crowd_unit = (wsq[:-1].sum() * gap + wsq[-1]) * gap
             scale_sq = rng.uniform(1.02, 1.3) * SIZE_SPLIT / crowd_unit
-            target_U = 2.0 * math.sqrt(scale_sq * float(np.sum(a**2 * wsq)))
+            target_U = math.sqrt(scale_sq * speed_sq_arrays(params, wsq))
         else:
             eta = rng.uniform(ANGLE_SPLIT * 1.05, 3.05)
             target_U = rng.uniform(1.02, 4.0) / eta
             w = _unit_u()
         eta = float(eta * rng.choice([-1.0, 1.0]))
         wsq = block_norms_sq_flat(params, w)
-        u = w * target_U / (2.0 * math.sqrt(float(np.sum(a**2 * wsq))))
+        u = w * target_U / math.sqrt(speed_sq_arrays(params, wsq))
         usq = block_norms_sq_flat(params, u)
-        if 4.0 * float(np.sum(a**2 * usq)) * eta**2 < 1.0:
+        if speed_sq_arrays(params, usq) * eta**2 < 1.0:
             rejected += 1
             continue
         cexp = float(cancellation_exponent_polar(params, usq, np.asarray(eta)))
@@ -701,16 +713,6 @@ def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: fl
     )
 
 
-def polar_point_from_flat(params: GroupParams, u_flat, eta: float) -> PolarPoint:
-    blocks = []
-    off = 0
-    for ki in params.k:
-        seg = np.asarray(u_flat, dtype=float)[off : off + 2 * ki]
-        blocks.append(seg[0::2] + 1j * seg[1::2])
-        off += 2 * ki
-    return PolarPoint(tuple(blocks), eta)
-
-
 def path_velocity(params: GroupParams, p: PolarPoint, s):
     """Horizontal velocity coefficients (cX, cY per pair) of s -> Psi(u, s eta).
 
@@ -720,9 +722,7 @@ def path_velocity(params: GroupParams, p: PolarPoint, s):
     s = np.asarray(s, dtype=float)
     a = params.pair_a
     eta = p.eta
-    u_flat = np.concatenate(
-        [np.stack([b.real, b.imag], axis=-1).reshape(-1) for b in p.u]
-    )
+    u_flat = p.flat()
     re, im = u_flat[0::2], u_flat[1::2]
     w = 2.0 * a * np.multiply.outer(s, np.ones(params.n)) * eta
     sin, cos = np.sin(w), np.cos(w)
@@ -744,9 +744,7 @@ def horizontal_path_check(params: GroupParams, p: PolarPoint, f, s_values=None) 
     if s_values is None:
         s_values = np.linspace(0.1, 1.0, 10)
     s_values = np.asarray(s_values, dtype=float)
-    u_flat = np.concatenate(
-        [np.stack([b.real, b.imag], axis=-1).reshape(-1) for b in p.u]
-    )
+    u_flat = p.flat()
     coords = psi_flat(params, u_flat, s_values * p.eta)
     vel = path_velocity(params, p, s_values)
     grad = f.gradient(coords)

@@ -25,11 +25,11 @@ from . import polar
 from . import semigroup as sg
 from .groups import (
     GroupParams,
-    GroupPoint,
     block_norms_sq_flat,
     horizontal_components,
     inverse_flat,
     multiply_flat,
+    origin,
 )
 from .reports import VerificationReport, load_frozen_bounds, within_band
 from .sampling import CloudSpec, kernel_feasible_mask, philox, uniform_box
@@ -302,7 +302,7 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     )
 
     if _is_h1(params):
-        anchor = ker.kernel(params, 1.0, GroupPoint((np.zeros(1, dtype=complex),), 0.0), spec)
+        anchor = ker.kernel(params, 1.0, origin(params), spec)
         rep.stats["origin_value"] = anchor.value
         rep.stats["origin_abs_error"] = abs(anchor.value - 1.0 / 64.0)
         rep.require(
@@ -455,38 +455,25 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     rep.stats["angle_roundtrip_max"] = ang_err
     rep.require(ang_err <= 1e-10, "angle coordinate of the chart is off")
 
-    a = np.asarray(params.a)
     usq = block_norms_sq_flat(params, u)
-    Ueta = np.sqrt(4.0 * np.sum(a**2 * usq, axis=-1)) * np.abs(eta)
+    Ueta = np.sqrt(polar.speed_sq_arrays(params, usq)) * np.abs(eta)
     d = np.sqrt(dist.distance_squared_arrays(params, zsq, coords[:, -1]))
     d_err = float(np.max(np.abs(d - Ueta) / Ueta))
     rep.stats["distance_vs_speed_max"] = d_err
     rep.require(d_err <= 1e-8, "chart distance must equal U |eta|")
 
     # chart roundtrip through the inverse
-    fac = polar._angle_factor_sq(np.multiply.outer(eta, params.pair_a))
-    C = np.cos(2.0 * np.multiply.outer(eta, params.pair_a))
-    S = np.sin(2.0 * np.multiply.outer(eta, params.pair_a))
-    zx, zy = coords[:, 0 : 2 * params.n : 2], coords[:, 1 : 2 * params.n : 2]
-    one_m_c = 1.0 - C
-    back_re = (one_m_c * zx + S * zy) / fac
-    back_im = (-S * zx + one_m_c * zy) / fac
-    rt = max(
-        float(np.max(np.abs(back_re - u[:, 0::2]))), float(np.max(np.abs(back_im - u[:, 1::2])))
-    )
+    u_back, _ = polar.psi_inverse_flat(params, coords)
+    rt = float(np.max(np.abs(u_back - u)))
     rep.stats["chart_roundtrip_max"] = rt
     rep.require(rt <= 1e-10, "chart roundtrip above 1e-10")
 
     # closed form vs LU determinant, and the bordered recursion vs LU
     rng = philox(cfg.seed, 8)
     nj = min(count, 1000)
-    worst_cf = 0.0
-    for i in range(nj):
-        pp = polar.polar_point_from_flat(params, u[i], float(eta[i]))
-        M = polar.jacobian_matrix(params, pp)
-        lu = float(np.linalg.det(M))
-        cf = polar.jacobian_closed_form(params, pp)
-        worst_cf = max(worst_cf, abs(lu - cf) / max(abs(lu), 1e-300))
+    lu = np.linalg.det(polar.jacobian_matrix_flat(params, u[:nj], eta[:nj]))
+    cf = polar.jacobian_closed_form_arrays(params, usq[:nj], eta[:nj])
+    worst_cf = float(np.max(np.abs(lu - cf) / np.maximum(np.abs(lu), 1e-300)))
     rep.stats["closed_form_vs_lu_max"] = worst_cf
     rep.require(worst_cf <= 1e-9, "closed-form Jacobian drifted from the LU determinant")
 
@@ -560,7 +547,7 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     fam = standard_family(params, count=4, seed=cfg.seed + 17)
     worst_path = None
     for i in range(0, min(8, count)):
-        pp = polar.polar_point_from_flat(params, u[i], float(eta[i]))
+        pp = polar.PolarPoint.from_flat(params, u[i], float(eta[i]))
         pr = polar.horizontal_path_check(params, pp, fam[i % len(fam)])
         rep.require(bool(pr.passed), f"path check failed at sample {i}")
         worst_path = pr.stats
@@ -587,7 +574,7 @@ def suite_lemma6(cfg: RunConfig) -> VerificationReport:
     ratios = np.empty(count)
     rel_errors = np.empty(count)
     for i in range(count):
-        pp = polar.polar_point_from_flat(params, u[i], float(eta[i]))
+        pp = polar.PolarPoint.from_flat(params, u[i], float(eta[i]))
         out = polar.ray_integral_check(params, pp, cfg.quadrature)
         ratios[i] = out["ratio"]
         rel_errors[i] = out["integral_error"] / abs(out["integral"])

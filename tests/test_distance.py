@@ -22,7 +22,7 @@ from nilheat.distance import (
     solve_theta,
     solve_theta_arrays,
 )
-from nilheat.groups import GroupPoint, block_norms_sq, dilate, multiply, origin
+from nilheat.groups import GroupPoint, block_norms_sq_flat, dilate, multiply, origin
 from nilheat.sampling import CloudSpec, philox, uniform_box
 
 
@@ -86,7 +86,7 @@ def test_solve_theta_branches(noniso):
     assert sol.boundary_sign == 1
     # z_l = 0 with small t: the other blocks still carry an interior solution
     gi = GroupPoint((np.array([2.0 + 0j]), np.zeros(2, dtype=complex)), 0.3)
-    thr = boundary_threshold(noniso, block_norms_sq(gi))
+    thr = boundary_threshold(noniso, block_norms_sq_flat(noniso, gi.flat()))
     assert 0.3 < thr
     sol = solve_theta(noniso, gi)
     assert sol.branch is Branch.ZL_ZERO_INTERIOR and abs(sol.theta) < math.pi
@@ -103,7 +103,7 @@ def test_distance_examples(any_group):
     # d(z, 0) = |z|
     z = tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in params.k)
     g = GroupPoint(z, 0.0)
-    want = math.sqrt(float(block_norms_sq(g).sum()))
+    want = math.sqrt(float(block_norms_sq_flat(params, g.flat()).sum()))
     assert distance(params, g) == pytest.approx(want, rel=1e-10)
     # d(0, t)^2 = pi |t|
     gt = GroupPoint(tuple(np.zeros(k, dtype=complex) for k in params.k), -2.3)

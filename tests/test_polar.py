@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nilheat.distance import distance_squared, solve_theta
-from nilheat.groups import GroupPoint, block_norms_sq
+from nilheat.groups import GroupPoint
 from nilheat.polar import (
     ANGLE_MARGIN,
     ANGLE_SPLIT,
@@ -23,14 +23,14 @@ from nilheat.polar import (
     jacobian_closed_form_arrays,
     jacobian_comparison_arrays,
     jacobian_matrix,
-    kernel_estimate_polar,
+    jacobian_matrix_flat,
     path_velocity,
     pj_estimate,
     pj_estimate_arrays,
-    polar_point_from_flat,
     psi,
     psi_flat,
     psi_inverse,
+    psi_inverse_flat,
     ray_integral_check,
     sample_exterior_cloud,
     speed,
@@ -102,6 +102,30 @@ def test_roundtrips(any_group, rng):
         assert_allclose(g2.flat(), g.flat(), rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_polar_point_flat_roundtrip(group, request, rng):
+    params = request.getfixturevalue(group)
+    p = _random_polar(params, rng)
+    back = PolarPoint.from_flat(params, p.flat(), p.eta)
+    assert back.eta == p.eta
+    assert all(np.array_equal(b1, b2) for b1, b2 in zip(back.u, p.u))
+    assert np.array_equal(back.flat(), p.flat())
+    with pytest.raises(ValueError):
+        PolarPoint.from_flat(params, p.flat()[:-1], p.eta)
+
+
+def test_psi_inverse_flat_matches_records(any_group, rng):
+    params = any_group
+    pts = [_random_polar(params, rng) for _ in range(6)]
+    coords = np.stack([psi(params, p).flat() for p in pts])
+    u_flat, eta = psi_inverse_flat(params, coords)
+    assert u_flat.shape == (6, 2 * params.n) and eta.shape == (6,)
+    for i, p in enumerate(pts):
+        back = psi_inverse(params, GroupPoint.from_flat(params, coords[i]))
+        assert np.array_equal(back.flat(), u_flat[i]) and back.eta == eta[i]
+        assert_allclose(u_flat[i], p.flat(), rtol=0, atol=1e-10)
+
+
 def test_psi_inverse_domain(noniso):
     with pytest.raises(PolarDomainError):
         psi_inverse(noniso, GroupPoint((np.array([1 + 0j]), np.zeros(2, dtype=complex)), 0.2))
@@ -125,10 +149,7 @@ def test_jacobian_matrix_structure_and_fd(noniso):
             assert M[r0 + 1, r0] == pytest.approx(S, abs=0)
             pair += 1
     # finite-difference Jacobian of the chart map
-    u_flat = np.concatenate(
-        [np.stack([b.real, b.imag], axis=-1).reshape(-1) for b in p.u]
-    )
-    base = np.concatenate([u_flat, [p.eta]])
+    base = np.concatenate([p.flat(), [p.eta]])
     eps = 1e-6
     for d in range(noniso.dim):
         e = np.zeros(noniso.dim)
@@ -137,6 +158,18 @@ def test_jacobian_matrix_structure_and_fd(noniso):
         dn = psi_flat(noniso, (base - e)[:-1], (base - e)[-1])
         fd = (up - dn) / (2 * eps)
         assert np.max(np.abs(fd - M[:, d])) <= 1e-6 * (1 + np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_jacobian_matrix_flat_matches_records(group, request, rng):
+    params = request.getfixturevalue(group)
+    pts = [_random_polar(params, rng) for _ in range(4)]
+    M = jacobian_matrix_flat(
+        params, np.stack([p.flat() for p in pts]), np.array([p.eta for p in pts])
+    )
+    assert M.shape == (4, params.dim, params.dim)
+    for i, p in enumerate(pts):
+        assert np.array_equal(M[i], jacobian_matrix(params, p))
 
 
 def test_jacobian_homogeneity_in_u(noniso, rng):
@@ -244,16 +277,9 @@ def test_region_partition(noniso):
     assert np.array_equal(relabeled, labels)
 
 
-def test_kernel_estimate_inside_ball(h1):
-    # U|eta| <= 1: the comparison quantity is the constant 1
-    val = kernel_estimate_polar(h1, np.array([0.01]), np.asarray(0.5))
-    assert float(val) == 1.0
-
-
 def test_pj_estimate_wide_case(noniso):
     # in the wide-angle case the display is |u| |eta|^{2n+1} e^{-U^2 eta^2/4}
     p = PolarPoint((np.array([1.0 + 0j]), np.array([2.0 + 0j, 0j])), 1.0)
-    usq = p.block_norms_sq()
     U2 = 4.0 * (0.25 * 1.0 + 1.0 * 4.0)
     want = math.sqrt(5.0) * 1.0 ** (2 * noniso.n + 1) * math.exp(-U2 / 4.0)
     assert pj_estimate(noniso, p) == pytest.approx(want, rel=1e-12)
@@ -278,7 +304,7 @@ def test_ray_integral_regions(noniso):
     for r in (1, 2, 3):
         idx = np.where(labels == r)[0][:2]
         for i in idx:
-            out = ray_integral_check(noniso, polar_point_from_flat(noniso, u[i], float(eta[i])))
+            out = ray_integral_check(noniso, PolarPoint.from_flat(noniso, u[i], float(eta[i])))
             assert np.isfinite(out["ratio"]) and out["ratio"] > 0
             assert out["integral_error"] <= 1e-3 * abs(out["integral"])
 
@@ -315,10 +341,7 @@ def test_cauchy_schwarz_tightness(noniso, rng):
     p = _random_polar(noniso, rng)
     s0 = 0.6
     vel = path_velocity(noniso, p, np.asarray(s0))
-    u_flat = np.concatenate(
-        [np.stack([b.real, b.imag], axis=-1).reshape(-1) for b in p.u]
-    )
-    at = psi_flat(noniso, u_flat, np.asarray(s0 * p.eta))
+    at = psi_flat(noniso, p.flat(), np.asarray(s0 * p.eta))
     direction = np.zeros(noniso.dim)
     direction[: 2 * noniso.n] = vel  # t-component zero: X/Y pick it up exactly
     f = linear_bump(at, 5.0, direction, bump="plateau")

@@ -1,10 +1,13 @@
-"""Report serialization, CLI commands, exit codes, export formats."""
+"""Report serialization, CLI commands, exit codes, export formats, bench tracer."""
 
 import csv
+import importlib
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,9 +183,13 @@ def test_cli_eval_rejects_non_finite_input(tmp_path, config_path, cli_env):
         ["eval", "kernel", "0,nan,0"],
         ["eval", "distance", "0,nan,0"],
         ["eval", "distance", "0,0,inf"],
+        # finite coordinates whose block norms overflow
+        ["eval", "kernel", "1e200,0,0"],
+        ["eval", "distance", "1e200,0,0"],
     ):
         r = _run_cli(["--config", config_path, *args], tmp_path, cli_env)
         _assert_usage_error(r)
+        assert "RuntimeWarning" not in r.stderr, r.stderr
         assert r.stdout == ""
 
 
@@ -347,3 +354,19 @@ def test_config_accepts_integral_float_counts(tmp_path, cli_env):
     path = _write_config(tmp_path, diffusion={"steps": 120.0, "paths": 6000.0}, workers=1.0)
     r = _run_cli(["--config", path, "eval", "distance", "0.6,0.8,0"], tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
+
+
+def test_bench_tracer_names_resolve():
+    # the benchmark's tracer patches functions by (module, attribute); a
+    # renamed or deleted function must fail here, not only in a traced run
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for layer, attr in tracer.TRACED:
+        owner = importlib.import_module(f"nilheat.{layer}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"nilheat.{layer}.{attr} does not resolve"
+            owner = getattr(owner, part)
+        assert callable(owner), f"nilheat.{layer}.{attr} is not callable"
