@@ -57,6 +57,7 @@ from .polar import (
     psi,
     psi_inverse,
     ray_integral_check,
+    ray_integrals,
 )
 from .reports import VerificationReport
 from .semigroup import (

@@ -139,7 +139,10 @@ def _cmd_eval(args) -> int:
         print(json.dumps({"h": args.h, "value": kv.value, "error": kv.error}, sort_keys=True))
         return 0
     if args.quantity == "distance":
-        d2 = float(dist.distance_squared_arrays(cfg.group, zsq, point[-1]))
+        with np.errstate(over="ignore"):
+            d2 = float(dist.distance_squared_arrays(cfg.group, zsq, point[-1]))
+        if not math.isfinite(d2):
+            raise ValueError(f"distance overflows at {args.point!r}")
         print(json.dumps({"distance": math.sqrt(d2), "distance_squared": d2}, sort_keys=True))
         return 0
     print(f"error: unknown quantity {args.quantity!r}", file=sys.stderr)
@@ -179,21 +182,20 @@ def _cmd_plot(args) -> int:
         write_csv(args.out, coord_names + ["distance"], rows)
     elif args.quantity == "ratio-cloud":
         u, eta, labels, _ = polar.sample_exterior_cloud(params, args.points, cfg.seed)
-        rows = []
-        for i in range(args.points):
-            pp = polar.PolarPoint.from_flat(params, u[i], float(eta[i]))
-            out = polar.ray_integral_check(params, pp, cfg.quadrature)
-            rows.append(
-                list(u[i])
-                + [
-                    float(eta[i]),
-                    polar.speed(params, pp),
-                    f"R{int(labels[i])}",
-                    out["p"],
-                    out["J"],
-                    out["ratio"],
-                ]
-            )
+        out = polar.ray_integrals(params, u, eta, cfg.quadrature)
+        speed = np.sqrt(polar.speed_sq_arrays(params, block_norms_sq_flat(params, u)))
+        rows = [
+            list(u[i])
+            + [
+                float(eta[i]),
+                float(speed[i]),
+                f"R{int(labels[i])}",
+                float(out["p"][i]),
+                float(out["J"][i]),
+                float(out["ratio"][i]),
+            ]
+            for i in range(args.points)
+        ]
         names = [n.replace("x_", "u_re_").replace("y_", "u_im_") for n in coord_names[:-1]]
         write_csv(args.out, names + ["eta", "U", "region", "p", "J", "ratio"], rows)
     else:

@@ -33,6 +33,13 @@ of KernelValue accounts for this through a floating-noise floor, and
 `distance.cancellation_exponent` predicts it.  Sample clouds should stay
 within a cancellation budget of ~25 log-units.
 
+A call's working set is bounded whatever its size: the probe runs in
+blocks of `_PROBE_CHUNK` points and the panel sums in chunks of about
+`_PANEL_CHUNK` (point, node) entries, each chunk reduced to per-point
+sums and a per-panel error maximum before the next, so a batch as large
+as a whole ray suite (`polar.ray_integrals`) costs no (points, panels)
+array.
+
 Derivatives are taken under the integral sign (the decay is exponential,
 so differentiation and integration commute): each d/dx_{i,j} pulls down
 -x_{i,j} a_i lambda coth(a_i lambda)/(2h) and d/dt turns the cosine into
@@ -75,6 +82,11 @@ __all__ = [
 ]
 
 _POSITIVITY_FLOOR = 1e-300
+# Working-set bounds: (point, node) entries per `_eval_panels` chunk, and
+# rows per `_plan` probe block (256 x 385 entries).  Each temporary then
+# stays under a megabyte whatever the batch size.
+_PANEL_CHUNK = 3e4
+_PROBE_CHUNK = 256
 
 
 class QuadratureError(RuntimeError):
@@ -204,35 +216,41 @@ def _decay_rate(h, zsq, tables):
 
 
 def _eval_panels(params, h, zsq, tau, edges, want_extras=False):
-    """Per-panel K15 and G7 cosine integrals and K15 envelope integrals.
+    """K15 panel sums on the grid `edges`, reduced chunk by chunk.
 
     E and the cosine are evaluated at the 15 Kronrod nodes only; G7 reuses
-    the values at its nodes.  want_extras adds the derivative moments.
+    the values at its nodes.  Returns per-point K15 cosine integrals, per-point
+    sums of |K15 - G7| over the panels, the per-panel maximum of |K15 - G7|
+    over the points, per-point K15 envelope integrals and, with want_extras,
+    the derivative moments.  A chunk holds about `_PANEL_CHUNK` (point,
+    node) entries, so no (points, panels) array is kept.
     """
     m = zsq.shape[0]
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _KX  # (P, 15)
     tables = _envelope_tables(params, nodes.ravel())
-    kron = np.empty((m, half.size))
-    gauss = np.empty((m, half.size))
-    env = np.empty((m, half.size))
+    cos, err, env = np.empty(m), np.empty(m), np.empty(m)
+    worst = np.zeros(half.size)
     extras = None
     if want_extras:
         extras = {"coth": np.empty((m, params.l)), "sin": np.empty(m)}
         cothw = tables[1].reshape(nodes.shape + (params.l,)) * _KW[:, None]  # (P, 15, l)
-    chunk = max(1, int(4e6 // nodes.size))
+    chunk = max(1, int(_PANEL_CHUNK // nodes.size))
     for s in range(0, m, chunk):
         e = min(m, s + chunk)
         E = np.exp(_log_envelope(h, zsq[s:e], tables)).reshape((e - s,) + nodes.shape)
         phase = tau[s:e, None, None] * nodes
         ce = np.cos(phase) * E
-        kron[s:e] = (ce @ _KW) * half
-        gauss[s:e] = (ce @ _G7W) * half
-        env[s:e] = (E @ _KW) * half
+        kron = (ce @ _KW) * half
+        perr = np.abs(kron - (ce @ _G7W) * half)
+        cos[s:e] = kron.sum(axis=-1)
+        err[s:e] = perr.sum(axis=-1)
+        np.maximum(worst, perr.max(axis=0), out=worst)
+        env[s:e] = ((E @ _KW) * half).sum(axis=-1)
         if want_extras:
             extras["coth"][s:e] = np.einsum("cpn,pnl,p->cl", ce, cothw, half)
             extras["sin"][s:e] = np.sum(((np.sin(phase) * E * nodes) @ _KW) * half, axis=-1)
-    return kron, gauss, env, extras
+    return cos, err, worst, env, extras
 
 
 def _plan(params, h, zsq, spec):
@@ -249,7 +267,7 @@ def _plan(params, h, zsq, spec):
     env_tables, rate_tables = _envelope_tables(params, probe), _rate_tables(params, probe)
     m = zsq.shape[0]
     lam_cut, env_est, tail = np.empty(m), np.empty(m), np.empty(m)
-    chunk = 2048  # bounds the (chunk, 385) probe temporaries
+    chunk = _PROBE_CHUNK  # bounds the (chunk, 385) probe temporaries
     for s in range(0, m, chunk):
         z = zsq[s : s + chunk]
         env_probe = np.exp(_log_envelope(h, z, env_tables))  # (c, 385)
@@ -280,9 +298,16 @@ def _check_inputs(h, zsq, t):
 
 def _panel_count(lam_cut, tau, rate, spec):
     """Initial panels: at least 24, `osc_factor` per cosine period, one per
-    six decay lengths."""
-    osc = np.ceil(lam_cut * np.abs(tau) / (2.0 * math.pi) * spec.osc_factor)
-    return np.maximum(np.maximum(osc, np.ceil(lam_cut * rate / 6.0)), 24).astype(int)
+    six decay lengths.  QuadratureError if any count exceeds the budget."""
+    with np.errstate(over="ignore"):
+        osc = np.ceil(lam_cut * np.abs(tau) / (2.0 * math.pi) * spec.osc_factor)
+    count = np.maximum(np.maximum(osc, np.ceil(lam_cut * rate / 6.0)), 24)
+    if np.any(count > spec.panel_budget):
+        raise QuadratureError(
+            f"needs {float(np.max(count)):.3g} panels to resolve the integrand, "
+            f"budget {spec.panel_budget}"
+        )
+    return count.astype(int)
 
 
 def _integral_core(params, h, zsq, tau, plan, npan, spec, derivs=False):
@@ -293,19 +318,13 @@ def _integral_core(params, h, zsq, tau, plan, npan, spec, derivs=False):
     the error estimate and, with derivs, the derivative moments.
     """
     lam_cut, env_est, tail = plan
-    if npan > spec.panel_budget:
-        raise QuadratureError(
-            f"needs {npan} panels to resolve the integrand, budget {spec.panel_budget}"
-        )
     edges = np.linspace(0.0, float(lam_cut.max()), npan + 1)
     target = spec.tol * env_est
 
     # adaptive refinement driven by the K15-vs-G7 disagreement; the
     # derivative moments ride along, since the first grid usually suffices
     for _ in range(10):
-        kron, gauss, env, extras = _eval_panels(params, h, zsq, tau, edges, derivs)
-        perr = np.abs(kron - gauss)
-        total_err = perr.sum(axis=-1)
+        cos, total_err, worst, env_int, extras = _eval_panels(params, h, zsq, tau, edges, derivs)
         if np.all(total_err <= target):
             break
         P = edges.size - 1
@@ -314,7 +333,6 @@ def _integral_core(params, h, zsq, tau, plan, npan, spec, derivs=False):
                 f"panel budget {spec.panel_budget} exhausted; worst error "
                 f"{float(np.max(total_err / target)):.3g}x target"
             )
-        worst = perr.max(axis=0)
         thresh = max(float(np.min(target)) / P * 0.5, float(worst.max()) * 0.05)
         split = worst > thresh
         if not split.any():
@@ -332,13 +350,8 @@ def _integral_core(params, h, zsq, tau, plan, npan, spec, derivs=False):
     else:
         raise QuadratureError("adaptive refinement failed to converge")
 
-    env_int = env.sum(axis=-1)
     noise = np.finfo(float).eps * env_int * 4.0
-    return {
-        "cos": kron.sum(axis=-1),
-        "err": total_err + tail + noise,
-        "extras": extras,
-    }
+    return {"cos": cos, "err": total_err + tail + noise, "extras": extras}
 
 
 def _batched_core(params, h, zs, ts, spec, derivs=False):

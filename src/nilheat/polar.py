@@ -83,6 +83,7 @@ __all__ = [
     "classify_region_arrays",
     "pj_estimate",
     "pj_estimate_arrays",
+    "ray_integrals",
     "ray_integral_check",
     "path_velocity",
     "horizontal_path_check",
@@ -477,62 +478,85 @@ def _ray_edges(eta, decay, v_hi, panels=28):
 
 _RAY_TAIL_MARGIN = 40.0  # log-units; e^-40 relative truncation of the ray
 _GAUSS10 = np.polynomial.legendre.leggauss(10)  # per-panel rule on the rays and chart slabs
+_RAY_BLOCK = 250  # rays per kernel call: fewer calls, a bounded working set
 
 
-def ray_integral_check(params: GroupParams, p: PolarPoint, spec=None):
-    """Integral of p*J along the dilation ray against its comparison value.
+def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
+    """Integrals of p*J along R dilation rays against their comparison values.
 
-    Computes int_1^{pi/|eta|} p(Psi(u, v eta)) J(u, v eta) dv by composite
-    Gauss panels (kernel values from quadrature, J in closed form) and
-    returns a dict with the integral, the right side
-    p(u,eta) J(u,eta) / (|u|^2 eta^2), their ratio, and error estimates.
+    u_flat (R, 2n) and eta (R,) are chart coordinates.  Computes
+    int_1^{pi/|eta|} p(Psi(u, v eta)) J(u, v eta) dv by composite Gauss
+    panels (kernel values from quadrature, J in closed form) and returns a
+    dict of (R,) arrays: the integral, the right side
+    p(u,eta) J(u,eta) / (|u|^2 eta^2), their ratio, error estimates and the
+    region labels 1/2/3.
 
-    The ray is truncated where the Gaussian factor e^{-U^2 eta^2 v^2/4}
+    Each ray is truncated where the Gaussian factor e^{-U^2 eta^2 v^2/4}
     has fallen forty log-units below its value at v = 1: past that point
     the integrand cannot contribute, while kernel evaluation degrades (the
     top block recollapses toward z_l = 0 and absolute quadrature noise
     would swamp the exponentially small true values).  The truncated part
     enters the error estimate through the analytic Gaussian bound.
+
+    The rays go to the kernel in blocks of `_RAY_BLOCK`: one `kernel_zsq`
+    call per block takes every ray node of the block plus the block's
+    v = 1 points, and `np.add.reduceat` sums each ray's nodes.
     """
     spec = spec or QuadratureSpec(tol=1e-9)
-    usq = block_norms_sq_flat(params, p.flat())
+    eta = np.asarray(eta, dtype=float).reshape(-1)
+    usq = block_norms_sq_flat(params, np.asarray(u_flat, dtype=float)).reshape(eta.size, params.l)
     a = np.asarray(params.a)
-    Usq = float(speed_sq_arrays(params, usq))
-    eta = p.eta
-    vmax = math.pi / abs(eta)
-    decay = Usq * eta * eta
-    v_hi = min(vmax, math.sqrt(1.0 + 4.0 * _RAY_TAIL_MARGIN / max(decay, 1e-12)))
-    v, wts = _panel_rule(_ray_edges(eta, decay, v_hi), *_GAUSS10)
+    vmax = math.pi / np.abs(eta)
+    decay = speed_sq_arrays(params, usq) * eta * eta
+    v_hi = np.minimum(vmax, np.sqrt(1.0 + 4.0 * _RAY_TAIL_MARGIN / np.maximum(decay, 1e-12)))
+    integral, int_err, p0, p0err = (np.empty(eta.size) for _ in range(4))
+    for s in range(0, eta.size, _RAY_BLOCK):
+        rays = np.arange(s, min(eta.size, s + _RAY_BLOCK))
+        rules = [_panel_rule(_ray_edges(eta[i], decay[i], v_hi[i]), *_GAUSS10) for i in rays]
+        sizes = np.array([v.size for v, _ in rules])
+        owner = np.repeat(rays, sizes)
+        v = np.concatenate([v for v, _ in rules])
+        wts = np.concatenate([w for _, w in rules])
+        # ray nodes first, then the block's v = 1 points
+        etav = np.concatenate([v * eta[owner], eta[rays]])
+        usq_v = np.concatenate([usq[owner], usq[rays]])
+        w = etav[:, None] * a
+        zsq = usq_v * _angle_factor_sq(w)
+        tv = np.sum(2.0 * a * usq_v * _vertical_factor(w), axis=-1)
+        pv, perr = kernel_zsq(params, 1.0, zsq, tv, spec)
+        nodes = v.size
+        Jv = jacobian_closed_form_arrays(params, usq_v[:nodes], etav[:nodes])
+        starts = np.cumsum(sizes) - sizes
+        integral[rays] = np.add.reduceat(pv[:nodes] * Jv * wts, starts)
+        int_err[rays] = np.add.reduceat(perr[:nodes] * Jv * np.abs(wts), starts)
+        p0[rays], p0err[rays] = pv[nodes:], perr[nodes:]
 
-    etav = v * eta
-    zsq = usq * _angle_factor_sq(np.multiply.outer(etav, a))
-    tv = np.sum(2.0 * a * usq * _vertical_factor(np.multiply.outer(etav, a)), axis=-1)
-    pv, perr = kernel_zsq(params, 1.0, zsq, tv, spec)
-    Jv = jacobian_closed_form_arrays(params, np.broadcast_to(usq, (v.size, params.l)), etav)
-    integral = float(np.sum(pv * Jv * wts))
-    int_err = float(np.sum(perr * Jv * np.abs(wts)))
-
-    z0 = usq * _angle_factor_sq(eta * a)
-    t0 = float(np.sum(2.0 * a * usq * _vertical_factor(eta * a)))
-    p0, p0err = kernel_zsq(params, 1.0, z0, np.asarray(t0), spec)
-    J0 = float(jacobian_closed_form_arrays(params, usq, np.asarray(eta)))
-    if v_hi < vmax:
-        # Gaussian bound on the dropped tail, relative to the v = 1 scale
-        int_err += float(p0) * J0 * (vmax - v_hi) * math.exp(-_RAY_TAIL_MARGIN)
-    unorm_sq = float(usq.sum())
-    rhs = float(p0) * J0 / (unorm_sq * eta * eta)
-    ratio = integral / rhs
+    J0 = jacobian_closed_form_arrays(params, usq, eta)
+    # Gaussian bound on each dropped tail, relative to the v = 1 scale
+    int_err += np.where(
+        v_hi < vmax, p0 * J0 * (vmax - v_hi) * math.exp(-_RAY_TAIL_MARGIN), 0.0
+    )
+    rhs = p0 * J0 / (usq.sum(axis=-1) * eta * eta)
     return {
         "integral": integral,
         "integral_error": int_err,
         "rhs": rhs,
-        "ratio": ratio,
-        "p": float(p0),
+        "ratio": integral / rhs,
+        "p": p0,
         "J": J0,
-        "kernel_rel_error": float(p0err / p0),
-        "region": classify_region(params, p),
+        "kernel_rel_error": p0err / p0,
+        "region": classify_region_arrays(params, usq, eta),
         "v_truncated_at": v_hi,
     }
+
+
+def ray_integral_check(params: GroupParams, p: PolarPoint, spec=None):
+    """`ray_integrals` for one ray: the same keys as scalars, with the
+    region as its name ("R1", "R2" or "R3")."""
+    out = ray_integrals(params, p.flat()[None, :], np.array([p.eta]), spec)
+    out = {key: float(val[0]) for key, val in out.items()}
+    out["region"] = f"R{int(out['region'])}"
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,13 @@ from nilheat.polar import (
     psi_inverse,
     psi_inverse_flat,
     ray_integral_check,
+    ray_integrals,
     sample_exterior_cloud,
     speed,
 )
+import nilheat.polar as polar_module
 from nilheat.sampling import philox
+from nilheat.suites import RunConfig, suite_lemma6
 from nilheat.testfuncs import linear_bump, standard_family
 
 
@@ -307,6 +310,40 @@ def test_ray_integral_regions(noniso):
             out = ray_integral_check(noniso, PolarPoint.from_flat(noniso, u[i], float(eta[i])))
             assert np.isfinite(out["ratio"]) and out["ratio"] > 0
             assert out["integral_error"] <= 1e-3 * abs(out["integral"])
+
+
+def test_ray_integrals_match_single_rays(noniso):
+    u, eta, labels, _ = sample_exterior_cloud(noniso, 24, seed=5)
+    assert set(labels.tolist()) == {1, 2, 3}
+    out = ray_integrals(noniso, u, eta)
+    assert all(np.shape(val) == (24,) for val in out.values())
+    for i in range(24):
+        one = ray_integral_check(noniso, PolarPoint.from_flat(noniso, u[i], float(eta[i])))
+        assert out["J"][i] == one["J"]
+        assert out["v_truncated_at"][i] == one["v_truncated_at"]
+        assert one["region"] == f"R{out['region'][i]}" == f"R{labels[i]}"
+        # batched and single kernel calls differ within both error estimates
+        p_rel = out["kernel_rel_error"][i] + one["kernel_rel_error"]
+        int_rel = (out["integral_error"][i] + one["integral_error"]) / abs(one["integral"])
+        assert abs(out["p"][i] - one["p"]) <= p_rel * one["p"]
+        assert abs(out["rhs"][i] - one["rhs"]) <= p_rel * one["rhs"]
+        assert abs(out["integral"][i] - one["integral"]) <= int_rel * abs(one["integral"])
+        assert abs(out["ratio"][i] - one["ratio"]) <= (p_rel + int_rel) * one["ratio"]
+
+
+@pytest.mark.parametrize("count", [1, polar_module._RAY_BLOCK + 1])
+def test_suite_lemma6_any_cloud_size(noniso, count):
+    cfg = RunConfig(group=noniso, seed=20250809, sizes={"lemma6_points": count})
+    rep = suite_lemma6(cfg)
+    u, eta, labels, _ = sample_exterior_cloud(noniso, count, cfg.seed)
+    ratios = ray_integrals(noniso, u, eta, cfg.quadrature)["ratio"]
+    assert rep.stats["sup_ratio"] == float(ratios.max())
+    assert rep.stats["min_ratio"] == float(ratios.min()) > 0
+    for k in (1, 2, 3):
+        in_region = ratios[labels == k]
+        want = float(in_region.max()) if in_region.size else 0.0
+        assert rep.stats["per_region_sup"][f"R{k}"] == want
+    assert rep.stats["integral_rel_error_max"] <= 1e-4
 
 
 def test_ray_integral_even_in_eta(h1):

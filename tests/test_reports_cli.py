@@ -186,6 +186,8 @@ def test_cli_eval_rejects_non_finite_input(tmp_path, config_path, cli_env):
         # finite coordinates whose block norms overflow
         ["eval", "kernel", "1e200,0,0"],
         ["eval", "distance", "1e200,0,0"],
+        # a finite point whose distance overflows
+        ["eval", "distance", "0,0,1e308"],
     ):
         r = _run_cli(["--config", config_path, *args], tmp_path, cli_env)
         _assert_usage_error(r)
@@ -193,14 +195,20 @@ def test_cli_eval_rejects_non_finite_input(tmp_path, config_path, cli_env):
         assert r.stdout == ""
 
 
-def test_cli_eval_quadrature_failure_is_an_error_line(tmp_path, cli_env):
-    # a panel budget too small for the point: exit 1, one error line
-    path = _write_config(tmp_path, quadrature={"panel_budget": 8})
-    args = ["--config", path, "eval", "kernel", "0.3,0,1.5", "--h", "0.25"]
-    r = _run_cli(args, tmp_path, cli_env)
-    assert r.returncode == 1, r.stderr
-    assert "error:" in r.stderr and "panel" in r.stderr
-    assert "Traceback" not in r.stderr, r.stderr
+def test_cli_eval_quadrature_failure_is_an_error_line(tmp_path, config_path, cli_env):
+    # a panel budget too small for the point, or a |t| whose panel count
+    # overflows: exit 1, one error line
+    small_budget = _write_config(tmp_path, quadrature={"panel_budget": 8})
+    for args in (
+        ["--config", small_budget, "eval", "kernel", "0.3,0,1.5", "--h", "0.25"],
+        ["--config", config_path, "eval", "kernel", "0,0,1e308"],
+        ["--config", config_path, "eval", "kernel", "0,0,1e200"],
+    ):
+        r = _run_cli(args, tmp_path, cli_env)
+        assert r.returncode == 1, r.stderr
+        assert "error:" in r.stderr and "panel" in r.stderr
+        assert "Traceback" not in r.stderr and "Warning" not in r.stderr, r.stderr
+        assert r.stdout == ""
 
 
 def test_cli_plot_outputs(tmp_path, config_path, cli_env):
@@ -250,6 +258,7 @@ def test_cli_plot_outputs(tmp_path, config_path, cli_env):
     assert r.returncode == 0
     rows = list(csv.DictReader(open(rc)))
     assert len(rows) == 10
+    assert list(rows[0]) == ["u_re_1_1", "u_im_1_1", "eta", "U", "region", "p", "J", "ratio"]
     frozen = load_frozen_bounds()["l1_k1_a1.0"]["lemma6"]["sup_ratio"]
     assert all(0 < float(row["ratio"]) <= frozen * 1.2 for row in rows)
     assert {row["region"] for row in rows} <= {"R1", "R2", "R3"}
