@@ -190,6 +190,14 @@ def psi_flat(params: GroupParams, u_flat, eta):
     return out
 
 
+def _psi_norms(params: GroupParams, usq, eta):
+    """Block norms |z_j|^2 (..., l) and t (...) of Psi(u, eta) from the
+    block norms |u_j|^2 (..., l) and eta (...)."""
+    a = np.asarray(params.a)
+    w = eta[..., None] * a
+    return usq * _angle_factor_sq(w), np.sum(2.0 * a * usq * _vertical_factor(w), axis=-1)
+
+
 def psi(params: GroupParams, p: PolarPoint) -> GroupPoint:
     """Chart map Psi(u, eta) as a GroupPoint."""
     return GroupPoint.from_flat(params, psi_flat(params, p.flat(), np.asarray(p.eta)))
@@ -505,7 +513,6 @@ def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
     spec = spec or QuadratureSpec(tol=1e-9)
     eta = np.asarray(eta, dtype=float).reshape(-1)
     usq = block_norms_sq_flat(params, np.asarray(u_flat, dtype=float)).reshape(eta.size, params.l)
-    a = np.asarray(params.a)
     vmax = math.pi / np.abs(eta)
     decay = speed_sq_arrays(params, usq) * eta * eta
     v_hi = np.minimum(vmax, np.sqrt(1.0 + 4.0 * _RAY_TAIL_MARGIN / np.maximum(decay, 1e-12)))
@@ -515,17 +522,15 @@ def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
         rules = [_panel_rule(_ray_edges(eta[i], decay[i], v_hi[i]), *_GAUSS10) for i in rays]
         sizes = np.array([v.size for v, _ in rules])
         owner = np.repeat(rays, sizes)
-        v = np.concatenate([v for v, _ in rules])
+        etav = np.concatenate([v for v, _ in rules]) * eta[owner]
         wts = np.concatenate([w for _, w in rules])
+        Jv = jacobian_closed_form_arrays(params, usq[owner], etav)
         # ray nodes first, then the block's v = 1 points
-        etav = np.concatenate([v * eta[owner], eta[rays]])
-        usq_v = np.concatenate([usq[owner], usq[rays]])
-        w = etav[:, None] * a
-        zsq = usq_v * _angle_factor_sq(w)
-        tv = np.sum(2.0 * a * usq_v * _vertical_factor(w), axis=-1)
+        zsq, tv = _psi_norms(
+            params, np.concatenate([usq[owner], usq[rays]]), np.concatenate([etav, eta[rays]])
+        )
         pv, perr = kernel_zsq(params, 1.0, zsq, tv, spec)
-        nodes = v.size
-        Jv = jacobian_closed_form_arrays(params, usq_v[:nodes], etav[:nodes])
+        nodes = etav.size
         starts = np.cumsum(sizes) - sizes
         integral[rays] = np.add.reduceat(pv[:nodes] * Jv * wts, starts)
         int_err[rays] = np.add.reduceat(perr[:nodes] * Jv * np.abs(wts), starts)
@@ -647,9 +652,7 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
         ne, we = _panel_rule([e0, e1], *_GAUSS10)
         pts, w = _tensor_rule(axes + [ne], wts + [we])
         usq, eta = pts[:, :-1] ** 2, pts[:, -1]
-        zsq_chart = usq * _angle_factor_sq(eta[..., None] * a)
-        t_chart = np.sum(2.0 * a * usq * _vertical_factor(eta[..., None] * a), axis=-1)
-        vals = F(zsq_chart, t_chart) * jacobian_closed_form_arrays(params, usq, eta)
+        vals = F(*_psi_norms(params, usq, eta)) * jacobian_closed_form_arrays(params, usq, eta)
         chart += float(np.sum(vals * w))
 
     rel = abs(chart - direct) / max(abs(direct), 1e-300)
