@@ -182,13 +182,18 @@ def right_field_of(params: GroupParams, which, f):
     return _Closure(fn, box=f.support_box())
 
 
+def _hgrad_power(params: GroupParams, grad, coords, power=1):
+    """|grad f|^power in the left horizontal frame, from Euclidean partials."""
+    comps = horizontal_components(params, grad, coords, "left")
+    nrm = np.sqrt(np.sum(comps**2, axis=-1))
+    return nrm if power == 1 else nrm**power
+
+
 def hgrad_norm_of(params: GroupParams, f, power=1):
     """|grad f|^power as a scalar field (left horizontal frame)."""
 
     def fn(coords):
-        comps = horizontal_components(params, f.gradient(coords), coords, "left")
-        nrm = np.sqrt(np.sum(comps**2, axis=-1))
-        return nrm if power == 1 else nrm**power
+        return _hgrad_power(params, f.gradient(coords), coords, power)
 
     return _Closure(fn, box=f.support_box())
 
@@ -493,8 +498,7 @@ def check_li_inequality(params, family, points, h_values, dspec, frozen=None) ->
                 num = math.sqrt(
                     float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2))
                 )
-                hcomp = horizontal_components(params, grad, pts, "left")
-                hnorm = np.sqrt(np.sum(hcomp**2, axis=-1))
+                hnorm = _hgrad_power(params, grad, pts)
                 den = float(np.mean(hnorm))
                 den_se = float(np.std(hnorm) / math.sqrt(hnorm.size))
                 if den <= 10.0 * den_se:
@@ -600,9 +604,10 @@ def check_cheeger(params, family, dspec, ball_count=200000, frozen=None) -> Veri
     sups = {"global": 0.0, "ball": 0.0, "complement": 0.0}
     excluded = 0
     for f in family:
-        m_f = float(np.mean(f.value(ball_pts)))
-        fW = f.value(W)
-        gW = hgrad_norm_of(params, f).value(W)
+        fB, grad_B = f.jet(ball_pts, 1)
+        m_f = float(np.mean(fB))
+        fW, grad_W = f.jet(W, 1)
+        gW = _hgrad_power(params, grad_W, W)
         den = float(np.mean(gW))
         den_se = float(np.std(gW) / math.sqrt(gW.size))
         if den <= 10.0 * den_se:
@@ -612,8 +617,7 @@ def check_cheeger(params, family, dspec, ball_count=200000, frozen=None) -> Veri
         sups["complement"] = max(
             sups["complement"], float(np.mean(np.abs(fW - m_f) * outside)) / den
         )
-        fB = f.value(ball_pts)
-        gB = hgrad_norm_of(params, f).value(ball_pts)
+        gB = _hgrad_power(params, grad_B, ball_pts)
         denB = float(np.mean(gB))
         if denB > 0:
             sups["ball"] = max(sups["ball"], float(np.mean(np.abs(fB - m_f))) / denB)
@@ -655,8 +659,9 @@ def check_log_sobolev_poincare(params, family, points, h_values, dspec, frozen=N
             pts = multiply_flat(params, np.asarray(g_flat, dtype=float), W)
             for f in family:
                 shift = 0.5 + float(np.sum(np.abs(f.coeffs)))
-                phi = f.value(pts) + shift
-                gsq = hgrad_norm_of(params, f, power=2).value(pts)
+                val, grad = f.jet(pts, 1)
+                phi = val + shift
+                gsq = _hgrad_power(params, grad, pts, power=2)
                 den = float(np.mean(gsq)) * h
                 den_se = float(np.std(gsq) / math.sqrt(gsq.size)) * h
                 if den <= 10.0 * den_se:
@@ -717,8 +722,7 @@ def check_holder_corollary(params, family, points, h_values, dspec, constant) ->
                 num = math.sqrt(
                     float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2))
                 )
-                hcomp = horizontal_components(params, grad, pts, "left")
-                hnorm = np.sqrt(np.sum(hcomp**2, axis=-1))
+                hnorm = _hgrad_power(params, grad, pts)
                 mean1 = float(np.mean(hnorm))
                 se1 = float(np.std(hnorm) / math.sqrt(hnorm.size))
                 hsq = hnorm**2

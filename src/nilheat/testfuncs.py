@@ -11,11 +11,22 @@ available:
 
 Both profiles have two continuous derivatives across the support edge, so
 value, gradient, and Hessian all vanish outside the reported bounding box.
-Evaluators are vectorized over a trailing coordinate axis.
+
+One evaluator, `TestFunction.jet(coords, order)`, returns the value and,
+on request, the gradient and Hessian from one pass; `value`, `gradient`
+and `hessian` are wrappers over it.  It is vectorized over a trailing
+coordinate axis and works on in-support rows only: a slab test on the
+first coordinate picks candidates, q = |xi|^2 < 1 keeps the support, and
+the polynomial and bump terms run on the kept rows, which are scattered
+into zeros.  Each kept entry goes through the same elementwise operations
+as a dense evaluation masked at the end, so the results are bit-identical
+to it; Monte Carlo sums over diffusion endpoints, most of them far outside
+a small support, skip the dead rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +46,6 @@ def _poly_derivative(exps, coeffs, d):
 
 
 def _poly_eval(exps, coeffs, xi):
-    if exps.shape[0] == 0:
-        return np.zeros(xi.shape[:-1])
     out = np.zeros(xi.shape[:-1])
     for e, c in zip(exps, coeffs):
         term = np.full(xi.shape[:-1], c)
@@ -67,13 +76,23 @@ class TestFunction:
         self.center = np.asarray(self.center, dtype=float)
         self.exps = np.asarray(self.exps, dtype=int)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        self.scale = float(self.scale)
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
+        if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be a finite coordinate vector")
         if self.bump not in ("poly", "plateau"):
             raise ValueError("unknown bump profile")
         dim = self.center.size
         if self.exps.ndim != 2 or self.exps.shape[1] != dim:
             raise ValueError("exponent table shape must be (terms, dim)")
+        if np.any(self.exps < 0):
+            raise ValueError("exponents must be non-negative")
+        if self.coeffs.shape != (self.exps.shape[0],):
+            raise ValueError(
+                f"need one coefficient per exponent row: {self.coeffs.size} coefficients "
+                f"for {self.exps.shape[0]} rows"
+            )
         # Precompute derivative term lists once; evaluation reuses them.
         self._d1 = [_poly_derivative(self.exps, self.coeffs, d) for d in range(dim)]
         self._d2 = [
@@ -109,48 +128,66 @@ class TestFunction:
         d2q = d2bdw2 * dwdq**2 + dbdw * d2wdq2
         return b, dq, d2q
 
-    def value(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        xi = (coords - self.center) / self.scale
-        q = np.sum(xi**2, axis=-1)
-        b, _, _ = self._bump_q(q)
-        out = _poly_eval(self.exps, self.coeffs, xi) * b
-        return np.where(q < 1.0, out, 0.0)
+    def jet(self, coords, order=0) -> list:
+        """[value], [value, gradient] or [value, gradient, hessian] at coords.
 
-    def gradient(self, coords) -> np.ndarray:
+        coords has shape (..., dim); the parts have shapes (...), (..., dim)
+        and (..., dim, dim).  Only rows inside the support are evaluated,
+        and every other row is exactly zero.
+        """
+        if order not in (0, 1, 2):
+            raise ValueError("jet order must be 0, 1 or 2")
         coords = np.asarray(coords, dtype=float)
-        xi = (coords - self.center) / self.scale
+        dim = self.dim
+        if coords.shape[-1:] != (dim,):
+            raise ValueError(f"coordinates must have a trailing axis of length {dim}")
+        flat = coords.reshape(-1, dim)
+        # |xi_0| >= 1 already puts a row outside q < 1; NaN and inf rows fail both tests.
+        rows = np.flatnonzero(np.abs((flat[:, 0] - self.center[0]) / self.scale) < 1.0)
+        xi = (flat[rows] - self.center) / self.scale
         q = np.sum(xi**2, axis=-1)
-        b, bq, _ = self._bump_q(q)
-        p = _poly_eval(self.exps, self.coeffs, xi)
-        out = np.empty(xi.shape)
-        for d in range(self.dim):
-            pd = _poly_eval(*self._d1[d], xi)
-            out[..., d] = (pd * b + p * bq * 2.0 * xi[..., d]) / self.scale
-        return np.where(q[..., None] < 1.0, out, 0.0)
-
-    def hessian(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        xi = (coords - self.center) / self.scale
-        q = np.sum(xi**2, axis=-1)
+        keep = q < 1.0
+        rows, xi, q = rows[keep], xi[keep], q[keep]
         b, bq, bqq = self._bump_q(q)
         p = _poly_eval(self.exps, self.coeffs, xi)
-        pd = [_poly_eval(*self._d1[d], xi) for d in range(self.dim)]
-        out = np.empty(xi.shape[:-1] + (self.dim, self.dim))
-        for d1 in range(self.dim):
-            for d2 in range(d1, self.dim):
-                pdd = _poly_eval(*self._d2[d1][d2], xi)
-                h = (
-                    pdd * b
-                    + pd[d1] * bq * 2.0 * xi[..., d2]
-                    + pd[d2] * bq * 2.0 * xi[..., d1]
-                    + p * (bqq * 4.0 * xi[..., d1] * xi[..., d2])
-                )
-                if d1 == d2:
-                    h = h + p * bq * 2.0
-                out[..., d1, d2] = h / self.scale**2
-                out[..., d2, d1] = out[..., d1, d2]
-        return np.where(q[..., None, None] < 1.0, out, 0.0)
+        parts = [p * b]
+        if order >= 1:
+            pd = [_poly_eval(*self._d1[d], xi) for d in range(dim)]
+            grad = np.empty(xi.shape)
+            for d in range(dim):
+                grad[:, d] = (pd[d] * b + p * bq * 2.0 * xi[:, d]) / self.scale
+            parts.append(grad)
+        if order == 2:
+            hess = np.empty(xi.shape + (dim,))
+            for d1 in range(dim):
+                for d2 in range(d1, dim):
+                    pdd = _poly_eval(*self._d2[d1][d2], xi)
+                    h = (
+                        pdd * b
+                        + pd[d1] * bq * 2.0 * xi[:, d2]
+                        + pd[d2] * bq * 2.0 * xi[:, d1]
+                        + p * (bqq * 4.0 * xi[:, d1] * xi[:, d2])
+                    )
+                    if d1 == d2:
+                        h = h + p * bq * 2.0
+                    hess[:, d1, d2] = h / self.scale**2
+                    hess[:, d2, d1] = hess[:, d1, d2]
+            parts.append(hess)
+        out = []
+        for part in parts:
+            full = np.zeros((flat.shape[0],) + part.shape[1:])
+            full[rows] = part
+            out.append(full.reshape(coords.shape[:-1] + part.shape[1:]))
+        return out
+
+    def value(self, coords) -> np.ndarray:
+        return self.jet(coords, 0)[0]
+
+    def gradient(self, coords) -> np.ndarray:
+        return self.jet(coords, 1)[1]
+
+    def hessian(self, coords) -> np.ndarray:
+        return self.jet(coords, 2)[2]
 
 
 def linear_bump(center, scale, direction, bump="poly") -> TestFunction:
