@@ -604,8 +604,6 @@ def check_cheeger(params, family, dspec, ball_count=200000, frozen=None) -> Veri
     sups = {"global": 0.0, "ball": 0.0, "complement": 0.0}
     excluded = 0
     for f in family:
-        fB, grad_B = f.jet(ball_pts, 1)
-        m_f = float(np.mean(fB))
         fW, grad_W = f.jet(W, 1)
         gW = _hgrad_power(params, grad_W, W)
         den = float(np.mean(gW))
@@ -613,6 +611,8 @@ def check_cheeger(params, family, dspec, ball_count=200000, frozen=None) -> Veri
         if den <= 10.0 * den_se:
             excluded += 1
             continue
+        fB, grad_B = f.jet(ball_pts, 1)
+        m_f = float(np.mean(fB))
         sups["global"] = max(sups["global"], float(np.mean(np.abs(fW - m_f))) / den)
         sups["complement"] = max(
             sups["complement"], float(np.mean(np.abs(fW - m_f) * outside)) / den
