@@ -108,11 +108,11 @@ class TestFunction:
         """(lo, hi) corners of a box containing the support."""
         return self.center - self.scale, self.center + self.scale
 
-    # Bump profile in q = s^2 and its first two q-derivatives.
-    def _bump_q(self, q):
+    def _bump_q(self, q, order=2):
+        """Bump profile in q = s^2 and its q-derivatives up to `order`."""
         if self.bump == "poly":
             w = np.clip(1.0 - q, 0.0, None)
-            return w**3, -3.0 * w**2, 6.0 * w
+            return [w**3, -3.0 * w**2, 6.0 * w][: order + 1]
         # plateau: 1 on s <= 1/2; smoothstep in w = (s - 1/2)/(1/2) beyond.
         s = np.sqrt(np.clip(q, 0.0, None))
         w = np.clip((s - 0.5) * 2.0, 0.0, 1.0)
@@ -126,7 +126,7 @@ class TestFunction:
             d2wdq2 = np.where(active, -0.5 / s**3, 0.0)
         dq = dbdw * dwdq
         d2q = d2bdw2 * dwdq**2 + dbdw * d2wdq2
-        return b, dq, d2q
+        return [b, dq, d2q][: order + 1]
 
     def jet(self, coords, order=0) -> list:
         """[value], [value, gradient] or [value, gradient, hessian] at coords.
@@ -142,22 +142,44 @@ class TestFunction:
         if coords.shape[-1:] != (dim,):
             raise ValueError(f"coordinates must have a trailing axis of length {dim}")
         flat = coords.reshape(-1, dim)
+        rows, xi, bump = self._in_support(flat, order)
+        parts = self._support_jet(xi, bump, order)
+        del xi, bump  # free the kept rows before the full-size arrays are made
+        out = []
+        for part in parts:
+            if rows.size < flat.shape[0]:  # scatter; rows outside stay zero
+                full = np.zeros((flat.shape[0],) + part.shape[1:])
+                full[rows] = part
+                part = full
+            out.append(part.reshape(coords.shape[:-1] + part.shape[1:]))
+        return out
+
+    def _in_support(self, flat, order):
+        """Rows of flat (N, dim) with q < 1, their xi, and the bump jet there."""
         # |xi_0| >= 1 already puts a row outside q < 1; NaN and inf rows fail both tests.
         rows = np.flatnonzero(np.abs((flat[:, 0] - self.center[0]) / self.scale) < 1.0)
         xi = (flat[rows] - self.center) / self.scale
         q = np.sum(xi**2, axis=-1)
         keep = q < 1.0
-        rows, xi, q = rows[keep], xi[keep], q[keep]
-        b, bq, bqq = self._bump_q(q)
+        bump = self._bump_q(q[keep], order)
+        return rows[keep], xi[keep], bump
+
+    def _support_jet(self, xi, bump, order):
+        """Polynomial times bump and its derivatives on in-support rows."""
+        dim = self.dim
+        b = bump[0]
         p = _poly_eval(self.exps, self.coeffs, xi)
         parts = [p * b]
         if order >= 1:
-            pd = [_poly_eval(*self._d1[d], xi) for d in range(dim)]
+            bq = bump[1]
             grad = np.empty(xi.shape)
             for d in range(dim):
-                grad[:, d] = (pd[d] * b + p * bq * 2.0 * xi[:, d]) / self.scale
+                pd = _poly_eval(*self._d1[d], xi)
+                grad[:, d] = (pd * b + p * bq * 2.0 * xi[:, d]) / self.scale
             parts.append(grad)
         if order == 2:
+            bqq = bump[2]
+            pd = [_poly_eval(*self._d1[d], xi) for d in range(dim)]
             hess = np.empty(xi.shape + (dim,))
             for d1 in range(dim):
                 for d2 in range(d1, dim):
@@ -173,12 +195,7 @@ class TestFunction:
                     hess[:, d1, d2] = h / self.scale**2
                     hess[:, d2, d1] = hess[:, d1, d2]
             parts.append(hess)
-        out = []
-        for part in parts:
-            full = np.zeros((flat.shape[0],) + part.shape[1:])
-            full[rows] = part
-            out.append(full.reshape(coords.shape[:-1] + part.shape[1:]))
-        return out
+        return parts
 
     def value(self, coords) -> np.ndarray:
         return self.jet(coords, 0)[0]
