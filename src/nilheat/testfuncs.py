@@ -12,21 +12,16 @@ available:
 Both profiles have two continuous derivatives across the support edge, so
 value, gradient, and Hessian all vanish outside the reported bounding box.
 
-One evaluator, `TestFunction.jet(coords, order)`, returns the value and,
-on request, the gradient and Hessian from one pass; `value`, `gradient`
-and `hessian` are wrappers over it.  It is vectorized over a trailing
-coordinate axis and works on in-support rows only: a slab test on the
-first coordinate picks candidates, q = |xi|^2 < 1 keeps the support, and
-the polynomial and bump terms run on the kept rows, which are scattered
-into zeros.  Each kept entry goes through the same elementwise operations
-as a dense evaluation masked at the end, so the results are bit-identical
-to it; Monte Carlo sums over diffusion endpoints, most of them far outside
-a small support, skip the dead rows.
+One evaluator, `TestFunction.jet(coords, order)`, gives the value and, on
+request, the gradient and Hessian over a trailing coordinate axis; `value`,
+`gradient` and `hessian` wrap it.  It evaluates in-support rows only (a
+slab test on the first coordinate, then q = |xi|^2 < 1) and scatters them
+into zeros, with the same elementwise operations per kept entry as a dense
+evaluation, so the results are bit-identical to one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +72,7 @@ class TestFunction:
         self.exps = np.asarray(self.exps, dtype=int)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         self.scale = float(self.scale)
-        if not (math.isfinite(self.scale) and self.scale > 0):
+        if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
         if self.center.ndim != 1 or not np.all(np.isfinite(self.center)):
             raise ValueError("center must be a finite coordinate vector")

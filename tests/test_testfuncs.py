@@ -126,6 +126,11 @@ def test_shapes_and_degenerate_inputs():
     outside = f.center + 5.0 * f.scale * np.ones((50, 3))
     assert_jet_matches(f, outside)
     assert not np.any(f.hessian(outside))
+    near = cloud[:30] - f.center
+    inside = f.center + 0.5 * f.scale * near / np.abs(near).max()
+    assert np.all(f.value(inside) != 0.0)
+    assert_jet_matches(f, inside)
+    assert_jet_matches(f, inside[0])
 
 
 def test_jet_orders_equal_the_wrappers():
