@@ -17,9 +17,25 @@ exists, otherwise the point is on the "boundary branch" where
     d^2 = pi (|t| + sum_{j<l} a_j cot(a_j pi) |z_j|^2).
 
 mu is a strictly increasing odd diffeomorphism of (-pi, pi) onto R, so the
-angle equation is solved by bracketing bisection followed by a Newton
-polish.  Near w = 0 both mu and its derivative are evaluated by series to
-dodge the 0/0 cancellation.
+angle equation has one root.  It is solved on |t| and the sign of t is put
+back at the end, so theta is exactly odd in t.  Rows are solved in blocks
+of `_SOLVE_BLOCK` by a safeguarded Newton iteration:
+
+- start from the asymptote 3v/2 (v < 0.7) or pi - sqrt(pi/v) (v >= 0.7),
+  with v = |t| / sum_j a_j^2 |z_j|^2;
+- step by Newton on sinc(theta)^2 F(theta), F the angle-equation residual;
+  the factor cancels F's pi/(pi - theta)^2 pole, so steps near pi do not
+  crawl;
+- keep a bracket from the sign of F and bisect whenever a step leaves it;
+- end a row after one more evaluation once its Newton step is at
+  round-off, or once F's rounding noise sets the step (a step below
+  1e-8 min(theta, pi - theta) that shrinks less than tenfold or leaves the
+  bracket), or once its bracket is one ulp wide; `_MAX_PASSES` caps it.
+
+A stopped row leaves the active set, so its result does not depend on the
+other rows, and it returns the evaluated angle with the smallest |F|, with
+that F as its residual.  Near w = 0 mu, its derivative and the distance
+forms are evaluated by series to dodge the 0/0 cancellation.
 
 Branch bookkeeping never compares floats against pi: boundary solutions
 are tagged with an explicit branch label.
@@ -60,6 +76,9 @@ __all__ = [
 
 _SERIES_CUT = 1e-3
 _THETA_CAP = math.pi - 1e-12
+_SOLVE_BLOCK = 4096  # rows per block: 32 KB temporaries; 8192 and up raised the peak RSS
+_MAX_PASSES = 64  # a row that only bisects is one ulp wide by then
+_NEWTON_STOP = 1e-8  # relative step size past Newton's quadratic phase
 
 
 class Branch(enum.Enum):
@@ -78,58 +97,51 @@ class ThetaSolution:
     boundary_sign: int = 0
 
 
+def _mu_jet(w):
+    """mu(w) and mu'(w) on a 1-d or 2-d array from one sin pair.
+
+    With s = sin w and S = sin 2w (so cos w = S / 2s):
+    mu = (2w - S)/(2 s^2) and mu' = 2 (sin w - w cos w)/sin^3 w
+    = (2 s^2 - w S)/s^4, with their series below `_SERIES_CUT`.
+    """
+    small = np.abs(w) < _SERIES_CUT
+    ws = np.where(small, 0.5, w)  # safe denominator for the series lanes
+    s2 = np.sin(ws) ** 2
+    sin2w = np.sin(2.0 * ws)
+    m = (2.0 * ws - sin2w) / (2.0 * s2)
+    dm = (2.0 * s2 - ws * sin2w) / (s2 * s2)
+    if small.any():
+        w0 = w[small]
+        w2 = w0 * w0
+        m[small] = w0 * (2.0 / 3.0 + w2 * (4.0 / 45.0 + w2 * (4.0 / 315.0)))
+        dm[small] = 2.0 / 3.0 + w2 * (4.0 / 15.0 + w2 * (4.0 / 63.0))
+    return m, dm
+
+
 def mu(omega):
     """(2w - sin 2w)/(2 sin^2 w) on (-pi, pi); odd, strictly increasing."""
     omega = np.asarray(omega, dtype=float)
     if np.any(np.abs(omega) >= math.pi):
         raise ValueError("mu is only defined on (-pi, pi)")
-    small = np.abs(omega) < _SERIES_CUT
-    w = np.where(small, 0.5, omega)  # safe denominator for the masked lanes
-    direct = (2.0 * w - np.sin(2.0 * w)) / (2.0 * np.sin(w) ** 2)
-    w2 = omega * omega
-    series = omega * (2.0 / 3.0 + w2 * (4.0 / 45.0 + w2 * (4.0 / 315.0)))
-    out = np.where(small, series, direct)
+    out = _mu_jet(omega.reshape(-1))[0].reshape(omega.shape)
     return out if out.ndim else float(out)
 
 
 def mu_prime(omega):
     """Derivative 2 (sin w - w cos w)/sin^3 w, series-protected near 0."""
     omega = np.asarray(omega, dtype=float)
-    small = np.abs(omega) < _SERIES_CUT
-    w = np.where(small, 0.5, omega)
-    direct = 2.0 * (np.sin(w) - w * np.cos(w)) / np.sin(w) ** 3
-    w2 = omega * omega
-    series = 2.0 / 3.0 + w2 * (4.0 / 15.0 + w2 * (4.0 / 63.0))
-    out = np.where(small, series, direct)
+    out = _mu_jet(omega.reshape(-1))[1].reshape(omega.shape)
     return out if out.ndim else float(out)
 
 
 def mu_inverse(v: float) -> float:
-    """Solve mu(theta) = v for theta in (-pi, pi)."""
+    """Solve mu(theta) = v for theta in (-pi, pi).
+
+    The angle equation with l = 1 and |z|^2 = 1, solved by `_newton_rows`.
+    """
     v = float(v)
-    if v == 0.0:
-        return 0.0
-    sign = 1.0 if v > 0 else -1.0
-    av = abs(v)
-    # asymptotics: mu(w) ~ pi/(pi - w)^2 near pi gives a sharp initial bracket
-    hi = _THETA_CAP
-    lo = 0.0
-    if av > mu(math.pi / 2):
-        lo = max(0.0, math.pi - 2.0 * math.sqrt(math.pi / av))
-    theta = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mu(mid) < av:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-8:
-            break
-    theta = 0.5 * (lo + hi)
-    for _ in range(8):
-        step = (mu(theta) - av) / mu_prime(theta)
-        theta = min(max(theta - step, lo), hi)
-    return sign * theta
+    theta, _ = _newton_rows(np.ones(1), np.ones((1, 1)), np.array([abs(v)]))
+    return math.copysign(float(theta[0]), v)
 
 
 def boundary_threshold(params: GroupParams, zsq):
@@ -144,53 +156,103 @@ def boundary_threshold(params: GroupParams, zsq):
     return float(thresh) if thresh.ndim == 0 else thresh
 
 
+def _newton_rows(a, zsq, t):
+    """Angle-equation root for one block of rows: (theta, residual).
+
+    a: (l,); zsq: (B, l); t: (B,) with t >= 0, every entry finite and every
+    row solvable (not on the boundary branch).  Returns, per row, the
+    evaluated theta in [0, _THETA_CAP] with the smallest |F| and that
+    F(theta) = sum_j a_j mu(a_j theta) zsq_j - t.
+    """
+    a = a[:, None]
+    zsq = zsq.T
+    v = t / np.sum(a * a * zsq, axis=0)
+    # the two asymptotes come closest (0.03 apart) near v = 0.7
+    theta = np.where(v < 0.7, 1.5 * v, math.pi - np.sqrt(math.pi / np.maximum(v, 0.7)))
+    theta = np.minimum(theta, _THETA_CAP)
+    lo = np.zeros_like(t)
+    hi = np.full_like(t, _THETA_CAP)
+    last = np.zeros(t.shape, dtype=bool)
+    prev = np.full_like(t, np.inf)  # the last Newton step, inf after a bisection
+    rows = np.arange(t.size)
+    out = theta.copy()
+    res = np.full_like(t, np.inf)
+    for npass in range(_MAX_PASSES):
+        m, dm = _mu_jet(a * theta)
+        F = np.sum(a * m * zsq, axis=0) - t
+        # keep the evaluated angle with the smallest residual
+        better = np.abs(F) < np.abs(res[rows])
+        out[rows[better]] = theta[better]
+        res[rows[better]] = F[better]
+        keep = ~(last | (F == 0.0))
+        if npass == _MAX_PASSES - 1 or not keep.any():
+            break
+        rows, theta, t, zsq, prev = rows[keep], theta[keep], t[keep], zsq[:, keep], prev[keep]
+        F, dF = F[keep], np.sum(a * a * dm[:, keep] * zsq, axis=0)
+        lo = np.where(F < 0.0, theta, lo[keep])
+        hi = np.where(F > 0.0, theta, hi[keep])
+        # Newton on sinc^2 F: the step is F / (F' + 2 F (cot theta - 1/theta))
+        near0 = theta < _SERIES_CUT
+        ts = np.where(near0, 0.5, theta)
+        r = np.where(near0, -theta / 3.0, np.cos(ts) / np.sin(ts) - 1.0 / ts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = F / (dF + 2.0 * r * F)
+        nxt = theta - step
+        newton = (nxt >= lo) & (nxt <= hi)
+        theta = np.where(newton, nxt, 0.5 * (lo + hi))
+        # the row ends after one more evaluation once its step is at
+        # round-off, or once F's rounding noise sets the step: a small step
+        # that shrinks less than tenfold, or that leaves the bracket
+        size = np.abs(step)
+        small = size <= _NEWTON_STOP * np.minimum(theta, math.pi - theta)
+        last = np.where(
+            newton,
+            (size <= 2.0 * np.spacing(theta)) | (small & (size > 0.1 * prev)),
+            small | (hi - lo <= 2.0 * np.spacing(hi)),
+        )
+        prev = np.where(newton, size, np.inf)
+    return out, res
+
+
+def _flat_rows(params: GroupParams, zsq, t):
+    """Broadcast zsq (..., l) against t (...); return (N, l), (N,) and the shape."""
+    zsq = np.asarray(zsq, dtype=float)
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(zsq.shape[:-1], t.shape)
+    zsq = np.broadcast_to(zsq, shape + (params.l,)).reshape(-1, params.l)
+    return zsq, np.broadcast_to(t, shape).reshape(-1), shape
+
+
 def solve_theta_arrays(params: GroupParams, zsq, t):
     """Vectorized angle-equation solve.
 
     zsq: (..., l) block norm squares; t: (...).  Returns (theta, branch,
     residual) where branch is an int8 array with 0 = interior, 1 = interior
-    with z_l = 0, 2 = boundary.  theta is NaN on the boundary branch.
+    with z_l = 0, 2 = boundary.  theta is NaN on the boundary branch, and
+    theta and residual are NaN on rows with a non-finite entry.
     """
-    zsq = np.asarray(zsq, dtype=float)
-    t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(zsq.shape[:-1], t.shape)
-    zsq = np.broadcast_to(zsq, shape + (params.l,)).astype(float)
-    t = np.broadcast_to(t, shape).astype(float)
-
-    zl_zero = zsq[..., -1] == 0.0
-    boundary = zl_zero & (np.abs(t) >= boundary_threshold(params, zsq))
-    allzero = np.all(zsq == 0.0, axis=-1) & (t == 0.0)
-    if np.any(allzero):
+    zsq, t, shape = _flat_rows(params, zsq, t)
+    if np.any(np.all(zsq == 0.0, axis=-1) & (t == 0.0)):
         raise ValueError("angle equation is undefined at the origin")
 
     a = np.asarray(params.a)
-    theta = np.zeros(shape)
-    solve = ~boundary
-    lo = np.where(t >= 0, 0.0, -_THETA_CAP)
-    hi = np.where(t >= 0, _THETA_CAP, 0.0)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        rhs = np.sum(a * mu(mid[..., None] * a) * zsq, axis=-1)
-        go_right = rhs < t
-        lo = np.where(solve & go_right, mid, lo)
-        hi = np.where(solve & ~go_right, mid, hi)
-    theta = 0.5 * (lo + hi)
-    # Newton polish; the map is smooth and strictly increasing
-    for _ in range(3):
-        rhs = np.sum(a * mu(theta[..., None] * a) * zsq, axis=-1)
-        slope = np.sum(a * a * mu_prime(theta[..., None] * a) * zsq, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(slope > 0, (rhs - t) / np.where(slope > 0, slope, 1.0), 0.0)
-        theta = np.clip(theta - np.where(solve, step, 0.0), -_THETA_CAP, _THETA_CAP)
-
-    residual = np.where(
-        solve, np.sum(a * mu(theta[..., None] * a) * zsq, axis=-1) - t, 0.0
-    )
-    branch = np.zeros(shape, dtype=np.int8)
-    branch[zl_zero & ~boundary] = 1
-    branch[boundary] = 2
-    theta = np.where(boundary, np.nan, theta)
-    return theta, branch, residual
+    theta = np.full(t.shape, np.nan)
+    residual = np.zeros(t.shape)
+    branch = np.zeros(t.shape, dtype=np.int8)
+    for s in range(0, t.size, _SOLVE_BLOCK):
+        blk = slice(s, s + _SOLVE_BLOCK)
+        zb, tb = zsq[blk], t[blk]
+        zl_zero = zb[:, -1] == 0.0
+        boundary = zl_zero & (np.abs(tb) >= boundary_threshold(params, zb))
+        branch[blk][zl_zero] = 1
+        branch[blk][boundary] = 2
+        finite = np.isfinite(tb) & np.all(np.isfinite(zb), axis=-1)
+        residual[blk][~finite] = np.nan
+        rows = ~boundary & finite
+        th, res = _newton_rows(a, zb[rows], np.abs(tb[rows]))
+        theta[blk][rows] = np.copysign(th, tb[rows])
+        residual[blk][rows] = np.where(tb[rows] < 0.0, -res, res)
+    return theta.reshape(shape), branch.reshape(shape), residual.reshape(shape)
 
 
 def solve_theta(params: GroupParams, g: GroupPoint) -> ThetaSolution:
@@ -206,72 +268,55 @@ def solve_theta(params: GroupParams, g: GroupPoint) -> ThetaSolution:
     return ThetaSolution(float(theta), br, float(residual))
 
 
-def _w_over_sin(w):
-    """w/sin(w), series near 0."""
-    w = np.asarray(w, dtype=float)
+def _sin_forms(w):
+    """w/sin(w) and w cot(w) from one sin/cos pair, series near 0."""
     small = np.abs(w) < _SERIES_CUT
-    safe = np.where(small, 0.5, w)
-    direct = safe / np.sin(safe)
-    w2 = w * w
-    series = 1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0
-    return np.where(small, series, direct)
-
-
-def _w_cot(w):
-    """w cot(w), series near 0."""
-    w = np.asarray(w, dtype=float)
-    small = np.abs(w) < _SERIES_CUT
-    safe = np.where(small, 0.5, w)
-    direct = safe * np.cos(safe) / np.sin(safe)
-    w2 = w * w
-    series = 1.0 - w2 / 3.0 - w2 * w2 / 45.0
-    return np.where(small, series, direct)
+    ws = np.where(small, 0.5, w)
+    s, c = np.sin(ws), np.cos(ws)
+    over_sin = ws / s
+    w_cot = ws * c / s
+    if small.any():
+        w2 = w[small] * w[small]
+        over_sin[small] = 1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0
+        w_cot[small] = 1.0 - w2 / 3.0 - w2 * w2 / 45.0
+    return over_sin, w_cot
 
 
 def distance_squared_arrays(params: GroupParams, zsq, t, return_parts=False):
     """Vectorized squared distance from the origin.
 
     With return_parts=True also returns (theta, branch, second-form value);
-    the second form is NaN on the boundary branch.
+    the second form is NaN on the boundary branch.  The origin gives 0 with
+    branch 2 and NaN theta.
     """
-    zsq = np.asarray(zsq, dtype=float)
-    t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(zsq.shape[:-1], t.shape)
-    zsq_b = np.broadcast_to(zsq, shape + (params.l,))
-    t_b = np.broadcast_to(t, shape)
-    at_origin = np.all(zsq_b == 0.0, axis=-1) & (t_b == 0.0)
+    zsq, t, shape = _flat_rows(params, zsq, t)
+    at_origin = np.all(zsq == 0.0, axis=-1) & (t == 0.0)
+    rows = np.flatnonzero(~at_origin) if at_origin.any() else slice(None)
+    theta = np.full(t.shape, np.nan)
+    branch = np.full(t.shape, 2, dtype=np.int8)
+    if t[rows].size:
+        theta[rows], branch[rows], _ = solve_theta_arrays(params, zsq[rows], t[rows])
 
-    out = np.zeros(shape)
-    theta = np.full(shape, np.nan)
-    branch = np.full(shape, 2, dtype=np.int8)
-    form2 = np.full(shape, np.nan)
-    interior = ~at_origin
     a = np.asarray(params.a)
+    cot_pi = np.cos(a[:-1] * math.pi) / np.sin(a[:-1] * math.pi)
+    out = np.zeros(t.shape)
+    form2 = np.full(t.shape, np.nan)
+    for s in range(0, t.size, _SOLVE_BLOCK):
+        blk = slice(s, s + _SOLVE_BLOCK)
+        zb, tb, thb = zsq[blk], t[blk], theta[blk]
+        interior = branch[blk] != 2
+        boundary = ~interior & ~at_origin[blk]
+        if np.any(boundary):
+            extra = np.sum(a[:-1] * cot_pi * zb[boundary, :-1], axis=-1)
+            out[blk][boundary] = math.pi * (np.abs(tb[boundary]) + extra)
+        th, z = thb[interior], zb[interior]
+        over_sin, w_cot = _sin_forms(th[:, None] * a)
+        out[blk][interior] = np.sum(over_sin**2 * z, axis=-1)
+        form2[blk][interior] = th * tb[interior] + np.sum(w_cot * z, axis=-1)
 
-    # boundary branch
-    zl_zero = zsq_b[..., -1] == 0.0
-    boundary = zl_zero & (np.abs(t_b) >= boundary_threshold(params, zsq_b)) & ~at_origin
-    if np.any(boundary):
-        extra = np.zeros(shape)
-        if params.l > 1:
-            cot = np.cos(a[:-1] * math.pi) / np.sin(a[:-1] * math.pi)
-            extra = np.sum(a[:-1] * cot * zsq_b[..., :-1], axis=-1)
-        out = np.where(boundary, math.pi * (np.abs(t_b) + extra), out)
-
-    interior = interior & ~boundary
-    if np.any(interior):
-        th, br, _ = solve_theta_arrays(params, zsq_b, np.where(interior, t_b, 0.0))
-        th = np.where(interior, th, 0.0)
-        w = th[..., None] * a
-        d2_form1 = np.sum(_w_over_sin(w) ** 2 * zsq_b, axis=-1)
-        d2_form2 = th * t_b + np.sum(_w_cot(w) * zsq_b, axis=-1)
-        out = np.where(interior, d2_form1, out)
-        form2 = np.where(interior, d2_form2, form2)
-        theta = np.where(interior, th, theta)
-        branch = np.where(interior, br, branch)
-
+    out = out.reshape(shape)
     if return_parts:
-        return out, theta, branch, form2
+        return out, theta.reshape(shape), branch.reshape(shape), form2.reshape(shape)
     return out
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nilheat import distance as distance_module
 from nilheat.distance import (
     Branch,
     boundary_threshold,
@@ -22,7 +23,7 @@ from nilheat.distance import (
     solve_theta,
     solve_theta_arrays,
 )
-from nilheat.groups import GroupPoint, block_norms_sq_flat, dilate, multiply, origin
+from nilheat.groups import GroupParams, GroupPoint, block_norms_sq_flat, dilate, multiply, origin
 from nilheat.sampling import CloudSpec, philox, uniform_box
 
 
@@ -201,3 +202,122 @@ def test_cancellation_exponent(h1):
     # pure t-axis point: (pi |t| - 0)/4
     val = cancellation_exponent(h1, np.array([0.0]), np.asarray(2.0))
     assert float(val) == pytest.approx(math.pi * 2.0 / 4.0, rel=1e-12)
+
+
+THREE_BLOCKS = GroupParams(3, (1, 1, 2), (0.25, 0.6, 1.0))
+
+
+def _oracle_rows(params, seed):
+    """Rows (zsq, t) whose angles sweep 1e-8 .. pi - 1e-9, and their exact roots.
+
+    t is the angle-equation right side at a chosen angle, rounded to a
+    double; the reference root is that of the rounded t, found by mpmath at
+    40 digits.  On multi-block groups half the rows have z_l = 0.
+    """
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    angles = [1e-8, 1e-6, 1e-4, 9.99e-4, 1e-3, 1.001e-3, 2.1e-3, 4e-3, 1e-2, 0.1, 0.3, 1.0]
+    angles += [2.0, 3.0, math.pi - 1e-3, math.pi - 1e-6, math.pi - 1e-9]
+    a = [mp.mpf(v) for v in params.a]
+
+    def rhs(theta, z):
+        return sum(
+            aj * (2 * aj * theta - mp.sin(2 * aj * theta)) / (2 * mp.sin(aj * theta) ** 2) * zj
+            for aj, zj in zip(a, z)
+        )
+
+    rng = philox(seed, 11)
+    zsq = rng.uniform(0.2, 2.0, size=(2 * len(angles), params.l))
+    if params.l > 1:
+        zsq[len(angles):, -1] = 0.0
+    theta0 = np.array(angles * 2)
+    t = np.empty(theta0.size)
+    exact = np.empty(theta0.size)
+    for i, (th, z) in enumerate(zip(theta0, zsq)):
+        z = [mp.mpf(float(v)) for v in z]
+        t[i] = float(rhs(mp.mpf(th), z))
+        ti = mp.mpf(t[i])
+        exact[i] = float(mp.findroot(lambda x: (rhs(x, z) - ti) / (1 + ti), mp.mpf(th)))
+    return zsq, t, exact
+
+
+@pytest.mark.parametrize("name", ["h1", "noniso", "three_blocks"])
+def test_solve_theta_against_mpmath(name, h1, noniso):
+    params = {"h1": h1, "noniso": noniso, "three_blocks": THREE_BLOCKS}[name]
+    zsq, t, exact = _oracle_rows(params, 31)
+    for sign in (1.0, -1.0):
+        theta, branch, residual = solve_theta_arrays(params, zsq, sign * t)
+        assert np.all(branch[: t.size // 2] == 0)
+        assert np.all(branch[t.size // 2 :] == (1 if params.l > 1 else 0))
+        assert np.max(np.abs(theta - sign * exact)) <= 1e-12
+        assert np.all(np.isfinite(residual))
+
+
+def _wide_cloud(params, count, seed):
+    """Block norms and t over a box that also holds boundary and z_l = 0 rows."""
+    coords = uniform_box(params, CloudSpec(count, 2.0, 3.0, seed))
+    coords[::7, 2 * (params.n - params.k[-1]) : 2 * params.n] = 0.0
+    coords[::11, : 2 * params.n] = 0.0
+    return block_norms_sq_flat(params, coords), coords[:, -1]
+
+
+def test_solve_theta_exactly_odd_in_t(any_group):
+    params = any_group
+    zsq, t = _wide_cloud(params, 3000, 41)
+    theta, branch, residual = solve_theta_arrays(params, zsq, t)
+    theta_m, branch_m, residual_m = solve_theta_arrays(params, zsq, -t)
+    assert np.array_equal(theta_m, -theta, equal_nan=True)
+    assert np.array_equal(residual_m, -residual)
+    assert np.array_equal(branch_m, branch)
+    d2 = distance_squared_arrays(params, zsq, t)
+    assert np.array_equal(distance_squared_arrays(params, zsq, -t), d2)
+
+
+def test_solve_theta_rows_independent_of_batch(any_group):
+    # a row gives the same bits alone, in a batch of several blocks, and in
+    # that batch shuffled, which changes every block's other rows
+    params = any_group
+    block = distance_module._SOLVE_BLOCK
+    zsq, t = _wide_cloud(params, 2 * block + 300, 43)
+    perm = philox(44, 0).permutation(t.size)
+    solved = solve_theta_arrays(params, zsq, t)
+    shuffled = solve_theta_arrays(params, zsq[perm], t[perm])
+    for got, want in zip(shuffled, solved):
+        assert np.array_equal(got, want[perm], equal_nan=True)
+    parts = distance_squared_arrays(params, zsq, t, return_parts=True)
+    parts_shuffled = distance_squared_arrays(params, zsq[perm], t[perm], return_parts=True)
+    for got, want in zip(parts_shuffled, parts):
+        assert np.array_equal(got, want[perm], equal_nan=True)
+    for i in [0, 5, 7, 11, block - 1, block, t.size - 1]:
+        one = solve_theta_arrays(params, zsq[i], t[i])
+        assert np.array_equal(one[0], solved[0][i], equal_nan=True)
+        assert one[1] == solved[1][i] and one[2] == solved[2][i]
+        d2_one = distance_squared_arrays(params, zsq[i], t[i], return_parts=True)
+        for got, want in zip(d2_one, parts):
+            assert np.array_equal(got, want[i], equal_nan=True)
+
+
+def test_non_finite_rows_return(noniso):
+    zsq = np.array([[0.4, 0.9], [0.4, 0.9], [0.4, 0.9], [np.nan, 0.9], [0.4, np.inf], [0.4, 0.9]])
+    t = np.array([np.nan, np.inf, -np.inf, 0.5, 0.5, 0.5])
+    theta, branch, residual = solve_theta_arrays(noniso, zsq, t)
+    assert np.all(np.isnan(theta[:5])) and np.all(np.isnan(residual[:5]))
+    alone = solve_theta_arrays(noniso, zsq[-1], t[-1])
+    assert theta[-1] == alone[0] and residual[-1] == alone[2]
+    d2 = distance_squared_arrays(noniso, zsq, t)
+    assert np.all(np.isnan(d2[:5]))
+    assert d2[-1] == distance_squared_arrays(noniso, zsq[-1], t[-1])
+
+
+def test_origin_rows_in_a_batch(h1, noniso):
+    for params in (h1, noniso):
+        zsq = np.zeros((3, params.l))
+        zsq[1] = 1.0
+        t = np.array([0.0, 0.5, 0.0])
+        d2, theta, branch, form2 = distance_squared_arrays(params, zsq, t, return_parts=True)
+        assert d2[0] == 0.0 and d2[2] == 0.0
+        assert d2[1] == distance_squared_arrays(params, zsq[1], t[1]) > 0.0
+        assert branch[0] == branch[2] == 2 and np.isnan(theta[0]) and np.isnan(form2[0])
+    # the reported reproduction
+    d2 = distance_squared_arrays(GroupParams(1, (1,), (1.0,)), [[0.0], [1.0]], [0.0, 0.5])
+    assert d2[0] == 0.0 and d2[1] > 1.0
