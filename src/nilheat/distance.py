@@ -294,7 +294,7 @@ def distance_squared_arrays(params: GroupParams, zsq, t, return_parts=False):
     rows = np.flatnonzero(~at_origin) if at_origin.any() else slice(None)
     theta = np.full(t.shape, np.nan)
     branch = np.full(t.shape, 2, dtype=np.int8)
-    if t[rows].size:
+    if not at_origin.all():
         theta[rows], branch[rows], _ = solve_theta_arrays(params, zsq[rows], t[rows])
 
     a = np.asarray(params.a)

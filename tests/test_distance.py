@@ -318,6 +318,6 @@ def test_origin_rows_in_a_batch(h1, noniso):
         assert d2[0] == 0.0 and d2[2] == 0.0
         assert d2[1] == distance_squared_arrays(params, zsq[1], t[1]) > 0.0
         assert branch[0] == branch[2] == 2 and np.isnan(theta[0]) and np.isnan(form2[0])
-    # the reported reproduction
+    # the smallest mixed batch, as plain lists
     d2 = distance_squared_arrays(GroupParams(1, (1,), (1.0,)), [[0.0], [1.0]], [0.0, 0.5])
     assert d2[0] == 0.0 and d2[1] > 1.0
