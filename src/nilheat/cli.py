@@ -86,6 +86,17 @@ def _positive_time(text: str) -> float:
     return val
 
 
+def _positive_count(text: str) -> int:
+    """argparse type for --points: an integer >= 1."""
+    try:
+        val = int(text)
+    except ValueError:
+        val = 0
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"points must be an integer >= 1, got {text!r}")
+    return val
+
+
 def _cmd_verify(args) -> int:
     overrides = {"seed": args.seed, "output_dir": args.output_dir, "workers": args.workers}
     cfg = _load_config(args.config, overrides)
@@ -238,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("quantity", choices=["kernel-slice", "distance-sphere", "ratio-cloud"])
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_positive_count, default=200)
     p.add_argument("--extent", type=float, default=6.0, help="kernel-slice t range")
     p.add_argument("--h", type=_positive_time, default=1.0)
     return ap

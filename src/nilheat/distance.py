@@ -350,13 +350,12 @@ def cancellation_exponent(params: GroupParams, zsq, t, h=1.0):
     return (d2 - np.sum(zsq, axis=-1)) / (4.0 * h)
 
 
-def check_distance_equivalence(params: GroupParams, cloud, frozen=None):
+def check_distance_equivalence(params: GroupParams, cloud):
     """Ratio d^2 / (|z|^2 + |t|) over a sample cloud.
 
     Reports the observed extremes; on stratified groups the ratio is pinned
     between positive constants (it equals 1 on the t = 0 slice and pi on
-    the z = 0 axis).  With frozen bounds the verdict also checks
-    containment in the recorded band.
+    the z = 0 axis).  The verdict asks for finite positive extremes.
     """
     from .reports import VerificationReport
     from .sampling import uniform_box
@@ -376,13 +375,4 @@ def check_distance_equivalence(params: GroupParams, cloud, frozen=None):
         bool(np.isfinite(ratio).all()) and float(ratio.min()) > 0.0,
         "equivalence ratio must be finite and positive",
     )
-    if frozen:
-        # a 10 percent collar: fresh clouds approach the true extremes of
-        # the box from inside, so the recorded values are not hard walls
-        rep.frozen = dict(frozen)
-        rep.require(
-            ratio.min() >= frozen["ratio_min"] * 0.9
-            and ratio.max() <= frozen["ratio_max"] * 1.1,
-            "equivalence ratio extremes left the frozen band",
-        )
     return rep

@@ -2,8 +2,10 @@
 
 The inequality constants this library estimates have no published numeric
 values; the suites therefore gate them against values recorded on the
-first verified run.  This maintenance tool reruns the suites with no
-bounds applied, extracts the constants, and rewrites the packaged
+first verified run.  This maintenance tool runs the suites ungated (the
+runners in `SUITE_RUNNERS`, without the frozen-band gate of `run_suite`),
+refuses a run that fails an analytic check, reads each constant through
+the `FROZEN_BANDS` table the gate uses, and rewrites the packaged
 ``data/frozen_bounds.json``.  Run it only to re-baseline after a
 deliberate change:
 
@@ -16,48 +18,19 @@ import json
 import pathlib
 import sys
 
-from .suites import RunConfig, config_from_dict, run_suite
-
-_EXTRACTORS = {
-    "distance": lambda r: {
-        "ratio_min": r.stats["equivalence"]["ratio_min"],
-        "ratio_max": r.stats["equivalence"]["ratio_max"],
-    },
-    "kernel": lambda r: {
-        "comparison_ratio_min": r.stats["comparison"]["ratio_min"],
-        "comparison_ratio_max": r.stats["comparison"]["ratio_max"],
-        "log_gradient_constant": r.stats["log_gradient_constant"],
-        "t_log_derivative_constant": r.stats["t_log_derivative_constant"],
-    },
-    "polar": lambda r: {
-        "jacobian_ratio_min": r.stats["jacobian_ratio_min"],
-        "jacobian_ratio_max": r.stats["jacobian_ratio_max"],
-        "pj_ratio_min": r.stats["pj_ratio_min"],
-        "pj_ratio_max": r.stats["pj_ratio_max"],
-    },
-    "lemma6": lambda r: {"sup_ratio": r.stats["sup_ratio"]},
-    "cheeger": lambda r: {
-        "global": r.stats["global"],
-        "ball": r.stats["ball"],
-        "complement": r.stats["complement"],
-    },
-    "li": lambda r: {"constant": r.stats["gradient_bound"]["constant"]},
-    "lse-poe": lambda r: {
-        "entropy_constant": r.stats["entropy_constant"],
-        "variance_constant": r.stats["variance_constant"],
-    },
-}
+from .suites import SUITE_RUNNERS, RunConfig, band_values, config_from_dict
 
 
 def freeze_config(cfg: RunConfig) -> dict:
+    """{suite: {frozen key: value}} from one ungated run of cfg's suites."""
     out = {}
     for name in cfg.suites:
-        rep = run_suite(name, cfg)
+        rep = SUITE_RUNNERS[name](cfg)
         if not rep.passed:
             raise RuntimeError(
-                f"suite {name} did not pass on the baseline run; refusing to freeze"
+                f"suite {name} failed an analytic check on the baseline run; refusing to freeze"
             )
-        out[name] = _EXTRACTORS[name](rep)
+        out[name] = band_values(name, rep)
         print(f"froze {cfg.group.label()}/{name}: {out[name]}")
     return out
 

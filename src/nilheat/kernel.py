@@ -560,12 +560,11 @@ def kernel_comparison_log_rhs(params: GroupParams, zsq, t):
     return first + second - d2 / 4.0
 
 
-def check_kernel_comparison(params: GroupParams, coords, spec=None, frozen=None) -> VerificationReport:
+def check_kernel_comparison(params: GroupParams, coords, spec=None) -> VerificationReport:
     """Ratio of p_1 to the comparison quantity over an interior-branch cloud.
 
     Boundary-branch points are excluded and counted.  The verdict asks for
-    finite positive extremes and, when frozen bounds are supplied,
-    containment in the recorded band.
+    finite positive extremes.
     """
     spec = spec or QuadratureSpec()
     coords = np.asarray(coords, dtype=float)
@@ -588,13 +587,6 @@ def check_kernel_comparison(params: GroupParams, coords, spec=None, frozen=None)
         bool(np.isfinite(ratio).all()) and float(ratio.min()) > 0,
         "ratios must be finite and positive",
     )
-    if frozen:
-        rep.frozen = dict(frozen)
-        rep.require(
-            ratio.min() >= frozen["ratio_min"] * 0.8
-            and ratio.max() <= frozen["ratio_max"] * 1.2,
-            "comparison ratio extremes left the frozen band",
-        )
     return rep
 
 

@@ -12,6 +12,7 @@ environment data are embedded.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -111,8 +112,12 @@ def write_csv(path, columns, rows):
             writer.writerow([fmt(v) for v in row])
 
 
+@functools.cache
 def load_frozen_bounds() -> dict:
-    """Frozen first-run regression values shipped with the package."""
+    """Frozen first-run regression values shipped with the package.
+
+    Read once per process; the table is shared, so callers copy before
+    they change it."""
     ref = resources.files("nilheat").joinpath("data/frozen_bounds.json")
     with ref.open() as fh:
         return json.load(fh)

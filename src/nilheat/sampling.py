@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import cancellation_exponent
+from .distance import cancellation_exponent, distance_squared_arrays
 from .groups import GroupParams, block_norms_sq_flat
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "philox",
     "uniform_box",
     "ball_bounding_box",
+    "unit_ball_points",
     "kernel_feasible_mask",
 ]
 
@@ -64,6 +65,14 @@ def ball_bounding_box(params: GroupParams):
     for aj in params.a[:-1]:
         t_half += aj * abs(math.cos(aj * math.pi) / math.sin(aj * math.pi))
     return 1.0, t_half * 1.0001
+
+
+def unit_ball_points(params: GroupParams, count: int, seed: int, stream: int) -> np.ndarray:
+    """The points with d < 1 among `count` uniform draws in the ball's
+    bounding box; uniform on the unit ball."""
+    z_half, t_half = ball_bounding_box(params)
+    box = uniform_box(params, CloudSpec(count, z_half, t_half, seed), stream)
+    return box[distance_squared_arrays(params, block_norms_sq_flat(params, box), box[:, -1]) < 1.0]
 
 
 def kernel_feasible_mask(params: GroupParams, coords, h: float = 1.0, budget: float = 25.0):

@@ -53,8 +53,8 @@ from .kernel import (
     kernel_points,
     kernel_product_grid,
 )
-from .reports import VerificationReport, within_band
-from .sampling import ball_bounding_box, philox
+from .reports import VerificationReport
+from .sampling import ball_bounding_box, philox, unit_ball_points
 
 __all__ = [
     "DiffusionSpec",
@@ -447,13 +447,10 @@ def ball_mean(params: GroupParams, f, method="mc", count=200000, seed=7, grid_po
     with the d < 1 indicator (the cell volume cancels in the mean).
     Returns (mean, se); se is None for the grid route.
     """
-    z_half, t_half = ball_bounding_box(params)
     if method == "mc":
-        rng = philox(seed, 101)
-        pts = np.empty((count, params.dim))
-        pts[:, : 2 * params.n] = rng.uniform(-z_half, z_half, size=(count, 2 * params.n))
-        pts[:, -1] = rng.uniform(-t_half, t_half, size=count)
+        kept = unit_ball_points(params, count, seed, 101)
     elif method == "grid":
+        z_half, t_half = ball_bounding_box(params)
         axes = []
         for d in range(params.dim):
             half = z_half if d < 2 * params.n else t_half
@@ -461,11 +458,9 @@ def ball_mean(params: GroupParams, f, method="mc", count=200000, seed=7, grid_po
             axes.append(0.5 * (edges[1:] + edges[:-1]))
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([mm.ravel() for mm in mesh], axis=-1)
+        kept = pts[distance_squared_arrays(params, block_norms_sq_flat(params, pts), pts[:, -1]) < 1.0]
     else:
         raise ValueError("method must be 'mc' or 'grid'")
-    zsq = block_norms_sq_flat(params, pts)
-    inside = distance_squared_arrays(params, zsq, pts[:, -1]) < 1.0
-    kept = pts[inside]
     vals = f.value(kept)
     mean = float(np.mean(vals))
     if method == "mc":
@@ -477,7 +472,7 @@ def ball_mean(params: GroupParams, f, method="mc", count=200000, seed=7, grid_po
 # Inequality checks
 # ---------------------------------------------------------------------------
 
-def check_li_inequality(params, family, points, h_values, dspec, frozen=None) -> VerificationReport:
+def check_li_inequality(params, family, points, h_values, dspec) -> VerificationReport:
     """Empirical constant sup |grad e^{h D} f(g)| / e^{h D}(|grad f|)(g).
 
     Denominators below ten Monte Carlo standard errors are excluded so the
@@ -532,12 +527,6 @@ def check_li_inequality(params, family, points, h_values, dspec, frozen=None) ->
         exclusions=excluded,
     )
     rep.require(np.isfinite(best), "empirical constant must be finite")
-    if frozen:
-        rep.frozen = dict(frozen)
-        rep.require(
-            within_band(best, frozen["constant"]),
-            "empirical constant left the frozen 20 percent band",
-        )
     return rep
 
 
@@ -583,7 +572,7 @@ def check_commutation(params, f, h, g_flat, dspec, qspec=None, method="mc") -> V
     return rep
 
 
-def check_cheeger(params, family, dspec, ball_count=200000, frozen=None) -> VerificationReport:
+def check_cheeger(params, family, dspec, ball_count=200000) -> VerificationReport:
     """Weighted L1 oscillation bounds: global, ball-only, and complement.
 
     global      E|f(W) - m_f| / E|grad f|(W)      (W ~ kernel at h = 1)
@@ -593,13 +582,7 @@ def check_cheeger(params, family, dspec, ball_count=200000, frozen=None) -> Veri
     W = sample_heat_points(params, 1.0, dspec.with_stream(9))
     zsqW = block_norms_sq_flat(params, W)
     outside = distance_squared_arrays(params, zsqW, W[:, -1]) >= 1.0
-    z_half, t_half = ball_bounding_box(params)
-    rng = philox(dspec.seed, 909)
-    box = np.empty((ball_count, params.dim))
-    box[:, : 2 * params.n] = rng.uniform(-z_half, z_half, size=(ball_count, 2 * params.n))
-    box[:, -1] = rng.uniform(-t_half, t_half, size=ball_count)
-    inball = distance_squared_arrays(params, block_norms_sq_flat(params, box), box[:, -1]) < 1.0
-    ball_pts = box[inball]
+    ball_pts = unit_ball_points(params, ball_count, dspec.seed, 909)
 
     sups = {"global": 0.0, "ball": 0.0, "complement": 0.0}
     excluded = 0
@@ -630,17 +613,10 @@ def check_cheeger(params, family, dspec, ball_count=200000, frozen=None) -> Veri
         exclusions=excluded,
     )
     rep.require(all(np.isfinite(v) for v in sups.values()), "ratios must be finite")
-    if frozen:
-        rep.frozen = dict(frozen)
-        for key in sups:
-            rep.require(
-                within_band(sups[key], frozen[key]),
-                f"{key} oscillation ratio left the frozen band",
-            )
     return rep
 
 
-def check_log_sobolev_poincare(params, family, points, h_values, dspec, frozen=None) -> VerificationReport:
+def check_log_sobolev_poincare(params, family, points, h_values, dspec) -> VerificationReport:
     """Empirical entropy and variance constants of the semigroup.
 
     entropy   [E phi^2 log phi^2 - E phi^2 log E phi^2] / (h E |grad f|^2)
@@ -688,16 +664,6 @@ def check_log_sobolev_poincare(params, family, points, h_values, dspec, frozen=N
         exclusions=excluded,
     )
     rep.require(np.isfinite(sup_ent) and np.isfinite(sup_var), "constants must be finite")
-    if frozen:
-        rep.frozen = dict(frozen)
-        rep.require(
-            within_band(sup_ent, frozen["entropy_constant"]),
-            "entropy constant left the frozen band",
-        )
-        rep.require(
-            within_band(sup_var, frozen["variance_constant"]),
-            "variance constant left the frozen band",
-        )
     return rep
 
 

@@ -2,11 +2,14 @@
 
 Each suite function takes a RunConfig and returns one VerificationReport
 whose stats collect the sub-check results; the verdict is the conjunction
-of the sub-verdicts.  Frozen regression values (recorded on the first
-verified run, shipped as package data) gate the empirical constants with
-a +-20 percent band; finiteness bands like ratio extremes use the frozen
-interval directly.  When a group has no frozen entry the suite still runs
-and the verdict covers only the analytic checks, with a note.
+of the analytic sub-verdicts.  `run_suite` then gates the report once
+against the frozen regression values (recorded on the first verified run,
+shipped as package data): `FROZEN_BANDS` names, per suite, each frozen key,
+the stats path it reads and its band kind.  Empirical constants get a
++-20 percent band, ratio extremes a 0.8 / 1.2 collar on the frozen
+extreme, and the distance-equivalence extremes a 0.9 / 1.1 collar.  When a
+group has no frozen entry the verdict covers only the analytic checks,
+with a note.  `nilheat.freeze` reads the same table from ungated runs.
 
 No numeric logic lives in the CLI; everything observable is produced
 here or deeper in the library.
@@ -35,7 +38,15 @@ from .reports import VerificationReport, load_frozen_bounds, within_band
 from .sampling import CloudSpec, kernel_feasible_mask, philox, uniform_box
 from .testfuncs import indicator_like, standard_family
 
-__all__ = ["SUITE_NAMES", "RunConfig", "config_from_dict", "run_suite", "run_all", "SUITE_RUNNERS"]
+__all__ = [
+    "SUITE_NAMES",
+    "RunConfig",
+    "config_from_dict",
+    "run_suite",
+    "SUITE_RUNNERS",
+    "FROZEN_BANDS",
+    "band_values",
+]
 
 SUITE_NAMES = ("distance", "kernel", "polar", "lemma6", "cheeger", "li", "lse-poe")
 
@@ -86,6 +97,7 @@ class RunConfig:
         )
 
     def frozen_for(self, suite: str):
+        """The shipped frozen entry of this group's suite, or None."""
         try:
             table = load_frozen_bounds()
         except FileNotFoundError:
@@ -277,13 +289,8 @@ def suite_distance(cfg: RunConfig) -> VerificationReport:
     rep.stats["mu_roundtrip_max"] = float(rt.max())
     rep.require(float(rt.max()) <= 1e-12, "mu inverse roundtrip above 1e-12")
 
-    eq = dist.check_distance_equivalence(
-        params, CloudSpec(count, 2.0, 3.0, cfg.seed), frozen=cfg.frozen_for("distance")
-    )
+    eq = dist.check_distance_equivalence(params, CloudSpec(count, 2.0, 3.0, cfg.seed))
     rep.stats["equivalence"] = dict(eq.stats)
-    rep.frozen = dict(eq.frozen)
-    if not cfg.frozen_for("distance"):
-        rep.notes.append("no frozen bounds for this group; band check skipped")
     rep.require(bool(eq.passed), "distance equivalence report failed")
     return rep
 
@@ -394,23 +401,7 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     rep.stats["t_log_derivative_constant"] = c4
     rep.require(np.isfinite(c3) and np.isfinite(c4), "log-derivative sups must be finite")
 
-    frozen = cfg.frozen_for("kernel")
-    if frozen:
-        rep.frozen = dict(frozen)
-        rep.require(within_band(c3, frozen["log_gradient_constant"]), "c3 left the frozen band")
-        rep.require(within_band(c4, frozen["t_log_derivative_constant"]), "c4 left the frozen band")
-        comparison = ker.check_kernel_comparison(
-            params,
-            cl,
-            spec,
-            frozen={
-                "ratio_min": frozen["comparison_ratio_min"],
-                "ratio_max": frozen["comparison_ratio_max"],
-            },
-        )
-    else:
-        rep.notes.append("no frozen bounds for this group; band checks skipped")
-        comparison = ker.check_kernel_comparison(params, cl, spec)
+    comparison = ker.check_kernel_comparison(params, cl, spec)
     rep.stats["comparison"] = dict(comparison.stats)
     rep.require(bool(comparison.passed), "two-sided comparison report failed")
 
@@ -527,22 +518,6 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
         rep.stats["overlap_factor_min"] = float(ov.min())
         rep.stats["overlap_factor_max"] = float(ov.max())
 
-    frozen = cfg.frozen_for("polar")
-    if frozen:
-        rep.frozen = dict(frozen)
-        rep.require(
-            jr.min() >= frozen["jacobian_ratio_min"] * 0.8
-            and jr.max() <= frozen["jacobian_ratio_max"] * 1.2,
-            "Jacobian power-law ratio left the frozen band",
-        )
-        rep.require(
-            pj_ratio.min() >= frozen["pj_ratio_min"] * 0.8
-            and pj_ratio.max() <= frozen["pj_ratio_max"] * 1.2,
-            "p*J comparison ratio left the frozen band",
-        )
-    else:
-        rep.notes.append("no frozen bounds for this group; band checks skipped")
-
     # horizontal path checks at a few chart points
     fam = standard_family(params, count=4, seed=cfg.seed + 17)
     worst_path = None
@@ -588,15 +563,6 @@ def suite_lemma6(cfg: RunConfig) -> VerificationReport:
     rep.require(
         all(v > 0 for v in diag["per_region"].values()), "all three regions must be covered"
     )
-    frozen = cfg.frozen_for("lemma6")
-    if frozen:
-        rep.frozen = dict(frozen)
-        rep.require(
-            within_band(rep.stats["sup_ratio"], frozen["sup_ratio"]),
-            "ray-integral sup left the frozen band",
-        )
-    else:
-        rep.notes.append("no frozen bounds for this group; band check skipped")
     return rep
 
 
@@ -615,14 +581,9 @@ def suite_cheeger(cfg: RunConfig) -> VerificationReport:
     params = cfg.group
     fam, _ = _family_and_points(cfg)
     rep = VerificationReport(identifier="cheeger", config={"group": params.label()}, seed=cfg.seed)
-    inner = sg.check_cheeger(
-        params, fam, cfg.diffusion(), ball_count=cfg.sizes["ball_count"],
-        frozen=cfg.frozen_for("cheeger"),
-    )
+    inner = sg.check_cheeger(params, fam, cfg.diffusion(), ball_count=cfg.sizes["ball_count"])
     rep.stats.update(inner.stats)
     rep.exclusions = inner.exclusions
-    if not cfg.frozen_for("cheeger"):
-        rep.notes.append("no frozen bounds for this group; band checks skipped")
     rep.require(bool(inner.passed), "oscillation-ratio report failed")
 
     # dual-route ball average on a representative function; the midpoint
@@ -648,14 +609,10 @@ def suite_li(cfg: RunConfig) -> VerificationReport:
     fam, points = _family_and_points(cfg)
     rep = VerificationReport(identifier="li", config={"group": params.label()}, seed=cfg.seed)
 
-    li = sg.check_li_inequality(
-        params, fam, points, cfg.h_values, cfg.diffusion(), frozen=cfg.frozen_for("li")
-    )
+    li = sg.check_li_inequality(params, fam, points, cfg.h_values, cfg.diffusion())
     rep.stats["gradient_bound"] = dict(li.stats)
     rep.constant = li.constant
     rep.exclusions = li.exclusions
-    if not cfg.frozen_for("li"):
-        rep.notes.append("no frozen bounds for this group; band check skipped")
     rep.require(bool(li.passed), "gradient-bound report failed")
 
     # mass conservation
@@ -707,13 +664,9 @@ def suite_lse_poe(cfg: RunConfig) -> VerificationReport:
     params = cfg.group
     fam, points = _family_and_points(cfg)
     rep = VerificationReport(identifier="lse-poe", config={"group": params.label()}, seed=cfg.seed)
-    inner = sg.check_log_sobolev_poincare(
-        params, fam, points[:8], cfg.h_values, cfg.diffusion(), frozen=cfg.frozen_for("lse-poe")
-    )
+    inner = sg.check_log_sobolev_poincare(params, fam, points[:8], cfg.h_values, cfg.diffusion())
     rep.stats.update(inner.stats)
     rep.exclusions = inner.exclusions
-    if not cfg.frozen_for("lse-poe"):
-        rep.notes.append("no frozen bounds for this group; band checks skipped")
     rep.require(bool(inner.passed), "entropy/variance report failed")
 
     # small-h scaling of the variance numerator
@@ -743,17 +696,75 @@ SUITE_RUNNERS = {
     "lse-poe": suite_lse_poe,
 }
 
+# band kind -> test of a report value against its frozen value: constants
+# within 20 percent, ratio extremes inside a 0.8 / 1.2 collar
+_BAND_KINDS = {
+    "constant": within_band,
+    "min": lambda value, frozen: value >= frozen * 0.8,
+    "max": lambda value, frozen: value <= frozen * 1.2,
+    # a 10 percent collar: fresh clouds approach the true extremes of the
+    # box from inside, so the recorded values are not hard walls
+    "collar_min": lambda value, frozen: value >= frozen * 0.9,
+    "collar_max": lambda value, frozen: value <= frozen * 1.1,
+}
+
+# suite -> {frozen key: (path into the report's stats, band kind)}
+FROZEN_BANDS = {
+    "distance": {
+        "ratio_min": (("equivalence", "ratio_min"), "collar_min"),
+        "ratio_max": (("equivalence", "ratio_max"), "collar_max"),
+    },
+    "kernel": {
+        "comparison_ratio_min": (("comparison", "ratio_min"), "min"),
+        "comparison_ratio_max": (("comparison", "ratio_max"), "max"),
+        "log_gradient_constant": (("log_gradient_constant",), "constant"),
+        "t_log_derivative_constant": (("t_log_derivative_constant",), "constant"),
+    },
+    "polar": {
+        "jacobian_ratio_min": (("jacobian_ratio_min",), "min"),
+        "jacobian_ratio_max": (("jacobian_ratio_max",), "max"),
+        "pj_ratio_min": (("pj_ratio_min",), "min"),
+        "pj_ratio_max": (("pj_ratio_max",), "max"),
+    },
+    "lemma6": {"sup_ratio": (("sup_ratio",), "constant")},
+    "cheeger": {
+        "global": (("global",), "constant"),
+        "ball": (("ball",), "constant"),
+        "complement": (("complement",), "constant"),
+    },
+    "li": {"constant": (("gradient_bound", "constant"), "constant")},
+    "lse-poe": {
+        "entropy_constant": (("entropy_constant",), "constant"),
+        "variance_constant": (("variance_constant",), "constant"),
+    },
+}
+
+
+def band_values(name: str, rep: VerificationReport) -> dict:
+    """The report's value for each frozen key of suite `name`."""
+    out = {}
+    for key, (path, _) in FROZEN_BANDS[name].items():
+        value = rep.stats
+        for part in path:
+            value = value[part]
+        out[key] = value
+    return out
+
 
 def run_suite(name: str, cfg: RunConfig) -> VerificationReport:
+    """Run one suite and gate its report against the group's frozen bands."""
     if name not in SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITE_RUNNERS[name](cfg)
-
-
-def run_all(cfg: RunConfig):
-    """Run the configured suites; returns (exit_code, {name: report})."""
-    reports = {}
-    for name in cfg.suites:
-        reports[name] = run_suite(name, cfg)
-    failed = [n for n, r in reports.items() if not r.passed]
-    return (1 if failed else 0), reports
+    rep = SUITE_RUNNERS[name](cfg)
+    frozen = cfg.frozen_for(name)
+    if not frozen:
+        rep.notes.append("no frozen bounds for this group; band checks skipped")
+        return rep
+    rep.frozen = dict(frozen)
+    values = band_values(name, rep)
+    for key, (_, kind) in FROZEN_BANDS[name].items():
+        rep.require(
+            _BAND_KINDS[kind](values[key], frozen[key]),
+            f"{key} = {values[key]!r} left its {kind} band around the frozen {frozen[key]!r}",
+        )
+    return rep

@@ -122,6 +122,14 @@ def test_cli_usage_errors(tmp_path, config_path, cli_env):
     noseed.write_text(json.dumps(cfg))
     r = _run_cli(["--config", str(noseed), "verify", "distance"], tmp_path, cli_env)
     _assert_usage_error(r)
+    # a plot with no points
+    for quantity in ("distance-sphere", "ratio-cloud", "kernel-slice"):
+        out = tmp_path / f"{quantity}.csv"
+        r = _run_cli(
+            ["--config", config_path, "plot", quantity, "--out", str(out), "--points", "0"], tmp_path, cli_env
+        )
+        _assert_usage_error(r)
+        assert not out.exists()
 
 
 def test_cli_verify_roundtrip_and_determinism(tmp_path, config_path, cli_env):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from nilheat.groups import GroupPoint, block_norms_sq_flat, multiply_flat
 from nilheat.distance import distance_squared_arrays
 from nilheat.kernel import QuadratureSpec, kernel_zsq
-from nilheat.sampling import philox
+from nilheat.sampling import ball_bounding_box, philox, unit_ball_points
 from nilheat.semigroup import (
     DiffusionSpec,
     TransformedField,
@@ -237,6 +237,21 @@ def test_ball_mean(any_group):
     else:
         m2, se2 = ball_mean(params, f, "mc", count=150000, seed=60)
         assert abs(m1 - m2) <= 3.0 * math.hypot(se1, se2)
+
+
+def test_unit_ball_points_keep_the_box_draw(any_group):
+    # the box draw is the (count, 2n) z uniform, then the t uniform, on one
+    # Philox stream; the ball keeps the rows with d < 1 in draw order
+    params = any_group
+    z_half, t_half = ball_bounding_box(params)
+    rng = philox(11, 909)
+    box = np.empty((5000, params.dim))
+    box[:, :-1] = rng.uniform(-z_half, z_half, size=(5000, 2 * params.n))
+    box[:, -1] = rng.uniform(-t_half, t_half, size=5000)
+    d2 = distance_squared_arrays(params, block_norms_sq_flat(params, box), box[:, -1])
+    pts = unit_ball_points(params, 5000, 11, 909)
+    assert 0 < pts.shape[0] < 5000
+    assert np.array_equal(pts, box[d2 < 1.0])
 
 
 def test_li_inequality_report(h1):
