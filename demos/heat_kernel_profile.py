@@ -1,7 +1,7 @@
 """Heat kernel evaluation: profiles, scaling, mass, and derivative bounds.
 
-Evaluates the kernel by the panel quadrature on the first Heisenberg
-group, where the center-axis profile has the closed form
+Evaluates the kernel by the saddle-line trapezoid rule on the first
+Heisenberg group, where the center-axis profile has the closed form
 sech(pi t / 8)^2 / 64 at unit time, then shows the scaling law, the total
 mass, and the boundedness of h |grad log p_h| / d along a ray.
 
@@ -48,7 +48,7 @@ for h in (0.25, 1.7, 4.0):
 
 # the kernel integrates to one (block-radial reduction of the full integral;
 # the block-norm and t rules meet in one product-grid kernel call)
-mass_spec = QuadratureSpec(tol=1e-9, osc_factor=2.0)
+mass_spec = QuadratureSpec(tol=1e-9)
 mass = integrate_radial(
     h1, lambda zs, t: kernel_product_grid(h1, 1.0, zs, t, mass_spec)[0], rho_max=11.0, t_max=55.0
 )

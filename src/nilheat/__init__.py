@@ -1,11 +1,12 @@
 """Numerics on nonisotropic Heisenberg groups.
 
 Group operations and horizontal frame fields, the Carnot-Caratheodory
-distance in closed form, heat kernel evaluation by oscillatory-integral
-quadrature, chart ("polar") coordinates adapted to the dilation rays, a
-horizontal-diffusion sampler, and a verification harness that estimates
-the constants in the gradient, Cheeger-type, log-Sobolev, and Poincare
-inequalities for the heat semigroup.
+distance in closed form, heat kernel evaluation by the trapezoid rule on
+the saddle line of its Fourier integral, chart ("polar") coordinates
+adapted to the dilation rays, a horizontal-diffusion sampler, and a
+verification harness that estimates the constants in the gradient,
+Cheeger-type, log-Sobolev, and Poincare inequalities for the heat
+semigroup.
 
 The scalar entry points whose names match their home modules (the kernel
 evaluator ``nilheat.kernel.kernel`` and the distance ``nilheat.distance.

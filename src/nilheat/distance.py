@@ -74,7 +74,10 @@ __all__ = [
     "cancellation_exponent",
 ]
 
-_SERIES_CUT = 1e-3
+# Below the cut, mu, mu', w/sin w, w cot w and cot w - 1/w come from five
+# Taylor terms (truncation below 1e-17 relative at the cut); above it the
+# direct formulas lose about eps/w^2 to cancellation (2e-14 relative at 0.05)
+_SERIES_CUT = 0.05
 _THETA_CAP = math.pi - 1e-12
 _SOLVE_BLOCK = 4096  # rows per block: 32 KB temporaries; 8192 and up raised the peak RSS
 _MAX_PASSES = 64  # a row that only bisects is one ulp wide by then
@@ -113,8 +116,13 @@ def _mu_jet(w):
     if small.any():
         w0 = w[small]
         w2 = w0 * w0
-        m[small] = w0 * (2.0 / 3.0 + w2 * (4.0 / 45.0 + w2 * (4.0 / 315.0)))
-        dm[small] = 2.0 / 3.0 + w2 * (4.0 / 15.0 + w2 * (4.0 / 63.0))
+        m[small] = w0 * (
+            2.0 / 3.0
+            + w2 * (4.0 / 45.0 + w2 * (4.0 / 315.0 + w2 * (8.0 / 4725.0 + w2 * (4.0 / 18711.0))))
+        )
+        dm[small] = 2.0 / 3.0 + w2 * (
+            4.0 / 15.0 + w2 * (4.0 / 63.0 + w2 * (8.0 / 675.0 + w2 * (4.0 / 2079.0)))
+        )
     return m, dm
 
 
@@ -194,7 +202,11 @@ def _newton_rows(a, zsq, t):
         # Newton on sinc^2 F: the step is F / (F' + 2 F (cot theta - 1/theta))
         near0 = theta < _SERIES_CUT
         ts = np.where(near0, 0.5, theta)
-        r = np.where(near0, -theta / 3.0, np.cos(ts) / np.sin(ts) - 1.0 / ts)
+        t2 = theta * theta
+        series = -theta * (
+            1.0 / 3.0 + t2 * (1.0 / 45.0 + t2 * (2.0 / 945.0 + t2 * (1.0 / 4725.0)))
+        )
+        r = np.where(near0, series, np.cos(ts) / np.sin(ts) - 1.0 / ts)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = F / (dF + 2.0 * r * F)
         nxt = theta - step
@@ -277,8 +289,12 @@ def _sin_forms(w):
     w_cot = ws * c / s
     if small.any():
         w2 = w[small] * w[small]
-        over_sin[small] = 1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0
-        w_cot[small] = 1.0 - w2 / 3.0 - w2 * w2 / 45.0
+        over_sin[small] = 1.0 + w2 * (
+            1.0 / 6.0 + w2 * (7.0 / 360.0 + w2 * (31.0 / 15120.0 + w2 * (127.0 / 604800.0)))
+        )
+        w_cot[small] = 1.0 - w2 * (
+            1.0 / 3.0 + w2 * (1.0 / 45.0 + w2 * (2.0 / 945.0 + w2 * (1.0 / 4725.0)))
+        )
     return over_sin, w_cot
 
 

@@ -1,49 +1,64 @@
-"""Heat kernel evaluation by deterministic panel quadrature.
+"""Heat kernel evaluation by the trapezoid rule on the saddle line.
 
-After folding the Fourier integral onto [0, inf), the kernel at (z, t)
-for time h is
+The kernel at (z, t) for time h is
 
-    p_h(z, t) = (4 pi h)^{-(n+1)} * I,
-    I = int_0^inf cos(lambda t / 4h) E(lambda) dlambda,
+    p_h(z, t) = (4 pi h)^{-(n+1)} * I,   I = 1/2 int_R e^{i lambda tau} E(lambda) dlambda,
     E = prod_j (a_j lambda / sinh(a_j lambda))^{k_j}
-        * exp(-sum_j |z_j|^2 a_j lambda coth(a_j lambda) / 4h).
+        * exp(-sum_j |z_j|^2 a_j lambda coth(a_j lambda) / 4h),
 
-E is smooth, even, positive, bounded by 1, and decays at the exponential
-rate r(lambda) -> sum_j k_j a_j + sum_j |z_j|^2 a_j/(4h).  log E is a
-function of lambda alone minus a sum linear in the block norms, and so is
-r: each node grid (the probe, a refinement pass, a product grid) is
-tabled once (sum_j k_j log(x_j/sinh x_j) and x_j coth x_j, x_j = a_j
-lambda), and m points meet N nodes in one (m, l) x (l, N) product, with
-no (points, nodes, blocks) array.  Each point gets its own plan from one
-shared probe of E: the cutoff where the local tail bound E(L)/r(L) falls
-below a tenth of the tolerance, an envelope estimate and an initial panel
-count (>= `osc_factor` panels per cosine period).
-Points whose quantized panel count, cutoff and decay rate agree form a
-bucket that shares one panelization.  Each panel carries the nested
-Gauss-Kronrod pair G7/K15: E and the cosine are evaluated at the 15
-Kronrod nodes only, K15 gives the value and |K15 - G7| (G7 reusing the
-odd-indexed nodes) drives adaptive refinement.  Node sums are fixed
-15-term dot products and panel sums plain `np.sum`, so a given batch gives
-bit-identical results from run to run.
+with tau = |t|/4h (p is even in t).  E is even, real on the real line and
+analytic in the strip |Im lambda| < pi/a_l = pi, so the integral may be
+taken on any line Im lambda = sigma inside it:
 
-Tolerances are relative to the envelope integral int E dlambda.  Because
-the cosine may cancel most of the envelope, the achievable *relative*
-accuracy of p degrades by roughly exp((d^2 - |z|^2)/4h); the error field
-of KernelValue accounts for this through a floating-noise floor, and
-`distance.cancellation_exponent` predicts it.  Sample clouds should stay
-within a cancellation budget of ~25 log-units.
+    I = e^{-sigma tau} int_0^inf Re(e^{i x tau} E(x + i sigma)) dx.
 
-A call's working set is bounded whatever its size: the probe runs in
-blocks of `_PROBE_CHUNK` points and the panel sums in chunks of about
-`_PANEL_CHUNK` (point, node) entries, each chunk reduced to per-point
-sums and a per-panel error maximum before the next, so a batch as large
-as a whole ray suite (`polar.ray_integrals`) costs no (points, panels)
-array.
+On the real line the cosine cancels about (d^2 - |z|^2)/4h log-units.  The
+stationarity condition of -sigma tau + log E(i sigma) is the angle
+equation, so the saddle sits at sigma = theta, the Carnot-Caratheodory
+angle of (z, t) (Beals, Gaveau & Greiner, J. Math. Pures Appl. 2000).  On
+the line through it the integrand does not cancel, and the trapezoid rule
 
-Derivatives are taken under the integral sign (the decay is exponential,
-so differentiation and integration commute): each d/dx_{i,j} pulls down
--x_{i,j} a_i lambda coth(a_i lambda)/(2h) and d/dt turns the cosine into
--lambda sin(.)/(4h).  Finite differences are used only as test oracles.
+    I_Delta = e^{-sigma tau} Delta [E(i sigma)/2
+              + sum_{k>=1} Re(e^{i k Delta tau} E(k Delta + i sigma))]
+
+converges geometrically in the step (Trefethen & Weideman, SIAM Rev.
+2014).  Every sigma in the strip gives the same integral, so theta only
+has to be near:
+
+- sigma is |theta| floored onto rungs of pi/64, at most the top rung
+  59/64 pi, which boundary-branch points take; the t = 0 slice takes 0.
+- omega = 2 pi/Delta is at least tau + C/pi and C/(pi - sigma), the
+  aliasing terms of the shifts down to Im lambda = -pi and up to the pole
+  at i pi, and sqrt(2 C kappa), kappa = sum_j |z_j|^2 a_j^2 mu'(a_j
+  sigma)/4h the saddle's curvature; C = 13 + log(1/tol).  These leave out
+  the essential singularity of E at i pi when z_l != 0, so near the top
+  rungs the Delta rule can stop short of e^{-C} (1e-6 relative on some
+  lemma6 ray nodes); the Delta/2 rule squares its error.
+- the cutoff L is where |E| has fallen by e^{-C} below the value, at its
+  asymptotic decay rate r = sum_j k_j a_j + sum_j |z_j|^2 a_j/4h.
+
+omega and L are rounded up onto rungs of an eighth of an octave, so a
+point's grid depends only on its (sigma, omega, L) rungs, never on the
+other points of its call.  Points with equal rungs share a grid and its
+complex node tables, sum_j k_j log(x_j/sinh x_j) and x_j coth x_j at
+x_j = a_j lambda_k.  log E is the first minus a part linear in the block
+norms, so m points meet N nodes in two real (m, l) x (l, N) products,
+then one `exp` and one `cos` per entry; the sums run in chunks of about
+`_CHUNK` (point, node) entries.
+
+The value returned is the Delta/2 sum, which reuses every node of the
+Delta sum.  Its error estimate is |I_Delta - I_{Delta/2}|, plus the tail
+bound 2 |term at L|/r, plus eps times the absolute sum of the terms
+weighted by the size of their exponents (their rounding noise).
+
+Derivatives are taken under the integral sign from the same terms:
+d/dx_{i,j} weights them by -x_{i,j} a_i lambda coth(a_i lambda)/(2h), and
+d/dt by sign(t) i lambda/4h.  Finite differences are test oracles only.
+
+The suites still clip their clouds with `sampling.kernel_feasible_mask`
+(25 log-units of `distance.cancellation_exponent`) and truncate the rays
+of `polar.ray_integrals`: these decide which points a cloud holds, and
+the frozen constants are extremes over those points.
 """
 
 from __future__ import annotations
@@ -53,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import distance_squared_arrays, solve_theta_arrays
+from .distance import distance_squared_arrays, mu_prime, solve_theta_arrays
 from .groups import (
     GroupParams,
     GroupPoint,
@@ -82,15 +97,15 @@ __all__ = [
 ]
 
 _POSITIVITY_FLOOR = 1e-300
-# Working-set bounds: (point, node) entries per `_eval_panels` chunk, and
-# rows per `_plan` probe block (256 x 385 entries).  Each temporary then
-# stays under a megabyte whatever the batch size.
-_PANEL_CHUNK = 3e4
-_PROBE_CHUNK = 256
+_SIGMA_RUNGS = 64  # rungs of the line height per strip half-width pi
+_TOP_RUNG = 59  # highest line, 59/64 pi: caps the pole term C/(pi - sigma) of omega
+_OCTAVE_RUNGS = 8  # rungs per octave of omega and L
+_NODE_CAP = 1 << 16  # nodes per point on the Delta/2 grid
+_CHUNK = 3e4  # (point, node) entries per chunk of the sums
 
 
 class QuadratureError(RuntimeError):
-    """Panel budget or cutoff cap hit before the error target was met."""
+    """Node cap or cutoff cap hit: the grid cannot reach the target."""
 
 
 class KernelConditioningError(RuntimeError):
@@ -101,19 +116,15 @@ class KernelConditioningError(RuntimeError):
 class QuadratureSpec:
     """Controls for the lambda integral.
 
-    tol: target error relative to the envelope integral.
-    lambda_max: hard cutoff cap.
-    panel_budget: maximum number of panels.
-    osc_factor: minimum panels per cosine period.
+    tol: target error relative to the value, 0 < tol < 1.
+    lambda_max: hard cap on the cutoff L.
     """
 
     tol: float = 1e-10
     lambda_max: float = 400.0
-    panel_budget: int = 4096
-    osc_factor: float = 8.0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.lambda_max <= 0 or self.panel_budget < 8:
+        if not (0.0 < self.tol < 1.0 and self.lambda_max > 0):
             raise ValueError("invalid quadrature spec")
 
 
@@ -129,161 +140,28 @@ class KernelValue:
             raise KernelConditioningError("kernel value at or below the positivity floor")
 
 
-# Gauss-Kronrod pair G7/K15 on [-1, 1] (Kronrod 1965; QUADPACK qk15): the
-# 15 Kronrod nodes in ascending order, the odd-indexed ones being the 7
-# Gauss-Legendre nodes.  _G7W holds the G7 weights at those nodes, zeros
-# elsewhere, so both rules contract the same 15 values.
-_KX_POS = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.0,
-])
-_KW_POS = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-])
-_KX = np.concatenate([-_KX_POS, _KX_POS[-2::-1]])
-_KW = np.concatenate([_KW_POS, _KW_POS[-2::-1]])
-_G7W = np.zeros(15)
-_G7W[1::2] = np.polynomial.legendre.leggauss(7)[1]
-
-
-def _w_over_sinh_log(x):
-    """log(x/sinh x) for x >= 0, stable for both tiny and large x."""
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-4
-    xs = np.where(small, 1.0, x)
-    big = xs > 30.0
-    xm = np.where(big, 1.0, xs)
-    mid = np.log(xm / np.sinh(xm))
-    large = np.log(2.0 * xs) - xs - np.log1p(-np.exp(-2.0 * xs))
-    out = np.where(big, large, mid)
-    x2 = x * x
-    series = -x2 / 6.0 + 7.0 * x2 * x2 / 360.0
-    return np.where(small, series, out)
-
-
-def _x_coth(x):
-    """x coth x for x >= 0 with series near 0."""
-    x = np.asarray(x, dtype=float)
-    small = x < 1e-4
-    xs = np.where(small, 1.0, x)
-    big = xs > 30.0
-    xm = np.where(big, 1.0, xs)
-    mid = xm / np.tanh(xm)
-    out = np.where(big, xs, mid)
-    x2 = x * x
-    series = 1.0 + x2 / 3.0 - x2 * x2 / 45.0
-    return np.where(small, series, out)
-
-
-def _envelope_tables(params: GroupParams, lam):
-    """Node tables of log E at flat nodes lam (N,): logw (N,) =
-    sum_j k_j log(x_j / sinh x_j) and xc (N, l) = x_j coth x_j, x_j = a_j lam."""
-    x = np.multiply.outer(np.asarray(lam, dtype=float), np.asarray(params.a))
-    return np.sum(np.asarray(params.k, dtype=float) * _w_over_sinh_log(x), axis=-1), _x_coth(x)
+def _line_tables(params: GroupParams, lam):
+    """Node tables of log E at complex nodes lam (N,), Re lam >= 0 and
+    |Im lam| < pi: logw (N,) = sum_j k_j log(x_j/sinh x_j) and xc (N, l) =
+    x_j coth x_j, x_j = a_j lam, by series below |x_j| = 1e-4 and by their
+    asymptotes above Re x_j = 20.  The branch of the log does not matter:
+    only its exponential is used."""
+    x = np.multiply.outer(np.asarray(lam, dtype=complex), np.asarray(params.a))
+    logr, xc = np.empty_like(x), np.empty_like(x)
+    small, big = np.abs(x) < 1e-4, x.real > 20.0
+    mid = ~(small | big)
+    xm, xb, x2 = x[mid], x[big], x[small] ** 2
+    logr[mid], xc[mid] = np.log(xm / np.sinh(xm)), xm / np.tanh(xm)
+    logr[big], xc[big] = np.log(2.0 * xb) - xb, xb
+    logr[small], xc[small] = x2 * (x2 / 180.0 - 1.0 / 6.0), 1.0 + x2 * (1.0 / 3.0 - x2 / 45.0)
+    return logr @ np.asarray(params.k, dtype=float), xc
 
 
 def _log_envelope(h, zsq, tables):
-    """log E at points zsq (m, l) and the tabled nodes: (m, N).  log E is
-    linear in the block norms, so the points enter through one product."""
+    """Real and imaginary parts of log E at points zsq (m, l) and the
+    tabled nodes, each (m, N): log E is linear in the block norms."""
     logw, xc = tables
-    return logw - (zsq @ xc.T) / (4.0 * h)
-
-
-def _rate_tables(params: GroupParams, lam):
-    """Node tables of -d log E / d lambda at flat nodes lam (N,): the
-    geometric part sum_j k_j a_j (coth x_j - 1/x_j) (N,) and
-    a_j d(x_j coth x_j)/dx_j (N, l)."""
-    a = np.asarray(params.a)
-    x = np.multiply.outer(np.asarray(lam, dtype=float), a)
-    small = x < 1e-4
-    xs = np.where(small, 1.0, x)
-    coth = np.where(xs > 30.0, 1.0, 1.0 / np.tanh(np.minimum(xs, 30.0)))
-    geom = np.where(small, x / 3.0, coth - 1.0 / xs)
-    dxcoth = np.where(small, 2.0 * x / 3.0, coth - xs * (coth**2 - 1.0))
-    return np.sum(np.asarray(params.k, dtype=float) * a * geom, axis=-1), a * dxcoth
-
-
-def _decay_rate(h, zsq, tables):
-    """-d log E / d lambda at points zsq (m, l) and the tabled nodes: (m, N);
-    increases monotonically in lambda to its asymptote."""
-    geom, adx = tables
-    return geom + (zsq @ adx.T) / (4.0 * h)
-
-
-def _eval_panels(params, h, zsq, tau, edges, want_extras=False):
-    """K15 panel sums on the grid `edges`, reduced chunk by chunk.
-
-    E and the cosine are evaluated at the 15 Kronrod nodes only; G7 reuses
-    the values at its nodes.  Returns per-point K15 cosine integrals, per-point
-    sums of |K15 - G7| over the panels, the per-panel maximum of |K15 - G7|
-    over the points, per-point K15 envelope integrals and, with want_extras,
-    the derivative moments.  A chunk holds about `_PANEL_CHUNK` (point,
-    node) entries, so no (points, panels) array is kept.
-    """
-    m = zsq.shape[0]
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _KX  # (P, 15)
-    tables = _envelope_tables(params, nodes.ravel())
-    cos, err, env = np.empty(m), np.empty(m), np.empty(m)
-    worst = np.zeros(half.size)
-    extras = None
-    if want_extras:
-        extras = {"coth": np.empty((m, params.l)), "sin": np.empty(m)}
-        cothw = tables[1].reshape(nodes.shape + (params.l,)) * _KW[:, None]  # (P, 15, l)
-    chunk = max(1, int(_PANEL_CHUNK // nodes.size))
-    for s in range(0, m, chunk):
-        e = min(m, s + chunk)
-        E = np.exp(_log_envelope(h, zsq[s:e], tables)).reshape((e - s,) + nodes.shape)
-        phase = tau[s:e, None, None] * nodes
-        ce = np.cos(phase) * E
-        kron = (ce @ _KW) * half
-        perr = np.abs(kron - (ce @ _G7W) * half)
-        cos[s:e] = kron.sum(axis=-1)
-        err[s:e] = perr.sum(axis=-1)
-        np.maximum(worst, perr.max(axis=0), out=worst)
-        env[s:e] = ((E @ _KW) * half).sum(axis=-1)
-        if want_extras:
-            extras["coth"][s:e] = np.einsum("cpn,pnl,p->cl", ce, cothw, half)
-            extras["sin"][s:e] = np.sum(((np.sin(phase) * E * nodes) @ _KW) * half, axis=-1)
-    return cos, err, worst, env, extras
-
-
-def _plan(params, h, zsq, spec):
-    """Per-point cutoff, envelope estimate, tail bound and decay rate.
-
-    All points share one 385-point probe of E, long enough for the slowest
-    asymptotic decay rate among them; each point's cutoff is its first probe
-    node where the tail bound E/r is below tol/10 of its envelope estimate.
-    """
-    a = np.asarray(params.a)
-    rate = float(np.sum(np.asarray(params.k) * a)) + np.sum(zsq * a, axis=-1) / (4.0 * h)
-    lam_hi = min(spec.lambda_max, max(90.0 / rate.min(initial=math.inf), 5.0))
-    probe = np.linspace(0.0, lam_hi, 385)
-    env_tables, rate_tables = _envelope_tables(params, probe), _rate_tables(params, probe)
-    m = zsq.shape[0]
-    lam_cut, env_est, tail = np.empty(m), np.empty(m), np.empty(m)
-    chunk = _PROBE_CHUNK  # bounds the (chunk, 385) probe temporaries
-    for s in range(0, m, chunk):
-        z = zsq[s : s + chunk]
-        env_probe = np.exp(_log_envelope(h, z, env_tables))  # (c, 385)
-        est = np.maximum(np.trapezoid(env_probe, probe, axis=-1), 1e-300)
-        bound = env_probe / np.maximum(_decay_rate(h, z, rate_tables), 1e-300)
-        ok = bound <= 0.1 * spec.tol * est[:, None]
-        ok[:, 0] = False
-        if not bool(ok.any(axis=-1).all()):
-            raise QuadratureError(
-                f"tail bound tol/10 not reachable below lambda_max={spec.lambda_max}"
-            )
-        idx = np.argmax(ok, axis=-1)
-        lam_cut[s : s + chunk] = probe[idx]
-        env_est[s : s + chunk] = est
-        tail[s : s + chunk] = bound[np.arange(idx.size), idx]
-    return lam_cut, env_est, tail, rate
+    return logw.real - zsq @ (xc.real.T / (4.0 * h)), logw.imag - zsq @ (xc.imag.T / (4.0 * h))
 
 
 def _check_inputs(h, zsq, t):
@@ -296,90 +174,137 @@ def _check_inputs(h, zsq, t):
         raise ValueError("block norms |z_j|^2 must be finite and non-negative")
 
 
-def _panel_count(lam_cut, tau, rate, spec):
-    """Initial panels: at least 24, `osc_factor` per cosine period, one per
-    six decay lengths.  QuadratureError if any count exceeds the budget."""
-    with np.errstate(over="ignore"):
-        osc = np.ceil(lam_cut * np.abs(tau) / (2.0 * math.pi) * spec.osc_factor)
-    count = np.maximum(np.maximum(osc, np.ceil(lam_cut * rate / 6.0)), 24)
-    if np.any(count > spec.panel_budget):
+def _sigma_rungs(params: GroupParams, zsq, t):
+    """Rung index of the line height per point: |theta| floored onto
+    rungs of pi/64, capped at the top rung; 0 on the t = 0 slice."""
+    rung = np.zeros(t.shape, dtype=np.int64)
+    on = np.flatnonzero(t != 0.0)  # the origin would make the angle solve raise
+    if on.size:
+        theta, branch, _ = solve_theta_arrays(params, zsq[on], t[on])
+        angle = np.where(branch == 2, math.pi, np.abs(theta))
+        rung[on] = np.minimum(np.floor(angle * (_SIGMA_RUNGS / math.pi)), _TOP_RUNG)
+    return rung
+
+
+def _asymptotic_rate(params: GroupParams, h, zsq):
+    """Asymptotic rate r = sum_j k_j a_j + sum_j |z_j|^2 a_j/4h at which
+    |E(x + i sigma)| decays in x, per point of zsq (m, l)."""
+    a = np.asarray(params.a)
+    return float(np.dot(params.k, a)) + zsq @ a / (4.0 * h)
+
+
+def _grid_rungs(params: GroupParams, h, zsq, tau, sigma, spec):
+    """(omega, L) rung indices per point for lines at heights sigma: the
+    smallest i with 2^(i/8) at or above each."""
+    a = np.asarray(params.a)
+    C = 13.0 + math.log(1.0 / spec.tol)
+    kappa = np.sum(zsq * a * a * mu_prime(np.multiply.outer(sigma, a)), axis=-1) / (4.0 * h)
+    omega = np.maximum(tau + C / math.pi, C / (math.pi - sigma))
+    omega = np.maximum(omega, np.sqrt(2.0 * C * kappa))
+    rate = _asymptotic_rate(params, h, zsq)
+    # the tail bound 2|E(L)|/r against the value: |E| falls from its
+    # saddle value at rate r, after e^{sum |z_j|^2/4h} of slack for blocks
+    # with a_j < 1, an algebraic factor (2 a_j L)^{k_j} and the saddle
+    # width 1/sqrt(kappa)
+    slack = C + np.sum(zsq, axis=-1) / (4.0 * h) + 0.5 * np.log1p(kappa) + np.log(2.0 / rate)
+    algebraic = np.log(2.0 + 2.0 * np.multiply.outer(slack / rate + sigma, a))
+    cut = (slack + algebraic @ np.asarray(params.k)) / rate
+    return tuple(np.ceil(_OCTAVE_RUNGS * np.log2(v)).astype(np.int64) for v in (omega, cut))
+
+
+def _grid(w_rung, cut_rung, spec):
+    """Step Delta and coarse interval count K of one (omega, L) rung pair;
+    QuadratureError past the cutoff or node cap."""
+    cut = 2.0 ** (cut_rung / _OCTAVE_RUNGS)
+    if cut > spec.lambda_max:
         raise QuadratureError(
-            f"needs {float(np.max(count)):.3g} panels to resolve the integrand, "
-            f"budget {spec.panel_budget}"
+            f"quadrature cutoff {cut:.3g} exceeds lambda_max={spec.lambda_max}"
         )
-    return count.astype(int)
+    # K = ceil(L omega / 2 pi), from its log so that no huge tau overflows
+    log2_count = (w_rung + cut_rung) / _OCTAVE_RUNGS - math.log2(2.0 * math.pi)
+    count = math.ceil(2.0 ** min(log2_count, 64.0))
+    if 2 * count + 1 > _NODE_CAP:
+        raise QuadratureError(
+            f"quadrature needs {2.0**log2_count:.3g} steps per point, cap {_NODE_CAP // 2}"
+        )
+    return cut / count, count
 
 
-def _integral_core(params, h, zsq, tau, plan, npan, spec, derivs=False):
-    """Shared-grid quadrature for one bucket of planned points.
+def _weights(step, count):
+    """Trapezoid weights on the half line at nodes k step/2, k = 0..2K:
+    the Delta/2 rule and the Delta rule on its even nodes."""
+    fine = np.full(2 * count + 1, 0.5 * step)
+    fine[0] = 0.25 * step
+    coarse = np.zeros(2 * count + 1)
+    coarse[::2] = step
+    coarse[0] = 0.5 * step
+    return fine, coarse
 
-    zsq: (m, l), tau: (m,), plan: the points' (lam_cut, env_est, tail),
-    npan: initial panels on [0, max lam_cut].  Returns the cosine integral,
-    the error estimate and, with derivs, the derivative moments.
+
+def _line_sums(params, h, zsq, tau, sigma, step, count, derivs=False):
+    """Trapezoid sums of one grid: nodes k step/2 + i sigma, k = 0..2K.
+
+    zsq: (m, l), tau: (m,) >= 0.  Returns the Delta/2 integrals, their error
+    estimates and, with derivs, the moments dI/dtau (m,) and the integrals
+    weighted by x_j coth x_j (m, l).
     """
-    lam_cut, env_est, tail = plan
-    edges = np.linspace(0.0, float(lam_cut.max()), npan + 1)
-    target = spec.tol * env_est
-
-    # adaptive refinement driven by the K15-vs-G7 disagreement; the
-    # derivative moments ride along, since the first grid usually suffices
-    for _ in range(10):
-        cos, total_err, worst, env_int, extras = _eval_panels(params, h, zsq, tau, edges, derivs)
-        if np.all(total_err <= target):
-            break
-        P = edges.size - 1
-        if P >= spec.panel_budget:
-            raise QuadratureError(
-                f"panel budget {spec.panel_budget} exhausted; worst error "
-                f"{float(np.max(total_err / target)):.3g}x target"
-            )
-        thresh = max(float(np.min(target)) / P * 0.5, float(worst.max()) * 0.05)
-        split = worst > thresh
-        if not split.any():
-            split = worst >= float(worst.max()) * 0.5
-        new_edges = [edges[0]]
-        for i in range(P):
-            if split[i]:
-                new_edges.append(0.5 * (edges[i] + edges[i + 1]))
-            new_edges.append(edges[i + 1])
-        edges = np.asarray(new_edges)
-        if edges.size - 1 > spec.panel_budget:
-            raise QuadratureError(
-                f"panel budget {spec.panel_budget} exceeded during refinement"
-            )
-    else:
-        raise QuadratureError("adaptive refinement failed to converge")
-
-    noise = np.finfo(float).eps * env_int * 4.0
-    return {"cos": cos, "err": total_err + tail + noise, "extras": extras}
-
-
-def _batched_core(params, h, zs, ts, spec, derivs=False):
-    """Plan every point once, bucket points by quantized panel count,
-    cutoff and decay rate, and run the refine loop per bucket."""
-    m = zs.shape[0]
-    lam_cut, env_est, tail, rate = _plan(params, h, zs, spec)
-    tau = ts / (4.0 * h)
-    npan = _panel_count(lam_cut, tau, rate, spec)
-    # quarter-octave bins: a bucket's shared grid exceeds any member's own
-    # panel count or cutoff by less than 19 %
-    keys = np.ceil(4.0 * np.log2(np.stack([npan, lam_cut, rate], axis=-1)))
-    _, bucket, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    order = np.argsort(bucket.ravel(), kind="stable")
-    cos = np.empty(m)
-    err = np.empty(m)
-    extras = {"coth": np.empty((m, params.l)), "sin": np.empty(m)} if derivs else None
-    ends = np.cumsum(counts)
-    for lo, hi in zip(ends - counts, ends):
-        sel = order[lo:hi]
-        plan = (lam_cut[sel], env_est[sel], tail[sel])
-        out = _integral_core(params, h, zs[sel], tau[sel], plan, int(npan[sel].max()), spec, derivs)
-        cos[sel] = out["cos"]
-        err[sel] = out["err"]
+    lam = np.arange(2 * count + 1) * (0.5 * step) + 1j * sigma
+    tables = _line_tables(params, lam)
+    xc = tables[1]
+    fine, coarse = _weights(step, count)
+    m = zsq.shape[0]
+    val, diff, absum, noise, last = (np.empty(m) for _ in range(5))
+    if derivs:
+        dtau, dcoth = np.empty(m), np.empty((m, params.l))
+        wre, wim = fine[:, None] * xc.real, fine[:, None] * xc.imag
+    chunk = max(1, int(_CHUNK // lam.size))
+    for s in range(0, m, chunk):
+        e = min(m, s + chunk)
+        re, im = _log_envelope(h, zsq[s:e], tables)
+        re -= (sigma * tau[s:e])[:, None]
+        im += np.multiply.outer(tau[s:e], lam.real)
+        mag = np.exp(re)
+        term = mag * np.cos(im)
+        val[s:e] = term @ fine
+        diff[s:e] = val[s:e] - term @ coarse
+        absum[s:e] = mag @ fine
+        noise[s:e] = (mag * np.abs(im)) @ fine
+        last[s:e] = mag[:, -1]
         if derivs:
-            extras["coth"][sel] = out["extras"]["coth"]
-            extras["sin"][sel] = out["extras"]["sin"]
-    return {"cos": cos, "err": err, "extras": extras}
+            sine = mag * np.sin(im)
+            dtau[s:e] = -sigma * val[s:e] - sine @ (fine * lam.real)
+            dcoth[s:e] = term @ wre - sine @ wim
+    rate = _asymptotic_rate(params, h, zsq)
+    eps = np.finfo(float).eps
+    noise = eps * (noise + (4.0 + 2.0 * sigma * tau) * absum)
+    out = {"val": val, "err": np.abs(diff) + 2.0 * last / rate + noise}
+    if derivs:
+        out["dtau"], out["dcoth"] = dtau, dcoth
+    return out
+
+
+def _trapezoid(params, h, zsq, t, spec, derivs=False):
+    """Saddle-line trapezoid integrals I at points zsq (m, l), t (m,):
+    points with equal (sigma, omega, L) rungs share one grid."""
+    tau = np.abs(t) / (4.0 * h)
+    rung = _sigma_rungs(params, zsq, t)
+    sigma = rung * (math.pi / _SIGMA_RUNGS)
+    w_rung, cut_rung = _grid_rungs(params, h, zsq, tau, sigma, spec)
+    m = zsq.shape[0]
+    order = np.lexsort((cut_rung, w_rung, rung))
+    keys = np.stack([rung[order], w_rung[order], cut_rung[order]])
+    starts = np.flatnonzero(np.r_[m > 0, np.any(keys[:, 1:] != keys[:, :-1], axis=0)])
+    ends = np.r_[starts[1:], m]
+    grids = [_grid(keys[1, s], keys[2, s], spec) for s in starts]  # raise before any work
+    out = {"val": np.empty(m), "err": np.empty(m)}
+    if derivs:
+        out["dtau"], out["dcoth"] = np.empty(m), np.empty((m, params.l))
+    for s, e, (step, count) in zip(starts, ends, grids):
+        sel = order[s:e]
+        part = _line_sums(params, h, zsq[sel], tau[sel], sigma[sel[0]], step, count, derivs)
+        for name, arr in part.items():
+            out[name][sel] = arr
+    return out
 
 
 def kernel_zsq(params: GroupParams, h: float, zsq, t, spec=None):
@@ -393,12 +318,10 @@ def kernel_zsq(params: GroupParams, h: float, zsq, t, spec=None):
     _check_inputs(h, zsq, t)
     shape = np.broadcast_shapes(zsq.shape[:-1], t.shape)
     zs = np.ascontiguousarray(np.broadcast_to(zsq, shape + (params.l,)).reshape(-1, params.l))
-    ts = np.ascontiguousarray(np.broadcast_to(t, shape).reshape(-1))
+    ts = np.broadcast_to(t, shape).reshape(-1)
     norm = (4.0 * math.pi * h) ** (-(params.n + 1))
-    out = _batched_core(params, h, zs, ts, spec)
-    vals = (norm * out["cos"]).reshape(shape)
-    errs = (norm * out["err"]).reshape(shape)
-    return vals, errs
+    out = _trapezoid(params, h, zs, ts, spec)
+    return (norm * out["val"]).reshape(shape), (norm * out["err"]).reshape(shape)
 
 
 def kernel(params: GroupParams, h: float, g: GroupPoint, spec=None) -> KernelValue:
@@ -419,12 +342,11 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
 
     zsq: (..., l), read as m1 rows; tvals: any shape, read as m2 values.
     Returns (values, errors) of shape (m1, m2), so the (m1, 1, l) and
-    (1, m2) arrays of `integrate_radial` can be passed straight in.  All
-    pairs share one panelization, so the cosine transform becomes a single
-    matrix contraction; the error estimate compares the working grid
-    against one with doubled panels.  Intended for tensor grids where
-    evaluating every (z, t) pair separately would repeat the envelope work
-    m2 times.
+    (1, m2) arrays of `integrate_radial` can be passed straight in.  The
+    trapezoid rule runs on the real line (sigma = 0) on one grid shared by
+    the whole product, so the t factor is a single matrix product; the
+    error estimate is the Delta rule against the Delta/2 rule, the tail
+    bound and the rounding noise.
     """
     spec = spec or QuadratureSpec(tol=1e-9)
     zsq = np.asarray(zsq, dtype=float).reshape(-1, params.l)
@@ -432,32 +354,25 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
     _check_inputs(h, zsq, tvals)
     if zsq.shape[0] == 0 or tvals.size == 0:
         raise ValueError("empty product grid")
-    m1 = zsq.shape[0]
-    lam_cut, _, tail, rate = _plan(params, h, zsq, spec)
-    lam_cut = float(lam_cut.max())
-    r_inf = float(rate.min())
-    tau = tvals / (4.0 * h)
-    npan = int(_panel_count(lam_cut, np.max(np.abs(tau)), r_inf, spec))
-    if 2 * npan > spec.panel_budget:
-        raise QuadratureError("panel budget exceeded on the product grid")
-
-    def _value(npanels):
-        nodes, wts = _panel_rule(np.linspace(0.0, lam_cut, npanels + 1), _KX, _KW)
-        tables = _envelope_tables(params, nodes)
-        out = np.empty((m1, tvals.size))
-        cosM = np.cos(np.multiply.outer(tau, nodes))  # (m2, N)
-        chunk = max(1, int(8e6 // max(nodes.size, 1)))
-        for s in range(0, m1, chunk):
-            e = min(m1, s + chunk)
-            Ew = np.exp(_log_envelope(h, zsq[s:e], tables)) * wts
-            out[s:e] = Ew @ cosM.T
-        return out
-
-    v_coarse = _value(npan)
-    v_fine = _value(2 * npan)
+    tau = np.abs(tvals) / (4.0 * h)
+    # omega grows with tau and L does not depend on it: the largest tau
+    # sets every row's rungs, and the largest rungs the shared grid
+    w_rung, cut_rung = _grid_rungs(params, h, zsq, np.full(zsq.shape[0], tau.max()), 0.0, spec)
+    step, count = _grid(int(w_rung.max()), int(cut_rung.max()), spec)
+    lam = np.arange(2 * count + 1) * (0.5 * step)
+    fine, coarse = _weights(step, count)
+    env = np.exp(_log_envelope(h, zsq, _line_tables(params, lam))[0])  # (m1, N)
+    cos = np.cos(np.multiply.outer(tau, lam)).T  # (N, m2)
+    val = (env * fine) @ cos
+    err = (env * (fine - coarse)) @ cos
+    np.abs(err, out=err)
+    rate = _asymptotic_rate(params, h, zsq)
+    noise = np.finfo(float).eps * (4.0 + tau.max() * lam[-1]) * (env @ fine)
+    err += (2.0 * env[:, -1] / rate + noise)[:, None]
     norm = (4.0 * math.pi * h) ** (-(params.n + 1))
-    err = np.abs(v_fine - v_coarse) + tail[:, None] + np.finfo(float).eps * 4.0 / max(r_inf, 1e-3)
-    return norm * v_fine, norm * err
+    val *= norm
+    err *= norm
+    return val, err
 
 
 def kernel_derivatives(params: GroupParams, h: float, coords, spec=None):
@@ -470,22 +385,18 @@ def kernel_derivatives(params: GroupParams, h: float, coords, spec=None):
     shape = coords.shape[:-1]
     flat = coords.reshape(-1, params.dim)
     zsq = block_norms_sq_flat(params, flat)
-    _check_inputs(h, zsq, flat[:, -1])
+    t = flat[:, -1]
+    _check_inputs(h, zsq, t)
     norm = (4.0 * math.pi * h) ** (-(params.n + 1))
-    out = _batched_core(params, h, zsq, np.ascontiguousarray(flat[:, -1]), spec, derivs=True)
-    p = norm * out["cos"]
-    coth_int = norm * out["extras"]["coth"]  # (m, l)
-    sin_int = norm * out["extras"]["sin"]  # (m,)
+    out = _trapezoid(params, h, zsq, t, spec, derivs=True)
     n = params.n
     dp = np.empty((flat.shape[0], params.dim))
-    x = flat[:, 0 : 2 * n : 2]
-    y = flat[:, 1 : 2 * n : 2]
-    wblk = coth_int[:, params.pair_block]
-    dp[:, 0 : 2 * n : 2] = -x / (2.0 * h) * wblk
-    dp[:, 1 : 2 * n : 2] = -y / (2.0 * h) * wblk
-    dp[:, 2 * n] = -sin_int / (4.0 * h)
+    wblk = (norm * out["dcoth"])[:, params.pair_block]
+    dp[:, 0 : 2 * n : 2] = -flat[:, 0 : 2 * n : 2] / (2.0 * h) * wblk
+    dp[:, 1 : 2 * n : 2] = -flat[:, 1 : 2 * n : 2] / (2.0 * h) * wblk
+    dp[:, 2 * n] = np.sign(t) * norm * out["dtau"] / (4.0 * h)
     return {
-        "p": p.reshape(shape),
+        "p": (norm * out["val"]).reshape(shape),
         "dp": dp.reshape(shape + (params.dim,)),
         "err": (norm * out["err"]).reshape(shape),
     }
@@ -642,4 +553,4 @@ def integrate_radial(params: GroupParams, func, rho_max, t_max, points=16, scale
     rho, w_rho = _tensor_rule(axes_nodes, axes_weights)
     t_nodes, t_wts = axis(-t_max, t_max, 2.5 * scale)
     vals = func(rho[:, None, :] ** 2, t_nodes[None, :])
-    return float(np.sum(vals * np.multiply.outer(w_rho, t_wts)))
+    return float(w_rho @ np.broadcast_to(vals, (w_rho.size, t_wts.size)) @ t_wts)

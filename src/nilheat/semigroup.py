@@ -8,8 +8,8 @@ Two independent evaluation routes are kept everywhere it is feasible:
               accumulated as a weighted Levy area with the trapezoidal
               rule); weak error O(steps^-1).
   quadrature  integrate f(g . g') p_h(g') over a tensor grid covering the
-              translated support of f, with kernel values from the panel
-              quadrature.
+              translated support of f, with kernel values from the
+              saddle-line quadrature.
 
 Disagreement between the routes beyond combined error bars is treated as
 a build-stopping signal by the test suite.
@@ -585,8 +585,9 @@ def check_cheeger(params, family, dspec, ball_count=200000) -> VerificationRepor
     ball_pts = unit_ball_points(params, ball_count, dspec.seed, 909)
 
     sups = {"global": 0.0, "ball": 0.0, "complement": 0.0}
+    argmax = dict.fromkeys(sups)  # the function index and scale that set each sup
     excluded = 0
-    for f in family:
+    for fi, f in enumerate(family):
         fW, grad_W = f.jet(W, 1)
         gW = _hgrad_power(params, grad_W, W)
         den = float(np.mean(gW))
@@ -596,19 +597,23 @@ def check_cheeger(params, family, dspec, ball_count=200000) -> VerificationRepor
             continue
         fB, grad_B = f.jet(ball_pts, 1)
         m_f = float(np.mean(fB))
-        sups["global"] = max(sups["global"], float(np.mean(np.abs(fW - m_f))) / den)
-        sups["complement"] = max(
-            sups["complement"], float(np.mean(np.abs(fW - m_f) * outside)) / den
-        )
+        ratios = {
+            "global": float(np.mean(np.abs(fW - m_f))) / den,
+            "complement": float(np.mean(np.abs(fW - m_f) * outside)) / den,
+        }
         gB = _hgrad_power(params, grad_B, ball_pts)
         denB = float(np.mean(gB))
         if denB > 0:
-            sups["ball"] = max(sups["ball"], float(np.mean(np.abs(fB - m_f))) / denB)
+            ratios["ball"] = float(np.mean(np.abs(fB - m_f))) / denB
+        for key, ratio in ratios.items():
+            if ratio > sups[key]:
+                sups[key] = ratio
+                argmax[key] = {"f": fi, "scale": f.scale}
     rep = VerificationReport(
         identifier="cheeger-family",
         config={"group": params.label(), "family": len(family), "paths": dspec.paths},
         seed=dspec.seed,
-        stats=dict(sups),
+        stats={**sups, "argmax": argmax},
         constant=sups["global"],
         exclusions=excluded,
     )
@@ -759,7 +764,7 @@ def check_integration_by_parts(params, f, qspec=None, grid_points=18) -> Verific
     both left and right invariant, with p the unit-time kernel.
 
     Both sides are tensor-grid integrals over the support of f; the kernel
-    and its partials come from the panel quadrature.
+    and its partials come from the saddle-line quadrature.
     """
     qspec = qspec or QuadratureSpec(tol=1e-9)
     lo, hi = f.support_box()

@@ -316,17 +316,15 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
             rep.stats["origin_abs_error"] <= 1e-6,
             "unit-time origin value off the 1/64 anchor",
         )
-        # a looser oscillation factor is plenty here: K15 resolves a full
-        # cosine period per panel far below the 1e-6 target
-        mass_spec = ker.QuadratureSpec(tol=1e-9, osc_factor=2.0)
-        norm = ker.integrate_radial(
-            params,
-            lambda zs, tt: ker.kernel_product_grid(params, 1.0, zs, tt, mass_spec)[0],
-            rho_max=11.0,
-            t_max=55.0,
-        )
-        rep.stats["mass_deviation"] = abs(norm - 1.0)
-        rep.require(rep.stats["mass_deviation"] <= 1e-6, "kernel mass must be 1")
+    mass_spec = ker.QuadratureSpec(tol=1e-9)
+    norm = ker.integrate_radial(
+        params,
+        lambda zs, tt: ker.kernel_product_grid(params, 1.0, zs, tt, mass_spec)[0],
+        rho_max=11.0,
+        t_max=55.0,
+    )
+    rep.stats["mass_deviation"] = abs(norm - 1.0)
+    rep.require(rep.stats["mass_deviation"] <= 1e-6, "kernel mass must be 1")
 
     # scaling law over random (h, g)
     rng = philox(cfg.seed, 3)

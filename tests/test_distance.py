@@ -44,10 +44,17 @@ def test_mu_basic_values():
 
 
 def test_mu_series_consistency():
-    # the series branch joins the direct formula smoothly at the crossover
-    for w in (9.9e-4, 1.01e-3):
-        direct = (2 * w - math.sin(2 * w)) / (2 * math.sin(w) ** 2)
-        assert mu(w) == pytest.approx(direct, rel=1e-10)
+    # both sides of the series cut against 40-digit values; the direct
+    # formula for mu' cancels more than mu's (2.2e-13 relative at 0.0501)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    for w in (1e-6, 9.9e-4, 1.01e-3, 0.02, 0.0499, 0.0501, 0.08, 0.3, 1.5, 2.9):
+        wm = mp.mpf(w)
+        want = (2 * wm - mp.sin(2 * wm)) / (2 * mp.sin(wm) ** 2)
+        want_prime = 2 * (mp.sin(wm) - wm * mp.cos(wm)) / mp.sin(wm) ** 3
+        assert mu(w) == pytest.approx(float(want), rel=5e-14, abs=0.0)
+        assert mu(-w) == -mu(w)
+        assert mu_prime(w) == pytest.approx(float(want_prime), rel=5e-13, abs=0.0)
     # derivative against finite differences
     for w in (0.3, 1.5, 2.9):
         fd = (mu(w + 1e-6) - mu(w - 1e-6)) / 2e-6

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import nilheat.kernel as ker
-from nilheat.distance import distance_squared_arrays
+from nilheat.distance import (
+    cancellation_exponent,
+    distance_squared_arrays,
+    mu_prime,
+    solve_theta_arrays,
+)
 from nilheat.groups import GroupPoint, block_norms_sq_flat, inverse, origin
 from nilheat.kernel import (
     KernelConditioningError,
@@ -35,6 +39,109 @@ def sinh_moment_oracle():
     mp.mp.dps = 40
     half = mp.quad(lambda x: x / mp.sinh(x), [0, mp.inf])
     return 2.0 * float(half)
+
+
+def _line_oracle(params, zsq, t):
+    """p_1(z, t) by `mpmath` on the line Im lambda = sigma near the saddle:
+    e^{-sigma tau} int_0^X Re(e^{i x tau} E(x + i sigma)) dx, tau = |t|/4,
+    with breakpoints at the saddle width 1/sqrt(1 + kappa), or a quarter
+    of the cosine period if that is shorter (with a full period per panel
+    Gauss-Legendre was 1e-13 off at |t| = 202, and with half a period 6e-11
+    off at |t| = 73), and X where E has decayed by e^-45."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    zsq = [float(z) for z in zsq]
+    tau = abs(t) / 4.0
+    sigma = 0.0
+    if t != 0.0:
+        theta, branch, _ = solve_theta_arrays(params, np.array(zsq), t)
+        sigma = 0.95 * math.pi if branch == 2 else min(abs(float(theta)), 0.95 * math.pi)
+    a = np.asarray(params.a)
+    kappa = float(np.sum(np.array(zsq) * a * a * mu_prime(a * sigma))) / 4.0
+    end = (45.0 + sum(zsq) / 4.0) / float(np.dot(params.k, a) + np.dot(zsq, a) / 4.0) + 5.0
+    width = min(1.0 / math.sqrt(1.0 + kappa), 0.5 * math.pi / max(tau, 1.0))
+    s, tm = mp.mpf(sigma), mp.mpf(tau)
+
+    def integrand(x):
+        lam = mp.mpc(x, s)
+        expo = 1j * x * tm - s * tm
+        for aj, kj, zj in zip(params.a, params.k, zsq):
+            w = aj * lam
+            expo += kj * mp.log(w / mp.sinh(w)) - mp.mpf(zj) * w * mp.coth(w) / 4
+        return mp.re(mp.exp(expo))
+
+    nodes = [mp.mpf(width) * k for k in range(int(end / width) + 2)]
+    return float(mp.quad(integrand, nodes, method="gauss-legendre")) * (4.0 * math.pi) ** (
+        -(params.n + 1)
+    )
+
+
+# (block norms, t) from the t = 0 slice to 39 log-units of real-line
+# cancellation, with a boundary-branch point and two noniso ray nodes of
+# the lemma6 suite (|t| = 67.5 and 201.9)
+_ORACLE_CLOUD = {
+    "h1": [
+        ([0.0], 0.0),
+        ([1.5], -4.0),
+        ([0.05], 15.0),
+        ([0.01], 30.0),
+        ([6.08], -72.9),
+    ],
+    "noniso": [
+        ([0.3, 0.4], 0.5),
+        ([2.0, 0.01], 20.0),
+        ([0.0, 0.0], 30.0),
+        ([6.876948773940537, 7.570524017438181], -67.45546912843153),
+        ([0.004519025926464924, 200.15548986153945], -201.94903021505715),
+    ],
+}
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_kernel_against_line_oracle(group, request):
+    params = request.getfixturevalue(group)
+    zsq = np.array([z for z, _ in _ORACLE_CLOUD[group]])
+    t = np.array([t for _, t in _ORACLE_CLOUD[group]])
+    exponents = cancellation_exponent(params, zsq, t)
+    assert exponents.min() < 0.5 and exponents.max() > 33.0
+    vals, errs = kernel_zsq(params, 1.0, zsq, t)
+    for v, e, z, tt in zip(vals, errs, zsq, t):
+        want = _line_oracle(params, z, tt)
+        assert abs(v - want) <= 1e-12 * want
+        assert e < 1e-5 * v
+
+
+def test_origin_anchor_against_oracle(any_group):
+    # p_1(0) = (4 pi)^{-(n+1)} int_0^inf prod_j (a_j lam / sinh a_j lam)^{k_j} dlam
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    params = any_group
+
+    def integrand(lam):
+        return mp.fprod((a * lam / mp.sinh(a * lam)) ** k for k, a in zip(params.k, params.a))
+
+    want = float(mp.quad(integrand, [0, 1, 4, 16, mp.inf])) * (4.0 * math.pi) ** (-(params.n + 1))
+    assert kernel(params, 1.0, origin(params)).value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_ray_block_values_above_their_errors(noniso, monkeypatch):
+    # every node of a 250-ray lemma6 block, 1,344 of them at |t| >= 160
+    import nilheat.polar as polar
+
+    calls = []
+
+    def recording_kernel_zsq(params, h, zsq, t, spec=None):
+        out = kernel_zsq(params, h, zsq, t, spec)
+        calls.append((np.asarray(t), *out))
+        return out
+
+    monkeypatch.setattr(polar, "kernel_zsq", recording_kernel_zsq)
+    u, eta, _, _ = polar.sample_exterior_cloud(noniso, 250, 20250809)
+    polar.ray_integrals(noniso, u, eta)
+    t, vals, errs = (np.concatenate(arrs) for arrs in zip(*calls))
+    assert np.sum(np.abs(t) >= 160.0) > 1000
+    assert np.all(vals > 0.0)
+    assert np.all(vals > errs)
 
 
 def test_origin_value_against_oracle(h1, sinh_moment_oracle):
@@ -154,17 +261,22 @@ def test_rotation_identity(noniso):
 
 
 def test_conditioning_guard(h1):
-    # far out on the t axis the oscillatory cancellation swamps the value
-    g = GroupPoint((np.array([0.1 + 0j]),), 45.0)
+    # |z|^2 = 3025: p_1 is about e^{-756}, below the positivity floor
+    g = GroupPoint((np.array([55.0 + 0j]),), 0.0)
     with pytest.raises(KernelConditioningError):
         log_kernel_left_gradient(h1, 1.0, g)
+    # far out on the t axis, where the real-line cosine cancels 33
+    # log-units, the saddle-line value is accurate and well conditioned
+    g = GroupPoint((np.array([0.1 + 0j]),), 45.0)
+    kv = kernel(h1, 1.0, g)
+    assert abs(kv.value - _line_oracle(h1, [0.01], 45.0)) <= 1e-12 * kv.value
+    assert np.all(np.isfinite(log_kernel_left_gradient(h1, 1.0, g)))
 
 
-def test_panel_budget_guard(h1):
-    spec = QuadratureSpec(tol=1e-10, panel_budget=8, osc_factor=8.0)
-    g = GroupPoint((np.array([0.3 + 0j]),), 1.5)
-    with pytest.raises(QuadratureError):
-        kernel(h1, 0.25, g, spec)
+def test_node_cap_guard(h1):
+    # |t| = 1e200 needs a step far below the node cap's reach
+    with pytest.raises(QuadratureError, match="cap"):
+        kernel_zsq(h1, 1.0, np.array([0.0]), np.array(1e200))
 
 
 def test_invalid_inputs(h1):
@@ -206,7 +318,7 @@ def test_refinement_consistency(noniso):
 
 
 def test_mass_normalization(h1):
-    spec = QuadratureSpec(tol=1e-9, osc_factor=2.0)
+    spec = QuadratureSpec(tol=1e-9)
     total = integrate_radial(
         h1, lambda zs, t: kernel_zsq(h1, 1.0, zs, t, spec)[0], rho_max=11.0, t_max=55.0
     )
@@ -215,7 +327,7 @@ def test_mass_normalization(h1):
 
 def test_scaled_mass_normalization(h1):
     h = 0.5
-    spec = QuadratureSpec(tol=1e-9, osc_factor=2.0)
+    spec = QuadratureSpec(tol=1e-9)
     total = integrate_radial(
         h1,
         lambda zs, t: kernel_zsq(h1, h, zs, t, spec)[0],
@@ -226,13 +338,16 @@ def test_scaled_mass_normalization(h1):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("h", [1.0, 0.5])
-def test_product_grid_mass_normalization(h1, h):
+@pytest.mark.parametrize(
+    "group,h", [("h1", 1.0), ("h1", 0.5), ("noniso", 1.0)], ids=["1.0", "0.5", "noniso"]
+)
+def test_product_grid_mass_normalization(group, h, request):
     # integrate_radial hands its block-norm and t rules to the product grid
-    spec = QuadratureSpec(tol=1e-9, osc_factor=2.0)
+    params = request.getfixturevalue(group)
+    spec = QuadratureSpec(tol=1e-9)
     total = integrate_radial(
-        h1,
-        lambda zs, t: kernel_product_grid(h1, h, zs, t, spec)[0],
+        params,
+        lambda zs, t: kernel_product_grid(params, h, zs, t, spec)[0],
         rho_max=11.0 * math.sqrt(h),
         t_max=55.0 * h,
         scale=h,
@@ -240,46 +355,42 @@ def test_product_grid_mass_normalization(h1, h):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-# lambda nodes whose x_j = a_j lambda fall in all three branches of the
-# envelope helpers on both groups: x < 1e-4, the middle range, x > 30
-_BRANCH_NODES = np.array([0.0, 2e-5, 9e-5, 0.05, 0.7, 3.0, 12.0, 45.0, 90.0, 250.0])
+# complex nodes lambda = x + i sigma whose x_j = a_j lambda fall in all
+# three branches of the node helpers on both groups: |x_j| < 1e-4, the
+# middle range, Re x_j > 20, with sigma up to the top rung 59/64 pi
+_BRANCH_NODES = np.array([0.0, 2e-5, 0.05, 0.7, 3.0, 12.0, 45.0, 90.0, 250.0])[:, None] + 1j * (
+    np.array([0.0, 5e-5, 0.3, 1.5, 59.0 / 64.0 * math.pi])
+)
 
 
 @pytest.mark.parametrize("group", ["h1", "noniso"])
 def test_envelope_tables_match_per_point_formula(group, request):
     params = request.getfixturevalue(group)
-    x = np.multiply.outer(_BRANCH_NODES, params.a)
-    assert (x < 1e-4).any() and ((x > 1e-4) & (x < 30.0)).any() and (x > 30.0).any()
+    lam = _BRANCH_NODES.ravel()
+    x = np.multiply.outer(lam, params.a)
+    assert (np.abs(x) < 1e-4).any() and (x.real > 20.0).any()
+    assert ((np.abs(x) > 1e-4) & (x.real < 20.0)).any()
     zsq = philox(32, 0).uniform(0.0, 3.0, (5, params.l))
     zsq[0] = 0.0
     h = 0.7
-    got = ker._log_envelope(h, zsq, ker._envelope_tables(params, _BRANCH_NODES))
-    want = np.empty_like(got)
-    for i in range(zsq.shape[0]):
-        for n, lam in enumerate(_BRANCH_NODES):
-            logw = sum(k * ker._w_over_sinh_log(a * lam) for k, a in zip(params.k, params.a))
-            s = sum(z * ker._x_coth(a * lam) for z, a in zip(zsq[i], params.a))
-            want[i, n] = logw - s / (4.0 * h)
-    if params.l == 1:
-        assert np.array_equal(got, want)
-    else:
-        assert_allclose(got, want, rtol=1e-14, atol=0.0)
-
-
-@pytest.mark.parametrize("group", ["h1", "noniso"])
-def test_decay_rate_is_minus_log_envelope_slope(group, request):
-    params = request.getfixturevalue(group)
-    lam = _BRANCH_NODES[1:]
-    zsq = philox(33, 0).uniform(0.0, 3.0, (4, params.l))
-    h = 0.7
-    eps = 1e-6 * np.maximum(lam, 1.0)
-
-    def log_e(nodes):
-        return ker._log_envelope(h, zsq, ker._envelope_tables(params, nodes))
-
-    fd = -(log_e(lam + eps) - log_e(lam - eps)) / (2.0 * eps)
-    rate = ker._decay_rate(h, zsq, ker._rate_tables(params, lam))
-    assert_allclose(rate, fd, rtol=1e-6, atol=1e-8)
+    re, im = ker._log_envelope(h, zsq, ker._line_tables(params, lam))
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    want = np.empty(re.shape, dtype=complex)
+    for n, node in enumerate(lam):
+        lam_mp = mp.mpc(node.real, node.imag)
+        for i in range(zsq.shape[0]):
+            e = mp.mpf(1)
+            for k, a, z in zip(params.k, params.a, zsq[i]):
+                w = a * lam_mp
+                ratio, xcoth = (w / mp.sinh(w), w * mp.coth(w)) if w != 0 else (1, 1)
+                e *= ratio**k * mp.exp(-mp.mpf(z) * xcoth / (4 * h))
+            want[i, n] = complex(mp.log(e))
+    # log E carries an absolute rounding error of a few eps |log E|; its
+    # imaginary part only matters modulo 2 pi
+    tol = 4e-16 * (4.0 + np.abs(want))
+    assert np.all(np.abs(re - want.real) <= tol)
+    assert np.all(np.abs(np.angle(np.exp(1j * (im - want.imag)))) <= tol)
 
 
 def test_two_sided_comparison(any_group):
@@ -317,19 +428,6 @@ def test_log_gradient_bound_along_ray(h1):
         ratios.append(float(np.sqrt(np.sum(grad**2))) / d)
     assert np.isfinite(ratios).all()
     assert max(ratios) <= 5.0 * min(ratios)
-
-
-def test_k15_integrates_polynomials_to_degree_22():
-    for j in range(23):
-        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
-        assert abs(ker._KX**j @ ker._KW - exact) <= 1e-14
-
-
-def test_g7_nested_in_k15():
-    gx, gw = np.polynomial.legendre.leggauss(7)
-    assert_allclose(ker._KX[1::2], gx, rtol=0, atol=1e-15)
-    assert_allclose(ker._G7W[1::2], gw, rtol=0, atol=1e-15)
-    assert np.all(ker._G7W[0::2] == 0.0)
 
 
 def test_panel_and_tensor_rule_exact_for_separable_polynomials():
@@ -379,12 +477,12 @@ def test_mixed_batch_matches_single_point_calls(noniso, monkeypatch):
     vals, errs = kernel_zsq(noniso, 1.0, zsq, t)
     for i in range(t.size):
         v1, e1 = kernel_zsq(noniso, 1.0, zsq[i], t[i])
-        assert abs(float(vals[i]) - float(v1)) <= float(errs[i]) + float(e1)
+        assert abs(float(vals[i]) - float(v1)) <= 1e-13 * float(v1)
 
 
 def test_batch_with_unreachable_tail_raises(h1):
-    # the z = 0 point keeps E/r far above tol/10 up to lambda_max = 5,
-    # while the far point alone would be fine
+    # the z = 0 point needs a cutoff far above lambda_max = 5, while the
+    # far point alone would be fine
     spec = QuadratureSpec(lambda_max=5.0)
     kernel_zsq(h1, 1.0, np.array([[400.0]]), np.array([0.0]), spec)
     with pytest.raises(QuadratureError):

@@ -204,17 +204,18 @@ def test_cli_eval_rejects_non_finite_input(tmp_path, config_path, cli_env):
 
 
 def test_cli_eval_quadrature_failure_is_an_error_line(tmp_path, config_path, cli_env):
-    # a panel budget too small for the point, or a |t| whose panel count
-    # overflows: exit 1, one error line
-    small_budget = _write_config(tmp_path, quadrature={"panel_budget": 8})
+    # a cutoff cap too small for the point, or a |t| whose step count
+    # exceeds the node cap: exit 1, one error line
+    small_cap = _write_config(tmp_path, quadrature={"lambda_max": 1.0})
     for args in (
-        ["--config", small_budget, "eval", "kernel", "0.3,0,1.5", "--h", "0.25"],
+        ["--config", small_cap, "eval", "kernel", "0.3,0,1.5", "--h", "0.25"],
         ["--config", config_path, "eval", "kernel", "0,0,1e308"],
         ["--config", config_path, "eval", "kernel", "0,0,1e200"],
     ):
         r = _run_cli(args, tmp_path, cli_env)
         assert r.returncode == 1, r.stderr
-        assert "error:" in r.stderr and "panel" in r.stderr
+        assert "error:" in r.stderr and "quadrature" in r.stderr
+        assert r.stderr.count("\n") == 1, r.stderr
         assert "Traceback" not in r.stderr and "Warning" not in r.stderr, r.stderr
         assert r.stdout == ""
 

@@ -320,6 +320,13 @@ def test_cheeger_report(h1):
     assert rep.passed
     assert rep.stats["ball"] > 0 and rep.stats["global"] > 0
     assert rep.stats["complement"] <= rep.stats["global"] + 1e-12
+    for key in ("global", "ball", "complement"):
+        best = rep.stats["argmax"][key]
+        assert best["scale"] == fam[best["f"]].scale
+    # the recorded function alone reproduces each sup it set
+    for key in ("global", "ball"):
+        alone = check_cheeger(h1, [fam[rep.stats["argmax"][key]["f"]]], SPEC, ball_count=80000)
+        assert alone.stats[key] == rep.stats[key]
 
 
 def test_cheeger_support_outside_ball(h1):
