@@ -20,7 +20,8 @@ The config file is JSON: group (l, k, a with a_l = 1), mandatory seed,
 optional quadrature/diffusion/sizes blocks, suites, output_dir.  Command
 line flags override file values.  Reports embed the resolved config and
 seed; rerunning with the same config and seed reproduces them byte for
-byte, independent of the worker count.
+byte.  verify still parses --workers N (N >= 1) for old command lines and
+ignores it: the diffusion sampler runs serially.
 """
 
 from __future__ import annotations
@@ -87,18 +88,18 @@ def _positive_time(text: str) -> float:
 
 
 def _positive_count(text: str) -> int:
-    """argparse type for --points: an integer >= 1."""
+    """argparse type for --points and --workers: an integer >= 1."""
     try:
         val = int(text)
     except ValueError:
         val = 0
     if val < 1:
-        raise argparse.ArgumentTypeError(f"points must be an integer >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return val
 
 
 def _cmd_verify(args) -> int:
-    overrides = {"seed": args.seed, "output_dir": args.output_dir, "workers": args.workers}
+    overrides = {"seed": args.seed, "output_dir": args.output_dir}
     cfg = _load_config(args.config, overrides)
     suites = args.suite or list(cfg.suites)
     if not suites:
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites and write JSON reports")
     v.add_argument("suite", nargs="*", help=f"suites to run; default from config ({', '.join(SUITE_NAMES)})")
     v.add_argument("--output-dir", help="report directory (overrides config)")
-    v.add_argument("--workers", type=int, help="worker threads for sweeps")
+    v.add_argument("--workers", type=_positive_count, help="ignored; accepted for old command lines")
 
     e = sub.add_parser("eval", help="evaluate the kernel or the distance at a point")
     e.add_argument("quantity", choices=["kernel", "distance"])

@@ -102,6 +102,7 @@ _TOP_RUNG = 59  # highest line, 59/64 pi: caps the pole term C/(pi - sigma) of o
 _OCTAVE_RUNGS = 8  # rungs per octave of omega and L
 _NODE_CAP = 1 << 16  # nodes per point on the Delta/2 grid
 _CHUNK = 3e4  # (point, node) entries per chunk of the sums
+_RADIAL_BLOCK = 1 << 20  # (row, t) entries per integrand call in integrate_radial
 
 
 class QuadratureError(RuntimeError):
@@ -164,14 +165,19 @@ def _log_envelope(h, zsq, tables):
     return logw.real - zsq @ (xc.real.T / (4.0 * h)), logw.imag - zsq @ (xc.imag.T / (4.0 * h))
 
 
-def _check_inputs(h, zsq, t):
-    """Reject a time, block norm or t value the quadrature cannot use."""
+def _check_inputs(params: GroupParams, h, zsq, t) -> float:
+    """Reject a time, block norm or t value the quadrature cannot use, and
+    return the prefactor (4 pi h)^{-(n+1)}, which must be finite."""
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"time parameter h must be finite and positive, got {h}")
     if not np.all(np.isfinite(t)):
         raise ValueError("t values must be finite")
     if not np.all(np.isfinite(zsq) & (zsq >= 0.0)):
         raise ValueError("block norms |z_j|^2 must be finite and non-negative")
+    try:
+        return (4.0 * math.pi * h) ** (-(params.n + 1))
+    except OverflowError:
+        raise ValueError(f"prefactor (4 pi h)^-{params.n + 1} overflows at h = {h}") from None
 
 
 def _sigma_rungs(params: GroupParams, zsq, t):
@@ -315,11 +321,10 @@ def kernel_zsq(params: GroupParams, h: float, zsq, t, spec=None):
     spec = spec or QuadratureSpec()
     zsq = np.asarray(zsq, dtype=float)
     t = np.asarray(t, dtype=float)
-    _check_inputs(h, zsq, t)
+    norm = _check_inputs(params, h, zsq, t)
     shape = np.broadcast_shapes(zsq.shape[:-1], t.shape)
     zs = np.ascontiguousarray(np.broadcast_to(zsq, shape + (params.l,)).reshape(-1, params.l))
     ts = np.broadcast_to(t, shape).reshape(-1)
-    norm = (4.0 * math.pi * h) ** (-(params.n + 1))
     out = _trapezoid(params, h, zs, ts, spec)
     return (norm * out["val"]).reshape(shape), (norm * out["err"]).reshape(shape)
 
@@ -351,7 +356,7 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
     spec = spec or QuadratureSpec(tol=1e-9)
     zsq = np.asarray(zsq, dtype=float).reshape(-1, params.l)
     tvals = np.ravel(np.asarray(tvals, dtype=float))
-    _check_inputs(h, zsq, tvals)
+    norm = _check_inputs(params, h, zsq, tvals)
     if zsq.shape[0] == 0 or tvals.size == 0:
         raise ValueError("empty product grid")
     tau = np.abs(tvals) / (4.0 * h)
@@ -369,7 +374,6 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
     rate = _asymptotic_rate(params, h, zsq)
     noise = np.finfo(float).eps * (4.0 + tau.max() * lam[-1]) * (env @ fine)
     err += (2.0 * env[:, -1] / rate + noise)[:, None]
-    norm = (4.0 * math.pi * h) ** (-(params.n + 1))
     val *= norm
     err *= norm
     return val, err
@@ -386,8 +390,7 @@ def kernel_derivatives(params: GroupParams, h: float, coords, spec=None):
     flat = coords.reshape(-1, params.dim)
     zsq = block_norms_sq_flat(params, flat)
     t = flat[:, -1]
-    _check_inputs(h, zsq, t)
-    norm = (4.0 * math.pi * h) ** (-(params.n + 1))
+    norm = _check_inputs(params, h, zsq, t)
     out = _trapezoid(params, h, zsq, t, spec, derivs=True)
     n = params.n
     dp = np.empty((flat.shape[0], params.dim))
@@ -536,7 +539,9 @@ def integrate_radial(params: GroupParams, func, rho_max, t_max, points=16, scale
 
     func maps block norms zsq (m1, 1, l) and t nodes (1, m2) to values
     broadcastable to (m1, m2): the block-norm rule and the t rule stay
-    separate, so `kernel_product_grid` can serve as the integrand.
+    separate, so `kernel_product_grid` can serve as the integrand.  func
+    sees the block-norm rows in blocks of at most about `_RADIAL_BLOCK`
+    (row, t) entries, which bounds the memory of a product-grid integrand.
     """
     gl = np.polynomial.legendre.leggauss(points)
 
@@ -552,5 +557,10 @@ def integrate_radial(params: GroupParams, func, rho_max, t_max, points=16, scale
         axes_weights.append(wts * _sphere_surface(params.k[j]) * nodes ** (2 * params.k[j] - 1))
     rho, w_rho = _tensor_rule(axes_nodes, axes_weights)
     t_nodes, t_wts = axis(-t_max, t_max, 2.5 * scale)
-    vals = func(rho[:, None, :] ** 2, t_nodes[None, :])
-    return float(w_rho @ np.broadcast_to(vals, (w_rho.size, t_wts.size)) @ t_wts)
+    rows = max(1, _RADIAL_BLOCK // t_nodes.size)
+    total = 0.0
+    for s in range(0, w_rho.size, rows):
+        w = w_rho[s : s + rows]
+        vals = func(rho[s : s + rows, None, :] ** 2, t_nodes[None, :])
+        total += w @ np.broadcast_to(vals, (w.size, t_wts.size)) @ t_wts
+    return float(total)

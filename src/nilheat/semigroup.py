@@ -25,15 +25,14 @@ g . w itself, which is the commutation identity).  At g = 0 the X
 coefficient reduces to -2 a_i Im(w), i.e. the right-invariant frame
 applied to f at w.
 
-All randomness is Philox counter-based keyed by (seed, stream, chunk), so
-results do not depend on chunking or worker count.
+All randomness is Philox counter-based keyed by (seed, stream, chunk index),
+so the same spec draws the same samples bit for bit on every run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,7 +90,6 @@ class DiffusionSpec:
     seed: int = 0
     stream: int = 0
     chunk: int = 8192
-    workers: int = 1
 
     def __post_init__(self):
         if self.steps < 100:
@@ -100,7 +98,7 @@ class DiffusionSpec:
             raise ValueError("invalid diffusion spec")
 
     def with_stream(self, stream: int) -> "DiffusionSpec":
-        return DiffusionSpec(self.steps, self.paths, self.seed, stream, self.chunk, self.workers)
+        return replace(self, stream=stream)
 
 
 def _simulate_chunk(params: GroupParams, h: float, spec: DiffusionSpec, idx: int, count: int):
@@ -133,24 +131,10 @@ def sample_heat_points(params: GroupParams, h: float, spec: DiffusionSpec) -> np
     """
     if h <= 0:
         raise ValueError("time parameter h must be positive")
-    sizes = []
-    start = 0
-    while start < spec.paths:
-        sizes.append(min(spec.chunk, spec.paths - start))
-        start += spec.chunk
     out = np.empty((spec.paths, params.dim))
-
-    def run(i):
-        return i, _simulate_chunk(params, h, spec, i, sizes[i])
-
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(run, range(len(sizes))))
-    else:
-        results = [run(i) for i in range(len(sizes))]
-    for i, block in results:
-        off = i * spec.chunk
-        out[off : off + block.shape[0]] = block
+    for i, start in enumerate(range(0, spec.paths, spec.chunk)):
+        stop = min(start + spec.chunk, spec.paths)
+        out[start:stop] = _simulate_chunk(params, h, spec, i, stop - start)
     return out
 
 
@@ -180,6 +164,11 @@ def right_field_of(params: GroupParams, which, f):
         return _apply_field(params, which, f, coords, right=True)
 
     return _Closure(fn, box=f.support_box())
+
+
+def _mean_se(x):
+    """Sample mean of x and its standard error, as floats."""
+    return float(np.mean(x)), float(np.std(x) / math.sqrt(x.size))
 
 
 def _hgrad_power(params: GroupParams, grad, coords, power=1):
@@ -357,8 +346,7 @@ def semigroup_estimate(params, f, h, g_flat, method="mc", dspec=None, qspec=None
     g_flat = np.asarray(g_flat, dtype=float)
     if method == "mc":
         W = sample_heat_points(params, h, dspec)
-        vals = f.value(multiply_flat(params, g_flat, W))
-        return float(np.mean(vals)), float(np.std(vals) / math.sqrt(vals.size))
+        return _mean_se(f.value(multiply_flat(params, g_flat, W)))
     if method != "quadrature":
         raise ValueError("method must be 'mc' or 'quadrature'")
     if 2.0 * math.sqrt(h) < _field_scale(f):
@@ -462,15 +450,23 @@ def ball_mean(params: GroupParams, f, method="mc", count=200000, seed=7, grid_po
     else:
         raise ValueError("method must be 'mc' or 'grid'")
     vals = f.value(kept)
-    mean = float(np.mean(vals))
     if method == "mc":
-        return mean, float(np.std(vals) / math.sqrt(vals.size))
-    return mean, None
+        return _mean_se(vals)
+    return float(np.mean(vals)), None
 
 
 # ---------------------------------------------------------------------------
 # Inequality checks
 # ---------------------------------------------------------------------------
+
+def _gradient_case(params, f, g_flat, W, pts):
+    """One (f, g) case on the samples W, pts = g . W: |grad e^{h D} f(g)|
+    by the chain rule under the convolution, and |grad f| at each of pts."""
+    grad = f.gradient(pts)
+    cx, cy = _chain_rule_components(params, grad, g_flat, W)
+    num = math.sqrt(float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2)))
+    return num, _hgrad_power(params, grad, pts)
+
 
 def check_li_inequality(params, family, points, h_values, dspec) -> VerificationReport:
     """Empirical constant sup |grad e^{h D} f(g)| / e^{h D}(|grad f|)(g).
@@ -488,14 +484,8 @@ def check_li_inequality(params, family, points, h_values, dspec) -> Verification
             g_flat = np.asarray(g_flat, dtype=float)
             pts = multiply_flat(params, g_flat, W)
             for fi, f in enumerate(family):
-                grad = f.gradient(pts)
-                cx, cy = _chain_rule_components(params, grad, g_flat, W)
-                num = math.sqrt(
-                    float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2))
-                )
-                hnorm = _hgrad_power(params, grad, pts)
-                den = float(np.mean(hnorm))
-                den_se = float(np.std(hnorm) / math.sqrt(hnorm.size))
+                num, hnorm = _gradient_case(params, f, g_flat, W, pts)
+                den, den_se = _mean_se(hnorm)
                 if den <= 10.0 * den_se:
                     excluded += 1
                     continue
@@ -535,11 +525,20 @@ def check_commutation(params, f, h, g_flat, dspec, qspec=None, method="mc") -> V
 
     Left side: the right frame applied to g -> e^{h D} f(g) by central
     finite differences along the frame flows (left translations).  Right
-    side: the semigroup applied to the right frame of f.
+    side: the semigroup applied to the right frame of f.  The mc route
+    draws one sample and evaluates every shifted point and every field on
+    it, so the finite differences see common random numbers.
     """
     g_flat = np.asarray(g_flat, dtype=float)
     eps = 1e-4
-    kw = dict(method=method, dspec=dspec, qspec=qspec)
+    if method == "mc":
+        W = sample_heat_points(params, h, dspec)
+
+        def apply(field, g):
+            return float(np.mean(field.value(multiply_flat(params, g, W))))
+    else:
+        def apply(field, g):
+            return semigroup_apply(params, field, h, g, method, qspec=qspec)
     lhs_all, rhs_all, labels = [], [], []
     for i in range(params.l):
         for j in range(params.k[i]):
@@ -550,12 +549,8 @@ def check_commutation(params, f, h, g_flat, dspec, qspec=None, method="mc") -> V
                 # right-frame flow = left translation by the step point
                 g_plus = multiply_flat(params, step, g_flat)
                 g_minus = multiply_flat(params, -step, g_flat)
-                v_plus = semigroup_apply(params, f, h, g_plus, **kw)
-                v_minus = semigroup_apply(params, f, h, g_minus, **kw)
-                lhs_all.append((v_plus - v_minus) / (2.0 * eps))
-                rhs_all.append(
-                    semigroup_apply(params, right_field_of(params, (i, j, kind), f), h, g_flat, **kw)
-                )
+                lhs_all.append((apply(f, g_plus) - apply(f, g_minus)) / (2.0 * eps))
+                rhs_all.append(apply(right_field_of(params, (i, j, kind), f), g_flat))
                 labels.append(f"{kind}{i}{j}")
     lhs_all = np.asarray(lhs_all)
     rhs_all = np.asarray(rhs_all)
@@ -589,9 +584,7 @@ def check_cheeger(params, family, dspec, ball_count=200000) -> VerificationRepor
     excluded = 0
     for fi, f in enumerate(family):
         fW, grad_W = f.jet(W, 1)
-        gW = _hgrad_power(params, grad_W, W)
-        den = float(np.mean(gW))
-        den_se = float(np.std(gW) / math.sqrt(gW.size))
+        den, den_se = _mean_se(_hgrad_power(params, grad_W, W))
         if den <= 10.0 * den_se:
             excluded += 1
             continue
@@ -642,9 +635,9 @@ def check_log_sobolev_poincare(params, family, points, h_values, dspec) -> Verif
                 shift = 0.5 + float(np.sum(np.abs(f.coeffs)))
                 val, grad = f.jet(pts, 1)
                 phi = val + shift
-                gsq = _hgrad_power(params, grad, pts, power=2)
-                den = float(np.mean(gsq)) * h
-                den_se = float(np.std(gsq) / math.sqrt(gsq.size)) * h
+                den, den_se = _mean_se(_hgrad_power(params, grad, pts, power=2))
+                den *= h
+                den_se *= h
                 if den <= 10.0 * den_se:
                     excluded += 1
                     continue
@@ -688,17 +681,9 @@ def check_holder_corollary(params, family, points, h_values, dspec, constant) ->
             g_flat = np.asarray(g_flat, dtype=float)
             pts = multiply_flat(params, g_flat, W)
             for f in family:
-                grad = f.gradient(pts)
-                cx, cy = _chain_rule_components(params, grad, g_flat, W)
-                num = math.sqrt(
-                    float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2))
-                )
-                hnorm = _hgrad_power(params, grad, pts)
-                mean1 = float(np.mean(hnorm))
-                se1 = float(np.std(hnorm) / math.sqrt(hnorm.size))
-                hsq = hnorm**2
-                mean2 = float(np.mean(hsq))
-                se2 = float(np.std(hsq) / math.sqrt(hsq.size))
+                num, hnorm = _gradient_case(params, f, g_flat, W, pts)
+                mean1, se1 = _mean_se(hnorm)
+                mean2, se2 = _mean_se(hnorm**2)
                 if mean1 <= 10.0 * se1:
                     excluded += 1
                     continue

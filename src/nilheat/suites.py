@@ -73,7 +73,6 @@ class RunConfig:
     quadrature: ker.QuadratureSpec = field(default_factory=ker.QuadratureSpec)
     diffusion_steps: int = 200
     diffusion_paths: int = 10000
-    workers: int = 1
     h_values: tuple = (0.25, 0.5, 1.0, 2.0)
     sizes: dict = field(default_factory=dict)
 
@@ -93,7 +92,6 @@ class RunConfig:
             paths=self.diffusion_paths,
             seed=self.seed,
             stream=stream,
-            workers=self.workers,
         )
 
     def frozen_for(self, suite: str):
@@ -123,11 +121,9 @@ def _quadrature_from_dict(q) -> ker.QuadratureSpec:
     return ker.QuadratureSpec(**q)
 
 
-# the keys config_from_dict reads; seed, output_dir and workers double as
+# the keys config_from_dict reads; seed and output_dir double as
 # command-line overrides
-_CONFIG_KEYS = (
-    "seed", "group", "output_dir", "suites", "quadrature", "diffusion", "workers", "h_values", "sizes",
-)
+_CONFIG_KEYS = ("seed", "group", "output_dir", "suites", "quadrature", "diffusion", "h_values", "sizes")
 
 
 def _h_values_from(h) -> tuple:
@@ -177,7 +173,6 @@ def config_from_dict(d: dict) -> RunConfig:
         quadrature=quad,
         diffusion_steps=_count_from("diffusion steps", diff.get("steps", 200)),
         diffusion_paths=_count_from("diffusion paths", diff.get("paths", 10000)),
-        workers=_count_from("workers", d.get("workers", 1)),
         h_values=_h_values_from(d.get("h_values", [0.25, 0.5, 1.0, 2.0])),
         sizes={k: _count_from(f"sizes {k}", v) for k, v in d.get("sizes", {}).items()},
     )

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nilheat.cli import build_parser
 from nilheat.reports import (
     VerificationReport,
     dumps_report,
@@ -196,6 +197,9 @@ def test_cli_eval_rejects_non_finite_input(tmp_path, config_path, cli_env):
         ["eval", "distance", "1e200,0,0"],
         # a finite point whose distance overflows
         ["eval", "distance", "0,0,1e308"],
+        # a finite h whose prefactor (4 pi h)^-2 overflows
+        ["eval", "kernel", "0.5,0,0", "--h", "1e-300"],
+        ["eval", "kernel", "0,0,0", "--h", "1e-300"],
     ):
         r = _run_cli(["--config", config_path, *args], tmp_path, cli_env)
         _assert_usage_error(r)
@@ -211,6 +215,8 @@ def test_cli_eval_quadrature_failure_is_an_error_line(tmp_path, config_path, cli
         ["--config", small_cap, "eval", "kernel", "0.3,0,1.5", "--h", "0.25"],
         ["--config", config_path, "eval", "kernel", "0,0,1e308"],
         ["--config", config_path, "eval", "kernel", "0,0,1e200"],
+        # a tiny h with a finite prefactor: the quadrature, not the input, fails
+        ["--config", config_path, "eval", "kernel", "0.5,0,0", "--h", "1e-100"],
     ):
         r = _run_cli(args, tmp_path, cli_env)
         assert r.returncode == 1, r.stderr
@@ -346,10 +352,15 @@ def test_config_rejects_bad_sizes_counts(tmp_path, cli_env):
         _assert_config_rejected(tmp_path, cli_env, sizes=sizes)
 
 
-def test_config_rejects_bad_workers(tmp_path, cli_env):
-    for workers in (0, 1.5, True):
-        _assert_config_rejected(tmp_path, cli_env, workers=workers)
+def test_config_rejects_workers_key(tmp_path, cli_env):
+    # the sampler has no worker count: a config key naming one is unknown
+    path = _write_config(tmp_path, workers=1)
     out = tmp_path / "out"
+    r = _run_cli(["--config", path, "verify", "distance", "--output-dir", str(out)], tmp_path, cli_env)
+    _assert_usage_error(r)
+    assert "'workers'" in r.stderr, r.stderr
+    assert not out.exists()
+    # the flag is still parsed as a count
     r = _run_cli(
         ["--config", _write_config(tmp_path), "verify", "distance", "--workers", "0", "--output-dir", str(out)],
         tmp_path,
@@ -361,17 +372,33 @@ def test_config_rejects_bad_workers(tmp_path, cli_env):
 
 def test_config_rejects_bad_counts_before_eval(tmp_path, cli_env):
     # eval reads no count, but the whole config is checked at load
-    path = _write_config(
-        tmp_path, diffusion={"steps": 1.5, "paths": 0}, sizes={"distance_points": -5}, workers=0
-    )
+    path = _write_config(tmp_path, diffusion={"steps": 1.5, "paths": 0}, sizes={"distance_points": -5})
     r = _run_cli(["--config", path, "eval", "distance", "0.6,0.8,0"], tmp_path, cli_env)
     _assert_usage_error(r)
 
 
 def test_config_accepts_integral_float_counts(tmp_path, cli_env):
-    path = _write_config(tmp_path, diffusion={"steps": 120.0, "paths": 6000.0}, workers=1.0)
+    path = _write_config(tmp_path, diffusion={"steps": 120.0, "paths": 6000.0})
     r = _run_cli(["--config", path, "eval", "distance", "0.6,0.8,0"], tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
+
+
+def test_verify_accepts_the_bench_command_line(tmp_path, config_path, cli_env):
+    # bench/run.py drives each suite with this argv; --workers is ignored
+    argv = [
+        "--config", config_path, "--seed", "3", "verify", "li",
+        "--output-dir", "out", "--workers", "1",
+    ]
+    args = build_parser().parse_args(argv)
+    assert (args.command, args.suite, args.seed, args.output_dir) == ("verify", ["li"], 3, "out")
+    out = tmp_path / "out"
+    r = _run_cli(
+        ["--config", config_path, "verify", "distance", "--output-dir", str(out), "--workers", "1"],
+        tmp_path,
+        cli_env,
+    )
+    assert r.returncode == 0, r.stderr
+    assert (out / "distance.json").exists()
 
 
 def test_bench_tracer_names_resolve():

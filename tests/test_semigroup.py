@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nilheat import semigroup
 from nilheat.groups import GroupPoint, block_norms_sq_flat, multiply_flat
 from nilheat.distance import distance_squared_arrays
 from nilheat.kernel import QuadratureSpec, kernel_zsq
 from nilheat.sampling import ball_bounding_box, philox, unit_ball_points
 from nilheat.semigroup import (
     DiffusionSpec,
+    _simulate_chunk,
     TransformedField,
     ball_mean,
     check_cheeger,
@@ -52,14 +54,18 @@ def test_sampler_small_h_concentration(h1):
     assert means[1] / means[0] == pytest.approx(0.2, rel=0.15)
 
 
-def test_sampler_determinism_and_workers(noniso):
-    a = sample_heat_points(noniso, 0.7, DiffusionSpec(steps=120, paths=9000, seed=5, chunk=2048))
-    b = sample_heat_points(noniso, 0.7, DiffusionSpec(steps=120, paths=9000, seed=5, chunk=2048))
-    c = sample_heat_points(
-        noniso, 0.7, DiffusionSpec(steps=120, paths=9000, seed=5, chunk=2048, workers=3)
-    )
-    assert np.array_equal(a, b)
-    assert np.array_equal(a, c)
+def test_sampler_chunk_layout(noniso):
+    # rows [2048 i, 2048 (i + 1)) are chunk i's own Philox block; 9000 paths
+    # leave a short last chunk of 808
+    spec = DiffusionSpec(steps=120, paths=9000, seed=5, stream=3, chunk=2048)
+    a = sample_heat_points(noniso, 0.7, spec)
+    blocks = [
+        _simulate_chunk(noniso, 0.7, spec, i, min(2048, 9000 - start))
+        for i, start in enumerate(range(0, 9000, 2048))
+    ]
+    assert [b.shape[0] for b in blocks] == [2048] * 4 + [808]
+    assert np.array_equal(a, np.concatenate(blocks))
+    assert np.array_equal(a, sample_heat_points(noniso, 0.7, spec))
 
 
 def test_sampler_histogram_matches_kernel(h1):
@@ -196,6 +202,36 @@ def test_commutation_routes(h1):
     assert rep.passed
     rep = check_commutation(h1, f, 1.0, g, None, qspec=QuadratureSpec(tol=1e-9), method="quadrature")
     assert rep.passed
+
+
+def test_commutation_mc_draws_one_sample(h1, monkeypatch):
+    calls = []
+    draw = semigroup.sample_heat_points
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(semigroup, "sample_heat_points", counted)
+    f = standard_family(h1, count=5, seed=10)[4]
+    g = np.array([0.25, -0.4, 0.2])
+    spec = DiffusionSpec(steps=120, paths=4000, seed=3)
+    rep = check_commutation(h1, f, 1.0, g, spec, method="mc")
+    assert len(calls) == 1
+    # the same numbers as one semigroup_estimate per shifted point and field
+    eps = 1e-4
+    lhs, rhs = [], []
+    for kind, c in (("x", 0), ("y", 1)):
+        step = np.zeros(3)
+        step[c] = eps
+        v_plus = semigroup_estimate(h1, f, 1.0, multiply_flat(h1, step, g), "mc", spec)[0]
+        v_minus = semigroup_estimate(h1, f, 1.0, multiply_flat(h1, -step, g), "mc", spec)[0]
+        lhs.append((v_plus - v_minus) / (2.0 * eps))
+        field = right_field_of(h1, (0, 0, kind), f)
+        rhs.append(semigroup_estimate(h1, field, 1.0, g, "mc", spec)[0])
+    errs = np.abs(np.asarray(lhs) - np.asarray(rhs)) / max(float(np.max(np.abs(rhs))), 1e-6)
+    assert rep.stats["per_field"] == {"x00": errs[0], "y00": errs[1]}
+    assert len(calls) == 7
 
 
 def test_commutation_linear_t(noniso):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from nilheat import semigroup as sg
 from nilheat import suites
 from nilheat.freeze import freeze_config
 from nilheat.groups import GroupParams
@@ -100,3 +101,19 @@ def test_freeze_reads_the_ungated_run(monkeypatch):
     assert gated.passed is False
     assert any(note.startswith("FAILED: ratio_max = ") for note in gated.notes)
     assert freeze_config(cfg) == {"distance": gated.stats["equivalence"]}
+
+
+def test_li_sampler_calls_on_h1(monkeypatch):
+    # four h values (the h1 config's) + mass + one commutation draw + three
+    # semigroup-property draws + two holder h values
+    calls = []
+    draw = sg.sample_heat_points
+
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(sg, "sample_heat_points", counted)
+    cfg = config_from_dict(dict(_SMALL_H1, h_values=[0.25, 0.5, 1.0, 2.0], suites=["li"]))
+    SUITE_RUNNERS["li"](cfg)
+    assert len(calls) == 11
