@@ -166,9 +166,16 @@ def right_field_of(params: GroupParams, which, f):
     return _Closure(fn, box=f.support_box())
 
 
-def _mean_se(x):
-    """Sample mean of x and its standard error, as floats."""
-    return float(np.mean(x)), float(np.std(x) / math.sqrt(x.size))
+def _mean_se(x, count=None, fill=0.0):
+    """Sample mean and standard error, as floats, of a `count`-row sample
+    made of the values x and count - x.size rows equal to fill (count
+    defaults to x.size, and then the pair is np.mean(x) and
+    np.std(x) / sqrt(x.size) bit for bit)."""
+    count = x.size if count is None else count
+    rest = count - x.size
+    mean = (float(np.sum(x)) + rest * fill) / count
+    var = (float(np.sum((x - mean) ** 2)) + rest * (fill - mean) ** 2) / count
+    return mean, math.sqrt(var) / math.sqrt(count)
 
 
 def _hgrad_power(params: GroupParams, grad, coords, power=1):
@@ -461,11 +468,13 @@ def ball_mean(params: GroupParams, f, method="mc", count=200000, seed=7, grid_po
 
 def _gradient_case(params, f, g_flat, W, pts):
     """One (f, g) case on the samples W, pts = g . W: |grad e^{h D} f(g)|
-    by the chain rule under the convolution, and |grad f| at each of pts."""
-    grad = f.gradient(pts)
-    cx, cy = _chain_rule_components(params, grad, g_flat, W)
-    num = math.sqrt(float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2)))
-    return num, _hgrad_power(params, grad, pts)
+    by the chain rule under the convolution, and |grad f| on the rows of
+    pts inside f's support (it is zero on the other rows, which add
+    nothing to the chain-rule sums)."""
+    rows, (_, grad) = f.support_jet(pts, 1)
+    cx, cy = _chain_rule_components(params, grad, g_flat, W[rows])
+    mx, my = np.sum(cx, axis=0) / W.shape[0], np.sum(cy, axis=0) / W.shape[0]
+    return math.sqrt(float(np.sum(mx**2) + np.sum(my**2))), _hgrad_power(params, grad, pts[rows])
 
 
 def check_li_inequality(params, family, points, h_values, dspec) -> VerificationReport:
@@ -485,7 +494,7 @@ def check_li_inequality(params, family, points, h_values, dspec) -> Verification
             pts = multiply_flat(params, g_flat, W)
             for fi, f in enumerate(family):
                 num, hnorm = _gradient_case(params, f, g_flat, W, pts)
-                den, den_se = _mean_se(hnorm)
+                den, den_se = _mean_se(hnorm, W.shape[0])
                 if den <= 10.0 * den_se:
                     excluded += 1
                     continue
@@ -494,8 +503,6 @@ def check_li_inequality(params, family, points, h_values, dspec) -> Verification
                 if ratio > best:
                     best = ratio
                     best_case = {"f": fi, "g": gi, "h": h}
-    if not ratios:
-        raise RuntimeError("all cases excluded; nothing to report")
     rep = VerificationReport(
         identifier="gradient-commutation-bound",
         config={
@@ -510,12 +517,13 @@ def check_li_inequality(params, family, points, h_values, dspec) -> Verification
         stats={
             "constant": best,
             "argmax": best_case,
-            "ratio_mean": float(np.mean(ratios)),
+            "ratio_mean": float(np.mean(ratios)) if ratios else None,
             "cases": len(ratios),
         },
         constant=best,
         exclusions=excluded,
     )
+    rep.require(bool(ratios), "all cases excluded; nothing to report")
     rep.require(np.isfinite(best), "empirical constant must be finite")
     return rep
 
@@ -577,27 +585,32 @@ def check_cheeger(params, family, dspec, ball_count=200000) -> VerificationRepor
     W = sample_heat_points(params, 1.0, dspec.with_stream(9))
     zsqW = block_norms_sq_flat(params, W)
     outside = distance_squared_arrays(params, zsqW, W[:, -1]) >= 1.0
+    n_outside = int(np.count_nonzero(outside))
     ball_pts = unit_ball_points(params, ball_count, dspec.seed, 909)
+    nW, nB = W.shape[0], ball_pts.shape[0]
 
     sups = {"global": 0.0, "ball": 0.0, "complement": 0.0}
     argmax = dict.fromkeys(sups)  # the function index and scale that set each sup
     excluded = 0
     for fi, f in enumerate(family):
-        fW, grad_W = f.jet(W, 1)
-        den, den_se = _mean_se(_hgrad_power(params, grad_W, W))
+        # reductions run over the rows inside f's support; on the others
+        # f and grad f vanish, so |f - m_f| = |m_f| there
+        rW, (fW, grad_W) = f.support_jet(W, 1)
+        den, den_se = _mean_se(_hgrad_power(params, grad_W, W[rW]), nW)
         if den <= 10.0 * den_se:
             excluded += 1
             continue
-        fB, grad_B = f.jet(ball_pts, 1)
-        m_f = float(np.mean(fB))
+        rB, (fB, grad_B) = f.support_jet(ball_pts, 1)
+        m_f = _mean_se(fB, nB)[0]
+        devW = np.abs(fW - m_f)
+        outside_rest = n_outside - int(np.count_nonzero(outside[rW]))
         ratios = {
-            "global": float(np.mean(np.abs(fW - m_f))) / den,
-            "complement": float(np.mean(np.abs(fW - m_f) * outside)) / den,
+            "global": _mean_se(devW, nW, abs(m_f))[0] / den,
+            "complement": (float(np.sum(devW * outside[rW])) + outside_rest * abs(m_f)) / nW / den,
         }
-        gB = _hgrad_power(params, grad_B, ball_pts)
-        denB = float(np.mean(gB))
+        denB = _mean_se(_hgrad_power(params, grad_B, ball_pts[rB]), nB)[0]
         if denB > 0:
-            ratios["ball"] = float(np.mean(np.abs(fB - m_f))) / denB
+            ratios["ball"] = _mean_se(np.abs(fB - m_f), nB, abs(m_f))[0] / denB
         for key, ratio in ratios.items():
             if ratio > sups[key]:
                 sups[key] = ratio
@@ -629,22 +642,26 @@ def check_log_sobolev_poincare(params, family, points, h_values, dspec) -> Verif
     cases = 0
     for hi, h in enumerate(h_values):
         W = sample_heat_points(params, h, dspec.with_stream(50 + hi))
+        count = W.shape[0]
         for g_flat in points:
             pts = multiply_flat(params, np.asarray(g_flat, dtype=float), W)
             for f in family:
                 shift = 0.5 + float(np.sum(np.abs(f.coeffs)))
-                val, grad = f.jet(pts, 1)
-                phi = val + shift
-                den, den_se = _mean_se(_hgrad_power(params, grad, pts, power=2))
+                # reductions run over the rows inside f's support; phi = shift
+                # and grad f = 0 on the others
+                rows, (val, grad) = f.support_jet(pts, 1)
+                den, den_se = _mean_se(_hgrad_power(params, grad, pts[rows], power=2), count)
                 den *= h
                 den_se *= h
                 if den <= 10.0 * den_se:
                     excluded += 1
                     continue
+                phi = val + shift
                 phi2 = phi**2
-                m2 = float(np.mean(phi2))
-                ent = float(np.mean(phi2 * np.log(phi2))) - m2 * math.log(m2)
-                var = m2 - float(np.mean(phi)) ** 2
+                shift2 = shift * shift
+                m2 = _mean_se(phi2, count, shift2)[0]
+                ent = _mean_se(phi2 * np.log(phi2), count, shift2 * math.log(shift2))[0] - m2 * math.log(m2)
+                var = m2 - _mean_se(phi, count, shift)[0] ** 2
                 sup_ent = max(sup_ent, ent / den)
                 sup_var = max(sup_var, var / den)
                 cases += 1
@@ -682,8 +699,8 @@ def check_holder_corollary(params, family, points, h_values, dspec, constant) ->
             pts = multiply_flat(params, g_flat, W)
             for f in family:
                 num, hnorm = _gradient_case(params, f, g_flat, W, pts)
-                mean1, se1 = _mean_se(hnorm)
-                mean2, se2 = _mean_se(hnorm**2)
+                mean1, se1 = _mean_se(hnorm, W.shape[0])
+                mean2, se2 = _mean_se(hnorm**2, W.shape[0])
                 if mean1 <= 10.0 * se1:
                     excluded += 1
                     continue

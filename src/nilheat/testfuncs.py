@@ -12,12 +12,13 @@ available:
 Both profiles have two continuous derivatives across the support edge, so
 value, gradient, and Hessian all vanish outside the reported bounding box.
 
-One evaluator, `TestFunction.jet(coords, order)`, gives the value and, on
-request, the gradient and Hessian over a trailing coordinate axis; `value`,
-`gradient` and `hessian` wrap it.  It evaluates in-support rows only (a
-slab test on the first coordinate, then q = |xi|^2 < 1) and scatters them
-into zeros, with the same elementwise operations per kept entry as a dense
-evaluation, so the results are bit-identical to one.
+One evaluator, `TestFunction.support_jet(coords, order)`, gives the rows
+inside the support (q = |xi|^2 < 1, built one axis at a time on the rows
+still below 1) and the value, gradient and Hessian on those rows only; the
+Monte Carlo checks reduce over them.  `jet` scatters them into zeros, and
+`value`, `gradient` and `hessian` wrap it.  Each kept entry sees the same
+elementwise operations as a dense evaluation, so the results are
+bit-identical to one (q adds the axes in order, as `np.sum` does below 8).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _poly_derivative(exps, coeffs, d):
 def _poly_eval(exps, coeffs, xi):
     out = np.zeros(xi.shape[:-1])
     for e, c in zip(exps, coeffs):
-        term = np.full(xi.shape[:-1], c)
+        term = c  # times each power in turn; a constant term stays the scalar c
         for d, ed in enumerate(e):
             if ed:
                 term = term * xi[..., d] ** ed
@@ -123,12 +124,13 @@ class TestFunction:
         d2q = d2bdw2 * dwdq**2 + dbdw * d2wdq2
         return [b, dq, d2q][: order + 1]
 
-    def jet(self, coords, order=0) -> list:
-        """[value], [value, gradient] or [value, gradient, hessian] at coords.
+    def support_jet(self, coords, order=0):
+        """(rows, parts): the flat indices of the rows of coords inside the
+        support, and [value], [value, gradient] or [value, gradient, hessian]
+        on those rows, of shapes (k,), (k, dim) and (k, dim, dim).
 
-        coords has shape (..., dim); the parts have shapes (...), (..., dim)
-        and (..., dim, dim).  Only rows inside the support are evaluated,
-        and every other row is exactly zero.
+        coords has shape (..., dim) and is read as (N, dim) rows; every row
+        not in `rows` has value, gradient and Hessian exactly zero.
         """
         if order not in (0, 1, 2):
             raise ValueError("jet order must be 0, 1 or 2")
@@ -136,14 +138,23 @@ class TestFunction:
         dim = self.dim
         if coords.shape[-1:] != (dim,):
             raise ValueError(f"coordinates must have a trailing axis of length {dim}")
-        flat = coords.reshape(-1, dim)
-        rows, xi, bump = self._in_support(flat, order)
-        parts = self._support_jet(xi, bump, order)
-        del xi, bump  # free the kept rows before the full-size arrays are made
+        rows, xi, bump = self._in_support(coords.reshape(-1, dim), order)
+        return rows, self._rows_jet(xi, bump, order)
+
+    def jet(self, coords, order=0) -> list:
+        """[value], [value, gradient] or [value, gradient, hessian] at coords.
+
+        coords has shape (..., dim); the parts have shapes (...), (..., dim)
+        and (..., dim, dim).  The rows from `support_jet` are scattered into
+        zeros.
+        """
+        coords = np.asarray(coords, dtype=float)
+        rows, parts = self.support_jet(coords, order)
+        count = int(np.prod(coords.shape[:-1]))
         out = []
         for part in parts:
-            if rows.size < flat.shape[0]:  # scatter; rows outside stay zero
-                full = np.zeros((flat.shape[0],) + part.shape[1:])
+            if rows.size < count:  # scatter; rows outside stay zero
+                full = np.zeros((count,) + part.shape[1:])
                 full[rows] = part
                 part = full
             out.append(part.reshape(coords.shape[:-1] + part.shape[1:]))
@@ -151,15 +162,20 @@ class TestFunction:
 
     def _in_support(self, flat, order):
         """Rows of flat (N, dim) with q < 1, their xi, and the bump jet there."""
-        # |xi_0| >= 1 already puts a row outside q < 1; NaN and inf rows fail both tests.
-        rows = np.flatnonzero(np.abs((flat[:, 0] - self.center[0]) / self.scale) < 1.0)
-        xi = (flat[rows] - self.center) / self.scale
-        q = np.sum(xi**2, axis=-1)
-        keep = q < 1.0
-        bump = self._bump_q(q[keep], order)
-        return rows[keep], xi[keep], bump
+        # q = |xi|^2 one axis at a time, keeping the rows with q < 1 so far;
+        # NaN and inf rows fail the test at their first non-finite axis
+        x = (flat[:, 0] - self.center[0]) / self.scale
+        q = x * x
+        rows = np.flatnonzero(q < 1.0)
+        q = q[rows]
+        for d in range(1, self.dim):
+            x = (flat[rows, d] - self.center[d]) / self.scale
+            q = q + x * x
+            keep = np.flatnonzero(q < 1.0)
+            rows, q = rows[keep], q[keep]
+        return rows, (flat[rows] - self.center) / self.scale, self._bump_q(q, order)
 
-    def _support_jet(self, xi, bump, order):
+    def _rows_jet(self, xi, bump, order):
         """Polynomial times bump and its derivatives on in-support rows."""
         dim = self.dim
         b = bump[0]

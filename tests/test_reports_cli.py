@@ -352,6 +352,52 @@ def test_config_rejects_bad_sizes_counts(tmp_path, cli_env):
         _assert_config_rejected(tmp_path, cli_env, sizes=sizes)
 
 
+def test_config_rejects_fractional_seed_and_small_family(tmp_path, cli_env):
+    # a fractional seed is not truncated, and the semigroup suites pick family
+    # members 2, 4 and 6, so a smaller family is refused before any suite runs
+    for changes, key in (
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"sizes": {"family": 4}}, "sizes family"),
+        ({"sizes": {"family": 6}}, "sizes family"),
+    ):
+        path = _write_config(tmp_path, **changes)
+        out = tmp_path / "out"
+        r = _run_cli(["--config", path, "verify", "li", "--output-dir", str(out)], tmp_path, cli_env)
+        _assert_usage_error(r)
+        assert key in r.stderr, r.stderr
+        assert not out.exists()
+    # seed 0 is a seed, and so is an integer too large for a float
+    for seed in (0, 10**400):
+        r = _run_cli(["--config", _write_config(tmp_path, seed=seed), "eval", "distance", "0.6,0.8,0"], tmp_path, cli_env)
+        assert r.returncode == 0, r.stderr
+
+
+def test_li_with_every_case_excluded_is_a_failed_verdict(tmp_path, cli_env):
+    # ten paths leave no li case above its noise floor: exit 1, not a traceback
+    path = tmp_path / "excluded.json"
+    path.write_text(
+        json.dumps(
+            {
+                "seed": 1,
+                "group": {"l": 1, "k": [1], "a": [1.0]},
+                "suites": ["li"],
+                "sizes": {"family": 8, "li_points": 1},
+                "diffusion": {"paths": 10},
+            }
+        )
+    )
+    out = tmp_path / "out"
+    r = _run_cli(["--config", str(path), "verify", "--output-dir", str(out)], tmp_path, cli_env)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr, r.stderr
+    assert "[FAIL] li" in r.stdout
+    report = json.loads((out / "li.json").read_text())
+    assert report["passed"] is False
+    assert report["stats"]["gradient_bound"]["cases"] == 0
+    assert any("all cases excluded" in note for note in report["notes"])
+
+
 def test_config_rejects_workers_key(tmp_path, cli_env):
     # the sampler has no worker count: a config key naming one is unknown
     path = _write_config(tmp_path, workers=1)

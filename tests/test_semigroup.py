@@ -13,6 +13,9 @@ from nilheat.kernel import QuadratureSpec, kernel_zsq
 from nilheat.sampling import ball_bounding_box, philox, unit_ball_points
 from nilheat.semigroup import (
     DiffusionSpec,
+    _chain_rule_components,
+    _hgrad_power,
+    _mean_se,
     _simulate_chunk,
     TransformedField,
     ball_mean,
@@ -313,11 +316,15 @@ def test_li_constant_stable_under_refinement(h1):
 
 
 def test_li_excludes_constants(h1):
+    # a function with no gradient on the sample leaves no case: a failed verdict
     const = TestFunction(
         np.zeros(3), 60.0, np.zeros((1, 3), dtype=int), np.ones(1), bump="plateau"
     )
-    with pytest.raises(RuntimeError):
-        check_li_inequality(h1, [const], [np.zeros(3)], (0.5,), SPEC)
+    rep = check_li_inequality(h1, [const], [np.zeros(3)], (0.5,), SPEC)
+    assert rep.passed is False
+    assert rep.exclusions == 1 and rep.stats["cases"] == 0
+    assert rep.stats["ratio_mean"] is None and rep.constant == 0.0
+    assert any("all cases excluded" in note for note in rep.notes)
 
 
 def test_li_euclidean_direction_sanity(h1):
@@ -392,6 +399,156 @@ def test_holder_corollary(h1):
     rep = check_holder_corollary(h1, fam, pts, (0.5, 1.0), SPEC, constant=1.5)
     assert rep.passed
     assert rep.stats["worst_jensen_violation"] <= 1.0
+
+
+def test_mean_se_counts_fill_rows():
+    # the fill is dyadic, so the k = 0 sample is exactly constant on both sides
+    rng = philox(3, 0)
+    count, fill = 1000, -1.25
+    for k in (0, 1, count // 2, count):
+        kept = rng.standard_normal(k)
+        dense = np.concatenate([kept, np.full(count - k, fill)])
+        assert_allclose(_mean_se(kept, count, fill), _mean_se(dense), rtol=1e-14, atol=0)
+    assert _mean_se(dense) == (float(np.mean(dense)), float(np.std(dense) / math.sqrt(count)))
+
+
+# Dense references: the formulas of the Monte Carlo checks over f.jet on
+# every sample row.  The checks reduce over in-support rows only, so sums
+# group differently; values agree to 1e-12 relative.
+
+def _dense_gradient_cases(params, family, points, h_values, dspec, stream):
+    """(num, |grad f| on every row) of each (h, g, f) case, densely."""
+    for hi, h in enumerate(h_values):
+        W = sample_heat_points(params, h, dspec.with_stream(stream + hi))
+        for g in points:
+            pts = multiply_flat(params, g, W)
+            for f in family:
+                grad = f.jet(pts, 1)[1]
+                cx, cy = _chain_rule_components(params, grad, g, W)
+                num = math.sqrt(float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2)))
+                hnorm = _hgrad_power(params, grad, pts)
+                yield num, hnorm
+
+
+def _dense_mean_se(x):
+    return float(np.mean(x)), float(np.std(x) / math.sqrt(x.size))
+
+
+def _dense_li_constant(params, family, points, h_values, dspec):
+    ratios, excluded = [], 0
+    for num, hnorm in _dense_gradient_cases(params, family, points, h_values, dspec, 1):
+        den, se = _dense_mean_se(hnorm)
+        if den <= 10.0 * se:
+            excluded += 1
+        else:
+            ratios.append(num / den)
+    return max(ratios), float(np.mean(ratios)), len(ratios), excluded
+
+
+def _dense_holder(params, family, points, h_values, dspec, constant):
+    gap, chain, excluded = -np.inf, -np.inf, 0
+    for num, hnorm in _dense_gradient_cases(params, family, points, h_values, dspec, 80):
+        mean1, se1 = _dense_mean_se(hnorm)
+        mean2, se2 = _dense_mean_se(hnorm**2)
+        if mean1 <= 10.0 * se1:
+            excluded += 1
+            continue
+        rms = math.sqrt(mean2)
+        rms_se = 0.5 * se2 / max(rms, 1e-300)
+        gap = max(gap, (mean1 - rms) / (3.0 * (se1 + rms_se) + 1e-300))
+        chain = max(chain, (num - constant * rms) / (3.0 * constant * rms_se + 1e-300))
+    return gap, chain, excluded
+
+
+def _dense_lse(params, family, points, h_values, dspec):
+    """Also returns the entropy sup's condition number: the size of the two
+    terms of E phi^2 log phi^2 - m2 log m2 over the size of their difference."""
+    ent_sup, var_sup, cases, excluded, cond = 0.0, 0.0, 0, 0, 1.0
+    for hi, h in enumerate(h_values):
+        W = sample_heat_points(params, h, dspec.with_stream(50 + hi))
+        for g in points:
+            pts = multiply_flat(params, g, W)
+            for f in family:
+                val, grad = f.jet(pts, 1)
+                phi = val + 0.5 + float(np.sum(np.abs(f.coeffs)))
+                den, se = _dense_mean_se(_hgrad_power(params, grad, pts, power=2))
+                if h * den <= 10.0 * h * se:
+                    excluded += 1
+                    continue
+                m2 = float(np.mean(phi**2))
+                first = float(np.mean(phi**2 * np.log(phi**2)))
+                ent = first - m2 * math.log(m2)
+                if ent / (h * den) > ent_sup:
+                    ent_sup, cond = ent / (h * den), (abs(first) + abs(m2 * math.log(m2))) / ent
+                var_sup = max(var_sup, (m2 - float(np.mean(phi)) ** 2) / (h * den))
+                cases += 1
+    return ent_sup, var_sup, cases, excluded, cond
+
+
+def _dense_cheeger(params, family, dspec, ball_count):
+    W = sample_heat_points(params, 1.0, dspec.with_stream(9))
+    outside = distance_squared_arrays(params, block_norms_sq_flat(params, W), W[:, -1]) >= 1.0
+    ball = unit_ball_points(params, ball_count, dspec.seed, 909)
+    sups, excluded = {"global": 0.0, "ball": 0.0, "complement": 0.0}, 0
+    for f in family:
+        fW, gW = f.jet(W, 1)
+        den, se = _dense_mean_se(_hgrad_power(params, gW, W))
+        if den <= 10.0 * se:
+            excluded += 1
+            continue
+        fB, gB = f.jet(ball, 1)
+        m_f = float(np.mean(fB))
+        ratios = {
+            "global": float(np.mean(np.abs(fW - m_f))) / den,
+            "complement": float(np.mean(np.abs(fW - m_f) * outside)) / den,
+        }
+        denB = float(np.mean(_hgrad_power(params, gB, ball)))
+        if denB > 0:
+            ratios["ball"] = float(np.mean(np.abs(fB - m_f))) / denB
+        for key, ratio in ratios.items():
+            sups[key] = max(sups[key], ratio)
+    return sups, excluded
+
+
+def _assert_close(got, want, rtol=1e-12):
+    assert got == want or abs(got - want) <= rtol * max(abs(got), abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_sparse_checks_match_dense_reference(group, request):
+    params = request.getfixturevalue(group)
+    spec = DiffusionSpec(steps=100, paths=5000, seed=31)
+    fam = standard_family(params, count=10)
+    rng = philox(8, 1)
+    points = [np.zeros(params.dim)] + [rng.uniform(-1.0, 1.0, params.dim) for _ in range(2)]
+    hs = (0.5, 1.0)
+
+    li = check_li_inequality(params, fam, points, hs, spec)
+    constant, ratio_mean, cases, excluded = _dense_li_constant(params, fam, points, hs, spec)
+    _assert_close(li.constant, constant)
+    _assert_close(li.stats["ratio_mean"], ratio_mean)
+    assert (li.stats["cases"], li.exclusions) == (cases, excluded)
+    assert excluded > 0 and cases > 0
+
+    holder = check_holder_corollary(params, fam, points, hs, spec, constant=1.5)
+    gap, chain, excluded = _dense_holder(params, fam, points, hs, spec, 1.5)
+    _assert_close(holder.stats["worst_jensen_violation"], gap)
+    _assert_close(holder.stats["worst_chain_violation"], chain)
+    assert holder.exclusions == excluded
+
+    lse = check_log_sobolev_poincare(params, fam, points, hs, spec)
+    ent, var, cases, excluded, cond = _dense_lse(params, fam, points, hs, spec)
+    # the entropy's two terms cancel (cond is about 7,000 on h1), so both sums
+    # agree to the rounding of those terms, not to 1e-12 of their difference
+    _assert_close(lse.stats["entropy_constant"], ent, rtol=max(1e-12, 1e-14 * cond))
+    _assert_close(lse.stats["variance_constant"], var)
+    assert (lse.stats["cases"], lse.exclusions) == (cases, excluded)
+
+    cheeger = check_cheeger(params, fam, spec, ball_count=20000)
+    sups, excluded = _dense_cheeger(params, fam, spec, 20000)
+    for key, value in sups.items():
+        _assert_close(cheeger.stats[key], value)
+    assert cheeger.exclusions == excluded
 
 
 def test_integration_by_parts(h1):

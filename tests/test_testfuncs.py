@@ -83,6 +83,26 @@ def test_standard_family_matches_dense(params):
         assert_jet_matches(f, _cloud(f, 400, seed=i))
 
 
+@pytest.mark.parametrize("params", [H1, NONISO], ids=["h1", "noniso"])
+def test_support_jet_scattered_equals_jet(params):
+    # rows are the dense q < 1 rows in order; scattered, the parts are f.jet
+    # and the dense evaluation, bit for bit
+    family = standard_family(params)[:10] + [indicator_like(params.dim, 2.0)]
+    for i, f in enumerate(family):
+        cloud = _cloud(f, 400, seed=i)
+        with np.errstate(invalid="ignore"):
+            inside = np.flatnonzero(np.sum(((cloud - f.center) / f.scale) ** 2, axis=-1) < 1.0)
+        for order in (0, 1, 2):
+            rows, parts = f.support_jet(cloud, order)
+            assert np.array_equal(rows, inside)
+            want = f.jet(cloud, order)
+            assert len(parts) == len(want) == order + 1
+            for part, w, dense in zip(parts, want, dense_jet(f, cloud)):
+                full = np.zeros(w.shape)
+                full[rows] = part
+                assert np.array_equal(full, w) and np.array_equal(full, dense)
+
+
 def test_plateau_bump_matches_dense():
     for dim in (3, 7):
         f = indicator_like(dim, 2.0)
