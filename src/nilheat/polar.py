@@ -275,74 +275,83 @@ def jacobian_matrix(params: GroupParams, p: PolarPoint) -> np.ndarray:
     return jacobian_matrix_flat(params, p.flat(), p.eta)
 
 
-def _det_cofactor(M):
-    m = M.shape[0]
-    if m == 1:
-        return float(M[0, 0])
-    if m == 2:
-        return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    if m == 3:
-        return float(
-            M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-            - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-            + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-        )
-    # Laplace expansion along the first row; only used for small dense
-    # inner blocks, so the factorial cost never matters.
-    total = 0.0
-    sign = 1.0
-    cols = np.arange(m)
-    for c in range(m):
-        if M[0, c] != 0.0:
-            minor = M[1:][:, cols != c]
-            total += sign * M[0, c] * _det_cofactor(minor)
-        sign = -sign
-    return float(total)
+def _det_laplace(M):
+    """Laplace expansion of a stack (N, m, m) along its first row, minors
+    memoised by column subset: the minor on columns S sits in the last |S|
+    rows, so each of the at most 2^m subsets is expanded once.  A zero
+    entry adds 0.0 in place of its term, as a skipped term would."""
+    m = M.shape[-1]
+    minors = {}
+
+    def minor(cols):
+        if cols not in minors:
+            r = m - len(cols)
+            if len(cols) == 1:
+                minors[cols] = M[:, r, cols[0]]
+            else:
+                total, sign = 0.0, 1.0
+                for i, c in enumerate(cols):
+                    a = M[:, r, c]
+                    sub = minor(cols[:i] + cols[i + 1 :])
+                    total = total + np.where(a != 0.0, sign * a * sub, 0.0)
+                    sign = -sign
+                minors[cols] = total
+        return minors[cols]
+
+    return minor(tuple(range(m)))
 
 
-def _has_border_shape(M) -> bool:
-    m = M.shape[0]
+def _border_mask(M):
+    """Per matrix of a stack (N, m, m): rows/columns 1, 2 couple only to
+    each other and to the last column/row (never true below size 4)."""
+    m = M.shape[-1]
     if m < 4:
-        return False
-    return (
-        not np.any(M[0, 2 : m - 1])
-        and not np.any(M[1, 2 : m - 1])
-        and not np.any(M[2 : m - 1, 0])
-        and not np.any(M[2 : m - 1, 1])
-    )
+        return np.zeros(M.shape[0], dtype=bool)
+    return ~(np.any(M[:, :2, 2 : m - 1], axis=(1, 2)) | np.any(M[:, 2 : m - 1, :2], axis=(1, 2)))
 
 
 def _det_recursive(M):
-    m = M.shape[0]
-    if m <= 3:
-        return _det_cofactor(M)
-    if not _has_border_shape(M):
-        return _det_cofactor(M)
-    b1, b2, b3 = M[0, 0], M[0, 1], M[0, m - 1]
-    b4, b5, b6 = M[1, 0], M[1, 1], M[1, m - 1]
-    b7, b8 = M[m - 1, 0], M[m - 1, 1]
-    Q = M[2:, 2:]
-    bracket1 = b1 * b5 - b2 * b4
-    bracket2 = b3 * b4 * b8 + b2 * b6 * b7 - b1 * b6 * b8 - b3 * b5 * b7
-    total = bracket1 * _det_recursive(Q) if bracket1 != 0.0 else 0.0
-    if bracket2 != 0.0:
-        total += bracket2 * _det_recursive(M[2 : m - 1, 2 : m - 1])
-    return float(total)
+    """Determinants of a stack (N, m, m): the bordered members by the
+    two-bracket recursion, the others by the Laplace expansion."""
+    m = M.shape[-1]
+    border = _border_mask(M)
+    out = np.empty(M.shape[0])
+    if not border.all():
+        out[~border] = _det_laplace(M[~border])
+    if border.any():
+        B = M[border]
+        b1, b2, b3 = B[:, 0, 0], B[:, 0, 1], B[:, 0, m - 1]
+        b4, b5, b6 = B[:, 1, 0], B[:, 1, 1], B[:, 1, m - 1]
+        b7, b8 = B[:, m - 1, 0], B[:, m - 1, 1]
+        bracket1 = b1 * b5 - b2 * b4
+        bracket2 = b3 * b4 * b8 + b2 * b6 * b7 - b1 * b6 * b8 - b3 * b5 * b7
+        total = np.where(bracket1 != 0.0, bracket1 * _det_recursive(B[:, 2:, 2:]), 0.0)
+        inner = _det_recursive(B[:, 2 : m - 1, 2 : m - 1])
+        out[border] = total + np.where(bracket2 != 0.0, bracket2 * inner, 0.0)
+    return out
 
 
-def det_bordered(M) -> float:
-    """Determinant of a bordered block matrix by the two-bracket recursion.
+def det_bordered(M):
+    """Determinants of bordered block matrices by the two-bracket recursion.
 
-    The matrix must couple rows/columns 1,2 only to each other and to the
-    last column/row; the recursion peels that 2x2 block and reduces to the
-    trailing principal minors, with cofactor formulas below size 4.
+    M is one matrix (m, m), which gives a float, or a stack (..., m, m),
+    which gives an array (...).  Each matrix must couple rows/columns 1, 2
+    only to each other and to the last column/row; the recursion peels that
+    2x2 block and reduces to the trailing principal minors.  A trailing
+    block without that sparsity (and every block below size 4) is expanded
+    along its first row with its minors memoised by column subset, which
+    costs 2^m minors rather than the m! of the plain expansion.  Every
+    matrix of a stack gets the bits it would get alone.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("need a square matrix")
-    if M.shape[0] >= 4 and not _has_border_shape(M):
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError("need a square matrix or a stack of them")
+    m = M.shape[-1]
+    stack = M.reshape(-1, m, m)
+    if m >= 4 and not _border_mask(stack).all():
         raise ValueError("matrix does not have the bordered block sparsity")
-    return _det_recursive(M)
+    out = _det_recursive(stack).reshape(M.shape[:-2])
+    return float(out) if M.ndim == 2 else out
 
 
 def jacobian_closed_form_arrays(params: GroupParams, usq, eta):
@@ -568,6 +577,45 @@ def ray_integral_check(params: GroupParams, p: PolarPoint, spec=None):
 # Horizontal path checks
 # ---------------------------------------------------------------------------
 
+def _chart_slab_rules(params: GroupParams, e0, e1, zsq_lo, zsq_hi):
+    """Rules of one pushforward slab e0 <= eta <= e1: per-axis radial nodes
+    and weights (with the block surface factors) bracketing the chart
+    preimage of zsq_lo <= |z_j|^2 <= zsq_hi, and the slab's eta nodes and
+    weights."""
+    a = np.asarray(params.a)
+    w_ends = np.stack([e0 * a, e1 * a])
+    fac_ends = _angle_factor_sq(w_ends)
+    fac_min = fac_ends.min(axis=0)
+    fac_max = fac_ends.max(axis=0)
+    # the angle factor peaks at a_j eta = pi/2 inside a slab
+    crosses = (w_ends[0] < math.pi / 2.0) & (w_ends[1] > math.pi / 2.0)
+    fac_max = np.where(crosses, 4.0, fac_max)
+    rho_lo = np.sqrt(zsq_lo / fac_max) * 0.98
+    rho_hi = np.sqrt(zsq_hi / fac_min) * 1.02 + 1e-3
+    axes, wts = [], []
+    for j in range(params.l):
+        nj, wj = _panel_rule(np.linspace(rho_lo[j], rho_hi[j], 9), *_GAUSS10)
+        axes.append(nj)
+        wts.append(wj * _sphere_surface(params.k[j]) * nj ** (2 * params.k[j] - 1))
+    ne, we = _panel_rule([e0, e1], *_GAUSS10)
+    return axes, wts, ne, we
+
+
+def _chart_slab_sum(params: GroupParams, F, axes, wts, ne, we) -> float:
+    """Sum of F(Psi) J against the tensor weights of one slab.
+
+    The radial tensor enters as usq (M, 1, l) and the eta nodes as (E,),
+    so the chart factors of a_j eta are evaluated once per eta node and
+    broadcast over the M radial points; the values and the weights
+    (M, E) raveled are those of the flat (M E, l + 1) tensor, point for
+    point and bit for bit.
+    """
+    pts, w_rho = _tensor_rule(axes, wts)
+    usq = pts[:, None, :] ** 2
+    vals = F(*_psi_norms(params, usq, ne)) * jacobian_closed_form_arrays(params, usq, ne)
+    return float(np.sum((vals * np.multiply.outer(w_rho, we)).ravel()))
+
+
 def check_change_of_variables(params: GroupParams, spec=None) -> VerificationReport:
     """Chart pushforward test: integral of F against the Haar measure must
     equal the integral of F(Psi) J over the chart coordinates.
@@ -579,8 +627,6 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
     block-polar volume factors, the chart side through the same factors in
     u.  Agreement is limited only by quadrature error.
     """
-    a = np.asarray(params.a)
-
     # block-radial bump: product of C^2 profiles in each |z_j|^2 and in t
     zc = np.full(params.l, 0.6)
     zc[-1] = 1.4
@@ -634,26 +680,8 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
     slab_edges = np.linspace(eta_lo, eta_hi, n_slabs + 1)
     chart = 0.0
     for s in range(n_slabs):
-        e0, e1 = slab_edges[s], slab_edges[s + 1]
-        w_ends = np.stack([e0 * a, e1 * a])
-        fac_ends = _angle_factor_sq(w_ends)
-        fac_min = fac_ends.min(axis=0)
-        fac_max = fac_ends.max(axis=0)
-        # the angle factor peaks at a_j eta = pi/2 inside a slab
-        crosses = (w_ends[0] < math.pi / 2.0) & (w_ends[1] > math.pi / 2.0)
-        fac_max = np.where(crosses, 4.0, fac_max)
-        rho_lo = np.sqrt(zsq_lo / fac_max) * 0.98
-        rho_hi = np.sqrt(zsq_hi / fac_min) * 1.02 + 1e-3
-        axes, wts = [], []
-        for j in range(params.l):
-            nj, wj = _panel_rule(np.linspace(rho_lo[j], rho_hi[j], 9), *_GAUSS10)
-            axes.append(nj)
-            wts.append(wj * _sphere_surface(params.k[j]) * nj ** (2 * params.k[j] - 1))
-        ne, we = _panel_rule([e0, e1], *_GAUSS10)
-        pts, w = _tensor_rule(axes + [ne], wts + [we])
-        usq, eta = pts[:, :-1] ** 2, pts[:, -1]
-        vals = F(*_psi_norms(params, usq, eta)) * jacobian_closed_form_arrays(params, usq, eta)
-        chart += float(np.sum(vals * w))
+        rules = _chart_slab_rules(params, slab_edges[s], slab_edges[s + 1], zsq_lo, zsq_hi)
+        chart += _chart_slab_sum(params, F, *rules)
 
     rel = abs(chart - direct) / max(abs(direct), 1e-300)
     rep = VerificationReport(

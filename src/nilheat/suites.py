@@ -112,13 +112,22 @@ def _reject_unknown(where: str, block, allowed):
         raise ValueError(f"unknown {where} keys {unknown}; choose from {sorted(allowed)}")
 
 
+def _finite_from(where: str, val):
+    """A config number, returned as given; ValueError for a bool, a
+    non-number, NaN, an infinity or an integer too large for a float."""
+    try:
+        finite = not isinstance(val, bool) and isinstance(val, (int, float)) and math.isfinite(val)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{where} must be a finite number, got {val!r}")
+    return val
+
+
 def _quadrature_from_dict(q) -> ker.QuadratureSpec:
     """QuadratureSpec from the config's quadrature block; ValueError if malformed."""
     _reject_unknown("quadrature", q, [f.name for f in fields(ker.QuadratureSpec)])
-    for key, val in q.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise ValueError(f"quadrature {key} must be a finite number, got {val!r}")
-    return ker.QuadratureSpec(**q)
+    return ker.QuadratureSpec(**{key: _finite_from(f"quadrature {key}", val) for key, val in q.items()})
 
 
 # the keys config_from_dict reads; seed and output_dir double as
@@ -129,12 +138,9 @@ _CONFIG_KEYS = ("seed", "group", "output_dir", "suites", "quadrature", "diffusio
 def _h_values_from(h) -> tuple:
     """Time parameters from the config; ValueError unless a non-empty list
     of positive finite numbers."""
-    if not isinstance(h, list) or not h or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) and v > 0
-        for v in h
-    ):
-        raise ValueError(f"h_values must be a non-empty list of positive finite numbers, got {h!r}")
-    return tuple(h)
+    if isinstance(h, list) and h and all(_finite_from("h_values entry", v) > 0 for v in h):
+        return tuple(h)
+    raise ValueError(f"h_values must be a non-empty list of positive finite numbers, got {h!r}")
 
 
 def _count_from(where: str, val, least: int = 1) -> int:
@@ -154,7 +160,11 @@ def config_from_dict(d: dict) -> RunConfig:
     _reject_unknown("sizes", d.get("sizes", {}), _DEFAULT_SIZES)
     g = d.get("group", {})
     try:
-        group = GroupParams(int(g["l"]), tuple(g["k"]), tuple(g["a"]))
+        group = GroupParams(
+            _count_from("group l", g["l"]),
+            tuple(_count_from("group k entry", v) for v in g["k"]),
+            tuple(_finite_from("group a entry", v) for v in g["a"]),
+        )
     except KeyError as exc:
         raise ValueError(f"config group is missing {exc}") from exc
     except TypeError as exc:
@@ -461,17 +471,22 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     rep.stats["closed_form_vs_lu_max"] = worst_cf
     rep.require(worst_cf <= 1e-9, "closed-form Jacobian drifted from the LU determinant")
 
-    worst_rec = 0.0
-    for i in range(cfg.sizes["sparse_matrices"]):
+    # random bordered matrices, drawn one by one and compared in one stack
+    # per size
+    stacks = {}
+    for _ in range(cfg.sizes["sparse_matrices"]):
         m = int(rng.integers(4, 9))
         M = rng.standard_normal((m, m))
         M[0, 2 : m - 1] = 0.0
         M[1, 2 : m - 1] = 0.0
         M[2 : m - 1, 0] = 0.0
         M[2 : m - 1, 1] = 0.0
-        lu = float(np.linalg.det(M))
-        rec = polar.det_bordered(M)
-        worst_rec = max(worst_rec, abs(lu - rec) / max(abs(lu), 1e-12))
+        stacks.setdefault(m, []).append(M)
+    worst_rec = 0.0
+    for mats in stacks.values():
+        M = np.stack(mats)
+        lu, rec = np.linalg.det(M), polar.det_bordered(M)
+        worst_rec = max(worst_rec, float(np.max(np.abs(lu - rec) / np.maximum(np.abs(lu), 1e-12))))
     rep.stats["recursion_vs_lu_max"] = worst_rec
     rep.require(worst_rec <= 1e-9, "bordered determinant recursion drifted from LU")
 

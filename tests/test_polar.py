@@ -206,6 +206,73 @@ def test_det_bordered_against_lu():
         det_bordered(bad)
 
 
+def _random_bordered(rng, m):
+    M = rng.standard_normal((m, m))
+    M[:2, 2 : m - 1] = 0.0
+    M[2 : m - 1, :2] = 0.0
+    return M
+
+
+def _det_reference(M):
+    """The textbook recursion, one matrix at a time and nothing memoised:
+    peel a bordered 2x2 block, else expand along the first row."""
+    m = M.shape[0]
+    if m >= 4 and not (np.any(M[:2, 2 : m - 1]) or np.any(M[2 : m - 1, :2])):
+        b1, b2, b3, b4, b5, b6 = M[0, 0], M[0, 1], M[0, -1], M[1, 0], M[1, 1], M[1, -1]
+        b7, b8 = M[-1, 0], M[-1, 1]
+        bracket1 = b1 * b5 - b2 * b4
+        bracket2 = b3 * b4 * b8 + b2 * b6 * b7 - b1 * b6 * b8 - b3 * b5 * b7
+        return bracket1 * _det_reference(M[2:, 2:]) + bracket2 * _det_reference(M[2:-1, 2:-1])
+    if m == 1:
+        return M[0, 0]
+    return sum((-1.0) ** c * M[0, c] * _det_reference(np.delete(M[1:], c, axis=1)) for c in range(m))
+
+
+def test_det_bordered_stack_matches_plain_recursion():
+    rng = philox(33, 1)
+    for m in range(4, 9):
+        stack = np.stack([_random_bordered(rng, m) for _ in range(10)])
+        got = det_bordered(stack.reshape(2, 5, m, m))
+        assert got.shape == (2, 5)
+        assert np.array_equal(got.ravel(), [_det_reference(M) for M in stack])
+        assert np.array_equal(got.ravel(), [det_bordered(M) for M in stack])
+
+
+def test_det_bordered_mixed_stack(noniso, rng):
+    # random bordered matrices have dense inner blocks (the Laplace
+    # expansion); chart Jacobians have bordered ones (the recursion again)
+    m = noniso.dim
+    jac = jacobian_matrix_flat(
+        noniso, rng.standard_normal((6, 2 * noniso.n)), rng.uniform(0.1, 2.9, 6)
+    )
+    stack = np.concatenate([jac, [_random_bordered(rng, m) for _ in range(6)]])[rng.permutation(12)]
+    got = det_bordered(stack)
+    assert np.array_equal(got, [_det_reference(M) for M in stack])
+    assert np.array_equal(got, [det_bordered(M) for M in stack])
+    assert_allclose(got, np.linalg.det(stack), rtol=1e-9)
+
+
+def test_det_bordered_rejects_bad_stacks():
+    rng = philox(34, 1)
+    stack = np.stack([_random_bordered(rng, 6) for _ in range(4)])
+    stack[2, 3, 0] = 1.0  # one member loses the sparsity
+    with pytest.raises(ValueError):
+        det_bordered(stack)
+    with pytest.raises(ValueError):
+        det_bordered(np.zeros((3, 4, 5)))
+    with pytest.raises(ValueError):
+        det_bordered(np.ones(4))
+
+
+def test_det_bordered_matrix_gives_float():
+    rng = philox(35, 1)
+    for m in (1, 3, 4, 7):
+        M = _random_bordered(rng, m) if m >= 4 else rng.standard_normal((m, m))
+        value = det_bordered(M)
+        assert type(value) is float
+        assert value == pytest.approx(float(np.linalg.det(M)), rel=1e-9)
+
+
 def test_closed_form_jacobian(any_group, rng):
     params = any_group
     for _ in range(40):
@@ -388,6 +455,23 @@ def test_cauchy_schwarz_tightness(noniso, rng):
     dds = float(np.sum(vel * hg))
     bound = speed(noniso, p) * abs(p.eta) * float(np.sqrt(np.sum(hg**2)))
     assert dds == pytest.approx(bound, rel=1e-8)
+
+
+def test_chart_slab_sum_matches_flat_tensor(noniso):
+    # one pushforward slab: the radial tensor against the eta nodes gives
+    # the bits of the flat tensor over all l + 1 axes
+    zsq_lo, zsq_hi = np.array([0.1, 0.5]), np.array([1.1, 2.3])
+    axes, wts, ne, we = polar_module._chart_slab_rules(noniso, 1.0, 1.05, zsq_lo, zsq_hi)
+
+    def F(zsq, t):
+        return np.exp(-t) * np.prod(np.clip(1.0 - (zsq - 0.8) ** 2, 0.0, None) ** 3, axis=-1)
+
+    pts, w = polar_module._tensor_rule(axes + [ne], wts + [we])
+    usq, eta = pts[:, :-1] ** 2, pts[:, -1]
+    vals = F(*polar_module._psi_norms(noniso, usq, eta)) * jacobian_closed_form_arrays(noniso, usq, eta)
+    flat = float(np.sum(vals * w))
+    assert flat > 0.0
+    assert polar_module._chart_slab_sum(noniso, F, axes, wts, ne, we) == flat
 
 
 def test_change_of_variables(any_group):

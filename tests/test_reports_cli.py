@@ -335,6 +335,27 @@ def test_config_rejects_bad_h_values(tmp_path, cli_env):
         _assert_config_rejected(tmp_path, cli_env, h_values=h)
 
 
+# 10**400 is a valid JSON integer that no float can hold; 1e400 parses to inf
+_HUGE = 10**400
+
+
+def test_config_rejects_huge_h_values(tmp_path, cli_env):
+    _assert_config_rejected(tmp_path, cli_env, h_values=[0.5, _HUGE])
+
+
+def test_config_rejects_huge_quadrature_tol(tmp_path, cli_env):
+    _assert_config_rejected(tmp_path, cli_env, quadrature={"tol": _HUGE})
+
+
+def test_config_rejects_huge_group_numbers(tmp_path, cli_env):
+    for group in (
+        {"l": 1, "k": [1], "a": [_HUGE]},
+        {"l": math.inf, "k": [1], "a": [1.0]},
+        {"l": 1, "k": [math.inf], "a": [1.0]},
+    ):
+        _assert_config_rejected(tmp_path, cli_env, group=group)
+
+
 def test_config_rejects_bad_diffusion_counts(tmp_path, cli_env):
     # non-integral, zero, a bool, a string, and steps below the sampler's floor
     for diffusion in (

@@ -551,6 +551,44 @@ def test_sparse_checks_match_dense_reference(group, request):
     assert cheeger.exclusions == excluded
 
 
+def test_lse_entropy_per_case_against_mpmath(h1):
+    # each case's entropy E phi^2 log phi^2 - m2 log m2 against a 30-digit
+    # reference from the same phi; computed as that difference of two means,
+    # the cancellation breaks the 1e-13 bound on these cases
+    mpmath = pytest.importorskip("mpmath")
+    spec = DiffusionSpec(steps=100, paths=5000, seed=31)
+    fam = standard_family(h1, count=10)
+    points = [np.zeros(3), philox(8, 1).uniform(-1.0, 1.0, 3)]
+    hs = (0.5, 1.0)
+    ratios = []
+    with mpmath.workdps(30):
+        for hi, h in enumerate(hs):
+            W = sample_heat_points(h1, h, spec.with_stream(50 + hi))
+            for g in points:
+                pts = multiply_flat(h1, g, W)
+                for f in fam:
+                    rows, (val, grad) = f.support_jet(pts, 1)
+                    den, den_se = _mean_se(_hgrad_power(h1, grad, pts[rows], power=2), W.shape[0])
+                    if den <= 10.0 * den_se:
+                        continue
+                    shift = 0.5 + float(np.sum(np.abs(f.coeffs)))
+                    phi2 = (val + shift) ** 2
+                    m2 = _mean_se(phi2, W.shape[0], shift * shift)[0]
+                    fill = float(semigroup._entropy_terms(shift * shift, m2))
+                    ent = _mean_se(semigroup._entropy_terms(phi2, m2), W.shape[0], fill)[0]
+                    x = [mpmath.mpf(float(p)) ** 2 for p in val + shift]
+                    xs = mpmath.mpf(shift) ** 2
+                    rest = W.shape[0] - len(x)
+                    m = (mpmath.fsum(x) + rest * xs) / W.shape[0]
+                    ref = (mpmath.fsum(v * mpmath.log(v) for v in x) + rest * xs * mpmath.log(xs)) / W.shape[0]
+                    ref -= m * mpmath.log(m)
+                    assert abs(ent - ref) <= 1e-13 * ref, (ent, ref)
+                    ratios.append(ent / (h * den))
+    assert len(ratios) > 10
+    rep = check_log_sobolev_poincare(h1, fam, points, hs, spec)
+    assert rep.stats["entropy_constant"] == max(ratios)
+
+
 def test_integration_by_parts(h1):
     f = standard_family(h1, count=5, seed=14)[2]
     rep = check_integration_by_parts(h1, f, QuadratureSpec(tol=1e-9))
