@@ -3,7 +3,8 @@
 Evaluates the kernel by the saddle-line trapezoid rule on the first
 Heisenberg group, where the center-axis profile has the closed form
 sech(pi t / 8)^2 / 64 at unit time, then shows the scaling law, the total
-mass, and the boundedness of h |grad log p_h| / d along a ray.
+mass, and the boundedness of h |grad log p_h| / d along a ray.  Points
+are flat arrays [x_11, y_11, ..., t].
 
 Run:  python3 demos/heat_kernel_profile.py
 """
@@ -13,24 +14,22 @@ import math
 import numpy as np
 
 from nilheat.distance import distance_squared_arrays
-from nilheat.groups import GroupParams, GroupPoint, block_norms_sq_flat, origin
+from nilheat.groups import GroupParams, block_norms_sq_flat, dilate_flat, horizontal_components
 from nilheat.kernel import (
     QuadratureSpec,
-    check_scaling,
     integrate_radial,
-    kernel,
     kernel_derivatives,
     kernel_points,
     kernel_product_grid,
     kernel_zsq,
+    scaling_deviation,
 )
-from nilheat.groups import horizontal_components
 
 h1 = GroupParams(1, (1,), (1.0,))
 spec = QuadratureSpec(tol=1e-10)
 
-kv = kernel(h1, 1.0, origin(h1), spec)
-print(f"p_1(0,0) = {kv.value:.12f}  (1/64 = {1 / 64:.12f}, error estimate {kv.error:.1e})")
+value, error = kernel_points(h1, 1.0, np.zeros(h1.dim), spec)
+print(f"p_1(0,0) = {value:.12f}  (1/64 = {1 / 64:.12f}, error estimate {error:.1e})")
 
 print("\ncenter-axis profile vs the closed form:")
 print(f"{'t':>5} {'quadrature':>16} {'sech^2 form':>16} {'rel diff':>10}")
@@ -40,11 +39,13 @@ for t in (0.0, 1.0, 2.5, 5.0):
     print(f"{t:5.1f} {float(v):16.10e} {cf:16.10e} {abs(float(v) - cf) / cf:10.2e}")
 
 # parabolic scaling: h^{n+1} p_h(z, t) = p_1(z / sqrt h, t / h)
-g = GroupPoint((np.array([0.4 - 0.3j]),), 0.6)
+g = np.array([0.4, -0.3, 0.6])
 print("\nscaling-law deviation at a fixed point:")
 for h in (0.25, 1.7, 4.0):
-    rep = check_scaling(h1, h, g, spec)
-    print(f"  h = {h}: deviation {rep.stats['deviation']:.2e}")
+    left = kernel_points(h1, h, g, spec)
+    right = kernel_points(h1, 1.0, dilate_flat(h1, 1.0 / math.sqrt(h), g), spec)
+    dev, _ = scaling_deviation(h1, h, *left, *right)
+    print(f"  h = {h}: deviation {dev:.2e}")
 
 # the kernel integrates to one (block-radial reduction of the full integral;
 # the block-norm and t rules meet in one product-grid kernel call)
@@ -69,8 +70,7 @@ for s in (0.5, 1.0, 2.0, 3.0):
 
 # the same machinery on a nonisotropic group
 p2 = GroupParams(2, (1, 2), (0.5, 1.0))
-g2 = GroupPoint((np.array([0.3 + 0.2j]), np.array([0.4 - 0.1j, 0.2j])), 0.5)
-kv2 = kernel(p2, 1.0, g2)
-print(f"\ntwo-block group value at (z, 0.5): {kv2.value:.6e} (error {kv2.error:.1e})")
-vals, _ = kernel_points(p2, 1.0, np.stack([g2.flat(), (-1.0) * g2.flat()]))
+g2 = np.array([0.3, 0.2, 0.4, -0.1, 0.0, 0.2, 0.5])
+vals, errs = kernel_points(p2, 1.0, np.stack([g2, -g2]))
+print(f"\ntwo-block group value at (z, 0.5): {vals[0]:.6e} (error {errs[0]:.1e})")
 print("inversion symmetry p(g) - p(g^-1):", float(vals[0] - vals[1]))

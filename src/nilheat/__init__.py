@@ -8,55 +8,39 @@ verification harness that estimates the constants in the gradient,
 Cheeger-type, log-Sobolev, and Poincare inequalities for the heat
 semigroup.
 
-The scalar entry points whose names match their home modules (the kernel
-evaluator ``nilheat.kernel.kernel`` and the distance ``nilheat.distance.
-distance``) are reached through those modules to keep the submodule
-namespaces importable.
+Points are flat coordinate arrays (..., 2n+1) and chart points pairs of
+arrays u (..., 2n) and eta (...); every quantity has one entry point over
+such arrays.
 """
 
 from .distance import (
-    Branch,
-    ThetaSolution,
     check_distance_equivalence,
-    distance_between,
-    distance_squared,
-    epsilon0,
+    distance_squared_arrays,
     mu,
     mu_inverse,
-    solve_theta,
+    solve_theta_arrays,
 )
 from .groups import (
     GroupParams,
-    GroupPoint,
-    apply_left_field,
-    apply_right_field,
-    dilate,
-    horizontal_gradient_norm,
-    inverse,
-    multiply,
-    origin,
+    apply_field,
+    dilate_flat,
+    horizontal_components,
+    inverse_flat,
+    multiply_flat,
     sub_laplacian,
 )
 from .kernel import (
     KernelValue,
     QuadratureSpec,
     check_kernel_comparison,
-    check_scaling,
     integrate_radial,
     log_kernel_left_gradient,
     log_kernel_t_derivative,
 )
 from .polar import (
-    PolarPoint,
     check_change_of_variables,
-    classify_region,
     det_bordered,
     horizontal_path_check,
-    jacobian_closed_form,
-    jacobian_matrix,
-    pj_estimate,
-    psi,
-    psi_inverse,
     ray_integral_check,
     ray_integrals,
 )
@@ -70,9 +54,9 @@ from .semigroup import (
     check_li_inequality,
     check_log_sobolev_poincare,
     check_translation_dilation_reduction,
-    grad_semigroup,
+    grad_semigroup_components,
     sample_heat_points,
-    semigroup_apply,
+    semigroup_estimate,
 )
 from .suites import RunConfig, run_suite
 from .testfuncs import TestFunction, standard_family

@@ -38,39 +38,25 @@ that F as its residual.  Near w = 0 mu, its derivative and the distance
 forms are evaluated by series to dodge the 0/0 cancellation.
 
 Branch bookkeeping never compares floats against pi: boundary solutions
-are tagged with an explicit branch label.
+are tagged with an explicit branch code (0 interior, 1 interior with
+z_l = 0, 2 boundary).
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (
-    GroupParams,
-    GroupPoint,
-    block_norms_sq_flat,
-    inverse,
-    multiply,
-)
+from .groups import GroupParams, block_norms_sq_flat
 
 __all__ = [
-    "Branch",
-    "ThetaSolution",
     "mu",
     "mu_prime",
     "mu_inverse",
     "boundary_threshold",
-    "solve_theta",
     "solve_theta_arrays",
-    "distance_squared",
     "distance_squared_arrays",
-    "distance",
-    "distance_between",
-    "epsilon0",
     "cancellation_exponent",
 ]
 
@@ -82,22 +68,6 @@ _THETA_CAP = math.pi - 1e-12
 _SOLVE_BLOCK = 4096  # rows per block: 32 KB temporaries; 8192 and up raised the peak RSS
 _MAX_PASSES = 64  # a row that only bisects is one ulp wide by then
 _NEWTON_STOP = 1e-8  # relative step size past Newton's quadratic phase
-
-
-class Branch(enum.Enum):
-    INTERIOR = "interior"
-    ZL_ZERO_INTERIOR = "zl_zero_interior"
-    ZL_ZERO_BOUNDARY = "zl_zero_boundary"
-
-
-@dataclass(frozen=True)
-class ThetaSolution:
-    """Angle-equation solution: theta is None on the boundary branch."""
-
-    theta: float | None
-    branch: Branch
-    residual: float
-    boundary_sign: int = 0
 
 
 def _mu_jet(w):
@@ -267,19 +237,6 @@ def solve_theta_arrays(params: GroupParams, zsq, t):
     return theta.reshape(shape), branch.reshape(shape), residual.reshape(shape)
 
 
-def solve_theta(params: GroupParams, g: GroupPoint) -> ThetaSolution:
-    """Scalar angle-equation solve with explicit branch classification."""
-    zsq = block_norms_sq_flat(params, g.flat())
-    if np.all(zsq == 0.0) and g.t == 0.0:
-        raise ValueError("angle equation is undefined at the origin")
-    theta, branch, residual = solve_theta_arrays(params, zsq, g.t)
-    code = int(branch)
-    if code == 2:
-        return ThetaSolution(None, Branch.ZL_ZERO_BOUNDARY, 0.0, int(np.sign(g.t)) or 1)
-    br = Branch.INTERIOR if code == 0 else Branch.ZL_ZERO_INTERIOR
-    return ThetaSolution(float(theta), br, float(residual))
-
-
 def _sin_forms(w):
     """w/sin(w) and w cot(w) from one sin/cos pair, series near 0."""
     small = np.abs(w) < _SERIES_CUT
@@ -334,27 +291,6 @@ def distance_squared_arrays(params: GroupParams, zsq, t, return_parts=False):
     if return_parts:
         return out, theta.reshape(shape), branch.reshape(shape), form2.reshape(shape)
     return out
-
-
-def distance_squared(params: GroupParams, g: GroupPoint) -> float:
-    return float(distance_squared_arrays(params, block_norms_sq_flat(params, g.flat()), g.t))
-
-
-def distance(params: GroupParams, g: GroupPoint) -> float:
-    return math.sqrt(distance_squared(params, g))
-
-
-def distance_between(params: GroupParams, g: GroupPoint, g2: GroupPoint) -> float:
-    """Left-invariant distance d(g, g2) = d(g^{-1} g2, origin)."""
-    return distance(params, multiply(params, inverse(g), g2))
-
-
-def epsilon0(params: GroupParams, g: GroupPoint) -> float:
-    """sin(theta)/theta in (0, 1]; defined only on interior branches."""
-    sol = solve_theta(params, g)
-    if sol.branch is Branch.ZL_ZERO_BOUNDARY:
-        raise ValueError("epsilon0 is undefined on the boundary branch")
-    return float(np.sinc(sol.theta / math.pi))
 
 
 def cancellation_exponent(params: GroupParams, zsq, t, h=1.0):

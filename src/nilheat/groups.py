@@ -18,12 +18,11 @@ opposite conjugation convention would flip the sign of the twist and break
 these field formulas, which is why the convention is fixed here once and
 used everywhere.
 
-Flat coordinate arrays are the main representation: layout
+Points are flat coordinate arrays with layout
 [x_{1,1}, y_{1,1}, ..., x_{l,k_l}, y_{l,k_l}, t] (trailing axis of length
 2n+1), which is also the serialization order, and every quantity has one
-body over such arrays that broadcasts over leading axes.  GroupPoint is a
-value record for scalar callers; a record function converts at the edge
-(`flat()` in, one call to the array body, `GroupPoint.from_flat` out).
+body over such arrays that broadcasts over leading axes; a single point is
+an array of shape (2n+1,).
 """
 
 from __future__ import annotations
@@ -34,21 +33,12 @@ import numpy as np
 
 __all__ = [
     "GroupParams",
-    "GroupPoint",
-    "origin",
-    "multiply",
-    "inverse",
-    "dilate",
     "multiply_flat",
     "inverse_flat",
     "dilate_flat",
     "block_norms_sq_flat",
-    "interleave_blocks",
-    "split_blocks",
     "horizontal_components",
-    "apply_left_field",
-    "apply_right_field",
-    "horizontal_gradient_norm",
+    "apply_field",
     "sub_laplacian",
 ]
 
@@ -114,57 +104,6 @@ class GroupParams:
         return f"l{self.l}_k{ks}_a{as_}"
 
 
-@dataclass(frozen=True)
-class GroupPoint:
-    """An element (z, t): z as a tuple of complex block vectors, t real."""
-
-    z: tuple
-    t: float
-
-    def __post_init__(self):
-        z = tuple(np.asarray(b, dtype=complex) for b in self.z)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "t", float(self.t))
-
-    def flat(self) -> np.ndarray:
-        """Serialize to [x_{1,1}, y_{1,1}, ..., x_{l,k_l}, y_{l,k_l}, t]."""
-        return np.append(interleave_blocks(self.z), self.t)
-
-    @staticmethod
-    def from_flat(params: GroupParams, coords) -> "GroupPoint":
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (params.dim,):
-            raise ValueError(f"expected {params.dim} coordinates, got {coords.shape}")
-        return GroupPoint(split_blocks(params, coords[:-1]), coords[-1])
-
-
-def interleave_blocks(blocks) -> np.ndarray:
-    """Complex blocks -> [Re b_{1,1}, Im b_{1,1}, ..., Re b_{l,k_l}, Im b_{l,k_l}]."""
-    z = np.concatenate(blocks)
-    out = np.empty(2 * z.size)
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
-def split_blocks(params: GroupParams, pairs) -> tuple:
-    """Inverse of `interleave_blocks`: 2n interleaved reals -> l complex blocks."""
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.shape != (2 * params.n,):
-        raise ValueError(f"expected {2 * params.n} block coordinates, got {pairs.shape}")
-    z = pairs[0::2] + 1j * pairs[1::2]
-    return tuple(z[sl] for sl in params.block_slices())
-
-
-def origin(params: GroupParams) -> GroupPoint:
-    return GroupPoint(tuple(np.zeros(ki, dtype=complex) for ki in params.k), 0.0)
-
-
-def _check_conformal(params: GroupParams, g: GroupPoint):
-    if len(g.z) != params.l or any(b.shape != (ki,) for b, ki in zip(g.z, params.k)):
-        raise ValueError("point block shapes do not match the group parameters")
-
-
 def block_norms_sq_flat(params: GroupParams, coords) -> np.ndarray:
     """|z_i|^2 per block, shape (..., l).
 
@@ -181,31 +120,13 @@ def block_norms_sq_flat(params: GroupParams, coords) -> np.ndarray:
     return out
 
 
-def multiply(params: GroupParams, g: GroupPoint, g2: GroupPoint) -> GroupPoint:
-    """Group product (z,t)(z',t') = (z+z', t+t' + 2 sum a_i Im<z_i, z_i'>)."""
-    _check_conformal(params, g)
-    _check_conformal(params, g2)
-    return GroupPoint.from_flat(params, multiply_flat(params, g.flat(), g2.flat()))
-
-
-def inverse(g: GroupPoint) -> GroupPoint:
-    return GroupPoint(tuple(-b for b in g.z), -g.t)
-
-
-def dilate(r: float, g: GroupPoint) -> GroupPoint:
-    """Anisotropic dilation (z, t) -> (r z, r^2 t), r > 0."""
-    if r <= 0.0:
-        raise ValueError("dilation factor must be positive")
-    return GroupPoint(tuple(r * b for b in g.z), r * r * g.t)
-
-
 # ---------------------------------------------------------------------------
-# Flat-array variants.  These broadcast over leading axes and are the heavy
-# work horses for Monte Carlo sweeps.
+# Group law.  These broadcast over leading axes.
 # ---------------------------------------------------------------------------
 
 def multiply_flat(params: GroupParams, A, B) -> np.ndarray:
-    """Group product on flat points (..., 2n+1); the body behind `multiply`."""
+    """Group product (z,t)(z',t') = (z+z', t+t' + 2 sum a_i Im<z_i, z_i'>)
+    on flat points (..., 2n+1)."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n = params.n
@@ -223,6 +144,7 @@ def inverse_flat(coords) -> np.ndarray:
 
 
 def dilate_flat(params: GroupParams, r: float, coords) -> np.ndarray:
+    """Anisotropic dilation (z, t) -> (r z, r^2 t), r > 0."""
     if r <= 0.0:
         raise ValueError("dilation factor must be positive")
     coords = np.asarray(coords, dtype=float)
@@ -253,24 +175,17 @@ def _field_coefficient(params: GroupParams, which, coords, right: bool):
     return 2 * pair + 1, -sgn * 2.0 * ai * x
 
 
-def _apply_field(params: GroupParams, which, f, coords, right: bool):
-    """Frame field `which` applied to f at flat points (..., 2n+1)."""
-    col, coef = _field_coefficient(params, which, coords, right)
-    grad = f.gradient(coords)
-    return grad[..., col] + coef * grad[..., 2 * params.n]
-
-
-def apply_left_field(params: GroupParams, which, f, g: GroupPoint) -> float:
-    """Exact directional derivative along X_{i,j} or Y_{i,j} at g.
+def apply_field(params: GroupParams, which, f, coords, right: bool = False):
+    """Frame field `which` applied to f at flat points (..., 2n+1): exact
+    directional derivative along X_{i,j} or Y_{i,j}, or along the
+    right-invariant frame when `right` is set.
 
     `which` is (block, index, 'x'|'y'), 0-based.  Needs f.gradient.
     """
-    return float(_apply_field(params, which, f, g.flat(), right=False))
-
-
-def apply_right_field(params: GroupParams, which, f, g: GroupPoint) -> float:
-    """Directional derivative along the right-invariant frame at g."""
-    return float(_apply_field(params, which, f, g.flat(), right=True))
+    coords = np.asarray(coords, dtype=float)
+    col, coef = _field_coefficient(params, which, coords, right)
+    grad = f.gradient(coords)
+    return grad[..., col] + coef * grad[..., 2 * params.n]
 
 
 def horizontal_components(params: GroupParams, euclid_grad, coords, which="left"):
@@ -278,7 +193,10 @@ def horizontal_components(params: GroupParams, euclid_grad, coords, which="left"
 
     euclid_grad and coords broadcast with trailing axis dim; returns an array
     with trailing axis 2n ordered (X_{1,1}, Y_{1,1}, ..., X_{l,k_l}, Y_{l,k_l}).
+    `which` names the frame, "left" or "right".
     """
+    if which not in ("left", "right"):
+        raise ValueError("which must be 'left' or 'right'")
     euclid_grad = np.asarray(euclid_grad, dtype=float)
     coords = np.asarray(coords, dtype=float)
     n = params.n
@@ -293,17 +211,9 @@ def horizontal_components(params: GroupParams, euclid_grad, coords, which="left"
     return out
 
 
-def horizontal_gradient_norm(params: GroupParams, f, g: GroupPoint, which="left") -> float:
-    """Euclidean norm of the 2n horizontal derivatives of f at g."""
-    if which not in ("left", "right"):
-        raise ValueError("which must be 'left' or 'right'")
-    coords = g.flat()
-    comps = horizontal_components(params, f.gradient(coords), coords, which)
-    return float(np.sqrt(np.sum(comps**2)))
-
-
-def sub_laplacian(params: GroupParams, f, g: GroupPoint) -> float:
-    """Sum of squares of the left-invariant frame applied to f at g.
+def sub_laplacian(params: GroupParams, f, coords):
+    """Sum of squares of the left-invariant frame applied to f at flat
+    points (..., 2n+1); one value per point.
 
     Expanding (X^2 + Y^2) through the chain rule gives, per pair,
     f_xx + f_yy + 4a (y f_xt - x f_yt) + 4a^2 (x^2 + y^2) f_tt.
@@ -311,15 +221,14 @@ def sub_laplacian(params: GroupParams, f, g: GroupPoint) -> float:
     """
     if getattr(f, "hessian", None) is None:
         raise ValueError("sub_laplacian needs a Hessian evaluator")
-    coords = g.flat()
+    coords = np.asarray(coords, dtype=float)
     H = f.hessian(coords)
     n = params.n
     a = params.pair_a
-    x = coords[0 : 2 * n : 2]
-    y = coords[1 : 2 * n : 2]
     ix = np.arange(0, 2 * n, 2)
     iy = ix + 1
-    total = float(np.sum(H[ix, ix] + H[iy, iy]))
-    total += float(np.sum(4.0 * a * (y * H[ix, 2 * n] - x * H[iy, 2 * n])))
-    total += float(np.sum(4.0 * a**2 * (x**2 + y**2)) * H[2 * n, 2 * n])
+    x, y = coords[..., ix], coords[..., iy]
+    total = np.sum(H[..., ix, ix] + H[..., iy, iy], axis=-1)
+    total += np.sum(4.0 * a * (y * H[..., ix, 2 * n] - x * H[..., iy, 2 * n]), axis=-1)
+    total += np.sum(4.0 * a**2 * (x**2 + y**2), axis=-1) * H[..., 2 * n, 2 * n]
     return total

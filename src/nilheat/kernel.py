@@ -69,13 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import distance_squared_arrays, mu_prime, solve_theta_arrays
-from .groups import (
-    GroupParams,
-    GroupPoint,
-    block_norms_sq_flat,
-    dilate,
-    horizontal_components,
-)
+from .groups import GroupParams, block_norms_sq_flat, horizontal_components
 from .reports import VerificationReport
 
 __all__ = [
@@ -83,13 +77,11 @@ __all__ = [
     "KernelValue",
     "QuadratureError",
     "KernelConditioningError",
-    "kernel",
     "kernel_zsq",
     "kernel_points",
     "kernel_derivatives",
     "log_kernel_left_gradient",
     "log_kernel_t_derivative",
-    "check_scaling",
     "scaling_deviation",
     "kernel_comparison_log_rhs",
     "check_kernel_comparison",
@@ -103,6 +95,7 @@ _OCTAVE_RUNGS = 8  # rungs per octave of omega and L
 _NODE_CAP = 1 << 16  # nodes per point on the Delta/2 grid
 _CHUNK = 3e4  # (point, node) entries per chunk of the sums
 _RADIAL_BLOCK = 1 << 20  # (row, t) entries per integrand call in integrate_radial
+_GRID_TILE = 16  # rows per matrix product of kernel_product_grid
 
 
 class QuadratureError(RuntimeError):
@@ -159,8 +152,8 @@ def _line_tables(params: GroupParams, lam):
 
 
 def _log_envelope(h, zsq, tables):
-    """Real and imaginary parts of log E at points zsq (m, l) and the
-    tabled nodes, each (m, N): log E is linear in the block norms."""
+    """Real and imaginary parts of log E at points zsq (..., l) and the
+    tabled nodes, each (..., N): log E is linear in the block norms."""
     logw, xc = tables
     return logw.real - zsq @ (xc.real.T / (4.0 * h)), logw.imag - zsq @ (xc.imag.T / (4.0 * h))
 
@@ -194,7 +187,7 @@ def _sigma_rungs(params: GroupParams, zsq, t):
 
 def _asymptotic_rate(params: GroupParams, h, zsq):
     """Asymptotic rate r = sum_j k_j a_j + sum_j |z_j|^2 a_j/4h at which
-    |E(x + i sigma)| decays in x, per point of zsq (m, l)."""
+    |E(x + i sigma)| decays in x, per point of zsq (..., l)."""
     a = np.asarray(params.a)
     return float(np.dot(params.k, a)) + zsq @ a / (4.0 * h)
 
@@ -329,12 +322,6 @@ def kernel_zsq(params: GroupParams, h: float, zsq, t, spec=None):
     return (norm * out["val"]).reshape(shape), (norm * out["err"]).reshape(shape)
 
 
-def kernel(params: GroupParams, h: float, g: GroupPoint, spec=None) -> KernelValue:
-    """Heat kernel p_h at a point, with an error estimate."""
-    vals, errs = kernel_zsq(params, h, block_norms_sq_flat(params, g.flat()), g.t, spec)
-    return KernelValue(float(vals), float(errs))
-
-
 def kernel_points(params: GroupParams, h: float, coords, spec=None):
     """Batch kernel over flat coordinate arrays (..., 2n+1)."""
     coords = np.asarray(coords, dtype=float)
@@ -348,10 +335,12 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
     zsq: (..., l), read as m1 rows; tvals: any shape, read as m2 values.
     Returns (values, errors) of shape (m1, m2), so the (m1, 1, l) and
     (1, m2) arrays of `integrate_radial` can be passed straight in.  The
-    trapezoid rule runs on the real line (sigma = 0) on one grid shared by
-    the whole product, so the t factor is a single matrix product; the
-    error estimate is the Delta rule against the Delta/2 rule, the tail
-    bound and the rounding noise.
+    trapezoid rule runs on the real line (sigma = 0).  A row's (omega, L)
+    rungs come from its block norms and the largest tau of the t set, and
+    the rows with equal rungs share one grid, so the t factor is one matrix
+    product per grid and a row's value depends only on its block norms and
+    the t set.  The error estimate is the Delta rule against the Delta/2
+    rule, the tail bound and the rounding noise.
     """
     spec = spec or QuadratureSpec(tol=1e-9)
     zsq = np.asarray(zsq, dtype=float).reshape(-1, params.l)
@@ -361,19 +350,33 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
         raise ValueError("empty product grid")
     tau = np.abs(tvals) / (4.0 * h)
     # omega grows with tau and L does not depend on it: the largest tau
-    # sets every row's rungs, and the largest rungs the shared grid
+    # sets every row's rungs
     w_rung, cut_rung = _grid_rungs(params, h, zsq, np.full(zsq.shape[0], tau.max()), 0.0, spec)
-    step, count = _grid(int(w_rung.max()), int(cut_rung.max()), spec)
-    lam = np.arange(2 * count + 1) * (0.5 * step)
-    fine, coarse = _weights(step, count)
-    env = np.exp(_log_envelope(h, zsq, _line_tables(params, lam))[0])  # (m1, N)
-    cos = np.cos(np.multiply.outer(tau, lam)).T  # (N, m2)
-    val = (env * fine) @ cos
-    err = (env * (fine - coarse)) @ cos
-    np.abs(err, out=err)
-    rate = _asymptotic_rate(params, h, zsq)
-    noise = np.finfo(float).eps * (4.0 + tau.max() * lam[-1]) * (env @ fine)
-    err += (2.0 * env[:, -1] / rate + noise)[:, None]
+    keys, group = np.unique(np.stack([w_rung, cut_rung], axis=1), axis=0, return_inverse=True)
+    group = group.ravel()
+    grids = [_grid(w, c, spec) for w, c in keys]  # raise before any work
+    val = np.empty((zsq.shape[0], tau.size))
+    err = np.empty_like(val)
+    for g, (step, count) in enumerate(grids):
+        rows = np.flatnonzero(group == g)
+        # the grid's rows, zero-padded into a stack of `_GRID_TILE`-row
+        # tiles: BLAS picks its kernels by the shape of a product, and every
+        # product here has one shape, so a row's sums do not depend on the
+        # rows it shares a call with
+        tiles = np.zeros((-(-rows.size // _GRID_TILE) * _GRID_TILE, params.l))
+        tiles[: rows.size] = zsq[rows]
+        tiles = tiles.reshape(-1, _GRID_TILE, params.l)
+        lam = np.arange(2 * count + 1) * (0.5 * step)
+        fine, coarse = _weights(step, count)
+        env = np.exp(_log_envelope(h, tiles, _line_tables(params, lam))[0])  # (tiles, T, N)
+        cos = np.cos(np.multiply.outer(tau, lam)).T  # (N, m2)
+        sums = [(env * w) @ cos for w in (fine, fine - coarse)]
+        rate = _asymptotic_rate(params, h, tiles)
+        val[rows], diff, env, rate = (
+            a.reshape((-1,) + a.shape[2:])[: rows.size] for a in sums + [env, rate]
+        )
+        noise = np.finfo(float).eps * (4.0 + tau.max() * lam[-1]) * np.sum(env * fine, axis=-1)
+        err[rows] = np.abs(diff) + (2.0 * env[:, -1] / rate + noise)[:, None]
     val *= norm
     err *= norm
     return val, err
@@ -415,19 +418,21 @@ def _require_conditioned(p, err):
         )
 
 
-def log_kernel_left_gradient(params: GroupParams, h: float, g: GroupPoint, spec=None):
-    """Horizontal components (X ln p_h, Y ln p_h, ...) as a 2n vector."""
-    coords = g.flat()
+def log_kernel_left_gradient(params: GroupParams, h: float, coords, spec=None):
+    """Horizontal components (X ln p_h, Y ln p_h, ...) at flat points
+    (..., 2n+1), shape (..., 2n)."""
+    coords = np.asarray(coords, dtype=float)
     out = kernel_derivatives(params, h, coords, spec)
     _require_conditioned(out["p"], out["err"])
-    egrad = out["dp"] / out["p"]
+    egrad = out["dp"] / out["p"][..., None]
     return horizontal_components(params, egrad, coords, which="left")
 
 
-def log_kernel_t_derivative(params: GroupParams, h: float, g: GroupPoint, spec=None) -> float:
-    out = kernel_derivatives(params, h, g.flat(), spec)
+def log_kernel_t_derivative(params: GroupParams, h: float, coords, spec=None):
+    """d/dt ln p_h at flat points (..., 2n+1), shape (...)."""
+    out = kernel_derivatives(params, h, coords, spec)
     _require_conditioned(out["p"], out["err"])
-    return float(out["dp"][..., -1] / out["p"])
+    return out["dp"][..., -1] / out["p"]
 
 
 def scaling_deviation(params: GroupParams, h, left, left_err, right, right_err):
@@ -436,21 +441,6 @@ def scaling_deviation(params: GroupParams, h, left, left_err, right, right_err):
     sides; elementwise over arrays of h and kernel values."""
     dev = np.abs(h ** (params.n + 1) * left - right) / right
     return dev, left_err / left + right_err / right
-
-
-def check_scaling(params: GroupParams, h: float, g: GroupPoint, spec=None) -> VerificationReport:
-    """Scaling law: h^{n+1} p_h(z, t) against p_1(z/sqrt h, t/h)."""
-    spec = spec or QuadratureSpec()
-    left = kernel(params, h, g, spec)
-    right = kernel(params, 1.0, dilate(1.0 / math.sqrt(h), g), spec)
-    dev, rel_err = scaling_deviation(params, h, left.value, left.error, right.value, right.error)
-    rep = VerificationReport(
-        identifier="kernel-scaling",
-        config={"h": h, "group": params.label()},
-        stats={"deviation": float(dev), "error_budget": 10.0 * rel_err},
-    )
-    rep.require(dev <= 10.0 * rel_err, "scaling deviation exceeds quadrature error budget")
-    return rep
 
 
 def kernel_comparison_log_rhs(params: GroupParams, zsq, t):

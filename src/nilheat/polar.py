@@ -33,24 +33,20 @@ used by the ray-integral estimate:
 
 with the auxiliary angle margin pi/8 entering the piecewise comparison
 quantities.
+
+Chart points are flat arrays: u as (..., 2n), laid out like the horizontal
+part of a group point, and eta as (...).  The ray integrals and the path
+check raise PolarDomainError on any row outside the chart.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distance import distance_squared_arrays, solve_theta_arrays
-from .groups import (
-    GroupParams,
-    GroupPoint,
-    block_norms_sq_flat,
-    horizontal_components,
-    interleave_blocks,
-    split_blocks,
-)
+from .groups import GroupParams, block_norms_sq_flat, horizontal_components
 from .kernel import (
     QuadratureSpec,
     _panel_rule,
@@ -67,21 +63,14 @@ __all__ = [
     "SIZE_SPLIT",
     "ANGLE_MARGIN",
     "PolarDomainError",
-    "PolarPoint",
-    "psi",
     "psi_flat",
-    "psi_inverse",
     "psi_inverse_flat",
     "speed_sq_arrays",
-    "jacobian_matrix",
     "jacobian_matrix_flat",
     "det_bordered",
-    "jacobian_closed_form",
     "jacobian_closed_form_arrays",
     "jacobian_comparison_arrays",
-    "classify_region",
     "classify_region_arrays",
-    "pj_estimate",
     "pj_estimate_arrays",
     "ray_integrals",
     "ray_integral_check",
@@ -99,44 +88,19 @@ class PolarDomainError(ValueError):
     """Point outside the polar chart (u_l = 0, eta outside (0, pi), ...)."""
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    """Coordinates (u, eta) with u_l != 0 and 0 < |eta| < pi.
-
-    A record for scalar callers: the chart quantities take u as a flat
-    array (..., 2n) laid out like the horizontal part of a group point,
-    and a record function converts with `flat()` and `from_flat`.
-    """
-
-    u: tuple
-    eta: float
-
-    def __post_init__(self):
-        u = tuple(np.asarray(b, dtype=complex) for b in self.u)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "eta", float(self.eta))
-        if not (0.0 < abs(self.eta) < math.pi):
-            raise PolarDomainError("eta must satisfy 0 < |eta| < pi")
-        if np.all(u[-1] == 0):
-            raise PolarDomainError("top block u_l must be nonzero")
-
-    def flat(self) -> np.ndarray:
-        """u as [Re u_{1,1}, Im u_{1,1}, ..., Re u_{l,k_l}, Im u_{l,k_l}]."""
-        return interleave_blocks(self.u)
-
-    @staticmethod
-    def from_flat(params: GroupParams, u_flat, eta: float) -> "PolarPoint":
-        return PolarPoint(split_blocks(params, u_flat), eta)
+def _check_chart_domain(usq, eta):
+    """PolarDomainError unless every row has u_l != 0 and 0 < |eta| < pi;
+    usq (..., l) are the block norms |u_j|^2."""
+    eta = np.abs(np.asarray(eta, dtype=float))
+    if not np.all((eta > 0.0) & (eta < math.pi)):
+        raise PolarDomainError("eta must satisfy 0 < |eta| < pi")
+    if np.any(np.asarray(usq)[..., -1] == 0.0):
+        raise PolarDomainError("top block u_l must be nonzero")
 
 
 def speed_sq_arrays(params: GroupParams, usq):
     """U^2 = 4 sum_j a_j^2 |u_j|^2 from block norms (..., l)."""
     return 4.0 * np.sum(np.asarray(params.a) ** 2 * usq, axis=-1)
-
-
-def speed(params: GroupParams, p: PolarPoint) -> float:
-    """U = (4 sum a_j^2 |u_j|^2)^{1/2}; path speed is U |eta|."""
-    return float(np.sqrt(speed_sq_arrays(params, block_norms_sq_flat(params, p.flat()))))
 
 
 def _angle_factor_sq(w):
@@ -198,11 +162,6 @@ def _psi_norms(params: GroupParams, usq, eta):
     return usq * _angle_factor_sq(w), np.sum(2.0 * a * usq * _vertical_factor(w), axis=-1)
 
 
-def psi(params: GroupParams, p: PolarPoint) -> GroupPoint:
-    """Chart map Psi(u, eta) as a GroupPoint."""
-    return GroupPoint.from_flat(params, psi_flat(params, p.flat(), np.asarray(p.eta)))
-
-
 def psi_inverse_flat(params: GroupParams, coords):
     """Vectorized chart inverse: flat (..., 2n+1) -> (u_flat (..., 2n), eta (...)).
 
@@ -228,12 +187,6 @@ def psi_inverse_flat(params: GroupParams, coords):
     u_flat[..., 0::2] = ((1.0 - C) * zx + S * zy) / fac
     u_flat[..., 1::2] = (-S * zx + (1.0 - C) * zy) / fac
     return u_flat, eta
-
-
-def psi_inverse(params: GroupParams, g: GroupPoint) -> PolarPoint:
-    """Invert the chart at one group point; see `psi_inverse_flat`."""
-    u_flat, eta = psi_inverse_flat(params, g.flat())
-    return PolarPoint.from_flat(params, u_flat, float(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +221,6 @@ def jacobian_matrix_flat(params: GroupParams, u_flat, eta):
         4.0 * ab**2 * usq * (1.0 - np.cos(2.0 * ab * eta[..., None])), axis=-1
     )
     return M
-
-
-def jacobian_matrix(params: GroupParams, p: PolarPoint) -> np.ndarray:
-    """Jacobian matrix at one chart point; see `jacobian_matrix_flat`."""
-    return jacobian_matrix_flat(params, p.flat(), p.eta)
 
 
 def _det_laplace(M):
@@ -375,11 +323,6 @@ def jacobian_closed_form_arrays(params: GroupParams, usq, eta):
     return out
 
 
-def jacobian_closed_form(params: GroupParams, p: PolarPoint) -> float:
-    usq = block_norms_sq_flat(params, p.flat())
-    return float(jacobian_closed_form_arrays(params, usq, np.asarray(p.eta)))
-
-
 def jacobian_comparison_arrays(params: GroupParams, usq, eta):
     """Power-law comparison quantity for J:
     |eta|^{2n+2} (pi-|eta|)^{2 k_l - 1} (|u'|^2 (pi-|eta|) + |u_l|^2)."""
@@ -420,12 +363,6 @@ def classify_region_arrays(params: GroupParams, usq, eta):
     return out
 
 
-def classify_region(params: GroupParams, p: PolarPoint) -> str:
-    usq = block_norms_sq_flat(params, p.flat())
-    code = int(classify_region_arrays(params, usq, np.asarray(p.eta)))
-    return f"R{code}"
-
-
 def _pj_cases(params: GroupParams, usq, eta):
     """The p * J comparison formulas: (wide-angle value, narrow-angle value,
     wide mask), the narrow value already split on the crowd size."""
@@ -451,11 +388,6 @@ def pj_estimate_arrays(params: GroupParams, usq, eta):
     """Piecewise comparison quantity for p * J on U|eta| >= 1."""
     wide_value, narrow_value, wide = _pj_cases(params, usq, eta)
     return np.where(wide, wide_value, narrow_value)
-
-
-def pj_estimate(params: GroupParams, p: PolarPoint) -> float:
-    usq = block_norms_sq_flat(params, p.flat())
-    return float(pj_estimate_arrays(params, usq, np.asarray(p.eta)))
 
 
 def cancellation_exponent_polar(params: GroupParams, usq, eta, h=1.0):
@@ -517,11 +449,14 @@ def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
 
     The rays go to the kernel in blocks of `_RAY_BLOCK`: one `kernel_zsq`
     call per block takes every ray node of the block plus the block's
-    v = 1 points, and `np.add.reduceat` sums each ray's nodes.
+    v = 1 points, and `np.add.reduceat` sums each ray's nodes.  A ray
+    outside the chart (u_l = 0, or |eta| not in (0, pi)) raises
+    PolarDomainError.
     """
     spec = spec or QuadratureSpec(tol=1e-9)
     eta = np.asarray(eta, dtype=float).reshape(-1)
     usq = block_norms_sq_flat(params, np.asarray(u_flat, dtype=float)).reshape(eta.size, params.l)
+    _check_chart_domain(usq, eta)
     vmax = math.pi / np.abs(eta)
     decay = speed_sq_arrays(params, usq) * eta * eta
     v_hi = np.minimum(vmax, np.sqrt(1.0 + 4.0 * _RAY_TAIL_MARGIN / np.maximum(decay, 1e-12)))
@@ -564,10 +499,10 @@ def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
     }
 
 
-def ray_integral_check(params: GroupParams, p: PolarPoint, spec=None):
-    """`ray_integrals` for one ray: the same keys as scalars, with the
-    region as its name ("R1", "R2" or "R3")."""
-    out = ray_integrals(params, p.flat()[None, :], np.array([p.eta]), spec)
+def ray_integral_check(params: GroupParams, u_flat, eta, spec=None):
+    """`ray_integrals` for one ray, u_flat (2n,) and eta a float: the same
+    keys as scalars, with the region as its name ("R1", "R2" or "R3")."""
+    out = ray_integrals(params, np.reshape(u_flat, (1, -1)), np.array([eta]), spec)
     out = {key: float(val[0]) for key, val in out.items()}
     out["region"] = f"R{int(out['region'])}"
     return out
@@ -768,16 +703,16 @@ def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: fl
     )
 
 
-def path_velocity(params: GroupParams, p: PolarPoint, s):
-    """Horizontal velocity coefficients (cX, cY per pair) of s -> Psi(u, s eta).
+def path_velocity(params: GroupParams, u_flat, eta, s):
+    """Horizontal velocity coefficients (cX, cY per pair) of s -> Psi(u, s eta)
+    for one chart point, u_flat (2n,) and eta a float.
 
     Returns an array (..., 2n) ordered like the horizontal frame.  Its
     Euclidean norm is the constant U |eta|.
     """
     s = np.asarray(s, dtype=float)
+    u_flat = np.asarray(u_flat, dtype=float)
     a = params.pair_a
-    eta = p.eta
-    u_flat = p.flat()
     re, im = u_flat[0::2], u_flat[1::2]
     w = 2.0 * a * np.multiply.outer(s, np.ones(params.n)) * eta
     sin, cos = np.sin(w), np.cos(w)
@@ -787,46 +722,53 @@ def path_velocity(params: GroupParams, p: PolarPoint, s):
     return out
 
 
-def horizontal_path_check(params: GroupParams, p: PolarPoint, f, s_values=None) -> VerificationReport:
-    """Check the chain rule along the ray, the speed, and the gradient bound.
+def horizontal_path_check(params: GroupParams, u_flat, eta, f, s_values=None) -> VerificationReport:
+    """Check the chain rule along the ray, the speed, and the gradient bound
+    at one chart point, u_flat (2n,) and eta a float.
 
     (a) d/ds f(Psi(u, s eta)) from the horizontal expansion matches central
         finite differences in s (1e-6 relative);
     (b) |d/ds f| <= U|eta| |grad f| pointwise (Cauchy-Schwarz);
     (c) the horizontal speed equals U|eta| for every s (1e-8), so the path
         length equals the distance of the endpoint.
+
+    A point outside the chart (u_l = 0, or |eta| not in (0, pi)) raises
+    PolarDomainError.
     """
+    u_flat = np.asarray(u_flat, dtype=float)
+    eta = float(eta)
+    usq = block_norms_sq_flat(params, u_flat)
+    _check_chart_domain(usq, eta)
     if s_values is None:
         s_values = np.linspace(0.1, 1.0, 10)
     s_values = np.asarray(s_values, dtype=float)
-    u_flat = p.flat()
-    coords = psi_flat(params, u_flat, s_values * p.eta)
-    vel = path_velocity(params, p, s_values)
+    coords = psi_flat(params, u_flat, s_values * eta)
+    vel = path_velocity(params, u_flat, eta, s_values)
     grad = f.gradient(coords)
     hgrad = horizontal_components(params, grad, coords, which="left")
     dds = np.sum(vel * hgrad, axis=-1)
 
     eps = 1e-6
-    up = f.value(psi_flat(params, u_flat, (s_values + eps) * p.eta))
-    dn = f.value(psi_flat(params, u_flat, (s_values - eps) * p.eta))
+    up = f.value(psi_flat(params, u_flat, (s_values + eps) * eta))
+    dn = f.value(psi_flat(params, u_flat, (s_values - eps) * eta))
     fd = (up - dn) / (2.0 * eps)
     scale = np.maximum(np.max(np.abs(dds)), 1.0)
     fd_err = float(np.max(np.abs(dds - fd))) / scale
 
     sp = np.sqrt(np.sum(vel**2, axis=-1))
-    Ueta = speed(params, p) * abs(p.eta)
+    Ueta = float(np.sqrt(speed_sq_arrays(params, usq))) * abs(eta)
     speed_err = float(np.max(np.abs(sp - Ueta))) / max(Ueta, 1e-300)
 
     gnorm = np.sqrt(np.sum(hgrad**2, axis=-1))
     cs_slack = float(np.max(np.abs(dds) - Ueta * gnorm))
 
-    end = psi_flat(params, u_flat, np.asarray(p.eta))
+    end = psi_flat(params, u_flat, np.asarray(eta))
     d2 = distance_squared_arrays(params, block_norms_sq_flat(params, end), end[-1])
     len_err = abs(math.sqrt(float(d2)) - Ueta) / max(Ueta, 1e-300)
 
     rep = VerificationReport(
         identifier="horizontal-path",
-        config={"group": params.label(), "eta": p.eta},
+        config={"group": params.label(), "eta": eta},
         stats={
             "dds_fd_rel_error": fd_err,
             "speed_rel_error": speed_err,

@@ -39,7 +39,7 @@ import numpy as np
 from .distance import distance_squared_arrays
 from .groups import (
     GroupParams,
-    _apply_field,
+    apply_field,
     block_norms_sq_flat,
     horizontal_components,
     multiply_flat,
@@ -60,9 +60,7 @@ __all__ = [
     "sample_heat_points",
     "right_field_of",
     "hgrad_norm_of",
-    "semigroup_apply",
     "semigroup_estimate",
-    "grad_semigroup",
     "grad_semigroup_components",
     "ball_mean",
     "check_li_inequality",
@@ -76,25 +74,27 @@ __all__ = [
 ]
 
 
+_PATH_CHUNK = 8192  # paths per RNG block
+
+
 @dataclass(frozen=True)
 class DiffusionSpec:
     """Horizontal diffusion sampler controls.
 
     steps: Euler steps over the horizon (>= 100 for acceptance runs);
     paths: number of endpoints (>= 1e4 for acceptance runs);
-    seed/stream: Philox key material; chunk: paths per RNG block.
+    seed/stream: Philox key material.
     """
 
     steps: int = 200
     paths: int = 10000
     seed: int = 0
     stream: int = 0
-    chunk: int = 8192
 
     def __post_init__(self):
         if self.steps < 100:
             raise ValueError("diffusion needs at least 100 steps")
-        if self.paths < 1 or self.chunk < 1:
+        if self.paths < 1:
             raise ValueError("invalid diffusion spec")
 
     def with_stream(self, stream: int) -> "DiffusionSpec":
@@ -132,8 +132,8 @@ def sample_heat_points(params: GroupParams, h: float, spec: DiffusionSpec) -> np
     if h <= 0:
         raise ValueError("time parameter h must be positive")
     out = np.empty((spec.paths, params.dim))
-    for i, start in enumerate(range(0, spec.paths, spec.chunk)):
-        stop = min(start + spec.chunk, spec.paths)
+    for i, start in enumerate(range(0, spec.paths, _PATH_CHUNK)):
+        stop = min(start + _PATH_CHUNK, spec.paths)
         out[start:stop] = _simulate_chunk(params, h, spec, i, stop - start)
     return out
 
@@ -161,20 +161,29 @@ class _Closure:
 def right_field_of(params: GroupParams, which, f):
     """The scalar field (right-invariant frame applied to f)."""
     def fn(coords):
-        return _apply_field(params, which, f, coords, right=True)
+        return apply_field(params, which, f, coords, right=True)
 
     return _Closure(fn, box=f.support_box())
 
 
-def _mean_se(x, count=None, fill=0.0):
-    """Sample mean and standard error, as floats, of a `count`-row sample
-    made of the values x and count - x.size rows equal to fill (count
-    defaults to x.size, and then the pair is np.mean(x) and
-    np.std(x) / sqrt(x.size) bit for bit)."""
+def _mean_var(x, count=None, fill=0.0):
+    """Sample mean and variance, as floats, of a `count`-row sample made of
+    the values x and count - x.size rows equal to fill (count defaults to
+    x.size, and then the pair is np.mean(x) and np.var(x) bit for bit).
+    The variance is two-pass, the mean of the squared deviations, so it
+    does not cancel as E x^2 - (E x)^2 does."""
     count = x.size if count is None else count
     rest = count - x.size
     mean = (float(np.sum(x)) + rest * fill) / count
     var = (float(np.sum((x - mean) ** 2)) + rest * (fill - mean) ** 2) / count
+    return mean, var
+
+
+def _mean_se(x, count=None, fill=0.0):
+    """Sample mean and standard error of the sample of `_mean_var` (with
+    count = x.size, np.mean(x) and np.std(x) / sqrt(x.size) bit for bit)."""
+    count = x.size if count is None else count
+    mean, var = _mean_var(x, count, fill)
     return mean, math.sqrt(var) / math.sqrt(count)
 
 
@@ -370,11 +379,6 @@ def semigroup_estimate(params, f, h, g_flat, method="mc", dspec=None, qspec=None
     return float(np.sum(f.value(nodes) * pvals * wt)), None
 
 
-def semigroup_apply(params, f, h, g_flat, method="mc", dspec=None, qspec=None, grid_points=16) -> float:
-    """e^{h Delta} f (g) by the requested route."""
-    return semigroup_estimate(params, f, h, g_flat, method, dspec, qspec, grid_points)[0]
-
-
 def _chain_rule_components(params, grad, g_flat, W):
     """Left frame applied to g -> f(g . w) at each sample w: the X and the
     Y components, each (N, n).
@@ -424,11 +428,6 @@ def grad_semigroup_components(params, f, h, g_flat, method="mc", dspec=None, qsp
     comps[:, 0::2], comps[:, 1::2] = _chain_rule_components(params, grad, g_flat, W)
     mean = np.sum(comps * wts[:, None], axis=0)
     return mean, (np.std(comps, axis=0) / math.sqrt(W.shape[0]) if method == "mc" else None)
-
-
-def grad_semigroup(params, f, h, g_flat, method="mc", dspec=None, qspec=None, grid_points=16) -> float:
-    comps, _ = grad_semigroup_components(params, f, h, g_flat, method, dspec, qspec, grid_points)
-    return float(np.sqrt(np.sum(comps**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +545,7 @@ def check_commutation(params, f, h, g_flat, dspec, qspec=None, method="mc") -> V
             return float(np.mean(field.value(multiply_flat(params, g, W))))
     else:
         def apply(field, g):
-            return semigroup_apply(params, field, h, g, method, qspec=qspec)
+            return semigroup_estimate(params, field, h, g, method, qspec=qspec)[0]
     lhs_all, rhs_all, labels = [], [], []
     for i in range(params.l):
         for j in range(params.k[i]):
@@ -642,12 +641,13 @@ def check_log_sobolev_poincare(params, family, points, h_values, dspec) -> Verif
     """Empirical entropy and variance constants of the semigroup.
 
     entropy   [E phi^2 log phi^2 - E phi^2 log E phi^2] / (h E |grad f|^2)
-    variance  [E phi^2 - (E phi)^2] / (h E |grad f|^2)
+    variance  E (phi - E phi)^2 / (h E |grad f|^2)
 
     with phi = f + c_f shifted positive (the shift changes neither side's
     gradient term and keeps the entropy well defined).  The entropy is the
-    mean of the non-negative `_entropy_terms` of phi^2 around m2 = E phi^2,
-    the rows outside f's support (phi = c_f) counted in closed form.
+    mean of the non-negative `_entropy_terms` of phi^2 around m2 = E phi^2
+    and the variance the two-pass `_mean_var`, the rows outside f's support
+    (phi = c_f) counted in closed form in both.
     """
     sup_ent = 0.0
     sup_var = 0.0
@@ -674,7 +674,7 @@ def check_log_sobolev_poincare(params, family, points, h_values, dspec) -> Verif
                 shift2 = shift * shift
                 m2 = _mean_se(phi2, count, shift2)[0]
                 ent = _mean_se(_entropy_terms(phi2, m2), count, float(_entropy_terms(shift2, m2)))[0]
-                var = m2 - _mean_se(phi, count, shift)[0] ** 2
+                var = _mean_var(phi, count, shift)[1]
                 sup_ent = max(sup_ent, ent / den)
                 sup_var = max(sup_var, var / den)
                 cases += 1
@@ -746,21 +746,21 @@ def check_translation_dilation_reduction(params, f, h, g_flat, qspec=None, grid_
     """
     g_flat = np.asarray(g_flat, dtype=float)
     qspec = qspec or QuadratureSpec(tol=1e-8)
-    lhs = semigroup_apply(params, f, h, g_flat, "quadrature", qspec=qspec, grid_points=grid_points)
-    moved = TransformedField(params, f, g_flat, math.sqrt(h))
-    origin = np.zeros(params.dim)
+
+    def by_quadrature(field, time, point, points):
+        """(value, horizontal gradient norm) of e^{time D} field at point."""
+        kw = {"qspec": qspec, "grid_points": points}
+        value = semigroup_estimate(params, field, time, point, "quadrature", **kw)[0]
+        comps = grad_semigroup_components(params, field, time, point, "quadrature", **kw)[0]
+        return value, float(np.sqrt(np.sum(comps**2)))
+
+    lhs, glhs = by_quadrature(f, h, g_flat, grid_points)
     # coarser grid on the reduced side: under matched grids the two tensor
     # sums coincide identically, which would make the check vacuous
-    rhs = semigroup_apply(
-        params, moved, 1.0, origin, "quadrature", qspec=qspec, grid_points=grid_points + 3
-    )
+    moved = TransformedField(params, f, g_flat, math.sqrt(h))
+    rhs, grhs = by_quadrature(moved, 1.0, np.zeros(params.dim), grid_points + 3)
     scale = max(abs(lhs), abs(rhs), 1e-12)
     value_err = abs(lhs - rhs) / scale
-
-    glhs = grad_semigroup(params, f, h, g_flat, "quadrature", qspec=qspec, grid_points=grid_points)
-    grhs = grad_semigroup(
-        params, moved, 1.0, origin, "quadrature", qspec=qspec, grid_points=grid_points + 3
-    )
     gscale = max(glhs, grhs / math.sqrt(h), 1e-12)
     grad_err = abs(glhs - grhs / math.sqrt(h)) / gscale
 

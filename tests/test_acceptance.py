@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from nilheat.groups import GroupParams, GroupPoint, horizontal_components, multiply_flat
+from nilheat.groups import GroupParams, horizontal_components, multiply_flat
 from nilheat.reports import dumps_report
 from nilheat.sampling import philox
 from nilheat.suites import RunConfig, config_from_dict, run_suite

@@ -8,22 +8,22 @@ from numpy.testing import assert_allclose
 
 from nilheat import distance as distance_module
 from nilheat.distance import (
-    Branch,
     boundary_threshold,
     cancellation_exponent,
     check_distance_equivalence,
-    distance,
-    distance_between,
-    distance_squared,
     distance_squared_arrays,
-    epsilon0,
     mu,
     mu_inverse,
     mu_prime,
-    solve_theta,
     solve_theta_arrays,
 )
-from nilheat.groups import GroupParams, GroupPoint, block_norms_sq_flat, dilate, multiply, origin
+from nilheat.groups import (
+    GroupParams,
+    block_norms_sq_flat,
+    dilate_flat,
+    inverse_flat,
+    multiply_flat,
+)
 from nilheat.sampling import CloudSpec, philox, uniform_box
 
 
@@ -72,57 +72,72 @@ def test_mu_inverse():
     assert mu(theta) == pytest.approx(1e9, rel=1e-9)
 
 
+def _solve(params, coords):
+    """(theta, branch, residual) at flat points."""
+    coords = np.asarray(coords, dtype=float)
+    return solve_theta_arrays(params, block_norms_sq_flat(params, coords), coords[..., -1])
+
+
+def _d2(params, coords):
+    """Squared distance from the origin at flat points."""
+    coords = np.asarray(coords, dtype=float)
+    return distance_squared_arrays(params, block_norms_sq_flat(params, coords), coords[..., -1])
+
+
 def test_solve_theta_branches(noniso):
-    # t = 0 with z != 0 gives theta = 0
-    g = GroupPoint((np.array([0.5 + 0j]), np.array([0.2j, 0.1 + 0j])), 0.0)
-    sol = solve_theta(noniso, g)
-    assert sol.branch is Branch.INTERIOR and sol.theta == 0.0
+    # flat noniso points: [x11, y11, x21, y21, x22, y22, t]
+    # t = 0 with z != 0 gives theta = 0 on the interior branch (code 0)
+    theta, branch, _ = _solve(noniso, [0.5, 0.0, 0.0, 0.2, 0.1, 0.0, 0.0])
+    assert branch == 0 and theta == 0.0
     # sign of theta follows the sign of t
     rng = philox(4, 1)
     for _ in range(30):
-        z = tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in noniso.k)
-        t = float(rng.standard_normal() * 2)
-        if t == 0:
-            continue
-        sol = solve_theta(noniso, GroupPoint(z, t))
-        assert math.copysign(1, sol.theta) == math.copysign(1, t)
-        assert abs(sol.residual) <= 1e-12 * (1 + abs(t))
-    # z = 0 and t != 0: boundary branch
-    gz = GroupPoint((np.zeros(1, dtype=complex), np.zeros(2, dtype=complex)), 1.5)
-    sol = solve_theta(noniso, gz)
-    assert sol.branch is Branch.ZL_ZERO_BOUNDARY and sol.theta is None
-    assert sol.boundary_sign == 1
-    # z_l = 0 with small t: the other blocks still carry an interior solution
-    gi = GroupPoint((np.array([2.0 + 0j]), np.zeros(2, dtype=complex)), 0.3)
-    thr = boundary_threshold(noniso, block_norms_sq_flat(noniso, gi.flat()))
+        g = rng.standard_normal(noniso.dim)
+        g[-1] *= 2.0
+        theta, branch, residual = _solve(noniso, g)
+        assert branch == 0
+        assert math.copysign(1, theta) == math.copysign(1, g[-1])
+        assert abs(residual) <= 1e-12 * (1 + abs(g[-1]))
+    # z = 0 and t != 0: boundary branch (code 2), no angle
+    theta, branch, _ = _solve(noniso, [0, 0, 0, 0, 0, 0, 1.5])
+    assert branch == 2 and np.isnan(theta)
+    # z_l = 0 with small t: the other blocks still carry an interior
+    # solution (code 1)
+    gi = np.array([2.0, 0, 0, 0, 0, 0, 0.3])
+    thr = boundary_threshold(noniso, block_norms_sq_flat(noniso, gi))
     assert 0.3 < thr
-    sol = solve_theta(noniso, gi)
-    assert sol.branch is Branch.ZL_ZERO_INTERIOR and abs(sol.theta) < math.pi
+    theta, branch, _ = _solve(noniso, gi)
+    assert branch == 1 and abs(theta) < math.pi
     # and above the threshold it is the boundary branch
-    gb = GroupPoint((np.array([2.0 + 0j]), np.zeros(2, dtype=complex)), thr * 1.01)
-    assert solve_theta(noniso, gb).branch is Branch.ZL_ZERO_BOUNDARY
+    gb = np.array([2.0, 0, 0, 0, 0, 0, thr * 1.01])
+    assert _solve(noniso, gb)[1] == 2
+    # one batch gives every row its own code
+    rows = np.stack([gi, gb, -gb, np.r_[np.ones(6), 0.4]])
+    assert _solve(noniso, rows)[1].tolist() == [1, 2, 2, 0]
     with pytest.raises(ValueError):
-        solve_theta(noniso, origin(noniso))
+        _solve(noniso, np.zeros(noniso.dim))
 
 
 def test_distance_examples(any_group):
     params = any_group
     rng = philox(5, 2)
     # d(z, 0) = |z|
-    z = tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in params.k)
-    g = GroupPoint(z, 0.0)
-    want = math.sqrt(float(block_norms_sq_flat(params, g.flat()).sum()))
-    assert distance(params, g) == pytest.approx(want, rel=1e-10)
+    g = rng.standard_normal(params.dim)
+    g[-1] = 0.0
+    want = math.sqrt(float(np.sum(g**2)))
+    assert math.sqrt(_d2(params, g)) == pytest.approx(want, rel=1e-10)
     # d(0, t)^2 = pi |t|
-    gt = GroupPoint(tuple(np.zeros(k, dtype=complex) for k in params.k), -2.3)
-    assert distance_squared(params, gt) == pytest.approx(math.pi * 2.3, rel=1e-12)
+    gt = np.zeros(params.dim)
+    gt[-1] = -2.3
+    assert _d2(params, gt) == pytest.approx(math.pi * 2.3, rel=1e-12)
     # origin
-    assert distance_squared(params, origin(params)) == 0.0
+    assert _d2(params, np.zeros(params.dim)) == 0.0
     # homogeneity
-    gg = GroupPoint(z, 0.7)
+    gg = g.copy()
+    gg[-1] = 0.7
     for r in (0.3, 2.0, 5.0):
-        assert distance_squared(params, dilate(r, gg)) == pytest.approx(
-            r * r * distance_squared(params, gg), rel=1e-10
+        assert _d2(params, dilate_flat(params, r, gg)) == pytest.approx(
+            r * r * _d2(params, gg), rel=1e-10
         )
 
 
@@ -142,28 +157,31 @@ def test_distance_form_agreement(any_group):
 
 
 def test_epsilon0(any_group):
+    # eps0 = sin(theta)/theta = sinc(theta/pi), in (0, 1] on interior branches
     params = any_group
-    z = tuple(0.5 * np.ones(k, dtype=complex) for k in params.k)
-    assert epsilon0(params, GroupPoint(z, 0.0)) == 1.0
+    g = np.full(params.dim, 0.5)
+    g[-1] = 0.0
+    assert np.sinc(_solve(params, g)[0] / math.pi) == 1.0
     rng = philox(6, 3)
-    for _ in range(20):
-        zz = tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in params.k)
-        g = GroupPoint(zz, float(rng.standard_normal()))
-        e = epsilon0(params, g)
-        assert 0.0 < e <= 1.0
-    # boundary branch rejects
-    gt = GroupPoint(tuple(np.zeros(k, dtype=complex) for k in params.k), 1.0)
-    with pytest.raises(ValueError):
-        epsilon0(params, gt)
+    theta, branch, _ = _solve(params, rng.standard_normal((20, params.dim)))
+    assert np.all(branch == 0)
+    e = np.sinc(theta / math.pi)
+    assert np.all((0.0 < e) & (e <= 1.0))
+    assert_allclose(e, np.sin(theta) / theta, rtol=1e-15)
+    # the boundary branch has no angle, so eps0 is undefined there
+    gt = np.zeros(params.dim)
+    gt[-1] = 1.0
+    theta, branch, _ = _solve(params, gt)
+    assert branch == 2 and np.isnan(theta)
 
 
 def test_epsilon0_vanishes_toward_boundary(noniso):
     # shrink the top block at fixed t: theta climbs to pi, eps0 to 0
-    vals = []
-    for s in (0.5, 0.1, 0.02, 0.004):
-        g = GroupPoint((np.array([0.3 + 0j]), np.array([s + 0j, 0j])), 2.0)
-        vals.append(epsilon0(noniso, g))
-    assert all(b < a for a, b in zip(vals, vals[1:]))
+    s = np.array([0.5, 0.1, 0.02, 0.004])
+    pts = np.zeros((s.size, noniso.dim))
+    pts[:, 0], pts[:, 2], pts[:, -1] = 0.3, s, 2.0
+    vals = np.sinc(_solve(noniso, pts)[0] / math.pi)
+    assert np.all(np.diff(vals) < 0.0)
     assert vals[-1] < 0.05
 
 
@@ -183,16 +201,16 @@ def test_boundary_continuity(noniso):
 
 
 def test_distance_between_invariance(noniso):
+    # d(g, g2) = d(g^{-1} g2, origin) is left invariant
     rng = philox(7, 4)
-    mk = lambda: GroupPoint(
-        tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in noniso.k),
-        float(rng.standard_normal()),
-    )
-    g, g2, g0 = mk(), mk(), mk()
-    assert distance_between(noniso, g, g) == 0.0
-    lhs = distance_between(noniso, multiply(noniso, g0, g), multiply(noniso, g0, g2))
-    rhs = distance_between(noniso, g, g2)
-    assert lhs == pytest.approx(rhs, rel=1e-10)
+    g, g2, g0 = rng.standard_normal((3, noniso.dim))
+
+    def between(a, b):
+        return math.sqrt(_d2(noniso, multiply_flat(noniso, inverse_flat(a), b)))
+
+    assert between(g, g) == 0.0
+    lhs = between(multiply_flat(noniso, g0, g), multiply_flat(noniso, g0, g2))
+    assert lhs == pytest.approx(between(g, g2), rel=1e-10)
 
 
 def test_equivalence_report(any_group):

@@ -8,20 +8,16 @@ from numpy.testing import assert_allclose
 
 from nilheat.groups import (
     GroupParams,
-    GroupPoint,
-    apply_left_field,
-    apply_right_field,
+    apply_field,
     block_norms_sq_flat,
-    dilate,
     dilate_flat,
-    horizontal_gradient_norm,
-    inverse,
-    multiply,
+    horizontal_components,
+    inverse_flat,
     multiply_flat,
-    origin,
     sub_laplacian,
 )
 from nilheat.sampling import philox
+from nilheat.semigroup import hgrad_norm_of
 from nilheat.testfuncs import TestFunction, linear_bump, standard_family
 
 
@@ -40,47 +36,42 @@ def oracle_multiply(a_coeffs, z1, z2, t1, t2):
     ], t1 + t2 + twist
 
 
+def _complex_blocks(params, coords):
+    """The complex block vectors z_i of a flat point, for the oracle."""
+    z = coords[0 : 2 * params.n : 2] + 1j * coords[1 : 2 * params.n : 2]
+    return [z[sl] for sl in params.block_slices()]
+
+
 def test_multiply_against_complex_oracle():
     # the specific two-block case: the twist evaluates to exactly 1
     params = GroupParams(2, (1, 1), (0.5, 1.0))
-    g = GroupPoint((np.array([1 + 0j]), np.array([0 + 1j])), 0.0)
-    g2 = GroupPoint((np.array([0 + 1j]), np.array([1 + 0j])), 0.0)
-    _, t_expected = oracle_multiply(params.a, g.z, g2.z, 0.0, 0.0)
+    g = np.array([1.0, 0.0, 0.0, 1.0, 0.0])  # z = (1, i), t = 0
+    g2 = np.array([0.0, 1.0, 1.0, 0.0, 0.0])  # z = (i, 1), t = 0
+    blocks = [_complex_blocks(params, p) for p in (g, g2)]
+    _, t_expected = oracle_multiply(params.a, *blocks, 0.0, 0.0)
     assert t_expected == 1.0
-    out = multiply(params, g, g2)
-    assert out.t == t_expected
+    assert multiply_flat(params, g, g2)[-1] == t_expected
     # random cases against the same oracle
     rng = philox(11, 0)
     for _ in range(50):
-        z1 = tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in params.k)
-        z2 = tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in params.k)
-        t1, t2 = rng.standard_normal(2)
-        ga, gb = GroupPoint(z1, t1), GroupPoint(z2, t2)
-        zs, ts = oracle_multiply(params.a, z1, z2, t1, t2)
-        got = multiply(params, ga, gb)
-        assert abs(got.t - ts) <= 1e-14 * (1 + abs(ts))
-        for b_got, b_want in zip(got.z, zs):
+        A, B = rng.standard_normal((2, params.dim))
+        zs, ts = oracle_multiply(
+            params.a, _complex_blocks(params, A), _complex_blocks(params, B), A[-1], B[-1]
+        )
+        got = multiply_flat(params, A, B)
+        assert abs(got[-1] - ts) <= 1e-14 * (1 + abs(ts))
+        for b_got, b_want in zip(_complex_blocks(params, got), zs):
             assert_allclose(b_got, np.asarray(b_want), rtol=0, atol=1e-14)
 
 
 def test_identity_and_inverse(any_group, rng):
     params = any_group
-    o = origin(params)
-    g = GroupPoint(
-        tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in params.k),
-        float(rng.standard_normal()),
-    )
-    assert_allclose(multiply(params, g, o).flat(), g.flat(), atol=0)
-    assert_allclose(multiply(params, o, g).flat(), g.flat(), atol=0)
-    assert_allclose(multiply(params, g, inverse(g)).flat(), o.flat(), atol=1e-14)
-    back = inverse(inverse(g))
-    assert_allclose(back.flat(), g.flat(), atol=0)
-
-
-def test_shape_mismatch_rejected(noniso, h1):
-    g1 = origin(h1)
-    with pytest.raises(ValueError):
-        multiply(noniso, g1, g1)
+    o = np.zeros(params.dim)
+    g = rng.standard_normal(params.dim)
+    assert_allclose(multiply_flat(params, g, o), g, atol=0)
+    assert_allclose(multiply_flat(params, o, g), g, atol=0)
+    assert_allclose(multiply_flat(params, g, inverse_flat(g)), o, atol=1e-14)
+    assert_allclose(inverse_flat(inverse_flat(g)), g, atol=0)
 
 
 def test_group_axioms_bulk(any_group):
@@ -98,30 +89,27 @@ def test_group_axioms_bulk(any_group):
 
 def test_dilation(any_group, rng):
     params = any_group
-    g = GroupPoint(
-        tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in params.k),
-        float(rng.standard_normal()),
-    )
-    assert_allclose(dilate(1.0, g).flat(), g.flat(), atol=0)
-    d2 = dilate(2.0, g)
-    assert_allclose(np.concatenate([2 * b for b in g.z]), np.concatenate(d2.z), atol=0)
-    assert d2.t == 4.0 * g.t
+    g = rng.standard_normal(params.dim)
+    assert_allclose(dilate_flat(params, 1.0, g), g, atol=0)
+    d2 = dilate_flat(params, 2.0, g)
+    assert_allclose(d2[:-1], 2.0 * g[:-1], atol=0)
+    assert d2[-1] == 4.0 * g[-1]
     # composition and automorphism
     r1, r2 = 0.7, 2.3
     assert_allclose(
-        dilate(r1, dilate(r2, g)).flat(), dilate(r1 * r2, g).flat(), rtol=1e-14, atol=1e-14
+        dilate_flat(params, r1, dilate_flat(params, r2, g)),
+        dilate_flat(params, r1 * r2, g),
+        rtol=1e-14,
+        atol=1e-14,
     )
-    g2 = GroupPoint(
-        tuple(rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in params.k),
-        float(rng.standard_normal()),
-    )
-    lhs = dilate(r1, multiply(params, g, g2)).flat()
-    rhs = multiply(params, dilate(r1, g), dilate(r1, g2)).flat()
+    g2 = rng.standard_normal(params.dim)
+    lhs = dilate_flat(params, r1, multiply_flat(params, g, g2))
+    rhs = multiply_flat(params, dilate_flat(params, r1, g), dilate_flat(params, r1, g2))
     assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError):
-        dilate(0.0, g)
+        dilate_flat(params, 0.0, g)
     with pytest.raises(ValueError):
-        dilate_flat(params, -1.0, g.flat())
+        dilate_flat(params, -1.0, g)
 
 
 def _field_flow(params, which, g_flat, eps):
@@ -141,11 +129,10 @@ def test_left_field_matches_flow_fd(any_group):
     eps = 1e-5
     for f in fam[:3]:
         g_flat = f.center + rng.uniform(-0.3, 0.3, params.dim) * f.scale
-        g = GroupPoint.from_flat(params, g_flat)
         for i in range(params.l):
             for j in range(params.k[i]):
                 for kind in ("x", "y"):
-                    got = apply_left_field(params, (i, j, kind), f, g)
+                    got = apply_field(params, (i, j, kind), f, g_flat)
                     up = f.value(_field_flow(params, (i, j, kind), g_flat, eps))
                     dn = f.value(_field_flow(params, (i, j, kind), g_flat, -eps))
                     fd = (up - dn) / (2 * eps)
@@ -158,11 +145,10 @@ def test_right_field_matches_flow_fd(any_group):
     rng = philox(7, 3)
     eps = 1e-5
     g_flat = f.center + rng.uniform(-0.3, 0.3, params.dim) * f.scale
-    g = GroupPoint.from_flat(params, g_flat)
     for i in range(params.l):
         for j in range(params.k[i]):
             for kind in ("x", "y"):
-                got = apply_right_field(params, (i, j, kind), f, g)
+                got = apply_field(params, (i, j, kind), f, g_flat, right=True)
                 # right-frame flow is left translation
                 step = np.zeros(params.dim)
                 pair = sum(params.k[:i]) + j
@@ -176,12 +162,12 @@ def test_right_field_matches_flow_fd(any_group):
 def test_fields_agree_at_origin(any_group):
     params = any_group
     f = standard_family(params, count=2, seed=13)[0]
-    g = origin(params)
+    g = np.zeros(params.dim)
     for i in range(params.l):
         for j in range(params.k[i]):
             for kind in ("x", "y"):
-                assert apply_left_field(params, (i, j, kind), f, g) == apply_right_field(
-                    params, (i, j, kind), f, g
+                assert apply_field(params, (i, j, kind), f, g) == apply_field(
+                    params, (i, j, kind), f, g, right=True
                 )
 
 
@@ -193,21 +179,25 @@ def test_field_on_t_coordinate(any_group, rng):
     direction[-1] = 1.0
     f = linear_bump(np.zeros(params.dim), 10.0, direction, bump="plateau")
     g_flat = rng.uniform(-0.5, 0.5, params.dim)
-    g = GroupPoint.from_flat(params, g_flat)
     for i in range(params.l):
         for j in range(params.k[i]):
             pair = sum(params.k[:i]) + j
             want = 2.0 * params.a[i] * g_flat[2 * pair + 1]
-            assert abs(apply_left_field(params, (i, j, "x"), f, g) - want) <= 1e-12
-            assert abs(apply_right_field(params, (i, j, "x"), f, g) + want) <= 1e-12
+            assert abs(apply_field(params, (i, j, "x"), f, g_flat) - want) <= 1e-12
+            assert abs(apply_field(params, (i, j, "x"), f, g_flat, right=True) + want) <= 1e-12
+    # a batch of points gives the per-point values
+    pts = rng.uniform(-0.5, 0.5, (4, 3, params.dim))
+    batch = apply_field(params, (0, 0, "y"), f, pts)
+    assert batch.shape == (4, 3)
+    assert np.array_equal(batch[2, 1], apply_field(params, (0, 0, "y"), f, pts[2, 1]))
 
 
 def test_invalid_field_index(h1):
     f = standard_family(h1, count=1)[0]
     with pytest.raises(ValueError):
-        apply_left_field(h1, (1, 0, "x"), f, origin(h1))
+        apply_field(h1, (1, 0, "x"), f, np.zeros(h1.dim))
     with pytest.raises(ValueError):
-        apply_left_field(h1, (0, 0, "z"), f, origin(h1))
+        apply_field(h1, (0, 0, "z"), f, np.zeros(h1.dim), right=True)
 
 
 def test_left_invariance(any_group):
@@ -221,9 +211,7 @@ def test_left_invariance(any_group):
         base = f.center + rng.uniform(-0.4, 0.4, params.dim) * f.scale
         g = multiply_flat(params, -g0, base)  # so that g0 . g lands near the support
         for which in [(0, 0, "x"), (params.l - 1, params.k[-1] - 1, "y")]:
-            lhs = apply_left_field(
-                params, which, f, GroupPoint.from_flat(params, multiply_flat(params, g0, g))
-            )
+            lhs = apply_field(params, which, f, multiply_flat(params, g0, g))
             up = f.value(multiply_flat(params, g0, _field_flow(params, which, g, eps)))
             dn = f.value(multiply_flat(params, g0, _field_flow(params, which, g, -eps)))
             fd = (up - dn) / (2 * eps)
@@ -240,9 +228,7 @@ def test_right_invariance(any_group):
         base = f.center + rng.uniform(-0.4, 0.4, params.dim) * f.scale
         g = multiply_flat(params, base, -g0)
         for which in [(0, 0, "y"), (params.l - 1, params.k[-1] - 1, "x")]:
-            lhs = apply_right_field(
-                params, which, f, GroupPoint.from_flat(params, multiply_flat(params, g, g0))
-            )
+            lhs = apply_field(params, which, f, multiply_flat(params, g, g0), right=True)
             pair = sum(params.k[: which[0]]) + which[1]
             step = np.zeros(params.dim)
             step[2 * pair if which[2] == "x" else 2 * pair + 1] = eps
@@ -273,11 +259,8 @@ def test_measure_invariance_mc(any_group):
 
 def test_horizontal_gradient_norm(any_group, rng):
     params = any_group
-    # constant function
-    const = TestFunction(
-        np.zeros(params.dim), 5.0, np.zeros((1, params.dim), dtype=int), np.ones(1)
-    )
-    g = GroupPoint.from_flat(params, rng.uniform(-0.5, 0.5, params.dim))
+    norm = lambda f, g: hgrad_norm_of(params, f).value(g)
+    g = rng.uniform(-0.5, 0.5, params.dim)
     # inside the bump the polynomial is constant but the bump is not; use
     # the plateau so the gradient genuinely vanishes
     plateau = TestFunction(
@@ -287,26 +270,36 @@ def test_horizontal_gradient_norm(any_group, rng):
         np.ones(1),
         bump="plateau",
     )
-    assert horizontal_gradient_norm(params, plateau, g) == 0.0
+    assert norm(plateau, g) == 0.0
     # single-coordinate linear function: norm 1
     direction = np.zeros(params.dim)
     direction[0] = 1.0
     f = linear_bump(np.zeros(params.dim), 10.0, direction, bump="plateau")
-    assert abs(horizontal_gradient_norm(params, f, g) - 1.0) <= 1e-12
-    # recomputation oracle on a generic member
+    assert abs(norm(f, g) - 1.0) <= 1e-12
+    # recomputation oracle on a generic member: the frame fields one by one
     fam = standard_family(params, count=3, seed=8)[1]
-    gg = GroupPoint.from_flat(params, fam.center + 0.2 * fam.scale * np.ones(params.dim))
-    grad = fam.gradient(gg.flat())
+    gg = fam.center + 0.2 * fam.scale * np.ones(params.dim)
     comps = []
     for i in range(params.l):
         for j in range(params.k[i]):
-            comps.append(apply_left_field(params, (i, j, "x"), fam, gg))
-            comps.append(apply_left_field(params, (i, j, "y"), fam, gg))
+            comps.append(float(apply_field(params, (i, j, "x"), fam, gg)))
+            comps.append(float(apply_field(params, (i, j, "y"), fam, gg)))
     want = math.sqrt(sum(c * c for c in comps))
-    assert abs(horizontal_gradient_norm(params, fam, gg) - want) <= 1e-12 * (1 + want)
-    assert grad.shape == (params.dim,)
-    with pytest.raises(ValueError):
-        horizontal_gradient_norm(params, fam, gg, which="sideways")
+    assert abs(norm(fam, gg) - want) <= 1e-12 * (1 + want)
+    assert_allclose(horizontal_components(params, fam.gradient(gg), gg), comps, rtol=0, atol=0)
+
+
+def test_horizontal_components_rejects_unknown_frame(any_group, rng):
+    params = any_group
+    f = standard_family(params, count=3, seed=8)[1]
+    g = f.center + 0.2 * f.scale * np.ones(params.dim)
+    grad = f.gradient(g)
+    left = horizontal_components(params, grad, g, "left")
+    right = horizontal_components(params, grad, g, "right")
+    assert not np.array_equal(left, right)
+    for bad in ("sideways", "Left", "", None):
+        with pytest.raises(ValueError):
+            horizontal_components(params, grad, g, bad)
 
 
 def test_sub_laplacian_on_zsq(any_group):
@@ -328,9 +321,12 @@ def test_sub_laplacian_on_zsq(any_group):
         np.full(2 * params.n, scale**2),
         bump="plateau",
     )
-    g = GroupPoint.from_flat(params, 0.08 * np.ones(params.dim))
+    g = 0.08 * np.ones(params.dim)
     val = sub_laplacian(params, f, g)
     assert abs(val - 4.0 * params.n) <= 1e-10
+    # a batch of points inside the plateau: 4 n at every one
+    pts = g + np.linspace(-0.05, 0.05, 6)[:, None]
+    assert_allclose(sub_laplacian(params, f, pts), 4.0 * params.n, rtol=0, atol=1e-10)
     # constants map to zero
     const = TestFunction(
         np.zeros(params.dim),
@@ -347,7 +343,6 @@ def test_sub_laplacian_matches_flow_fd(any_group):
     f = standard_family(params, count=5, seed=19)[4]
     rng = philox(12, 7)
     g_flat = f.center + rng.uniform(-0.2, 0.2, params.dim) * f.scale
-    g = GroupPoint.from_flat(params, g_flat)
     eps = 1e-3
     total = 0.0
     for i in range(params.l):
@@ -357,8 +352,11 @@ def test_sub_laplacian_matches_flow_fd(any_group):
                 mid = f.value(g_flat)
                 dn = f.value(_field_flow(params, (i, j, kind), g_flat, -eps))
                 total += (up - 2 * mid + dn) / eps**2
-    got = sub_laplacian(params, f, g)
+    got = sub_laplacian(params, f, g_flat)
     assert abs(got - total) <= 1e-4 * (1 + abs(total))
+    # the batch body gives each point's value
+    pts = np.stack([g_flat, f.center, g_flat + 0.1 * f.scale])
+    assert sub_laplacian(params, f, pts)[0] == got
 
 
 def test_testfunction_derivatives(any_group):
@@ -384,16 +382,6 @@ def test_testfunction_derivatives(any_group):
         assert np.all(f.hessian(outside) == 0.0)
 
 
-def test_point_serialization_roundtrip(any_group, rng):
-    params = any_group
-    coords = rng.uniform(-1, 1, params.dim)
-    g = GroupPoint.from_flat(params, coords)
-    assert_allclose(g.flat(), coords, atol=0)
-    nsq = block_norms_sq_flat(params, g.flat())
-    assert nsq.shape == (params.l,)
-    assert abs(nsq.sum() - np.sum(coords[:-1] ** 2)) <= 1e-14
-
-
 def test_block_norms_flat_accepts_chart_and_point_layouts(any_group, rng):
     params = any_group
     pts = rng.uniform(-2, 2, (4, 3, params.dim))
@@ -401,8 +389,7 @@ def test_block_norms_flat_accepts_chart_and_point_layouts(any_group, rng):
     from_chart = block_norms_sq_flat(params, pts[..., :-1])
     assert from_points.shape == from_chart.shape == (4, 3, params.l)
     assert np.array_equal(from_points, from_chart)
-    g = GroupPoint.from_flat(params, pts[1, 2])
-    want = [float(np.sum(np.abs(b) ** 2)) for b in g.z]
+    want = [float(np.sum(np.abs(b) ** 2)) for b in _complex_blocks(params, pts[1, 2])]
     assert_allclose(from_points[1, 2], want, rtol=1e-14, atol=0)
 
 

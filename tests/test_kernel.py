@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import nilheat.kernel as ker
 from nilheat.distance import (
@@ -13,22 +14,21 @@ from nilheat.distance import (
     mu_prime,
     solve_theta_arrays,
 )
-from nilheat.groups import GroupPoint, block_norms_sq_flat, inverse, origin
+from nilheat.groups import block_norms_sq_flat, dilate_flat
 from nilheat.kernel import (
     KernelConditioningError,
     KernelValue,
     QuadratureError,
     QuadratureSpec,
     check_kernel_comparison,
-    check_scaling,
     integrate_radial,
-    kernel,
     kernel_derivatives,
     kernel_points,
     kernel_product_grid,
     kernel_zsq,
     log_kernel_left_gradient,
     log_kernel_t_derivative,
+    scaling_deviation,
 )
 from nilheat.sampling import CloudSpec, kernel_feasible_mask, philox, uniform_box
 
@@ -122,7 +122,8 @@ def test_origin_anchor_against_oracle(any_group):
         return mp.fprod((a * lam / mp.sinh(a * lam)) ** k for k, a in zip(params.k, params.a))
 
     want = float(mp.quad(integrand, [0, 1, 4, 16, mp.inf])) * (4.0 * math.pi) ** (-(params.n + 1))
-    assert kernel(params, 1.0, origin(params)).value == pytest.approx(want, rel=1e-13, abs=0.0)
+    value, _ = kernel_zsq(params, 1.0, np.zeros(params.l), 0.0)
+    assert float(value) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_ray_block_values_above_their_errors(noniso, monkeypatch):
@@ -150,8 +151,7 @@ def test_origin_value_against_oracle(h1, sinh_moment_oracle):
     assert sinh_moment_oracle == pytest.approx(math.pi**2 / 2, rel=1e-15)
     expected = sinh_moment_oracle / (2.0 * (4.0 * math.pi) ** 2)
     assert expected == pytest.approx(1.0 / 64.0, rel=1e-15)
-    kv = kernel(h1, 1.0, origin(h1))
-    assert isinstance(kv, KernelValue)
+    kv = KernelValue(*map(float, kernel_points(h1, 1.0, np.zeros(h1.dim))))
     assert abs(kv.value - expected) <= 1e-6
     assert abs(kv.value - expected) <= max(kv.error, 1e-12)
 
@@ -178,25 +178,27 @@ def test_symmetries(any_group):
 
 
 def test_scaling_law(any_group):
+    # h^{n+1} p_h(z, t) = p_1(z/sqrt h, t/h), within the error estimates
     params = any_group
     rng = philox(22, 1)
     pts = uniform_box(params, CloudSpec(60, 1.5, 1.5, 5))
     pts = pts[kernel_feasible_mask(params, pts, h=0.25)][:40]
     for i in range(pts.shape[0]):
         h = float(rng.uniform(0.25, 4.0))
-        rep = check_scaling(params, h, GroupPoint.from_flat(params, pts[i]))
-        assert rep.passed
-        assert rep.stats["deviation"] <= 1e-8
+        left = kernel_points(params, h, pts[i])
+        right = kernel_points(params, 1.0, dilate_flat(params, 1.0 / math.sqrt(h), pts[i]))
+        dev, rel_err = scaling_deviation(params, h, *left, *right)
+        assert dev <= 10.0 * rel_err
+        assert dev <= 1e-8
 
 
 def test_scaling_explicit_factor(noniso):
     # h = 4 at (2 z0, 4 t0) carries exactly the 4^{n+1} prefactor
-    z0 = (np.array([0.3 + 0.1j]), np.array([0.2 - 0.4j, 0.1j]))
-    g0 = GroupPoint(z0, 0.4)
-    g4 = GroupPoint(tuple(2.0 * b for b in z0), 4 * 0.4)
-    v0 = kernel(noniso, 1.0, g0).value
-    v4 = kernel(noniso, 4.0, g4).value
-    assert v4 * 4.0 ** (noniso.n + 1) == pytest.approx(v0, rel=1e-10)
+    g0 = np.array([0.3, 0.1, 0.2, -0.4, 0.0, 0.1, 0.4])
+    g4 = np.r_[2.0 * g0[:-1], 4.0 * g0[-1]]
+    v0, _ = kernel_points(noniso, 1.0, g0)
+    v4, _ = kernel_points(noniso, 4.0, g4)
+    assert v4 * 4.0 ** (noniso.n + 1) == pytest.approx(float(v0), rel=1e-10)
 
 
 def test_kernel_positive_and_batch_consistent(noniso):
@@ -204,8 +206,8 @@ def test_kernel_positive_and_batch_consistent(noniso):
     vals, errs = kernel_points(noniso, 0.7, pts)
     assert np.all(vals > 0)
     for i in (0, 7, 19):
-        kv = kernel(noniso, 0.7, GroupPoint.from_flat(noniso, pts[i]))
-        assert kv.value == pytest.approx(float(vals[i]), rel=1e-9)
+        value, _ = kernel_points(noniso, 0.7, pts[i])
+        assert float(value) == pytest.approx(float(vals[i]), rel=1e-9)
 
 
 def test_derivatives_match_finite_differences(any_group):
@@ -226,10 +228,9 @@ def test_derivatives_match_finite_differences(any_group):
 def test_log_derivatives(h1, noniso):
     for params in (h1, noniso):
         g_flat = 0.4 * np.ones(params.dim)
-        g = GroupPoint.from_flat(params, g_flat)
-        grad = log_kernel_left_gradient(params, 1.0, g)
+        grad = log_kernel_left_gradient(params, 1.0, g_flat)
         assert grad.shape == (2 * params.n,)
-        td = log_kernel_t_derivative(params, 1.0, g)
+        td = log_kernel_t_derivative(params, 1.0, g_flat)
         # central difference of log kernel in t
         eps = 1e-5
         up = g_flat.copy()
@@ -241,12 +242,23 @@ def test_log_derivatives(h1, noniso):
         fd = (math.log(float(vu)) - math.log(float(vd))) / (2 * eps)
         assert td == pytest.approx(fd, rel=1e-5)
     # at t = 0 the derivative vanishes by symmetry
-    g0 = GroupPoint((np.array([0.5 + 0.2j]),), 0.0)
-    assert abs(log_kernel_t_derivative(h1, 1.0, g0)) <= 1e-10
+    assert abs(log_kernel_t_derivative(h1, 1.0, np.array([0.5, 0.2, 0.0]))) <= 1e-10
+
+
+def test_log_derivatives_batch(any_group):
+    # a cloud (4, 3, 2n+1) gives each point's single-point values
+    params = any_group
+    pts = uniform_box(params, CloudSpec(12, 1.0, 1.0, 14)).reshape(4, 3, params.dim)
+    grad = log_kernel_left_gradient(params, 0.8, pts)
+    td = log_kernel_t_derivative(params, 0.8, pts)
+    assert grad.shape == (4, 3, 2 * params.n) and td.shape == (4, 3)
+    for i, j in ((0, 0), (2, 1), (3, 2)):
+        assert_allclose(grad[i, j], log_kernel_left_gradient(params, 0.8, pts[i, j]), rtol=1e-12)
+        assert td[i, j] == pytest.approx(float(log_kernel_t_derivative(params, 0.8, pts[i, j])), rel=1e-12)
 
 
 def test_gradient_vanishes_at_origin(any_group):
-    grad = log_kernel_left_gradient(any_group, 1.0, origin(any_group))
+    grad = log_kernel_left_gradient(any_group, 1.0, np.zeros(any_group.dim))
     assert np.max(np.abs(grad)) <= 1e-10
 
 
@@ -263,14 +275,13 @@ def test_rotation_identity(noniso):
 
 def test_conditioning_guard(h1):
     # |z|^2 = 3025: p_1 is about e^{-756}, below the positivity floor
-    g = GroupPoint((np.array([55.0 + 0j]),), 0.0)
     with pytest.raises(KernelConditioningError):
-        log_kernel_left_gradient(h1, 1.0, g)
+        log_kernel_left_gradient(h1, 1.0, np.array([55.0, 0.0, 0.0]))
     # far out on the t axis, where the real-line cosine cancels 33
     # log-units, the saddle-line value is accurate and well conditioned
-    g = GroupPoint((np.array([0.1 + 0j]),), 45.0)
-    kv = kernel(h1, 1.0, g)
-    assert abs(kv.value - _line_oracle(h1, [0.01], 45.0)) <= 1e-12 * kv.value
+    g = np.array([0.1, 0.0, 45.0])
+    value, _ = kernel_points(h1, 1.0, g)
+    assert abs(value - _line_oracle(h1, [0.01], 45.0)) <= 1e-12 * value
     assert np.all(np.isfinite(log_kernel_left_gradient(h1, 1.0, g)))
 
 
@@ -282,7 +293,7 @@ def test_node_cap_guard(h1):
 
 def test_invalid_inputs(h1):
     with pytest.raises(ValueError):
-        kernel(h1, 0.0, origin(h1))
+        kernel_points(h1, 0.0, np.zeros(h1.dim))
     with pytest.raises(ValueError):
         QuadratureSpec(tol=-1.0)
     # bad h, t or block norm at every kernel entry point: (h, |z|^2, t)
@@ -363,6 +374,28 @@ def test_product_grid_mass_normalization(group, h, request):
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_product_grid_rows_independent_of_batch(group, request):
+    # a row's grid comes from its own rungs and every matrix product has one
+    # shape: the rows of a split, single-row or permuted call are the whole
+    # call's rows bit for bit
+    params = request.getfixturevalue(group)
+    rng = philox(37, 0)
+    zsq = rng.uniform(0.0, 11.0, (90, params.l)) ** 2
+    zsq[:4] = 0.0
+    spec = QuadratureSpec(tol=1e-9)
+    for t in (np.linspace(-55.0, 55.0, 41), rng.uniform(-20.0, 20.0, 7)):
+        vals, errs = kernel_product_grid(params, 1.0, zsq, t, spec)
+        splits = np.array_split(np.arange(90), 12)
+        singles = [np.array([i]) for i in range(0, 90, 11)]
+        for idx in splits + singles + [rng.permutation(90)]:
+            v, e = kernel_product_grid(params, 1.0, zsq[idx], t, spec)
+            assert np.array_equal(v, vals[idx]) and np.array_equal(e, errs[idx])
+    # the rows' values against their own single-point quadrature
+    v1, _ = kernel_zsq(params, 1.0, zsq[:, None, :], t[None, :], spec)
+    assert_allclose(vals, v1, rtol=1e-8)
+
+
 # complex nodes lambda = x + i sigma whose x_j = a_j lambda fall in all
 # three branches of the node helpers on both groups: |x_j| < 1e-4, the
 # middle range, Re x_j > 20, with sigma up to the top rung 59/64 pi
@@ -428,8 +461,7 @@ def test_log_gradient_bound_along_ray(h1):
     ratios = []
     for s in (0.5, 1.0, 1.5, 2.0, 2.5):
         g_flat = base * np.r_[s, s, s * s]
-        g = GroupPoint.from_flat(h1, g_flat)
-        grad = log_kernel_left_gradient(h1, 1.0, g)
+        grad = log_kernel_left_gradient(h1, 1.0, g_flat)
         d = math.sqrt(
             float(distance_squared_arrays(h1, block_norms_sq_flat(h1, g_flat), g_flat[-1]))
         )
@@ -471,8 +503,7 @@ def test_mixed_batch_matches_single_point_calls(noniso, monkeypatch):
         return kernel_zsq(params, h, zsq, t, spec)
 
     monkeypatch.setattr(polar, "kernel_zsq", recording_kernel_zsq)
-    ray = polar.PolarPoint((np.array([0.4 + 0.2j]), np.array([0.3j, 0.8 + 0j])), 0.9)
-    polar.ray_integral_check(noniso, ray)
+    polar.ray_integral_check(noniso, np.array([0.4, 0.2, 0.0, 0.3, 0.8, 0.0]), 0.9)
     ray_zsq, ray_t = calls[0]
     pick = np.linspace(0, ray_t.size - 1, 8).astype(int)
 

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nilheat import semigroup
-from nilheat.groups import GroupPoint, block_norms_sq_flat, multiply_flat
+from nilheat.groups import apply_field, block_norms_sq_flat, multiply_flat
 from nilheat.distance import distance_squared_arrays
 from nilheat.kernel import QuadratureSpec, kernel_zsq
 from nilheat.sampling import ball_bounding_box, philox, unit_ball_points
@@ -15,7 +15,9 @@ from nilheat.semigroup import (
     DiffusionSpec,
     _chain_rule_components,
     _hgrad_power,
+    _PATH_CHUNK,
     _mean_se,
+    _mean_var,
     _simulate_chunk,
     TransformedField,
     ball_mean,
@@ -26,12 +28,10 @@ from nilheat.semigroup import (
     check_li_inequality,
     check_log_sobolev_poincare,
     check_translation_dilation_reduction,
-    grad_semigroup,
     grad_semigroup_components,
     hgrad_norm_of,
     right_field_of,
     sample_heat_points,
-    semigroup_apply,
     semigroup_estimate,
 )
 from nilheat.testfuncs import TestFunction, indicator_like, linear_bump, standard_family
@@ -58,15 +58,13 @@ def test_sampler_small_h_concentration(h1):
 
 
 def test_sampler_chunk_layout(noniso):
-    # rows [2048 i, 2048 (i + 1)) are chunk i's own Philox block; 9000 paths
-    # leave a short last chunk of 808
-    spec = DiffusionSpec(steps=120, paths=9000, seed=5, stream=3, chunk=2048)
+    # rows [8192 i, 8192 (i + 1)) are chunk i's own Philox block; 9000 paths
+    # are one full chunk and a short one of 808
+    assert _PATH_CHUNK == 8192
+    spec = DiffusionSpec(steps=100, paths=9000, seed=5, stream=3)
     a = sample_heat_points(noniso, 0.7, spec)
-    blocks = [
-        _simulate_chunk(noniso, 0.7, spec, i, min(2048, 9000 - start))
-        for i, start in enumerate(range(0, 9000, 2048))
-    ]
-    assert [b.shape[0] for b in blocks] == [2048] * 4 + [808]
+    blocks = [_simulate_chunk(noniso, 0.7, spec, 0, 8192), _simulate_chunk(noniso, 0.7, spec, 1, 808)]
+    assert [b.shape[0] for b in blocks] == [8192, 808]
     assert np.array_equal(a, np.concatenate(blocks))
     assert np.array_equal(a, sample_heat_points(noniso, 0.7, spec))
 
@@ -119,7 +117,7 @@ def test_semigroup_identity_at_zero_time(h1):
     base = float(f.value(g))
     devs = []
     for h in (0.02, 0.01):
-        v = semigroup_apply(h1, f, h, g, "quadrature", qspec=qs, grid_points=18)
+        v, _ = semigroup_estimate(h1, f, h, g, "quadrature", qspec=qs, grid_points=18)
         devs.append(abs(v - base))
     assert devs[1] <= 0.65 * devs[0]  # O(h) decay
 
@@ -157,19 +155,15 @@ def test_grad_semigroup_routes(h1):
     for pair, kind in ((0, "x"), (0, "y")):
         step = np.zeros(3)
         step[2 * pair if kind == "x" else 2 * pair + 1] = eps
-        vp = semigroup_apply(
+        vp, _ = semigroup_estimate(
             h1, f, 0.9, multiply_flat(h1, g, step), "quadrature", qspec=QuadratureSpec(tol=1e-9)
         )
-        vm_ = semigroup_apply(
+        vm_, _ = semigroup_estimate(
             h1, f, 0.9, multiply_flat(h1, g, -step), "quadrature", qspec=QuadratureSpec(tol=1e-9)
         )
         fd = (vp - vm_) / (2 * eps)
         col = 0 if kind == "x" else 1
         assert cq[col] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-    # norm wrapper
-    assert grad_semigroup(h1, f, 0.9, g, "quadrature", qspec=QuadratureSpec(tol=1e-9)) == (
-        pytest.approx(float(np.sqrt(np.sum(cq**2))), rel=1e-12)
-    )
 
 
 def test_gradient_at_origin_equals_right_frame_average(noniso):
@@ -589,6 +583,84 @@ def test_lse_entropy_per_case_against_mpmath(h1):
     assert rep.stats["entropy_constant"] == max(ratios)
 
 
+def test_mean_var_is_two_pass():
+    # a mean 1e4 times the spread: E x^2 - (E x)^2 keeps about 8 digits of
+    # the variance, the two-pass form all of them, with and without fill rows
+    mpmath = pytest.importorskip("mpmath")
+    x = 1e4 + philox(9, 2).standard_normal(3000)
+    for count, fill in ((x.size, 0.0), (4000, 1e4 + 0.25)):
+        mean, var = _mean_var(x, count, fill)
+        with mpmath.workdps(30):
+            xs = [mpmath.mpf(float(v)) for v in x]
+            rest = count - x.size
+            m = (mpmath.fsum(xs) + rest * mpmath.mpf(fill)) / count
+            ref = (mpmath.fsum((v - m) ** 2 for v in xs) + rest * (mpmath.mpf(fill) - m) ** 2) / count
+        assert abs(var - ref) <= 1e-13 * ref
+        assert mean == _mean_se(x, count, fill)[0]
+        assert math.sqrt(var) / math.sqrt(count) == _mean_se(x, count, fill)[1]
+    assert _mean_var(x) == (np.mean(x), np.var(x))
+
+
+def test_lse_variance_per_case_against_mpmath(h1):
+    # each case's variance of phi against a 30-digit two-pass reference from
+    # the same phi; as m2 - (E phi)^2 it loses up to 7e-12 on these cases
+    mpmath = pytest.importorskip("mpmath")
+    spec = DiffusionSpec(steps=100, paths=5000, seed=31)
+    fam = standard_family(h1, count=10)
+    points = [np.zeros(3), philox(8, 1).uniform(-1.0, 1.0, 3)]
+    hs = (0.5, 1.0)
+    ratios = []
+    with mpmath.workdps(30):
+        for hi, h in enumerate(hs):
+            W = sample_heat_points(h1, h, spec.with_stream(50 + hi))
+            count = W.shape[0]
+            for g in points:
+                pts = multiply_flat(h1, g, W)
+                for f in fam:
+                    rows, (val, grad) = f.support_jet(pts, 1)
+                    den, den_se = _mean_se(_hgrad_power(h1, grad, pts[rows], power=2), count)
+                    if den <= 10.0 * den_se:
+                        continue
+                    shift = 0.5 + float(np.sum(np.abs(f.coeffs)))
+                    var = _mean_var(val + shift, count, shift)[1]
+                    x = [mpmath.mpf(float(p)) for p in val + shift]
+                    xs = mpmath.mpf(shift)
+                    rest = count - len(x)
+                    m = (mpmath.fsum(x) + rest * xs) / count
+                    ref = (mpmath.fsum((v - m) ** 2 for v in x) + rest * (xs - m) ** 2) / count
+                    assert abs(var - ref) <= 1e-13 * ref, (var, ref)
+                    ratios.append(var / (h * den))
+    assert len(ratios) > 10
+    rep = check_log_sobolev_poincare(h1, fam, points, hs, spec)
+    assert rep.stats["variance_constant"] == max(ratios)
+
+
+def test_lse_small_h_ratios_against_mpmath(h1):
+    # the suite's small-h variance numerators against a 30-digit reference
+    from nilheat.suites import RunConfig, suite_lse_poe
+
+    mpmath = pytest.importorskip("mpmath")
+    cfg = RunConfig(
+        group=h1,
+        seed=3,
+        diffusion_steps=100,
+        diffusion_paths=3000,
+        h_values=(1.0,),
+        sizes={"family": 5, "li_points": 1},
+    )
+    ratios = suite_lse_poe(cfg).stats["small_h_ratios"]
+    f = standard_family(h1, count=5)[4]
+    for hi, h in enumerate((0.1, 0.05)):
+        W = sample_heat_points(h1, h, cfg.diffusion(60 + hi))
+        phi, grad = f.jet(W, 1)
+        den = h * float(np.mean(_hgrad_power(h1, grad, W, power=2)))
+        with mpmath.workdps(30):
+            x = [mpmath.mpf(float(p)) for p in phi]
+            m = mpmath.fsum(x) / len(x)
+            ref = mpmath.fsum((v - m) ** 2 for v in x) / len(x) / den
+        assert abs(ratios[hi] - ref) <= 1e-13 * ref, (ratios[hi], ref)
+
+
 def test_integration_by_parts(h1):
     f = standard_family(h1, count=5, seed=14)[2]
     rep = check_integration_by_parts(h1, f, QuadratureSpec(tol=1e-9))
@@ -629,10 +701,11 @@ def test_transformed_field_consistency(h1):
 
 
 def test_hgrad_field_matches_norm(h1):
-    from nilheat.groups import horizontal_gradient_norm
-
+    # the norm field against the frame fields applied one by one
     f = standard_family(h1, count=3, seed=20)[1]
     g_flat = f.center + 0.2 * f.scale
     val = hgrad_norm_of(h1, f).value(g_flat)
-    want = horizontal_gradient_norm(h1, f, GroupPoint.from_flat(h1, g_flat))
-    assert float(val) == pytest.approx(want, rel=1e-12)
+    comps = [apply_field(h1, (0, 0, kind), f, g_flat) for kind in ("x", "y")]
+    assert float(val) == pytest.approx(math.hypot(*comps), rel=1e-12)
+    sq = hgrad_norm_of(h1, f, power=2).value(g_flat)
+    assert float(sq) == pytest.approx(math.hypot(*comps) ** 2, rel=1e-12)
