@@ -22,7 +22,6 @@ from .distance import (
 )
 from .groups import (
     GroupParams,
-    apply_field,
     dilate_flat,
     horizontal_components,
     inverse_flat,
@@ -34,8 +33,7 @@ from .kernel import (
     QuadratureSpec,
     check_kernel_comparison,
     integrate_radial,
-    log_kernel_left_gradient,
-    log_kernel_t_derivative,
+    log_kernel_derivatives,
 )
 from .polar import (
     check_change_of_variables,

@@ -189,7 +189,7 @@ def _cmd_plot(args) -> int:
             return np.sqrt(dist.distance_squared_arrays(params, zsq, pts[:, -1]))
 
         d = distance_of(dirs)
-        on_sphere = np.array([dilate_flat(params, 1.0 / d[i], dirs[i]) for i in range(args.points)])
+        on_sphere = dilate_flat(params, 1.0 / d, dirs)
         rows = [list(p) + [float(dp)] for p, dp in zip(on_sphere, distance_of(on_sphere))]
         write_csv(args.out, coord_names + ["distance"], rows)
     elif args.quantity == "ratio-cloud":

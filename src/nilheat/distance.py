@@ -112,14 +112,17 @@ def mu_prime(omega):
     return out if out.ndim else float(out)
 
 
-def mu_inverse(v: float) -> float:
-    """Solve mu(theta) = v for theta in (-pi, pi).
+def mu_inverse(v):
+    """Solve mu(theta) = v for theta in (-pi, pi), elementwise; a float for
+    a scalar v.
 
     The angle equation with l = 1 and |z|^2 = 1, solved by `_newton_rows`.
     """
-    v = float(v)
-    theta, _ = _newton_rows(np.ones(1), np.ones((1, 1)), np.array([abs(v)]))
-    return math.copysign(float(theta[0]), v)
+    v = np.asarray(v, dtype=float)
+    rows = np.abs(v).reshape(-1)
+    theta, _ = _newton_rows(np.ones(1), np.ones((rows.size, 1)), rows)
+    out = np.copysign(theta.reshape(v.shape), v)
+    return out if out.ndim else float(out)
 
 
 def boundary_threshold(params: GroupParams, zsq):

@@ -38,7 +38,6 @@ __all__ = [
     "dilate_flat",
     "block_norms_sq_flat",
     "horizontal_components",
-    "apply_field",
     "sub_laplacian",
 ]
 
@@ -104,13 +103,23 @@ class GroupParams:
         return f"l{self.l}_k{ks}_a{as_}"
 
 
+def _check_trailing(arr: np.ndarray, *sizes) -> np.ndarray:
+    """Return arr, or raise ValueError if its trailing axis has none of the
+    given lengths: a point of another group would otherwise be read as one
+    of this group's."""
+    if arr.ndim == 0 or arr.shape[-1] not in sizes:
+        want = " or ".join(str(v) for v in sizes)
+        raise ValueError(f"expected a trailing axis of length {want}, got shape {arr.shape}")
+    return arr
+
+
 def block_norms_sq_flat(params: GroupParams, coords) -> np.ndarray:
     """|z_i|^2 per block, shape (..., l).
 
     coords is either a flat point array (..., 2n+1) or a chart array of
     horizontal coordinates only (..., 2n); a trailing t is ignored.
     """
-    coords = np.asarray(coords, dtype=float)
+    coords = _check_trailing(np.asarray(coords, dtype=float), 2 * params.n, params.dim)
     n = params.n
     sq = coords[..., : 2 * n] ** 2
     pair_sq = sq[..., 0::2] + sq[..., 1::2]
@@ -127,8 +136,8 @@ def block_norms_sq_flat(params: GroupParams, coords) -> np.ndarray:
 def multiply_flat(params: GroupParams, A, B) -> np.ndarray:
     """Group product (z,t)(z',t') = (z+z', t+t' + 2 sum a_i Im<z_i, z_i'>)
     on flat points (..., 2n+1)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    A = _check_trailing(np.asarray(A, dtype=float), params.dim)
+    B = _check_trailing(np.asarray(B, dtype=float), params.dim)
     n = params.n
     xa, ya = A[..., 0 : 2 * n : 2], A[..., 1 : 2 * n : 2]
     xb, yb = B[..., 0 : 2 * n : 2], B[..., 1 : 2 * n : 2]
@@ -143,12 +152,14 @@ def inverse_flat(coords) -> np.ndarray:
     return -np.asarray(coords, dtype=float)
 
 
-def dilate_flat(params: GroupParams, r: float, coords) -> np.ndarray:
-    """Anisotropic dilation (z, t) -> (r z, r^2 t), r > 0."""
-    if r <= 0.0:
+def dilate_flat(params: GroupParams, r, coords) -> np.ndarray:
+    """Anisotropic dilation (z, t) -> (r z, r^2 t) of flat points (..., 2n+1);
+    r > 0 is a number or an array that broadcasts against the leading axes."""
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0.0):
         raise ValueError("dilation factor must be positive")
-    coords = np.asarray(coords, dtype=float)
-    out = coords * r
+    coords = _check_trailing(np.asarray(coords, dtype=float), params.dim)
+    out = coords * r[..., None]
     out[..., 2 * params.n] = coords[..., 2 * params.n] * r * r
     return out
 
@@ -157,35 +168,23 @@ def dilate_flat(params: GroupParams, r: float, coords) -> np.ndarray:
 # Horizontal frame.
 # ---------------------------------------------------------------------------
 
-def _field_coefficient(params: GroupParams, which, coords, right: bool):
-    """Euclidean column and t-coefficient of the requested field at the
-    given flat points: the field is d/d(column) + coefficient d/dt."""
-    i, j, kind = which
-    if not (0 <= i < params.l) or not (0 <= j < params.k[i]):
-        raise ValueError(f"no field with block index ({i},{j})")
-    if kind not in ("x", "y"):
-        raise ValueError("field kind must be 'x' or 'y'")
-    pair = sum(params.k[:i]) + j
-    ai = params.a[i]
-    x = coords[..., 2 * pair]
-    y = coords[..., 2 * pair + 1]
-    sgn = -1.0 if right else 1.0
-    if kind == "x":
-        return 2 * pair, sgn * 2.0 * ai * y
-    return 2 * pair + 1, -sgn * 2.0 * ai * x
+def _frame(params: GroupParams, grad, x, y, sgn):
+    """The frame fields applied through the chain rule: the X parts
+    grad_x + sgn 2 a y grad_t and the Y parts grad_y - sgn 2 a x grad_t,
+    each (..., n).
 
-
-def apply_field(params: GroupParams, which, f, coords, right: bool = False):
-    """Frame field `which` applied to f at flat points (..., 2n+1): exact
-    directional derivative along X_{i,j} or Y_{i,j}, or along the
-    right-invariant frame when `right` is set.
-
-    `which` is (block, index, 'x'|'y'), 0-based.  Needs f.gradient.
+    grad is a Euclidean gradient (..., 2n+1); x and y (..., n) are the
+    coordinates the t-coefficients read, those of the point itself for a
+    frame field; sgn is +1 for the left frame and -1 for the right one.
+    Every frame computation goes through here, so the twist convention is
+    written once.
     """
-    coords = np.asarray(coords, dtype=float)
-    col, coef = _field_coefficient(params, which, coords, right)
-    grad = f.gradient(coords)
-    return grad[..., col] + coef * grad[..., 2 * params.n]
+    n = params.n
+    a = params.pair_a
+    gt = grad[..., 2 * n, None]
+    X = grad[..., 0 : 2 * n : 2] + sgn * 2.0 * a * y * gt
+    Y = grad[..., 1 : 2 * n : 2] - sgn * 2.0 * a * x * gt
+    return X, Y
 
 
 def horizontal_components(params: GroupParams, euclid_grad, coords, which="left"):
@@ -197,17 +196,14 @@ def horizontal_components(params: GroupParams, euclid_grad, coords, which="left"
     """
     if which not in ("left", "right"):
         raise ValueError("which must be 'left' or 'right'")
-    euclid_grad = np.asarray(euclid_grad, dtype=float)
-    coords = np.asarray(coords, dtype=float)
+    euclid_grad = _check_trailing(np.asarray(euclid_grad, dtype=float), params.dim)
+    coords = _check_trailing(np.asarray(coords, dtype=float), params.dim)
     n = params.n
-    a = params.pair_a
     sgn = 1.0 if which == "left" else -1.0
-    gt = euclid_grad[..., 2 * n]
-    x = coords[..., 0 : 2 * n : 2]
-    y = coords[..., 1 : 2 * n : 2]
-    out = np.empty(np.broadcast_shapes(euclid_grad.shape, coords.shape)[:-1] + (2 * n,))
-    out[..., 0::2] = euclid_grad[..., 0 : 2 * n : 2] + sgn * 2.0 * a * y * gt[..., None]
-    out[..., 1::2] = euclid_grad[..., 1 : 2 * n : 2] - sgn * 2.0 * a * x * gt[..., None]
+    X, Y = _frame(params, euclid_grad, coords[..., 0 : 2 * n : 2], coords[..., 1 : 2 * n : 2], sgn)
+    out = np.empty(X.shape[:-1] + (2 * n,))
+    out[..., 0::2] = X
+    out[..., 1::2] = Y
     return out
 
 
@@ -215,20 +211,19 @@ def sub_laplacian(params: GroupParams, f, coords):
     """Sum of squares of the left-invariant frame applied to f at flat
     points (..., 2n+1); one value per point.
 
-    Expanding (X^2 + Y^2) through the chain rule gives, per pair,
-    f_xx + f_yy + 4a (y f_xt - x f_yt) + 4a^2 (x^2 + y^2) f_tt.
-    Needs f.hessian.
+    The frame applied to the rows of the Hessian gives, in row c, every
+    field applied to d/dc f.  A field's t-coefficient does not depend on
+    the coordinates that field differentiates, so the frame applied once
+    more, down those columns, has X_{i,j}^2 f and Y_{i,j}^2 f on its
+    diagonal.  Needs f.hessian.
     """
     if getattr(f, "hessian", None) is None:
         raise ValueError("sub_laplacian needs a Hessian evaluator")
     coords = np.asarray(coords, dtype=float)
     H = f.hessian(coords)
     n = params.n
-    a = params.pair_a
-    ix = np.arange(0, 2 * n, 2)
-    iy = ix + 1
-    x, y = coords[..., ix], coords[..., iy]
-    total = np.sum(H[..., ix, ix] + H[..., iy, iy], axis=-1)
-    total += np.sum(4.0 * a * (y * H[..., ix, 2 * n] - x * H[..., iy, 2 * n]), axis=-1)
-    total += np.sum(4.0 * a**2 * (x**2 + y**2), axis=-1) * H[..., 2 * n, 2 * n]
-    return total
+    x, y = coords[..., None, 0 : 2 * n : 2], coords[..., None, 1 : 2 * n : 2]
+    X, Y = _frame(params, H, x, y, 1.0)  # (..., 2n+1, n)
+    XX = _frame(params, np.swapaxes(X, -1, -2), x, y, 1.0)[0]
+    YY = _frame(params, np.swapaxes(Y, -1, -2), x, y, 1.0)[1]
+    return np.sum(np.diagonal(XX, axis1=-2, axis2=-1) + np.diagonal(YY, axis1=-2, axis2=-1), axis=-1)

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import distance_squared_arrays, mu_prime, solve_theta_arrays
-from .groups import GroupParams, block_norms_sq_flat, horizontal_components
+from .groups import GroupParams, _check_trailing, block_norms_sq_flat, horizontal_components
 from .reports import VerificationReport
 
 __all__ = [
@@ -80,8 +80,7 @@ __all__ = [
     "kernel_zsq",
     "kernel_points",
     "kernel_derivatives",
-    "log_kernel_left_gradient",
-    "log_kernel_t_derivative",
+    "log_kernel_derivatives",
     "scaling_deviation",
     "kernel_comparison_log_rhs",
     "check_kernel_comparison",
@@ -160,7 +159,9 @@ def _log_envelope(h, zsq, tables):
 
 def _check_inputs(params: GroupParams, h, zsq, t) -> float:
     """Reject a time, block norm or t value the quadrature cannot use, and
-    return the prefactor (4 pi h)^{-(n+1)}, which must be finite."""
+    return the prefactor (4 pi h)^{-(n+1)}, which must be finite.  zsq
+    must have a trailing axis of l block norms."""
+    _check_trailing(zsq, params.l)
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"time parameter h must be finite and positive, got {h}")
     if not np.all(np.isfinite(t)):
@@ -324,7 +325,7 @@ def kernel_zsq(params: GroupParams, h: float, zsq, t, spec=None):
 
 def kernel_points(params: GroupParams, h: float, coords, spec=None):
     """Batch kernel over flat coordinate arrays (..., 2n+1)."""
-    coords = np.asarray(coords, dtype=float)
+    coords = _check_trailing(np.asarray(coords, dtype=float), params.dim)
     zsq = block_norms_sq_flat(params, coords)
     return kernel_zsq(params, h, zsq, coords[..., -1], spec)
 
@@ -343,9 +344,10 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
     rule, the tail bound and the rounding noise.
     """
     spec = spec or QuadratureSpec(tol=1e-9)
-    zsq = np.asarray(zsq, dtype=float).reshape(-1, params.l)
+    zsq = np.asarray(zsq, dtype=float)
     tvals = np.ravel(np.asarray(tvals, dtype=float))
     norm = _check_inputs(params, h, zsq, tvals)
+    zsq = zsq.reshape(-1, params.l)
     if zsq.shape[0] == 0 or tvals.size == 0:
         raise ValueError("empty product grid")
     tau = np.abs(tvals) / (4.0 * h)
@@ -388,7 +390,7 @@ def kernel_derivatives(params: GroupParams, h: float, coords, spec=None):
     Returns dict with 'p' (...), 'dp' (..., 2n+1), 'err' (...).
     """
     spec = spec or QuadratureSpec()
-    coords = np.asarray(coords, dtype=float)
+    coords = _check_trailing(np.asarray(coords, dtype=float), params.dim)
     shape = coords.shape[:-1]
     flat = coords.reshape(-1, params.dim)
     zsq = block_norms_sq_flat(params, flat)
@@ -418,21 +420,16 @@ def _require_conditioned(p, err):
         )
 
 
-def log_kernel_left_gradient(params: GroupParams, h: float, coords, spec=None):
-    """Horizontal components (X ln p_h, Y ln p_h, ...) at flat points
-    (..., 2n+1), shape (..., 2n)."""
+def log_kernel_derivatives(params: GroupParams, h: float, coords, spec=None):
+    """Left horizontal components (X ln p_h, Y ln p_h, ...), shape (..., 2n),
+    and d/dt ln p_h, shape (...), at flat points (..., 2n+1), from one
+    `kernel_derivatives` pass.  Raises KernelConditioningError when a value
+    is at the positivity floor or within twice its error estimate."""
     coords = np.asarray(coords, dtype=float)
     out = kernel_derivatives(params, h, coords, spec)
     _require_conditioned(out["p"], out["err"])
     egrad = out["dp"] / out["p"][..., None]
-    return horizontal_components(params, egrad, coords, which="left")
-
-
-def log_kernel_t_derivative(params: GroupParams, h: float, coords, spec=None):
-    """d/dt ln p_h at flat points (..., 2n+1), shape (...)."""
-    out = kernel_derivatives(params, h, coords, spec)
-    _require_conditioned(out["p"], out["err"])
-    return out["dp"][..., -1] / out["p"]
+    return horizontal_components(params, egrad, coords, "left"), egrad[..., -1]
 
 
 def scaling_deviation(params: GroupParams, h, left, left_err, right, right_err):

@@ -15,15 +15,11 @@ Disagreement between the routes beyond combined error bars is treated as
 a build-stopping signal by the test suite.
 
 Gradients of the semigroup are taken by differentiating under the
-convolution: for fixed w, the left frame applied to g -> f(g . w) is
-
-  X_{i,j}: f_x(g.w) + 2 a_i (y_{i,j}(g) - Im w_{i,j}) f_t(g.w)
-  Y_{i,j}: f_y(g.w) + 2 a_i (Re w_{i,j} - x_{i,j}(g)) f_t(g.w)
-
-(the right frame replaces the coefficients with the coordinate values of
-g . w itself, which is the commutation identity).  At g = 0 the X
-coefficient reduces to -2 a_i Im(w), i.e. the right-invariant frame
-applied to f at w.
+convolution: for fixed w, the left frame applied to g -> f(g . w) is the
+frame of `groups` applied to the Euclidean gradient of f at g . w, with
+its t-coefficients read at g - w instead of g (the right frame reads them
+at g . w itself, which is the commutation identity).  At g = 0 they are
+read at -w, which makes it the right-invariant frame applied to f at w.
 
 All randomness is Philox counter-based keyed by (seed, stream, chunk index),
 so the same spec draws the same samples bit for bit on every run.
@@ -39,8 +35,9 @@ import numpy as np
 from .distance import distance_squared_arrays
 from .groups import (
     GroupParams,
-    apply_field,
+    _frame,
     block_norms_sq_flat,
+    dilate_flat,
     horizontal_components,
     multiply_flat,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "DiffusionSpec",
     "sample_heat_points",
     "right_field_of",
-    "hgrad_norm_of",
     "semigroup_estimate",
     "grad_semigroup_components",
     "ball_mean",
@@ -158,10 +154,11 @@ class _Closure:
         return self._box
 
 
-def right_field_of(params: GroupParams, which, f):
-    """The scalar field (right-invariant frame applied to f)."""
+def right_field_of(params: GroupParams, column: int, f):
+    """The scalar field: component `column` of the right-invariant frame
+    applied to f, in the order of `horizontal_components`."""
     def fn(coords):
-        return apply_field(params, which, f, coords, right=True)
+        return horizontal_components(params, f.gradient(coords), coords, "right")[..., column]
 
     return _Closure(fn, box=f.support_box())
 
@@ -194,15 +191,6 @@ def _hgrad_power(params: GroupParams, grad, coords, power=1):
     return nrm if power == 1 else nrm**power
 
 
-def hgrad_norm_of(params: GroupParams, f, power=1):
-    """|grad f|^power as a scalar field (left horizontal frame)."""
-
-    def fn(coords):
-        return _hgrad_power(params, f.gradient(coords), coords, power)
-
-    return _Closure(fn, box=f.support_box())
-
-
 class TransformedField:
     """f composed with g' -> g . dilate(r, g'); value and gradient."""
 
@@ -213,10 +201,7 @@ class TransformedField:
         self.r = float(r)
 
     def _map(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        scaled = coords * self.r
-        scaled[..., -1] = coords[..., -1] * self.r * self.r
-        return multiply_flat(self.params, self.g_flat, scaled)
+        return multiply_flat(self.params, self.g_flat, dilate_flat(self.params, self.r, coords))
 
     def support_box(self):
         """Preimage bound of f's support under g' -> g . dilate(r, g')."""
@@ -234,17 +219,15 @@ class TransformedField:
         return self.f.value(self._map(coords))
 
     def gradient(self, coords):
-        params = self.params
-        n = params.n
-        a = params.pair_a
+        n = self.params.n
         g = self.f.gradient(self._map(coords))
-        gt = g[..., 2 * n]
-        xg = self.g_flat[0 : 2 * n : 2]
-        yg = self.g_flat[1 : 2 * n : 2]
+        # chain rule through v -> g . dilate(r, v): r times the left frame
+        # with its t-coefficients read at g, and r^2 d/dt
+        X, Y = _frame(self.params, g, self.g_flat[0 : 2 * n : 2], self.g_flat[1 : 2 * n : 2], 1.0)
         out = np.empty(g.shape)
-        out[..., 0 : 2 * n : 2] = self.r * (g[..., 0 : 2 * n : 2] + 2.0 * a * yg * gt[..., None])
-        out[..., 1 : 2 * n : 2] = self.r * (g[..., 1 : 2 * n : 2] - 2.0 * a * xg * gt[..., None])
-        out[..., 2 * n] = self.r * self.r * gt
+        out[..., 0 : 2 * n : 2] = self.r * X
+        out[..., 1 : 2 * n : 2] = self.r * Y
+        out[..., 2 * n] = self.r * self.r * g[..., 2 * n]
         return out
 
 
@@ -379,21 +362,12 @@ def semigroup_estimate(params, f, h, g_flat, method="mc", dspec=None, qspec=None
     return float(np.sum(f.value(nodes) * pvals * wt)), None
 
 
-def _chain_rule_components(params, grad, g_flat, W):
-    """Left frame applied to g -> f(g . w) at each sample w: the X and the
-    Y components, each (N, n).
-
-    grad holds the Euclidean gradient of f at g . w, one row per sample;
-    the coefficients at g use (y(g) - Im w, Re w - x(g)).
-    """
+def _chain_coefficients(params, g_flat, W):
+    """x and y of g - w, each (N, n): the left frame applied to g -> f(g . w)
+    reads its t-coefficients there.  The two halves are taken apart, since
+    g - W over whole rows runs numpy's inner loop once per row."""
     n = params.n
-    a = params.pair_a
-    gt = grad[:, 2 * n, None]
-    wx, wy = W[:, 0 : 2 * n : 2], W[:, 1 : 2 * n : 2]
-    gx, gy = g_flat[0 : 2 * n : 2], g_flat[1 : 2 * n : 2]
-    cx = grad[:, 0 : 2 * n : 2] + 2.0 * a * (gy - wy) * gt
-    cy = grad[:, 1 : 2 * n : 2] + 2.0 * a * (wx - gx) * gt
-    return cx, cy
+    return g_flat[0 : 2 * n : 2] - W[:, 0 : 2 * n : 2], g_flat[1 : 2 * n : 2] - W[:, 1 : 2 * n : 2]
 
 
 def grad_semigroup_components(params, f, h, g_flat, method="mc", dspec=None, qspec=None, grid_points=16):
@@ -425,7 +399,7 @@ def grad_semigroup_components(params, f, h, g_flat, method="mc", dspec=None, qsp
             return np.zeros(2 * params.n), None
     comps = np.empty((W.shape[0], 2 * params.n))
     grad = f.gradient(multiply_flat(params, g_flat, W))
-    comps[:, 0::2], comps[:, 1::2] = _chain_rule_components(params, grad, g_flat, W)
+    comps[:, 0::2], comps[:, 1::2] = _frame(params, grad, *_chain_coefficients(params, g_flat, W), 1.0)
     mean = np.sum(comps * wts[:, None], axis=0)
     return mean, (np.std(comps, axis=0) / math.sqrt(W.shape[0]) if method == "mc" else None)
 
@@ -471,7 +445,7 @@ def _gradient_case(params, f, g_flat, W, pts):
     pts inside f's support (it is zero on the other rows, which add
     nothing to the chain-rule sums)."""
     rows, (_, grad) = f.support_jet(pts, 1)
-    cx, cy = _chain_rule_components(params, grad, g_flat, W[rows])
+    cx, cy = _frame(params, grad, *_chain_coefficients(params, g_flat, W[rows]), 1.0)
     mx, my = np.sum(cx, axis=0) / W.shape[0], np.sum(cy, axis=0) / W.shape[0]
     return math.sqrt(float(np.sum(mx**2) + np.sum(my**2))), _hgrad_power(params, grad, pts[rows])
 
@@ -550,14 +524,14 @@ def check_commutation(params, f, h, g_flat, dspec, qspec=None, method="mc") -> V
     for i in range(params.l):
         for j in range(params.k[i]):
             for kind in ("x", "y"):
-                pair = sum(params.k[:i]) + j
+                column = 2 * (sum(params.k[:i]) + j) + (kind == "y")
                 step = np.zeros(params.dim)
-                step[2 * pair if kind == "x" else 2 * pair + 1] = eps
+                step[column] = eps
                 # right-frame flow = left translation by the step point
                 g_plus = multiply_flat(params, step, g_flat)
                 g_minus = multiply_flat(params, -step, g_flat)
                 lhs_all.append((apply(f, g_plus) - apply(f, g_minus)) / (2.0 * eps))
-                rhs_all.append(apply(right_field_of(params, (i, j, kind), f), g_flat))
+                rhs_all.append(apply(right_field_of(params, column, f), g_flat))
                 labels.append(f"{kind}{i}{j}")
     lhs_all = np.asarray(lhs_all)
     rhs_all = np.asarray(rhs_all)

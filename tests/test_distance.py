@@ -70,6 +70,12 @@ def test_mu_inverse():
     theta = mu_inverse(1e9)
     assert math.pi - theta <= 1e-3
     assert mu(theta) == pytest.approx(1e9, rel=1e-9)
+    # an array gives each scalar call's bits, in its own shape
+    ws = np.linspace(-3.1, 3.1, 63)
+    batch = mu_inverse(ws.reshape(7, 9))
+    assert batch.shape == (7, 9)
+    assert np.array_equal(batch.ravel(), [mu_inverse(float(v)) for v in ws])
+    assert isinstance(mu_inverse(0.5), float)
 
 
 def _solve(params, coords):

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from nilheat.groups import (
     GroupParams,
-    apply_field,
     block_norms_sq_flat,
     dilate_flat,
     horizontal_components,
@@ -17,8 +16,20 @@ from nilheat.groups import (
     sub_laplacian,
 )
 from nilheat.sampling import philox
-from nilheat.semigroup import hgrad_norm_of
+from nilheat.semigroup import _hgrad_power
 from nilheat.testfuncs import TestFunction, linear_bump, standard_family
+
+
+@pytest.fixture(scope="module", params=["h1", "h1k2", "noniso", "l3"])
+def frame_group(request):
+    """The groups of `any_group` and a three-block group, for the frame
+    checks that must see l = 3."""
+    return {
+        "h1": GroupParams(1, (1,), (1.0,)),
+        "h1k2": GroupParams(1, (2,), (1.0,)),
+        "noniso": GroupParams(2, (1, 2), (0.5, 1.0)),
+        "l3": GroupParams(3, (2, 1, 1), (0.3, 0.6, 1.0)),
+    }[request.param]
 
 
 def oracle_multiply(a_coeffs, z1, z2, t1, t2):
@@ -110,94 +121,89 @@ def test_dilation(any_group, rng):
         dilate_flat(params, 0.0, g)
     with pytest.raises(ValueError):
         dilate_flat(params, -1.0, g)
+    # an array of factors dilates each point by its own, with the bits of
+    # the single-factor call; every factor must be positive
+    pts = rng.standard_normal((4, 3, params.dim))
+    rs = rng.uniform(0.3, 3.0, (4, 3))
+    batch = dilate_flat(params, rs, pts)
+    for i, j in np.ndindex(4, 3):
+        assert np.array_equal(batch[i, j], dilate_flat(params, float(rs[i, j]), pts[i, j]))
+    for bad in ([1.0, 0.0, 2.0], [1.0, np.nan, 2.0]):
+        with pytest.raises(ValueError):
+            dilate_flat(params, np.array(bad), pts[0])
 
 
-def _field_flow(params, which, g_flat, eps):
-    """Exact integral curve of the left frame: right translation by the
-    exponential of the field, which moves one coordinate and shears t."""
-    i, j, kind = which
-    pair = sum(params.k[:i]) + j
+def _field_flow(params, column, g_flat, eps):
+    """Exact integral curve of the left frame field `column` (the order of
+    `horizontal_components`): right translation by the exponential of the
+    field, which moves one coordinate and shears t."""
     step = np.zeros(params.dim)
-    step[2 * pair if kind == "x" else 2 * pair + 1] = eps
+    step[column] = eps
     return multiply_flat(params, g_flat, step)
 
 
-def test_left_field_matches_flow_fd(any_group):
-    params = any_group
+def _frame_of(params, f, coords, which="left"):
+    return horizontal_components(params, f.gradient(coords), coords, which)
+
+
+def test_left_field_matches_flow_fd(frame_group):
+    params = frame_group
     fam = standard_family(params, count=6, seed=4)
     rng = philox(6, 2)
     eps = 1e-5
     for f in fam[:3]:
         g_flat = f.center + rng.uniform(-0.3, 0.3, params.dim) * f.scale
-        for i in range(params.l):
-            for j in range(params.k[i]):
-                for kind in ("x", "y"):
-                    got = apply_field(params, (i, j, kind), f, g_flat)
-                    up = f.value(_field_flow(params, (i, j, kind), g_flat, eps))
-                    dn = f.value(_field_flow(params, (i, j, kind), g_flat, -eps))
-                    fd = (up - dn) / (2 * eps)
-                    assert abs(got - fd) <= 1e-6 * (1 + abs(fd))
+        comps = _frame_of(params, f, g_flat)
+        for column in range(2 * params.n):
+            up = f.value(_field_flow(params, column, g_flat, eps))
+            dn = f.value(_field_flow(params, column, g_flat, -eps))
+            fd = (up - dn) / (2 * eps)
+            assert abs(comps[column] - fd) <= 1e-6 * (1 + abs(fd))
 
 
-def test_right_field_matches_flow_fd(any_group):
-    params = any_group
+def test_right_field_matches_flow_fd(frame_group):
+    params = frame_group
     f = standard_family(params, count=3, seed=9)[2]
     rng = philox(7, 3)
     eps = 1e-5
     g_flat = f.center + rng.uniform(-0.3, 0.3, params.dim) * f.scale
-    for i in range(params.l):
-        for j in range(params.k[i]):
-            for kind in ("x", "y"):
-                got = apply_field(params, (i, j, kind), f, g_flat, right=True)
-                # right-frame flow is left translation
-                step = np.zeros(params.dim)
-                pair = sum(params.k[:i]) + j
-                step[2 * pair if kind == "x" else 2 * pair + 1] = eps
-                up = f.value(multiply_flat(params, step, g_flat))
-                dn = f.value(multiply_flat(params, -step, g_flat))
-                fd = (up - dn) / (2 * eps)
-                assert abs(got - fd) <= 1e-6 * (1 + abs(fd))
+    comps = _frame_of(params, f, g_flat, "right")
+    for column in range(2 * params.n):
+        # right-frame flow is left translation
+        step = np.zeros(params.dim)
+        step[column] = eps
+        up = f.value(multiply_flat(params, step, g_flat))
+        dn = f.value(multiply_flat(params, -step, g_flat))
+        fd = (up - dn) / (2 * eps)
+        assert abs(comps[column] - fd) <= 1e-6 * (1 + abs(fd))
 
 
 def test_fields_agree_at_origin(any_group):
     params = any_group
     f = standard_family(params, count=2, seed=13)[0]
     g = np.zeros(params.dim)
-    for i in range(params.l):
-        for j in range(params.k[i]):
-            for kind in ("x", "y"):
-                assert apply_field(params, (i, j, kind), f, g) == apply_field(
-                    params, (i, j, kind), f, g, right=True
-                )
+    assert np.array_equal(_frame_of(params, f, g), _frame_of(params, f, g, "right"))
 
 
 def test_field_on_t_coordinate(any_group, rng):
-    # f = t - c_t on a plateau: the left field gives 2 a_i y, the right
-    # field gives -2 a_i y, exactly
+    # f = t - c_t on a plateau: the left X field gives 2 a_i y, the right
+    # one -2 a_i y, and the Y fields -2 a_i x and 2 a_i x, exactly
     params = any_group
     direction = np.zeros(params.dim)
     direction[-1] = 1.0
     f = linear_bump(np.zeros(params.dim), 10.0, direction, bump="plateau")
     g_flat = rng.uniform(-0.5, 0.5, params.dim)
-    for i in range(params.l):
-        for j in range(params.k[i]):
-            pair = sum(params.k[:i]) + j
-            want = 2.0 * params.a[i] * g_flat[2 * pair + 1]
-            assert abs(apply_field(params, (i, j, "x"), f, g_flat) - want) <= 1e-12
-            assert abs(apply_field(params, (i, j, "x"), f, g_flat, right=True) + want) <= 1e-12
+    left, right = _frame_of(params, f, g_flat), _frame_of(params, f, g_flat, "right")
+    for pair, ai in enumerate(params.pair_a):
+        want_x = 2.0 * ai * g_flat[2 * pair + 1]
+        want_y = -2.0 * ai * g_flat[2 * pair]
+        assert abs(left[2 * pair] - want_x) <= 1e-12 and abs(right[2 * pair] + want_x) <= 1e-12
+        assert abs(left[2 * pair + 1] - want_y) <= 1e-12 and abs(right[2 * pair + 1] + want_y) <= 1e-12
     # a batch of points gives the per-point values
     pts = rng.uniform(-0.5, 0.5, (4, 3, params.dim))
-    batch = apply_field(params, (0, 0, "y"), f, pts)
-    assert batch.shape == (4, 3)
-    assert np.array_equal(batch[2, 1], apply_field(params, (0, 0, "y"), f, pts[2, 1]))
-
-
-def test_invalid_field_index(h1):
-    f = standard_family(h1, count=1)[0]
-    with pytest.raises(ValueError):
-        apply_field(h1, (1, 0, "x"), f, np.zeros(h1.dim))
-    with pytest.raises(ValueError):
-        apply_field(h1, (0, 0, "z"), f, np.zeros(h1.dim), right=True)
+    batch = _frame_of(params, f, pts)
+    assert batch.shape == (4, 3, 2 * params.n)
+    assert np.array_equal(batch[2, 1], _frame_of(params, f, pts[2, 1]))
 
 
 def test_left_invariance(any_group):
@@ -210,12 +216,12 @@ def test_left_invariance(any_group):
         g0 = rng.uniform(-0.8, 0.8, params.dim)
         base = f.center + rng.uniform(-0.4, 0.4, params.dim) * f.scale
         g = multiply_flat(params, -g0, base)  # so that g0 . g lands near the support
-        for which in [(0, 0, "x"), (params.l - 1, params.k[-1] - 1, "y")]:
-            lhs = apply_field(params, which, f, multiply_flat(params, g0, g))
-            up = f.value(multiply_flat(params, g0, _field_flow(params, which, g, eps)))
-            dn = f.value(multiply_flat(params, g0, _field_flow(params, which, g, -eps)))
+        comps = _frame_of(params, f, multiply_flat(params, g0, g))
+        for column in (0, 2 * params.n - 1):
+            up = f.value(multiply_flat(params, g0, _field_flow(params, column, g, eps)))
+            dn = f.value(multiply_flat(params, g0, _field_flow(params, column, g, -eps)))
             fd = (up - dn) / (2 * eps)
-            assert abs(lhs - fd) <= 1e-5 * (1 + abs(fd))
+            assert abs(comps[column] - fd) <= 1e-5 * (1 + abs(fd))
 
 
 def test_right_invariance(any_group):
@@ -227,15 +233,14 @@ def test_right_invariance(any_group):
         g0 = rng.uniform(-0.8, 0.8, params.dim)
         base = f.center + rng.uniform(-0.4, 0.4, params.dim) * f.scale
         g = multiply_flat(params, base, -g0)
-        for which in [(0, 0, "y"), (params.l - 1, params.k[-1] - 1, "x")]:
-            lhs = apply_field(params, which, f, multiply_flat(params, g, g0), right=True)
-            pair = sum(params.k[: which[0]]) + which[1]
+        comps = _frame_of(params, f, multiply_flat(params, g, g0), "right")
+        for column in (1, 2 * params.n - 2):
             step = np.zeros(params.dim)
-            step[2 * pair if which[2] == "x" else 2 * pair + 1] = eps
+            step[column] = eps
             up = f.value(multiply_flat(params, multiply_flat(params, step, g), g0))
             dn = f.value(multiply_flat(params, multiply_flat(params, -step, g), g0))
             fd = (up - dn) / (2 * eps)
-            assert abs(lhs - fd) <= 1e-5 * (1 + abs(fd))
+            assert abs(comps[column] - fd) <= 1e-5 * (1 + abs(fd))
 
 
 def test_measure_invariance_mc(any_group):
@@ -259,7 +264,7 @@ def test_measure_invariance_mc(any_group):
 
 def test_horizontal_gradient_norm(any_group, rng):
     params = any_group
-    norm = lambda f, g: hgrad_norm_of(params, f).value(g)
+    norm = lambda f, g: _hgrad_power(params, f.gradient(g), g)
     g = rng.uniform(-0.5, 0.5, params.dim)
     # inside the bump the polynomial is constant but the bump is not; use
     # the plateau so the gradient genuinely vanishes
@@ -279,14 +284,14 @@ def test_horizontal_gradient_norm(any_group, rng):
     # recomputation oracle on a generic member: the frame fields one by one
     fam = standard_family(params, count=3, seed=8)[1]
     gg = fam.center + 0.2 * fam.scale * np.ones(params.dim)
+    grad = fam.gradient(gg)
     comps = []
-    for i in range(params.l):
-        for j in range(params.k[i]):
-            comps.append(float(apply_field(params, (i, j, "x"), fam, gg)))
-            comps.append(float(apply_field(params, (i, j, "y"), fam, gg)))
+    for pair, ai in enumerate(params.pair_a):
+        comps.append(grad[2 * pair] + 2.0 * ai * gg[2 * pair + 1] * grad[-1])
+        comps.append(grad[2 * pair + 1] - 2.0 * ai * gg[2 * pair] * grad[-1])
     want = math.sqrt(sum(c * c for c in comps))
     assert abs(norm(fam, gg) - want) <= 1e-12 * (1 + want)
-    assert_allclose(horizontal_components(params, fam.gradient(gg), gg), comps, rtol=0, atol=0)
+    assert_allclose(horizontal_components(params, grad, gg), comps, rtol=0, atol=0)
 
 
 def test_horizontal_components_rejects_unknown_frame(any_group, rng):
@@ -338,25 +343,38 @@ def test_sub_laplacian_on_zsq(any_group):
     assert sub_laplacian(params, const, g) == 0.0
 
 
-def test_sub_laplacian_matches_flow_fd(any_group):
-    params = any_group
+def _sub_laplacian_expanded(params, f, coords):
+    """Per pair f_xx + f_yy + 4a (y f_xt - x f_yt) + 4a^2 (x^2 + y^2) f_tt."""
+    H = f.hessian(coords)
+    a, ix = params.pair_a, np.arange(0, 2 * params.n, 2)
+    iy, it = ix + 1, 2 * params.n
+    x, y = coords[..., ix], coords[..., iy]
+    total = np.sum(H[..., ix, ix] + H[..., iy, iy], axis=-1)
+    total += np.sum(4.0 * a * (y * H[..., ix, it] - x * H[..., iy, it]), axis=-1)
+    return total + np.sum(4.0 * a**2 * (x**2 + y**2), axis=-1) * H[..., it, it]
+
+
+def test_sub_laplacian_matches_flow_fd(frame_group):
+    params = frame_group
     f = standard_family(params, count=5, seed=19)[4]
     rng = philox(12, 7)
     g_flat = f.center + rng.uniform(-0.2, 0.2, params.dim) * f.scale
     eps = 1e-3
     total = 0.0
-    for i in range(params.l):
-        for j in range(params.k[i]):
-            for kind in ("x", "y"):
-                up = f.value(_field_flow(params, (i, j, kind), g_flat, eps))
-                mid = f.value(g_flat)
-                dn = f.value(_field_flow(params, (i, j, kind), g_flat, -eps))
-                total += (up - 2 * mid + dn) / eps**2
+    for column in range(2 * params.n):
+        up = f.value(_field_flow(params, column, g_flat, eps))
+        mid = f.value(g_flat)
+        dn = f.value(_field_flow(params, column, g_flat, -eps))
+        total += (up - 2 * mid + dn) / eps**2
     got = sub_laplacian(params, f, g_flat)
     assert abs(got - total) <= 1e-4 * (1 + abs(total))
-    # the batch body gives each point's value
+    # the batch body gives each point's value, and the chain-rule expansion
+    # to rounding
     pts = np.stack([g_flat, f.center, g_flat + 0.1 * f.scale])
-    assert sub_laplacian(params, f, pts)[0] == got
+    batch = sub_laplacian(params, f, pts)
+    assert batch[0] == got
+    want = _sub_laplacian_expanded(params, f, pts)
+    assert_allclose(batch, want, rtol=1e-13, atol=1e-13 * float(np.max(np.abs(want))))
 
 
 def test_testfunction_derivatives(any_group):
@@ -405,6 +423,31 @@ def test_every_export_resolves():
         mod = importlib.import_module(f"nilheat.{info.name}")
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, f"nilheat.{info.name}.__all__ names {missing}"
+
+
+def test_block_norms_reject_points_of_another_group(noniso):
+    # noniso points have 7 coordinates and chart arrays 6
+    assert block_norms_sq_flat(noniso, np.ones(6)).shape == (2,)
+    assert block_norms_sq_flat(noniso, np.ones((2, 7))).shape == (2, 2)
+    for bad in (np.full(3, 0.3), np.ones((2, 5)), np.ones(8), np.float64(1.0)):
+        with pytest.raises(ValueError, match="trailing axis"):
+            block_norms_sq_flat(noniso, bad)
+
+
+def test_multiply_rejects_points_of_another_group(h1):
+    # a 7-coordinate product on h1 used to return an uninitialised tail
+    with pytest.raises(ValueError, match="trailing axis"):
+        multiply_flat(h1, np.ones(7), np.ones(7))
+    for a, b in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3)), (np.ones((4, 2)), np.ones((4, 2)))):
+        with pytest.raises(ValueError, match="trailing axis"):
+            multiply_flat(h1, a, b)
+
+
+def test_horizontal_components_rejects_points_of_another_group(h1):
+    # a short gradient used to raise IndexError
+    for grad, coords in ((np.ones(2), np.ones(3)), (np.ones(3), np.ones(2)), (np.ones(7), np.ones(7))):
+        with pytest.raises(ValueError, match="trailing axis"):
+            horizontal_components(h1, grad, coords)
 
 
 def test_params_validation():

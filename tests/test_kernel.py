@@ -26,8 +26,7 @@ from nilheat.kernel import (
     kernel_points,
     kernel_product_grid,
     kernel_zsq,
-    log_kernel_left_gradient,
-    log_kernel_t_derivative,
+    log_kernel_derivatives,
     scaling_deviation,
 )
 from nilheat.sampling import CloudSpec, kernel_feasible_mask, philox, uniform_box
@@ -228,9 +227,8 @@ def test_derivatives_match_finite_differences(any_group):
 def test_log_derivatives(h1, noniso):
     for params in (h1, noniso):
         g_flat = 0.4 * np.ones(params.dim)
-        grad = log_kernel_left_gradient(params, 1.0, g_flat)
-        assert grad.shape == (2 * params.n,)
-        td = log_kernel_t_derivative(params, 1.0, g_flat)
+        grad, td = log_kernel_derivatives(params, 1.0, g_flat)
+        assert grad.shape == (2 * params.n,) and td.shape == ()
         # central difference of log kernel in t
         eps = 1e-5
         up = g_flat.copy()
@@ -242,23 +240,23 @@ def test_log_derivatives(h1, noniso):
         fd = (math.log(float(vu)) - math.log(float(vd))) / (2 * eps)
         assert td == pytest.approx(fd, rel=1e-5)
     # at t = 0 the derivative vanishes by symmetry
-    assert abs(log_kernel_t_derivative(h1, 1.0, np.array([0.5, 0.2, 0.0]))) <= 1e-10
+    assert abs(log_kernel_derivatives(h1, 1.0, np.array([0.5, 0.2, 0.0]))[1]) <= 1e-10
 
 
 def test_log_derivatives_batch(any_group):
     # a cloud (4, 3, 2n+1) gives each point's single-point values
     params = any_group
     pts = uniform_box(params, CloudSpec(12, 1.0, 1.0, 14)).reshape(4, 3, params.dim)
-    grad = log_kernel_left_gradient(params, 0.8, pts)
-    td = log_kernel_t_derivative(params, 0.8, pts)
+    grad, td = log_kernel_derivatives(params, 0.8, pts)
     assert grad.shape == (4, 3, 2 * params.n) and td.shape == (4, 3)
     for i, j in ((0, 0), (2, 1), (3, 2)):
-        assert_allclose(grad[i, j], log_kernel_left_gradient(params, 0.8, pts[i, j]), rtol=1e-12)
-        assert td[i, j] == pytest.approx(float(log_kernel_t_derivative(params, 0.8, pts[i, j])), rel=1e-12)
+        grad1, td1 = log_kernel_derivatives(params, 0.8, pts[i, j])
+        assert_allclose(grad[i, j], grad1, rtol=1e-12)
+        assert td[i, j] == pytest.approx(float(td1), rel=1e-12)
 
 
 def test_gradient_vanishes_at_origin(any_group):
-    grad = log_kernel_left_gradient(any_group, 1.0, np.zeros(any_group.dim))
+    grad = log_kernel_derivatives(any_group, 1.0, np.zeros(any_group.dim))[0]
     assert np.max(np.abs(grad)) <= 1e-10
 
 
@@ -276,13 +274,13 @@ def test_rotation_identity(noniso):
 def test_conditioning_guard(h1):
     # |z|^2 = 3025: p_1 is about e^{-756}, below the positivity floor
     with pytest.raises(KernelConditioningError):
-        log_kernel_left_gradient(h1, 1.0, np.array([55.0, 0.0, 0.0]))
+        log_kernel_derivatives(h1, 1.0, np.array([55.0, 0.0, 0.0]))
     # far out on the t axis, where the real-line cosine cancels 33
     # log-units, the saddle-line value is accurate and well conditioned
     g = np.array([0.1, 0.0, 45.0])
     value, _ = kernel_points(h1, 1.0, g)
     assert abs(value - _line_oracle(h1, [0.01], 45.0)) <= 1e-12 * value
-    assert np.all(np.isfinite(log_kernel_left_gradient(h1, 1.0, g)))
+    assert all(np.all(np.isfinite(v)) for v in log_kernel_derivatives(h1, 1.0, g))
 
 
 def test_node_cap_guard(h1):
@@ -318,6 +316,31 @@ def test_invalid_inputs(h1):
         kernel_product_grid(h1, 1.0, np.empty((0, 1)), np.array([0.0]))
     with pytest.raises(ValueError):
         kernel_product_grid(h1, 1.0, np.array([[0.5]]), np.array([]))
+
+
+def test_kernel_points_reject_points_of_another_group(h1, noniso):
+    # a chart-layout row of noniso (6 coordinates) used to give a value
+    for params, pts in ((noniso, np.full(6, 0.3)), (h1, np.full((2, 7), 0.3)), (h1, np.float64(0.3))):
+        with pytest.raises(ValueError, match="trailing axis"):
+            kernel_points(params, 1.0, pts)
+
+
+def test_kernel_derivatives_reject_points_of_another_group(h1, noniso):
+    # these used to fail in a reshape
+    for params, pts in ((h1, np.full((2, 6), 0.3)), (noniso, np.full(6, 0.3))):
+        with pytest.raises(ValueError, match="trailing axis"):
+            kernel_derivatives(params, 1.0, pts)
+
+
+def test_kernel_block_norms_need_one_per_block(h1, noniso):
+    # one block norm used to broadcast onto both noniso blocks, and an h1
+    # product grid read a two-entry row as two rows
+    with pytest.raises(ValueError, match="trailing axis"):
+        kernel_zsq(noniso, 1.0, [0.5], 0.3)
+    with pytest.raises(ValueError, match="trailing axis"):
+        kernel_product_grid(h1, 1.0, [[0.5, 0.2]], [0.1])
+    with pytest.raises(ValueError, match="trailing axis"):
+        kernel_zsq(h1, 1.0, 0.5, 0.3)
 
 
 def test_refinement_consistency(noniso):
@@ -461,7 +484,7 @@ def test_log_gradient_bound_along_ray(h1):
     ratios = []
     for s in (0.5, 1.0, 1.5, 2.0, 2.5):
         g_flat = base * np.r_[s, s, s * s]
-        grad = log_kernel_left_gradient(h1, 1.0, g_flat)
+        grad = log_kernel_derivatives(h1, 1.0, g_flat)[0]
         d = math.sqrt(
             float(distance_squared_arrays(h1, block_norms_sq_flat(h1, g_flat), g_flat[-1]))
         )

@@ -7,13 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nilheat import semigroup
-from nilheat.groups import apply_field, block_norms_sq_flat, multiply_flat
+from nilheat.groups import block_norms_sq_flat, dilate_flat, horizontal_components, multiply_flat
 from nilheat.distance import distance_squared_arrays
 from nilheat.kernel import QuadratureSpec, kernel_zsq
 from nilheat.sampling import ball_bounding_box, philox, unit_ball_points
 from nilheat.semigroup import (
     DiffusionSpec,
-    _chain_rule_components,
     _hgrad_power,
     _PATH_CHUNK,
     _mean_se,
@@ -29,7 +28,6 @@ from nilheat.semigroup import (
     check_log_sobolev_poincare,
     check_translation_dilation_reduction,
     grad_semigroup_components,
-    hgrad_norm_of,
     right_field_of,
     sample_heat_points,
     semigroup_estimate,
@@ -172,15 +170,9 @@ def test_gradient_at_origin_equals_right_frame_average(noniso):
     f = standard_family(noniso, count=4, seed=8)[1]
     g0 = np.zeros(noniso.dim)
     comps, _ = grad_semigroup_components(noniso, f, 0.6, g0, "mc", SPEC)
-    idx = 0
-    for i in range(noniso.l):
-        for j in range(noniso.k[i]):
-            for kind in ("x", "y"):
-                rhs, _ = semigroup_estimate(
-                    noniso, right_field_of(noniso, (i, j, kind), f), 0.6, g0, "mc", SPEC
-                )
-                assert comps[idx] == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-                idx += 1
+    for column in range(2 * noniso.n):
+        rhs, _ = semigroup_estimate(noniso, right_field_of(noniso, column, f), 0.6, g0, "mc", SPEC)
+        assert comps[column] == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 def test_constant_gradient_zero(h1):
@@ -224,7 +216,7 @@ def test_commutation_mc_draws_one_sample(h1, monkeypatch):
         v_plus = semigroup_estimate(h1, f, 1.0, multiply_flat(h1, step, g), "mc", spec)[0]
         v_minus = semigroup_estimate(h1, f, 1.0, multiply_flat(h1, -step, g), "mc", spec)[0]
         lhs.append((v_plus - v_minus) / (2.0 * eps))
-        field = right_field_of(h1, (0, 0, kind), f)
+        field = right_field_of(h1, c, f)
         rhs.append(semigroup_estimate(h1, field, 1.0, g, "mc", spec)[0])
     errs = np.abs(np.asarray(lhs) - np.asarray(rhs)) / max(float(np.max(np.abs(rhs))), 1e-6)
     assert rep.stats["per_field"] == {"x00": errs[0], "y00": errs[1]}
@@ -240,7 +232,7 @@ def test_commutation_linear_t(noniso):
     f = linear_bump(np.zeros(noniso.dim), 60.0, direction, bump="plateau")
     g = np.array([0.3, -0.2, 0.4, 0.1, -0.25, 0.15, 0.2])
     h = 0.5
-    rhs, _ = semigroup_estimate(noniso, right_field_of(noniso, (0, 0, "x"), f), h, g, "mc", SPEC)
+    rhs, _ = semigroup_estimate(noniso, right_field_of(noniso, 0, f), h, g, "mc", SPEC)
     se = 2.0 * noniso.a[0] * math.sqrt(2.0 * h) / math.sqrt(SPEC.paths)
     assert rhs == pytest.approx(-2.0 * noniso.a[0] * g[1], abs=3.5 * se)
 
@@ -418,8 +410,8 @@ def _dense_gradient_cases(params, family, points, h_values, dspec, stream):
             pts = multiply_flat(params, g, W)
             for f in family:
                 grad = f.jet(pts, 1)[1]
-                cx, cy = _chain_rule_components(params, grad, g, W)
-                num = math.sqrt(float(np.sum(np.mean(cx, axis=0) ** 2) + np.sum(np.mean(cy, axis=0) ** 2)))
+                comps = horizontal_components(params, grad, g - W, "left")
+                num = math.sqrt(float(np.sum(np.mean(comps, axis=0) ** 2)))
                 hnorm = _hgrad_power(params, grad, pts)
                 yield num, hnorm
 
@@ -690,22 +682,27 @@ def test_transformed_field_consistency(h1):
     scaled[:, -1] = pts[:, -1] * 2.0
     direct = f.value(multiply_flat(h1, g, scaled))
     assert_allclose(moved.value(pts), direct, atol=0)
-    # gradient by finite differences
-    grad = moved.gradient(pts[:5])
+    # gradient by finite differences, at points whose images lie near f's
+    # center, where f and its gradient do not vanish
+    near = f.center + rng.uniform(-0.3, 0.3, size=(5, 3)) * f.scale
+    inside = dilate_flat(h1, 1.0 / math.sqrt(2.0), multiply_flat(h1, -g, near))
+    assert_allclose(moved.value(inside), f.value(near), rtol=1e-12)
+    grad = moved.gradient(inside)
+    assert np.all(np.abs(grad) > 0.0)
     eps = 1e-6
     for d in range(3):
         e = np.zeros(3)
         e[d] = eps
-        fd = (moved.value(pts[:5] + e) - moved.value(pts[:5] - e)) / (2 * eps)
+        fd = (moved.value(inside + e) - moved.value(inside - e)) / (2 * eps)
         assert np.max(np.abs(grad[:, d] - fd)) <= 1e-6 * (1 + np.max(np.abs(fd)))
 
 
 def test_hgrad_field_matches_norm(h1):
-    # the norm field against the frame fields applied one by one
+    # the norm against X = d/dx + 2y d/dt and Y = d/dy - 2x d/dt written out
     f = standard_family(h1, count=3, seed=20)[1]
     g_flat = f.center + 0.2 * f.scale
-    val = hgrad_norm_of(h1, f).value(g_flat)
-    comps = [apply_field(h1, (0, 0, kind), f, g_flat) for kind in ("x", "y")]
-    assert float(val) == pytest.approx(math.hypot(*comps), rel=1e-12)
-    sq = hgrad_norm_of(h1, f, power=2).value(g_flat)
-    assert float(sq) == pytest.approx(math.hypot(*comps) ** 2, rel=1e-12)
+    (fx, fy, ft), (x, y, _) = f.gradient(g_flat), g_flat
+    norm = math.hypot(fx + 2.0 * y * ft, fy - 2.0 * x * ft)
+    assert float(_hgrad_power(h1, f.gradient(g_flat), g_flat)) == pytest.approx(norm, rel=1e-12)
+    sq = _hgrad_power(h1, f.gradient(g_flat), g_flat, power=2)
+    assert float(sq) == pytest.approx(norm**2, rel=1e-12)
