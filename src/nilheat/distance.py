@@ -57,7 +57,6 @@ __all__ = [
     "boundary_threshold",
     "solve_theta_arrays",
     "distance_squared_arrays",
-    "cancellation_exponent",
 ]
 
 # Below the cut, mu, mu', w/sin w, w cot w and cot w - 1/w come from five
@@ -294,15 +293,6 @@ def distance_squared_arrays(params: GroupParams, zsq, t, return_parts=False):
     if return_parts:
         return out, theta.reshape(shape), branch.reshape(shape), form2.reshape(shape)
     return out
-
-
-def cancellation_exponent(params: GroupParams, zsq, t, h=1.0):
-    """(d^2 - |z|^2)/(4h): log-scale precision lost to oscillatory
-    cancellation when the heat kernel is evaluated by quadrature at (z, t).
-    """
-    zsq = np.asarray(zsq, dtype=float)
-    d2 = distance_squared_arrays(params, zsq, t)
-    return (d2 - np.sum(zsq, axis=-1)) / (4.0 * h)
 
 
 def check_distance_equivalence(params: GroupParams, cloud):

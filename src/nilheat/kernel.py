@@ -56,9 +56,9 @@ d/dx_{i,j} weights them by -x_{i,j} a_i lambda coth(a_i lambda)/(2h), and
 d/dt by sign(t) i lambda/4h.  Finite differences are test oracles only.
 
 The suites still clip their clouds with `sampling.kernel_feasible_mask`
-(25 log-units of `distance.cancellation_exponent`) and truncate the rays
-of `polar.ray_integrals`: these decide which points a cloud holds, and
-the frozen constants are extremes over those points.
+(25 log-units of real-line cancellation, (d^2 - |z|^2)/4h) and truncate
+the rays of `polar.ray_integrals`: these decide which points a cloud
+holds, and the frozen constants are extremes over those points.
 """
 
 from __future__ import annotations

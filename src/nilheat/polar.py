@@ -76,7 +76,6 @@ __all__ = [
     "ray_integral_check",
     "path_velocity",
     "horizontal_path_check",
-    "cancellation_exponent_polar",
 ]
 
 ANGLE_SPLIT = math.pi / 4.0  # splits R1 from R2/R3
@@ -390,17 +389,6 @@ def pj_estimate_arrays(params: GroupParams, usq, eta):
     return np.where(wide, wide_value, narrow_value)
 
 
-def cancellation_exponent_polar(params: GroupParams, usq, eta, h=1.0):
-    """Oscillatory-cancellation budget of kernel quadrature at Psi(u, eta):
-    (d^2 - |z|^2)/(4h) expressed in polar data."""
-    usq = np.asarray(usq, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    a = np.asarray(params.a)
-    Usq = speed_sq_arrays(params, usq)
-    zsq = np.sum(usq * _angle_factor_sq(eta[..., None] * a), axis=-1)
-    return (Usq * eta**2 - zsq) / (4.0 * h)
-
-
 # ---------------------------------------------------------------------------
 # Ray integral
 # ---------------------------------------------------------------------------
@@ -628,15 +616,14 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
     return rep
 
 
-def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: float = 25.0):
+def sample_exterior_cloud(params: GroupParams, count: int, seed: int):
     """Sample (u_flat, eta) on U|eta| >= 1 covering all three regions.
 
-    Region shares are roughly 60/15/25 for R1/R2/R3.  Points are kept
-    inside the kernel-quadrature cancellation budget; R2 points are drawn
+    Region shares are roughly 60/15/25 for R1/R2/R3.  R2 points are drawn
     near the smallest-distance corner of that region (|eta| just above
-    pi/4, crowd slightly above the split), which is where double-precision
-    kernel evaluation remains well conditioned.  Rejected draws are
-    counted in the returned diagnostics.
+    pi/4, crowd slightly above the split).  Draws below U|eta| = 1 or past
+    their region's quota are rejected and counted in the returned
+    diagnostics.
     """
     rng = philox(seed, 31)
     n2 = 2 * params.n
@@ -679,10 +666,6 @@ def sample_exterior_cloud(params: GroupParams, count: int, seed: int, budget: fl
         u = w * target_U / math.sqrt(speed_sq_arrays(params, wsq))
         usq = block_norms_sq_flat(params, u)
         if speed_sq_arrays(params, usq) * eta**2 < 1.0:
-            rejected += 1
-            continue
-        cexp = float(cancellation_exponent_polar(params, usq, np.asarray(eta)))
-        if cexp > budget:
             rejected += 1
             continue
         label = int(classify_region_arrays(params, usq, np.asarray(eta)))

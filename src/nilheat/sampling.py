@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import cancellation_exponent, distance_squared_arrays
+from .distance import distance_squared_arrays
 from .groups import GroupParams, block_norms_sq_flat
 
 __all__ = [
@@ -75,9 +75,15 @@ def unit_ball_points(params: GroupParams, count: int, seed: int, stream: int) ->
     return box[distance_squared_arrays(params, block_norms_sq_flat(params, box), box[:, -1]) < 1.0]
 
 
-def kernel_feasible_mask(params: GroupParams, coords, h: float = 1.0, budget: float = 25.0):
-    """Points where kernel quadrature keeps enough precision: the
-    oscillatory cancellation (d^2 - |z|^2)/(4h) stays under `budget`."""
+# log-units of real-line cancellation a cloud point may cost the kernel
+_CANCELLATION_BUDGET = 25.0
+
+
+def kernel_feasible_mask(params: GroupParams, coords, h: float = 1.0):
+    """Points where real-line kernel quadrature would keep enough
+    precision: its oscillatory cancellation (d^2 - |z|^2)/(4h) stays under
+    `_CANCELLATION_BUDGET`."""
     coords = np.asarray(coords, dtype=float)
     zsq = block_norms_sq_flat(params, coords)
-    return cancellation_exponent(params, zsq, coords[..., -1], h) <= budget
+    d2 = distance_squared_arrays(params, zsq, coords[..., -1])
+    return (d2 - np.sum(zsq, axis=-1)) / (4.0 * h) <= _CANCELLATION_BUDGET

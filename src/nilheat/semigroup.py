@@ -1,18 +1,24 @@
 """Heat semigroup by diffusion Monte Carlo and kernel quadrature, plus the
 inequality verification harness.
 
-Two independent evaluation routes are kept everywhere it is feasible:
+One body, `_semigroup_jet`, gives e^{h Delta} f at g and, when asked, its
+horizontal gradient.  It checks the method and picks the rule once:
 
-  mc          average f(g . W) over endpoints W of the horizontal diffusion
-              (2n driving Brownian coordinates, the center coordinate
+  mc          average over endpoints W of the horizontal diffusion (2n
+              driving Brownian coordinates, the center coordinate
               accumulated as a weighted Levy area with the trapezoidal
               rule); weak error O(steps^-1).
-  quadrature  integrate f(g . g') p_h(g') over a tensor grid covering the
-              translated support of f, with kernel values from the
-              saddle-line quadrature.
+  quadrature  when 2 sqrt(h) >= f's scale, integrate f(w) p_h(g^{-1} w)
+              over a tensor grid covering f's support near g, with the
+              kernel (and its partials, for the gradient) from one
+              saddle-line pass; otherwise the dilation-reduced
+              int f(g . dil(sqrt h, v)) p_1(v) dv on a grid at the kernel's
+              unit scale.
 
-Disagreement between the routes beyond combined error bars is treated as
-a build-stopping signal by the test suite.
+The sample and the reduced grid share one chain-rule body over f's jet at
+g . W.  `semigroup_estimate` and `grad_semigroup_components` are views of
+it.  Disagreement between the routes beyond combined error bars is treated
+as a build-stopping signal by the test suite.
 
 Gradients of the semigroup are taken by differentiating under the
 convolution: for fixed w, the left frame applied to g -> f(g . w) is the
@@ -20,6 +26,8 @@ frame of `groups` applied to the Euclidean gradient of f at g . w, with
 its t-coefficients read at g - w instead of g (the right frame reads them
 at g . w itself, which is the commutation identity).  At g = 0 they are
 read at -w, which makes it the right-invariant frame applied to f at w.
+On f's support grid the kernel carries the derivative instead:
+X^{(g)} p_h(g^{-1} w) = -(X-hat p_h)(g^{-1} w).
 
 All randomness is Philox counter-based keyed by (seed, stream, chunk index),
 so the same spec draws the same samples bit for bit on every run.
@@ -139,18 +147,21 @@ def sample_heat_points(params: GroupParams, h: float, spec: DiffusionSpec) -> np
 # ---------------------------------------------------------------------------
 
 class _Closure:
-    """Value-only field from a callable on flat coordinates."""
+    """Value-only field from a callable on flat coordinates, supported in box."""
 
-    def __init__(self, fn, box=None):
+    def __init__(self, fn, box):
         self._fn = fn
         self._box = box
 
     def value(self, coords):
         return self._fn(np.asarray(coords, dtype=float))
 
+    def jet(self, coords, order=0):
+        if order:
+            raise ValueError("a closure field has a value only")
+        return [self.value(coords)]
+
     def support_box(self):
-        if self._box is None:
-            raise AttributeError("closure has no support box")
         return self._box
 
 
@@ -215,20 +226,29 @@ class TransformedField:
         t_hi = (hi[-1] - self.g_flat[-1] + r * twist) / (r * r)
         return np.concatenate([z_lo, [t_lo]]), np.concatenate([z_hi, [t_hi]])
 
+    def jet(self, coords, order=0):
+        """[value] or [value, gradient] at coords, from one jet of f."""
+        if order not in (0, 1):
+            raise ValueError("jet order must be 0 or 1")
+        parts = self.f.jet(self._map(coords), order)
+        if order:
+            n = self.params.n
+            g = parts[1]
+            # chain rule through v -> g . dilate(r, v): r times the left frame
+            # with its t-coefficients read at g, and r^2 d/dt
+            X, Y = _frame(self.params, g, self.g_flat[0 : 2 * n : 2], self.g_flat[1 : 2 * n : 2], 1.0)
+            out = np.empty(g.shape)
+            out[..., 0 : 2 * n : 2] = self.r * X
+            out[..., 1 : 2 * n : 2] = self.r * Y
+            out[..., 2 * n] = self.r * self.r * g[..., 2 * n]
+            parts[1] = out
+        return parts
+
     def value(self, coords):
-        return self.f.value(self._map(coords))
+        return self.jet(coords, 0)[0]
 
     def gradient(self, coords):
-        n = self.params.n
-        g = self.f.gradient(self._map(coords))
-        # chain rule through v -> g . dilate(r, v): r times the left frame
-        # with its t-coefficients read at g, and r^2 d/dt
-        X, Y = _frame(self.params, g, self.g_flat[0 : 2 * n : 2], self.g_flat[1 : 2 * n : 2], 1.0)
-        out = np.empty(g.shape)
-        out[..., 0 : 2 * n : 2] = self.r * X
-        out[..., 1 : 2 * n : 2] = self.r * Y
-        out[..., 2 * n] = self.r * self.r * g[..., 2 * n]
-        return out
+        return self.jet(coords, 1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -244,30 +264,28 @@ def _twist_bound(params, g_flat, z_bound):
     return float(np.sum(2.0 * np.asarray(params.a) * g_norm * z_norm))
 
 
-def _support_grid(params, f, grid_points, h=None, g_flat=None):
-    """Composite tensor GL nodes/weights covering f's support box.
-
-    When (h, g) are supplied the box is intersected with the kernel's
-    effective reach around g (|z'| within ~10 sqrt(h), center coordinate
-    within ~40 h plus the translation twist); otherwise a small-h kernel
-    spike occupies a vanishing fraction of the support box and the tensor
-    rule cannot see it.  Axes longer than the shortest one get
-    proportionally more panels.  Returns None when the intersection is
-    empty (the convolution is then negligible at the working tolerance).
+def _support_grid(params, f, grid_points, h, g_flat):
+    """Composite tensor GL nodes/weights covering f's support box cut down
+    to the kernel's effective reach around g (|z'| within ~10 sqrt(h),
+    center coordinate within ~40 h plus the translation twist); over the
+    whole box a small-h kernel spike would occupy a vanishing fraction and
+    the tensor rule could not see it.  Axes longer than the shortest one
+    get proportionally more panels.  Returns (None, None) when the
+    intersection is empty (the convolution is then negligible at the
+    working tolerance).
     """
     lo, hi = f.support_box()
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
-    if h is not None and g_flat is not None:
-        n = params.n
-        reach_z = 10.0 * math.sqrt(h)
-        lo[: 2 * n] = np.maximum(lo[: 2 * n], g_flat[: 2 * n] - reach_z)
-        hi[: 2 * n] = np.minimum(hi[: 2 * n], g_flat[: 2 * n] + reach_z)
-        reach_t = 40.0 * h + _twist_bound(params, g_flat, reach_z)
-        lo[-1] = max(lo[-1], g_flat[-1] - reach_t)
-        hi[-1] = min(hi[-1], g_flat[-1] + reach_t)
-        if np.any(lo >= hi):
-            return None, None
+    n = params.n
+    reach_z = 10.0 * math.sqrt(h)
+    lo[: 2 * n] = np.maximum(lo[: 2 * n], g_flat[: 2 * n] - reach_z)
+    hi[: 2 * n] = np.minimum(hi[: 2 * n], g_flat[: 2 * n] + reach_z)
+    reach_t = 40.0 * h + _twist_bound(params, g_flat, reach_z)
+    lo[-1] = max(lo[-1], g_flat[-1] - reach_t)
+    hi[-1] = min(hi[-1], g_flat[-1] + reach_t)
+    if np.any(lo >= hi):
+        return None, None
     extents = hi - lo
     base = float(np.min(extents))
     gl = np.polynomial.legendre.leggauss(grid_points)
@@ -284,12 +302,13 @@ def _field_scale(f):
     return 0.5 * float(np.min(np.asarray(hi) - np.asarray(lo)))
 
 
-def _reduced_grid(params, f, h, g_flat, grid_points):
+def _reduced_grid(params, f, h, g_flat, grid_points, qspec):
     """Grid for the dilation-reduced convolution int f(g . dil(sqrt h, v))
     p_1(v) dv: the kernel lives at unit scale and f at scale/sqrt(h), so a
     coarse grid resolves both.  Used when sqrt(h) is small against f's
     scale; the box is the kernel's unit-time reach cut down to f's
-    preimage.  Returns (dilated nodes W, p_1-weighted quadrature weights).
+    preimage.  Returns (dilated nodes W, p_1-weighted quadrature weights);
+    qspec None keeps `kernel_product_grid`'s own default.
     """
     n = params.n
     r = math.sqrt(h)
@@ -324,42 +343,13 @@ def _reduced_grid(params, f, h, g_flat, grid_points):
     # its values come from one product-grid evaluation
     zpart, wz = _tensor_rule(axes[:-1], wts1[:-1])  # (m1, 2n), (m1,)
     zsq = block_norms_sq_flat(params, zpart)
-    pvals, _ = kernel_product_grid(params, 1.0, zsq, axes[-1])  # (m1, m2)
+    pvals, _ = kernel_product_grid(params, 1.0, zsq, axes[-1], qspec)  # (m1, m2)
     weights = (pvals * wz[:, None] * wts1[-1]).ravel()
     m1, m2 = zsq.shape[0], axes[-1].size
     W = np.empty((m1 * m2, params.dim))
     W[:, : 2 * n] = np.repeat(zpart, m2, axis=0) * r
     W[:, 2 * n] = np.tile(axes[-1], m1) * h
     return W, weights
-
-
-def semigroup_estimate(params, f, h, g_flat, method="mc", dspec=None, qspec=None, grid_points=16):
-    """(value, se) of e^{h Delta} f at g.  se is None for quadrature.
-
-    The quadrature route integrates f(w) p_h(g^{-1} w) over f's own
-    support box (left translation preserves the measure) when the kernel
-    is at least as wide as f, and switches to the dilation-reduced form
-    int f(g . dil(sqrt h, v)) p_1(v) dv when the kernel is the narrow
-    factor.
-    """
-    g_flat = np.asarray(g_flat, dtype=float)
-    if method == "mc":
-        W = sample_heat_points(params, h, dspec)
-        return _mean_se(f.value(multiply_flat(params, g_flat, W)))
-    if method != "quadrature":
-        raise ValueError("method must be 'mc' or 'quadrature'")
-    if 2.0 * math.sqrt(h) < _field_scale(f):
-        W, wts = _reduced_grid(params, f, h, g_flat, grid_points)
-        if W is None:
-            return 0.0, None
-        vals = f.value(multiply_flat(params, g_flat, W))
-        return float(np.sum(vals * wts)), None
-    nodes, wt = _support_grid(params, f, grid_points, h, g_flat)
-    if nodes is None:
-        return 0.0, None
-    shifted = multiply_flat(params, -g_flat, nodes)  # g^{-1} . w
-    pvals, _ = kernel_points(params, h, shifted, qspec)
-    return float(np.sum(f.value(nodes) * pvals * wt)), None
 
 
 def _chain_coefficients(params, g_flat, W):
@@ -370,38 +360,66 @@ def _chain_coefficients(params, g_flat, W):
     return g_flat[0 : 2 * n : 2] - W[:, 0 : 2 * n : 2], g_flat[1 : 2 * n : 2] - W[:, 1 : 2 * n : 2]
 
 
-def grad_semigroup_components(params, f, h, g_flat, method="mc", dspec=None, qspec=None, grid_points=16):
-    """Components of the horizontal gradient of e^{h Delta} f at g.
+def _semigroup_jet(params, f, h, g_flat, order, method, dspec, qspec, grid_points):
+    """[(value, se)] for order 0, [(value, se), (components, se)] for
+    order 1: e^{h Delta} f at g and the horizontal components of its
+    gradient, with se None on the grids.
 
-    mc differentiates under the convolution with the chain rule on
-    g -> f(g . w); quadrature uses the identity
-    X^{(g)} p_h(g^{-1} w) = -(X-hat p_h)(g^{-1} w) so the kernel's
-    analytic partials carry the derivative.
+    The rule is picked once.  mc draws the diffusion sample.  quadrature
+    integrates f(w) p_h(g^{-1} w) over f's support grid (left translation
+    preserves the measure) when the kernel is at least as wide as f, and
+    switches to the dilation-reduced form int f(g . dil(sqrt h, v)) p_1(v) dv
+    when the kernel is the narrow factor.  On the support grid order 1
+    takes p and X-hat p from one `kernel_derivatives` pass; the sample and
+    the reduced grid share the chain rule on f's jet at g . W.
     """
     g_flat = np.asarray(g_flat, dtype=float)
-    if method not in ("mc", "quadrature"):
+    zero = [(0.0, None), (np.zeros(2 * params.n), None)][: order + 1]
+    if method == "mc":
+        W, wts = sample_heat_points(params, h, dspec), None
+    elif method != "quadrature":
         raise ValueError("method must be 'mc' or 'quadrature'")
-    if method == "quadrature" and 2.0 * math.sqrt(h) >= _field_scale(f):
+    elif 2.0 * math.sqrt(h) < _field_scale(f):
+        W, wts = _reduced_grid(params, f, h, g_flat, grid_points, qspec)
+        if W is None:
+            return zero
+    else:
         nodes, wt = _support_grid(params, f, grid_points, h, g_flat)
         if nodes is None:
-            return np.zeros(2 * params.n), None
-        shifted = multiply_flat(params, -g_flat, nodes)
+            return zero
+        shifted = multiply_flat(params, -g_flat, nodes)  # g^{-1} . w
+        fval = f.value(nodes)
+        if not order:
+            pvals, _ = kernel_points(params, h, shifted, qspec)
+            return [(float(np.sum(fval * pvals * wt)), None)]
         der = kernel_derivatives(params, h, shifted, qspec)
         hat = horizontal_components(params, der["dp"], shifted, "right")
-        mean = -np.sum((f.value(nodes) * wt)[:, None] * hat, axis=0)
-        return mean, None
-    if method == "mc":
-        W = sample_heat_points(params, h, dspec)
-        wts = np.full(W.shape[0], 1.0 / W.shape[0])
-    else:
-        W, wts = _reduced_grid(params, f, h, g_flat, grid_points)
-        if W is None:
-            return np.zeros(2 * params.n), None
-    comps = np.empty((W.shape[0], 2 * params.n))
-    grad = f.gradient(multiply_flat(params, g_flat, W))
-    comps[:, 0::2], comps[:, 1::2] = _frame(params, grad, *_chain_coefficients(params, g_flat, W), 1.0)
-    mean = np.sum(comps * wts[:, None], axis=0)
-    return mean, (np.std(comps, axis=0) / math.sqrt(W.shape[0]) if method == "mc" else None)
+        grad = -np.sum((fval * wt)[:, None] * hat, axis=0)
+        return [(float(np.sum(fval * der["p"] * wt)), None), (grad, None)]
+    sample = wts is None
+    parts = f.jet(multiply_flat(params, g_flat, W), order)
+    out = [_mean_se(parts[0]) if sample else (float(np.sum(parts[0] * wts)), None)]
+    if order:
+        if sample:
+            wts = np.full(W.shape[0], 1.0 / W.shape[0])
+        comps = np.empty((W.shape[0], 2 * params.n))
+        coeffs = _chain_coefficients(params, g_flat, W)
+        comps[:, 0::2], comps[:, 1::2] = _frame(params, parts[1], *coeffs, 1.0)
+        se = np.std(comps, axis=0) / math.sqrt(W.shape[0]) if sample else None
+        out.append((np.sum(comps * wts[:, None], axis=0), se))
+    return out
+
+
+def semigroup_estimate(params, f, h, g_flat, method="mc", dspec=None, qspec=None, grid_points=16):
+    """(value, se) of e^{h Delta} f at g; se is None for quadrature.  The
+    rule is `_semigroup_jet`'s."""
+    return _semigroup_jet(params, f, h, g_flat, 0, method, dspec, qspec, grid_points)[0]
+
+
+def grad_semigroup_components(params, f, h, g_flat, method="mc", dspec=None, qspec=None, grid_points=16):
+    """(components, se) of the horizontal gradient of e^{h Delta} f at g;
+    se is None for quadrature.  The rule is `_semigroup_jet`'s."""
+    return _semigroup_jet(params, f, h, g_flat, 1, method, dspec, qspec, grid_points)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +740,10 @@ def check_translation_dilation_reduction(params, f, h, g_flat, qspec=None, grid_
     qspec = qspec or QuadratureSpec(tol=1e-8)
 
     def by_quadrature(field, time, point, points):
-        """(value, horizontal gradient norm) of e^{time D} field at point."""
-        kw = {"qspec": qspec, "grid_points": points}
-        value = semigroup_estimate(params, field, time, point, "quadrature", **kw)[0]
-        comps = grad_semigroup_components(params, field, time, point, "quadrature", **kw)[0]
+        """(value, horizontal gradient norm) of e^{time D} field at point,
+        from one grid, one evaluation of the field and one kernel pass."""
+        jet = _semigroup_jet(params, field, time, point, 1, "quadrature", None, qspec, points)
+        (value, _), (comps, _) = jet
         return value, float(np.sqrt(np.sum(comps**2)))
 
     lhs, glhs = by_quadrature(f, h, g_flat, grid_points)

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from nilheat import distance as distance_module
 from nilheat.distance import (
     boundary_threshold,
-    cancellation_exponent,
     check_distance_equivalence,
     distance_squared_arrays,
     mu,
@@ -24,7 +23,7 @@ from nilheat.groups import (
     inverse_flat,
     multiply_flat,
 )
-from nilheat.sampling import CloudSpec, philox, uniform_box
+from nilheat.sampling import _CANCELLATION_BUDGET, CloudSpec, kernel_feasible_mask, philox, uniform_box
 
 
 def test_mu_basic_values():
@@ -230,9 +229,12 @@ def test_equivalence_report(any_group):
 
 
 def test_cancellation_exponent(h1):
-    # pure t-axis point: (pi |t| - 0)/4
-    val = cancellation_exponent(h1, np.array([0.0]), np.asarray(2.0))
-    assert float(val) == pytest.approx(math.pi * 2.0 / 4.0, rel=1e-12)
+    # pure t-axis point: (pi |t| - 0)/4h log-units of real-line
+    # cancellation, so the mask drops it once h falls below (pi 2/4)/budget
+    edge = math.pi * 2.0 / 4.0 / _CANCELLATION_BUDGET
+    point = np.array([[0.0, 0.0, 2.0]])
+    assert kernel_feasible_mask(h1, point, h=edge * (1.0 + 1e-12))[0]
+    assert not kernel_feasible_mask(h1, point, h=edge * (1.0 - 1e-12))[0]
 
 
 THREE_BLOCKS = GroupParams(3, (1, 1, 2), (0.25, 0.6, 1.0))

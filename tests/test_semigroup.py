@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from nilheat import semigroup
 from nilheat.groups import block_norms_sq_flat, dilate_flat, horizontal_components, multiply_flat
 from nilheat.distance import distance_squared_arrays
-from nilheat.kernel import QuadratureSpec, kernel_zsq
+from nilheat.kernel import QuadratureError, QuadratureSpec, kernel_derivatives, kernel_points, kernel_zsq
 from nilheat.sampling import ball_bounding_box, philox, unit_ball_points
 from nilheat.semigroup import (
     DiffusionSpec,
@@ -670,6 +670,101 @@ def test_translation_dilation_reduction(h1):
     assert rep.passed
     rep = check_translation_dilation_reduction(h1, f, 4.0, np.zeros(3))
     assert rep.passed
+
+
+def test_reduction_check_runs_one_kernel_pass_per_side(h1, monkeypatch):
+    # each side builds its grid once and takes the value and the gradient
+    # from one kernel_derivatives pass; no separate kernel_points pass
+    calls = {"kernel_points": 0, "kernel_derivatives": 0}
+    for name in calls:
+        original = getattr(semigroup, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(semigroup, name, counted)
+    f = standard_family(h1, 4, seed=2)[2]
+    rep = check_translation_dilation_reduction(h1, f, 0.8, np.array([0.3, -0.2, 0.1]))
+    assert rep.passed
+    assert calls == {"kernel_points": 0, "kernel_derivatives": 2}
+
+
+def test_reduced_route_honours_qspec(h1):
+    f = standard_family(h1, 4, seed=2)[2]
+    g = np.array([0.3, -0.2, 0.1])
+    capped = QuadratureSpec(lambda_max=1.0)
+    # 2 sqrt(0.02) < f's scale of 1: the dilation-reduced grid
+    assert 2.0 * math.sqrt(0.02) < f.scale
+    with pytest.raises(QuadratureError):
+        semigroup_estimate(h1, f, 0.02, g, "quadrature", qspec=capped)
+    with pytest.raises(QuadratureError):
+        grad_semigroup_components(h1, f, 0.02, g, "quadrature", qspec=capped)
+    # the support route refuses the same spec
+    with pytest.raises(QuadratureError):
+        semigroup_estimate(h1, f, 0.8, g, "quadrature", qspec=capped)
+
+
+def _small_reduced_grid(params):
+    """A fixed 40-node grid of dilated points and weights, in the shape
+    `_reduced_grid` returns, for groups where the real one is too large to
+    build in a test (about 30 nodes per z axis)."""
+    rng = philox(5, 40)
+    W = rng.normal(scale=0.3, size=(40, params.dim))
+    return W, rng.uniform(0.0, 0.05, size=40)
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+@pytest.mark.parametrize("route", ["mc", "support", "reduced"])
+def test_semigroup_jet_matches_separate_routes(group, route, request, monkeypatch):
+    # value and gradient from one jet equal, bit for bit, the value and the
+    # gradient evaluated each on its own: f at the nodes times kernel_points
+    # for the value, the kernel partials or the chain rule for the gradient
+    params = request.getfixturevalue(group)
+    f = standard_family(params, 4, seed=2)[2]  # scale 1
+    g = 0.2 * np.sin(np.arange(1.0, params.dim + 1.0))
+    h = {"mc": 0.5, "support": 0.8, "reduced": 0.05}[route]
+    grid_points = 6 if params.dim == 3 else 3
+    method = "mc" if route == "mc" else "quadrature"
+    dspec = DiffusionSpec(steps=100, paths=3000, seed=4)
+    if route == "reduced" and params.dim > 3:
+        monkeypatch.setattr(semigroup, "_reduced_grid", lambda p, *_: _small_reduced_grid(p))
+    jet0 = semigroup._semigroup_jet(params, f, h, g, 0, method, dspec, None, grid_points)
+    jet1 = semigroup._semigroup_jet(params, f, h, g, 1, method, dspec, None, grid_points)
+
+    se = None
+    if route == "support":
+        nodes, wt = semigroup._support_grid(params, f, grid_points, h, g)
+        shifted = multiply_flat(params, -g, nodes)
+        value = float(np.sum(f.value(nodes) * kernel_points(params, h, shifted)[0] * wt))
+        der = kernel_derivatives(params, h, shifted)
+        hat = horizontal_components(params, der["dp"], shifted, "right")
+        grad = -np.sum((f.value(nodes) * wt)[:, None] * hat, axis=0)
+    else:
+        if route == "mc":
+            W = sample_heat_points(params, h, dspec)
+            wts = np.full(W.shape[0], 1.0 / W.shape[0])
+            value, se = _mean_se(f.value(multiply_flat(params, g, W)))
+        else:
+            W, wts = semigroup._reduced_grid(params, f, h, g, grid_points, None)
+            value = float(np.sum(f.value(multiply_flat(params, g, W)) * wts))
+        fgrad = f.gradient(multiply_flat(params, g, W))
+        comps = horizontal_components(params, fgrad, g - W, "left")
+        grad = np.sum(comps * wts[:, None], axis=0)
+    if method == "quadrature":
+        assert (route == "support") == (2.0 * math.sqrt(h) >= f.scale)
+    assert value != 0.0 and np.all(grad != 0.0)
+    assert jet0 == [(value, se)]
+    assert jet1[0] == (value, se)
+    np.testing.assert_array_equal(jet1[1][0], grad)
+    if route == "mc":
+        np.testing.assert_array_equal(jet1[1][1], np.std(comps, axis=0) / math.sqrt(W.shape[0]))
+    else:
+        assert jet1[1][1] is None
+    # the public entry points are views of the jet
+    assert semigroup_estimate(params, f, h, g, method, dspec, grid_points=grid_points) == (value, se)
+    comps_view, _ = grad_semigroup_components(params, f, h, g, method, dspec, grid_points=grid_points)
+    np.testing.assert_array_equal(comps_view, grad)
 
 
 def test_transformed_field_consistency(h1):
