@@ -26,7 +26,7 @@ from nilheat.semigroup import (
 from nilheat.testfuncs import indicator_like, standard_family
 
 h1 = GroupParams(1, (1,), (1.0,))
-spec = DiffusionSpec(steps=200, paths=20000, seed=7)
+spec = DiffusionSpec(paths=20000, seed=7)
 
 # the sampler's exact z marginal: E|z|^2 = 4 n h
 W = sample_heat_points(h1, 0.5, spec)

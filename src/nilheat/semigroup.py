@@ -4,10 +4,11 @@ inequality verification harness.
 One body, `_semigroup_jet`, gives e^{h Delta} f at g and, when asked, its
 horizontal gradient.  It checks the method and picks the rule once:
 
-  mc          average over endpoints W of the horizontal diffusion (2n
-              driving Brownian coordinates, the center coordinate
-              accumulated as a weighted Levy area with the trapezoidal
-              rule); weak error O(steps^-1).
+  mc          average over endpoints W of the horizontal diffusion: each
+              coordinate pair's endpoint and Levy area from the Fourier
+              series of its Brownian bridge (`_simulate_chunk`), exact in
+              law but for the tail of the modes' squared sum, replaced by
+              its mean.
   quadrature  when 2 sqrt(h) >= f's scale, integrate f(w) p_h(g^{-1} w)
               over a tensor grid covering f's support near g, with the
               kernel (and its partials, for the gradient) from one
@@ -50,6 +51,7 @@ from .groups import (
     multiply_flat,
 )
 from .kernel import (
+    QuadratureError,
     QuadratureSpec,
     _panel_rule,
     _tensor_rule,
@@ -79,59 +81,74 @@ __all__ = [
 
 
 _PATH_CHUNK = 8192  # paths per RNG block
+_BRIDGE_MODES = 16  # Fourier modes of each pair's Brownian bridge
+# pi^2/6 - sum_{k <= P} k^-2: variance of the bridge modes past the last
+_TAIL_VAR = math.pi**2 / 6.0 - sum(1.0 / k**2 for k in range(1, _BRIDGE_MODES + 1))
+_GRID_NODE_CAP = 1 << 22  # nodes of one quadrature tensor grid
 
 
 @dataclass(frozen=True)
 class DiffusionSpec:
     """Horizontal diffusion sampler controls.
 
-    steps: Euler steps over the horizon (>= 100 for acceptance runs);
     paths: number of endpoints (>= 1e4 for acceptance runs);
     seed/stream: Philox key material.
     """
 
-    steps: int = 200
     paths: int = 10000
     seed: int = 0
     stream: int = 0
 
     def __post_init__(self):
-        if self.steps < 100:
-            raise ValueError("diffusion needs at least 100 steps")
         if self.paths < 1:
             raise ValueError("invalid diffusion spec")
+
+    @property
+    def steps(self) -> int:
+        """The bridge-mode count P: the sampler's work per path, in the
+        place of the steps it no longer takes."""
+        return _BRIDGE_MODES
 
     def with_stream(self, stream: int) -> "DiffusionSpec":
         return replace(self, stream=stream)
 
 
 def _simulate_chunk(params: GroupParams, h: float, spec: DiffusionSpec, idx: int, count: int):
-    """One RNG block of diffusion endpoints; key = (seed, stream<<20 | idx)."""
+    """One RNG block of diffusion endpoints; key = (seed, stream<<20 | idx).
+
+    Each pair draws 2P + 5 standard normals: its endpoint (b1, b2), its
+    bridge's cosine modes xi_{jk} (k <= P), the series tails zeta_j and Z.  With
+    U_j = sum_k xi_{jk}/k + r zeta_j (r^2 = `_TAIL_VAR`) and
+    V = sum_k (xi_{1k}^2 + xi_{2k}^2)/k^2 + 2 r^2, the pair's Levy area is
+    S = (h/2 pi)(sqrt(V) Z - sqrt(2)(U_1 b2 - U_2 b1)): Gaussian given the
+    modes, with Var S = h^2/4 exactly.  Only V's tail is replaced by its mean
+    (a tail of variance about 4/(3 P^3)).
+    """
     rng = philox(spec.seed, (spec.stream << 20) | idx)
-    n = params.n
-    a = params.pair_a
-    dt_scale = math.sqrt(2.0 * h / spec.steps)
-    z = np.zeros((count, 2 * n))
-    t = np.zeros(count)
-    for _ in range(spec.steps):
-        d = rng.standard_normal((count, 2 * n)) * dt_scale
-        dx, dy = d[:, 0::2], d[:, 1::2]
-        x, y = z[:, 0::2], z[:, 1::2]
-        # trapezoidal Levy area: midpoint values against the increments
-        t += 2.0 * np.sum(a * ((y + 0.5 * dy) * dx - (x + 0.5 * dx) * dy), axis=-1)
-        z += d
+    n, modes = params.n, _BRIDGE_MODES
+    g = rng.standard_normal((count, n, 2 * modes + 5))
+    inv_k = 1.0 / np.arange(1, modes + 1)
+    xi1, xi2 = g[..., 2 : modes + 2], g[..., modes + 2 : 2 * modes + 2]
+    r = math.sqrt(_TAIL_VAR)
+    u1 = xi1 @ inv_k + r * g[..., -3]
+    u2 = xi2 @ inv_k + r * g[..., -2]
+    v = (xi1 * xi1 + xi2 * xi2) @ (inv_k * inv_k) + 2.0 * _TAIL_VAR
+    b1, b2 = g[..., 0], g[..., 1]
+    area = (h / (2.0 * math.pi)) * (np.sqrt(v) * g[..., -1] - math.sqrt(2.0) * (u1 * b2 - u2 * b1))
     out = np.empty((count, params.dim))
-    out[:, : 2 * n] = z
-    out[:, 2 * n] = t
+    out[:, 0 : 2 * n : 2] = math.sqrt(2.0 * h) * b1
+    out[:, 1 : 2 * n : 2] = math.sqrt(2.0 * h) * b2
+    out[:, 2 * n] = -8.0 * (area @ params.pair_a)
     return out
 
 
 def sample_heat_points(params: GroupParams, h: float, spec: DiffusionSpec) -> np.ndarray:
-    """Endpoints of the horizontal diffusion, approximately p_h distributed.
+    """Endpoints of the horizontal diffusion, p_h distributed.
 
     The z marginal is exactly Gaussian (variance 2h per coordinate, so
-    E|z|^2 = 4 n h); the center coordinate carries the O(steps^-1) weak
-    error of the Levy-area discretization.
+    E|z|^2 = 4 n h) and each pair's Levy area has its exact variance; the
+    law of t given z is exact but for the tail of the bridge's squared
+    modes, which `_simulate_chunk` replaces by its mean.
     """
     if h <= 0:
         raise ValueError("time parameter h must be positive")
@@ -264,6 +281,14 @@ def _twist_bound(params, g_flat, z_bound):
     return float(np.sum(2.0 * np.asarray(params.a) * g_norm * z_norm))
 
 
+def _check_grid_nodes(axis_sizes):
+    """QuadratureError, before anything is allocated, when the tensor grid
+    of these axis sizes would exceed `_GRID_NODE_CAP` nodes."""
+    total = math.prod(int(size) for size in axis_sizes)
+    if total > _GRID_NODE_CAP:
+        raise QuadratureError(f"tensor grid needs {float(total):.3g} nodes, cap {_GRID_NODE_CAP}")
+
+
 def _support_grid(params, f, grid_points, h, g_flat):
     """Composite tensor GL nodes/weights covering f's support box cut down
     to the kernel's effective reach around g (|z'| within ~10 sqrt(h),
@@ -272,7 +297,7 @@ def _support_grid(params, f, grid_points, h, g_flat):
     the tensor rule could not see it.  Axes longer than the shortest one
     get proportionally more panels.  Returns (None, None) when the
     intersection is empty (the convolution is then negligible at the
-    working tolerance).
+    working tolerance); raises QuadratureError above `_GRID_NODE_CAP` nodes.
     """
     lo, hi = f.support_box()
     lo = np.asarray(lo, dtype=float).copy()
@@ -290,6 +315,7 @@ def _support_grid(params, f, grid_points, h, g_flat):
     base = float(np.min(extents))
     gl = np.polynomial.legendre.leggauss(grid_points)
     npan = np.maximum(1, np.ceil(extents / base - 1e-9).astype(int))
+    _check_grid_nodes(npan * grid_points)
     rules = [_panel_rule(np.linspace(lo[d], hi[d], npan[d] + 1), *gl) for d in range(params.dim)]
     return _tensor_rule(*zip(*rules))
 
@@ -308,7 +334,8 @@ def _reduced_grid(params, f, h, g_flat, grid_points, qspec):
     coarse grid resolves both.  Used when sqrt(h) is small against f's
     scale; the box is the kernel's unit-time reach cut down to f's
     preimage.  Returns (dilated nodes W, p_1-weighted quadrature weights);
-    qspec None keeps `kernel_product_grid`'s own default.
+    qspec None keeps `kernel_product_grid`'s own default.  Raises
+    QuadratureError above `_GRID_NODE_CAP` nodes.
     """
     n = params.n
     r = math.sqrt(h)
@@ -339,6 +366,7 @@ def _reduced_grid(params, f, h, g_flat, grid_points, qspec):
         )
         axes.append(nodes)
         wts1.append(wts)
+    _check_grid_nodes([ax.size for ax in axes])
     # the kernel factorizes over (z block norms) x (center coordinate), so
     # its values come from one product-grid evaluation
     zpart, wz = _tensor_rule(axes[:-1], wts1[:-1])  # (m1, 2n), (m1,)
@@ -502,7 +530,6 @@ def check_li_inequality(params, family, points, h_values, dspec) -> Verification
             "points": len(points),
             "h_values": list(map(float, h_values)),
             "paths": dspec.paths,
-            "steps": dspec.steps,
         },
         seed=dspec.seed,
         stats={

@@ -70,7 +70,6 @@ class RunConfig:
     output_dir: str = "reports"
     suites: tuple = SUITE_NAMES
     quadrature: ker.QuadratureSpec = field(default_factory=ker.QuadratureSpec)
-    diffusion_steps: int = 200
     diffusion_paths: int = 10000
     h_values: tuple = (0.25, 0.5, 1.0, 2.0)
     sizes: dict = field(default_factory=dict)
@@ -86,12 +85,7 @@ class RunConfig:
         self.sizes = merged
 
     def diffusion(self, stream=0) -> sg.DiffusionSpec:
-        return sg.DiffusionSpec(
-            steps=self.diffusion_steps,
-            paths=self.diffusion_paths,
-            seed=self.seed,
-            stream=stream,
-        )
+        return sg.DiffusionSpec(paths=self.diffusion_paths, seed=self.seed, stream=stream)
 
     def frozen_for(self, suite: str):
         """The shipped frozen entry of this group's suite, or None."""
@@ -170,14 +164,13 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ValueError(f"config group is malformed: {exc}") from exc
     quad = _quadrature_from_dict(d.get("quadrature", {}))
     diff = d.get("diffusion", {})
-    _reject_unknown("diffusion", diff, ("steps", "paths"))
-    cfg = RunConfig(
+    _reject_unknown("diffusion", diff, ("paths",))
+    return RunConfig(
         group=group,
         seed=_count_from("seed", d["seed"], least=0),
         output_dir=d.get("output_dir", "reports"),
         suites=tuple(d.get("suites", SUITE_NAMES)),
         quadrature=quad,
-        diffusion_steps=_count_from("diffusion steps", diff.get("steps", 200)),
         diffusion_paths=_count_from("diffusion paths", diff.get("paths", 10000)),
         h_values=_h_values_from(d.get("h_values", [0.25, 0.5, 1.0, 2.0])),
         # the semigroup suites pick family members 2, 4 and 6 by index
@@ -185,8 +178,6 @@ def config_from_dict(d: dict) -> RunConfig:
             k: _count_from(f"sizes {k}", v, 7 if k == "family" else 1) for k, v in d.get("sizes", {}).items()
         },
     )
-    cfg.diffusion()  # DiffusionSpec's own checks (the steps floor) fail here, not mid-run
-    return cfg
 
 
 def _is_h1(group: GroupParams) -> bool:

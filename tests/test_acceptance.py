@@ -212,7 +212,6 @@ def test_criterion_7_determinism(cfg_h1):
         group=cfg_h1.group,
         seed=cfg_h1.seed,
         quadrature=cfg_h1.quadrature,
-        diffusion_steps=120,
         diffusion_paths=8000,
         h_values=(0.5, 1.0),
         sizes={"distance_points": 4000, "family": 8, "li_points": 4, "lemma6_points": 60,

@@ -25,7 +25,7 @@ CONFIG_H1 = {
     "seed": 4242,
     "group": {"l": 1, "k": [1], "a": [1.0]},
     "suites": ["distance"],
-    "diffusion": {"steps": 120, "paths": 6000},
+    "diffusion": {"paths": 6000},
     "sizes": {"distance_points": 3000},
 }
 
@@ -320,7 +320,7 @@ def test_config_rejects_unknown_sizes_key(tmp_path, cli_env):
 
 
 def test_config_rejects_unknown_diffusion_key(tmp_path, cli_env):
-    _assert_config_rejected(tmp_path, cli_env, diffusion={"steps": 120, "path": 6000})
+    _assert_config_rejected(tmp_path, cli_env, diffusion={"path": 6000})
 
 
 def test_config_rejects_non_object(tmp_path, cli_env):
@@ -357,14 +357,8 @@ def test_config_rejects_huge_group_numbers(tmp_path, cli_env):
 
 
 def test_config_rejects_bad_diffusion_counts(tmp_path, cli_env):
-    # non-integral, zero, a bool, a string, and steps below the sampler's floor
-    for diffusion in (
-        {"steps": 1.5, "paths": 6000},
-        {"steps": 120, "paths": 0},
-        {"steps": True, "paths": 6000},
-        {"steps": 120, "paths": "6000"},
-        {"steps": 50, "paths": 6000},
-    ):
+    # non-integral, zero, a bool and a string
+    for diffusion in ({"paths": 1.5}, {"paths": 0}, {"paths": True}, {"paths": "6000"}):
         _assert_config_rejected(tmp_path, cli_env, diffusion=diffusion)
 
 
@@ -437,15 +431,26 @@ def test_config_rejects_workers_key(tmp_path, cli_env):
     assert not out.exists()
 
 
+def test_config_rejects_diffusion_steps(tmp_path, cli_env):
+    # the sampler draws each pair's bridge from a fixed number of Fourier
+    # modes, so a step count is an unknown key, the old default included
+    path = _write_config(tmp_path, diffusion={"steps": 200, "paths": 6000})
+    out = tmp_path / "out"
+    r = _run_cli(["--config", path, "verify", "distance", "--output-dir", str(out)], tmp_path, cli_env)
+    _assert_usage_error(r)
+    assert "'steps'" in r.stderr, r.stderr
+    assert not out.exists()
+
+
 def test_config_rejects_bad_counts_before_eval(tmp_path, cli_env):
     # eval reads no count, but the whole config is checked at load
-    path = _write_config(tmp_path, diffusion={"steps": 1.5, "paths": 0}, sizes={"distance_points": -5})
+    path = _write_config(tmp_path, diffusion={"paths": 0}, sizes={"distance_points": -5})
     r = _run_cli(["--config", path, "eval", "distance", "0.6,0.8,0"], tmp_path, cli_env)
     _assert_usage_error(r)
 
 
 def test_config_accepts_integral_float_counts(tmp_path, cli_env):
-    path = _write_config(tmp_path, diffusion={"steps": 120.0, "paths": 6000.0})
+    path = _write_config(tmp_path, diffusion={"paths": 6000.0})
     r = _run_cli(["--config", path, "eval", "distance", "0.6,0.8,0"], tmp_path, cli_env)
     assert r.returncode == 0, r.stderr
 

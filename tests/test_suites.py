@@ -76,7 +76,7 @@ def test_gate_without_entry_notes_and_keeps_frozen_empty(monkeypatch):
 _SMALL_H1 = {
     "seed": 20250809,
     "group": {"l": 1, "k": [1], "a": [1.0]},
-    "diffusion": {"steps": 100, "paths": 500},
+    "diffusion": {"paths": 500},
     "h_values": [0.5, 1.0],
     "sizes": {"family": 8, "li_points": 2, "ball_count": 2000, "distance_points": 2000},
 }
