@@ -143,7 +143,10 @@ def multiply_flat(params: GroupParams, A, B) -> np.ndarray:
     xb, yb = B[..., 0 : 2 * n : 2], B[..., 1 : 2 * n : 2]
     twist = 2.0 * np.sum(params.pair_a * (ya * xb - xa * yb), axis=-1)
     out = np.empty(np.broadcast_shapes(A.shape, B.shape))
-    out[..., : 2 * n] = A[..., : 2 * n] + B[..., : 2 * n]
+    # one column at a time: with one point against many rows, a broadcast
+    # add over whole rows runs numpy's inner loop once per row
+    for c in range(2 * n):
+        out[..., c] = A[..., c] + B[..., c]
     out[..., 2 * n] = A[..., 2 * n] + B[..., 2 * n] + twist
     return out
 

@@ -4,11 +4,17 @@ The kernel at (z, t) for time h is
 
     p_h(z, t) = (4 pi h)^{-(n+1)} * I,   I = 1/2 int_R e^{i lambda tau} E(lambda) dlambda,
     E = prod_j (a_j lambda / sinh(a_j lambda))^{k_j}
-        * exp(-sum_j |z_j|^2 a_j lambda coth(a_j lambda) / 4h),
+        * exp(-sum_j Z_j a_j lambda coth(a_j lambda)),   Z_j = |z_j|^2/4h,
 
-with tau = |t|/4h (p is even in t).  E is even, real on the real line and
-analytic in the strip |Im lambda| < pi/a_l = pi, so the integral may be
-taken on any line Im lambda = sigma inside it:
+with tau = |t|/4h (p is even in t).  The engine sees a point and its time
+only through the reduced variables Z_j and tau and through the angle of
+(z, t), which is dilation invariant; h itself enters only the prefactor
+and the 1/2h and 1/4h scales of the derivatives.  So h is a number or an
+array that broadcasts against the points, one time per point.
+
+E is even, real on the real line and analytic in the strip
+|Im lambda| < pi/a_l = pi, so the integral may be taken on any line
+Im lambda = sigma inside it:
 
     I = e^{-sigma tau} int_0^inf Re(e^{i x tau} E(x + i sigma)) dx.
 
@@ -29,13 +35,13 @@ has to be near:
   59/64 pi, which boundary-branch points take; the t = 0 slice takes 0.
 - omega = 2 pi/Delta is at least tau + C/pi and C/(pi - sigma), the
   aliasing terms of the shifts down to Im lambda = -pi and up to the pole
-  at i pi, and sqrt(2 C kappa), kappa = sum_j |z_j|^2 a_j^2 mu'(a_j
-  sigma)/4h the saddle's curvature; C = 13 + log(1/tol).  These leave out
+  at i pi, and sqrt(2 C kappa), kappa = sum_j Z_j a_j^2 mu'(a_j sigma)
+  the saddle's curvature; C = 13 + log(1/tol).  These leave out
   the essential singularity of E at i pi when z_l != 0, so near the top
   rungs the Delta rule can stop short of e^{-C} (1e-6 relative on some
   lemma6 ray nodes); the Delta/2 rule squares its error.
 - the cutoff L is where |E| has fallen by e^{-C} below the value, at its
-  asymptotic decay rate r = sum_j k_j a_j + sum_j |z_j|^2 a_j/4h.
+  asymptotic decay rate r = sum_j k_j a_j + sum_j Z_j a_j.
 
 omega and L are rounded up onto rungs of an eighth of an octave, so a
 point's grid depends only on its (sigma, omega, L) rungs, never on the
@@ -150,28 +156,37 @@ def _line_tables(params: GroupParams, lam):
     return logr @ np.asarray(params.k, dtype=float), xc
 
 
-def _log_envelope(h, zsq, tables):
-    """Real and imaginary parts of log E at points zsq (..., l) and the
-    tabled nodes, each (..., N): log E is linear in the block norms."""
+def _log_envelope(Z, tables):
+    """Real and imaginary parts of log E at reduced block norms
+    Z = |z_j|^2/4h (..., l) and the tabled nodes, each (..., N): log E is
+    linear in the block norms."""
     logw, xc = tables
-    return logw.real - zsq @ (xc.real.T / (4.0 * h)), logw.imag - zsq @ (xc.imag.T / (4.0 * h))
+    # each part as a contiguous (N, l) array read transposed: one layout of
+    # the product, so one BLAS kernel and one rounding, in every call
+    re, im = (np.ascontiguousarray(part).T for part in (xc.real, xc.imag))
+    return logw.real - Z @ re, logw.imag - Z @ im
 
 
-def _check_inputs(params: GroupParams, h, zsq, t) -> float:
+def _check_inputs(params: GroupParams, h, zsq, t):
     """Reject a time, block norm or t value the quadrature cannot use, and
-    return the prefactor (4 pi h)^{-(n+1)}, which must be finite.  zsq
-    must have a trailing axis of l block norms."""
+    return the prefactor (4 pi h)^{-(n+1)} per entry of h (an array of h's
+    shape), which must be finite.  zsq must have a trailing axis of l block
+    norms.  The prefactor is Python's power of each entry, so an array entry
+    carries the bits of the same h passed as a number."""
     _check_trailing(zsq, params.l)
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"time parameter h must be finite and positive, got {h}")
+    h = np.asarray(h, dtype=float)
+    bad = ~(np.isfinite(h) & (h > 0.0))
+    if bad.any():
+        raise ValueError(f"time parameter h must be finite and positive, got {h[bad].flat[0]}")
     if not np.all(np.isfinite(t)):
         raise ValueError("t values must be finite")
     if not np.all(np.isfinite(zsq) & (zsq >= 0.0)):
         raise ValueError("block norms |z_j|^2 must be finite and non-negative")
     try:
-        return (4.0 * math.pi * h) ** (-(params.n + 1))
+        norm = [(4.0 * math.pi * v) ** (-(params.n + 1)) for v in h.ravel().tolist()]
     except OverflowError:
-        raise ValueError(f"prefactor (4 pi h)^-{params.n + 1} overflows at h = {h}") from None
+        raise ValueError(f"prefactor (4 pi h)^-{params.n + 1} overflows at h = {h.min()}") from None
+    return np.reshape(norm, h.shape)
 
 
 def _sigma_rungs(params: GroupParams, zsq, t):
@@ -186,27 +201,27 @@ def _sigma_rungs(params: GroupParams, zsq, t):
     return rung
 
 
-def _asymptotic_rate(params: GroupParams, h, zsq):
-    """Asymptotic rate r = sum_j k_j a_j + sum_j |z_j|^2 a_j/4h at which
-    |E(x + i sigma)| decays in x, per point of zsq (..., l)."""
+def _asymptotic_rate(params: GroupParams, Z):
+    """Asymptotic rate r = sum_j k_j a_j + sum_j Z_j a_j at which
+    |E(x + i sigma)| decays in x, per point of Z (..., l)."""
     a = np.asarray(params.a)
-    return float(np.dot(params.k, a)) + zsq @ a / (4.0 * h)
+    return float(np.dot(params.k, a)) + Z @ a
 
 
-def _grid_rungs(params: GroupParams, h, zsq, tau, sigma, spec):
-    """(omega, L) rung indices per point for lines at heights sigma: the
-    smallest i with 2^(i/8) at or above each."""
+def _grid_rungs(params: GroupParams, Z, tau, sigma, spec):
+    """(omega, L) rung indices per point of Z (..., l) and tau for lines at
+    heights sigma: the smallest i with 2^(i/8) at or above each."""
     a = np.asarray(params.a)
     C = 13.0 + math.log(1.0 / spec.tol)
-    kappa = np.sum(zsq * a * a * mu_prime(np.multiply.outer(sigma, a)), axis=-1) / (4.0 * h)
+    kappa = np.sum(Z * a * a * mu_prime(np.multiply.outer(sigma, a)), axis=-1)
     omega = np.maximum(tau + C / math.pi, C / (math.pi - sigma))
     omega = np.maximum(omega, np.sqrt(2.0 * C * kappa))
-    rate = _asymptotic_rate(params, h, zsq)
+    rate = _asymptotic_rate(params, Z)
     # the tail bound 2|E(L)|/r against the value: |E| falls from its
-    # saddle value at rate r, after e^{sum |z_j|^2/4h} of slack for blocks
-    # with a_j < 1, an algebraic factor (2 a_j L)^{k_j} and the saddle
-    # width 1/sqrt(kappa)
-    slack = C + np.sum(zsq, axis=-1) / (4.0 * h) + 0.5 * np.log1p(kappa) + np.log(2.0 / rate)
+    # saddle value at rate r, after e^{sum Z_j} of slack for blocks with
+    # a_j < 1, an algebraic factor (2 a_j L)^{k_j} and the saddle width
+    # 1/sqrt(kappa)
+    slack = C + np.sum(Z, axis=-1) + 0.5 * np.log1p(kappa) + np.log(2.0 / rate)
     algebraic = np.log(2.0 + 2.0 * np.multiply.outer(slack / rate + sigma, a))
     cut = (slack + algebraic @ np.asarray(params.k)) / rate
     return tuple(np.ceil(_OCTAVE_RUNGS * np.log2(v)).astype(np.int64) for v in (omega, cut))
@@ -241,10 +256,10 @@ def _weights(step, count):
     return fine, coarse
 
 
-def _line_sums(params, h, zsq, tau, sigma, step, count, derivs=False):
+def _line_sums(params, Z, tau, sigma, step, count, derivs=False):
     """Trapezoid sums of one grid: nodes k step/2 + i sigma, k = 0..2K.
 
-    zsq: (m, l), tau: (m,) >= 0.  Returns the Delta/2 integrals, their error
+    Z: (m, l), tau: (m,) >= 0.  Returns the Delta/2 integrals, their error
     estimates and, with derivs, the moments dI/dtau (m,) and the integrals
     weighted by x_j coth x_j (m, l).
     """
@@ -252,7 +267,7 @@ def _line_sums(params, h, zsq, tau, sigma, step, count, derivs=False):
     tables = _line_tables(params, lam)
     xc = tables[1]
     fine, coarse = _weights(step, count)
-    m = zsq.shape[0]
+    m = Z.shape[0]
     val, diff, absum, noise, last = (np.empty(m) for _ in range(5))
     if derivs:
         dtau, dcoth = np.empty(m), np.empty((m, params.l))
@@ -260,7 +275,7 @@ def _line_sums(params, h, zsq, tau, sigma, step, count, derivs=False):
     chunk = max(1, int(_CHUNK // lam.size))
     for s in range(0, m, chunk):
         e = min(m, s + chunk)
-        re, im = _log_envelope(h, zsq[s:e], tables)
+        re, im = _log_envelope(Z[s:e], tables)
         re -= (sigma * tau[s:e])[:, None]
         im += np.multiply.outer(tau[s:e], lam.real)
         mag = np.exp(re)
@@ -274,7 +289,7 @@ def _line_sums(params, h, zsq, tau, sigma, step, count, derivs=False):
             sine = mag * np.sin(im)
             dtau[s:e] = -sigma * val[s:e] - sine @ (fine * lam.real)
             dcoth[s:e] = term @ wre - sine @ wim
-    rate = _asymptotic_rate(params, h, zsq)
+    rate = _asymptotic_rate(params, Z)
     eps = np.finfo(float).eps
     noise = eps * (noise + (4.0 + 2.0 * sigma * tau) * absum)
     out = {"val": val, "err": np.abs(diff) + 2.0 * last / rate + noise}
@@ -283,14 +298,13 @@ def _line_sums(params, h, zsq, tau, sigma, step, count, derivs=False):
     return out
 
 
-def _trapezoid(params, h, zsq, t, spec, derivs=False):
-    """Saddle-line trapezoid integrals I at points zsq (m, l), t (m,):
-    points with equal (sigma, omega, L) rungs share one grid."""
-    tau = np.abs(t) / (4.0 * h)
-    rung = _sigma_rungs(params, zsq, t)
+def _trapezoid(params, Z, tau, rung, spec, derivs=False):
+    """Saddle-line trapezoid integrals I at reduced points Z (m, l) and
+    tau (m,) whose line heights sit on the sigma rungs `rung` (m,): points
+    with equal (sigma, omega, L) rungs share one grid."""
     sigma = rung * (math.pi / _SIGMA_RUNGS)
-    w_rung, cut_rung = _grid_rungs(params, h, zsq, tau, sigma, spec)
-    m = zsq.shape[0]
+    w_rung, cut_rung = _grid_rungs(params, Z, tau, sigma, spec)
+    m = Z.shape[0]
     order = np.lexsort((cut_rung, w_rung, rung))
     keys = np.stack([rung[order], w_rung[order], cut_rung[order]])
     starts = np.flatnonzero(np.r_[m > 0, np.any(keys[:, 1:] != keys[:, :-1], axis=0)])
@@ -301,37 +315,53 @@ def _trapezoid(params, h, zsq, t, spec, derivs=False):
         out["dtau"], out["dcoth"] = np.empty(m), np.empty((m, params.l))
     for s, e, (step, count) in zip(starts, ends, grids):
         sel = order[s:e]
-        part = _line_sums(params, h, zsq[sel], tau[sel], sigma[sel[0]], step, count, derivs)
+        part = _line_sums(params, Z[sel], tau[sel], sigma[sel[0]], step, count, derivs)
         for name, arr in part.items():
             out[name][sel] = arr
     return out
 
 
-def kernel_zsq(params: GroupParams, h: float, zsq, t, spec=None):
-    """Kernel values from block norms: zsq (..., l), t (...).
+def _integrals(params: GroupParams, h, zsq, t, spec, derivs=False):
+    """Check h (...), zsq (..., l) and t (...), broadcast them against one
+    another and run `_trapezoid` on the flat points.  Returns the common
+    shape, the flat h (m,), the flat prefactor (m,) and the integrals.  h
+    enters the engine only through Z = zsq/4h and tau = |t|/4h; the line
+    heights come from the angles of (zsq, t) themselves."""
+    norm = _check_inputs(params, h, zsq, t)
+    shape = np.broadcast_shapes(zsq.shape[:-1], t.shape, norm.shape)
+    zs = np.ascontiguousarray(np.broadcast_to(zsq, shape + (params.l,)).reshape(-1, params.l))
+    ts = np.broadcast_to(t, shape).reshape(-1)
+    hs = np.broadcast_to(np.asarray(h, dtype=float), shape).reshape(-1)
+    four_h = 4.0 * hs
+    rung = _sigma_rungs(params, zs, ts)
+    out = _trapezoid(params, zs / four_h[:, None], np.abs(ts) / four_h, rung, spec, derivs)
+    return shape, hs, np.broadcast_to(norm, shape).reshape(-1), out
 
-    Returns (values, errors) with the (4 pi h)^{-(n+1)} prefactor applied.
+
+def kernel_zsq(params: GroupParams, h, zsq, t, spec=None):
+    """Kernel values from block norms: zsq (..., l), t (...) and h, a
+    number or an array, broadcast against one another.
+
+    Returns (values, errors) of the broadcast shape with the
+    (4 pi h)^{-(n+1)} prefactor applied.
     """
     spec = spec or QuadratureSpec()
     zsq = np.asarray(zsq, dtype=float)
     t = np.asarray(t, dtype=float)
-    norm = _check_inputs(params, h, zsq, t)
-    shape = np.broadcast_shapes(zsq.shape[:-1], t.shape)
-    zs = np.ascontiguousarray(np.broadcast_to(zsq, shape + (params.l,)).reshape(-1, params.l))
-    ts = np.broadcast_to(t, shape).reshape(-1)
-    out = _trapezoid(params, h, zs, ts, spec)
+    shape, _, norm, out = _integrals(params, h, zsq, t, spec)
     return (norm * out["val"]).reshape(shape), (norm * out["err"]).reshape(shape)
 
 
-def kernel_points(params: GroupParams, h: float, coords, spec=None):
-    """Batch kernel over flat coordinate arrays (..., 2n+1)."""
+def kernel_points(params: GroupParams, h, coords, spec=None):
+    """Batch kernel over flat coordinate arrays (..., 2n+1); h broadcasts
+    against the leading axes, as in `kernel_zsq`."""
     coords = _check_trailing(np.asarray(coords, dtype=float), params.dim)
     zsq = block_norms_sq_flat(params, coords)
     return kernel_zsq(params, h, zsq, coords[..., -1], spec)
 
 
 def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
-    """Kernel on the product of a block-norm set and a t set.
+    """Kernel on the product of a block-norm set and a t set at one time h.
 
     zsq: (..., l), read as m1 rows; tvals: any shape, read as m2 values.
     Returns (values, errors) of shape (m1, m2), so the (m1, 1, l) and
@@ -346,18 +376,19 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
     spec = spec or QuadratureSpec(tol=1e-9)
     zsq = np.asarray(zsq, dtype=float)
     tvals = np.ravel(np.asarray(tvals, dtype=float))
-    norm = _check_inputs(params, h, zsq, tvals)
+    norm = float(_check_inputs(params, h, zsq, tvals))
     zsq = zsq.reshape(-1, params.l)
     if zsq.shape[0] == 0 or tvals.size == 0:
         raise ValueError("empty product grid")
+    Z = zsq / (4.0 * h)
     tau = np.abs(tvals) / (4.0 * h)
     # omega grows with tau and L does not depend on it: the largest tau
     # sets every row's rungs
-    w_rung, cut_rung = _grid_rungs(params, h, zsq, np.full(zsq.shape[0], tau.max()), 0.0, spec)
+    w_rung, cut_rung = _grid_rungs(params, Z, np.full(Z.shape[0], tau.max()), 0.0, spec)
     keys, group = np.unique(np.stack([w_rung, cut_rung], axis=1), axis=0, return_inverse=True)
     group = group.ravel()
     grids = [_grid(w, c, spec) for w, c in keys]  # raise before any work
-    val = np.empty((zsq.shape[0], tau.size))
+    val = np.empty((Z.shape[0], tau.size))
     err = np.empty_like(val)
     for g, (step, count) in enumerate(grids):
         rows = np.flatnonzero(group == g)
@@ -366,14 +397,14 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
         # product here has one shape, so a row's sums do not depend on the
         # rows it shares a call with
         tiles = np.zeros((-(-rows.size // _GRID_TILE) * _GRID_TILE, params.l))
-        tiles[: rows.size] = zsq[rows]
+        tiles[: rows.size] = Z[rows]
         tiles = tiles.reshape(-1, _GRID_TILE, params.l)
         lam = np.arange(2 * count + 1) * (0.5 * step)
         fine, coarse = _weights(step, count)
-        env = np.exp(_log_envelope(h, tiles, _line_tables(params, lam))[0])  # (tiles, T, N)
+        env = np.exp(_log_envelope(tiles, _line_tables(params, lam))[0])  # (tiles, T, N)
         cos = np.cos(np.multiply.outer(tau, lam)).T  # (N, m2)
         sums = [(env * w) @ cos for w in (fine, fine - coarse)]
-        rate = _asymptotic_rate(params, h, tiles)
+        rate = _asymptotic_rate(params, tiles)
         val[rows], diff, env, rate = (
             a.reshape((-1,) + a.shape[2:])[: rows.size] for a in sums + [env, rate]
         )
@@ -384,25 +415,25 @@ def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
     return val, err
 
 
-def kernel_derivatives(params: GroupParams, h: float, coords, spec=None):
-    """Kernel and its Euclidean partials at flat points (..., 2n+1).
+def kernel_derivatives(params: GroupParams, h, coords, spec=None):
+    """Kernel and its Euclidean partials at flat points (..., 2n+1); h
+    broadcasts against the leading axes, as in `kernel_zsq`.
 
-    Returns dict with 'p' (...), 'dp' (..., 2n+1), 'err' (...).
+    Returns dict with 'p' (S), 'dp' (S + (2n+1,)), 'err' (S), S the
+    broadcast shape.
     """
     spec = spec or QuadratureSpec()
     coords = _check_trailing(np.asarray(coords, dtype=float), params.dim)
-    shape = coords.shape[:-1]
-    flat = coords.reshape(-1, params.dim)
-    zsq = block_norms_sq_flat(params, flat)
-    t = flat[:, -1]
-    norm = _check_inputs(params, h, zsq, t)
-    out = _trapezoid(params, h, zsq, t, spec, derivs=True)
+    zsq = block_norms_sq_flat(params, coords)
+    shape, hs, norm, out = _integrals(params, h, zsq, coords[..., -1], spec, derivs=True)
+    flat = np.broadcast_to(coords, shape + (params.dim,)).reshape(-1, params.dim)
     n = params.n
     dp = np.empty((flat.shape[0], params.dim))
-    wblk = (norm * out["dcoth"])[:, params.pair_block]
-    dp[:, 0 : 2 * n : 2] = -flat[:, 0 : 2 * n : 2] / (2.0 * h) * wblk
-    dp[:, 1 : 2 * n : 2] = -flat[:, 1 : 2 * n : 2] / (2.0 * h) * wblk
-    dp[:, 2 * n] = np.sign(t) * norm * out["dtau"] / (4.0 * h)
+    wblk = (norm[:, None] * out["dcoth"])[:, params.pair_block]
+    two_h = (2.0 * hs)[:, None]
+    dp[:, 0 : 2 * n : 2] = -flat[:, 0 : 2 * n : 2] / two_h * wblk
+    dp[:, 1 : 2 * n : 2] = -flat[:, 1 : 2 * n : 2] / two_h * wblk
+    dp[:, 2 * n] = np.sign(flat[:, -1]) * norm * out["dtau"] / (4.0 * hs)
     return {
         "p": (norm * out["val"]).reshape(shape),
         "dp": dp.reshape(shape + (params.dim,)),

@@ -435,9 +435,10 @@ def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
     would swamp the exponentially small true values).  The truncated part
     enters the error estimate through the analytic Gaussian bound.
 
-    The rays go to the kernel in blocks of `_RAY_BLOCK`: one `kernel_zsq`
-    call per block takes every ray node of the block plus the block's
-    v = 1 points, and `np.add.reduceat` sums each ray's nodes.  A ray
+    The rays go to the kernel in blocks of `_RAY_BLOCK`, cut from the rays
+    in order of |eta|: one `kernel_zsq` call per block takes every ray node
+    of the block plus the block's v = 1 points, and `np.add.reduceat` sums
+    each ray's nodes.  The results are written by ray index.  A ray
     outside the chart (u_l = 0, or |eta| not in (0, pi)) raises
     PolarDomainError.
     """
@@ -449,8 +450,10 @@ def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
     decay = speed_sq_arrays(params, usq) * eta * eta
     v_hi = np.minimum(vmax, np.sqrt(1.0 + 4.0 * _RAY_TAIL_MARGIN / np.maximum(decay, 1e-12)))
     integral, int_err, p0, p0err = (np.empty(eta.size) for _ in range(4))
+    # blocks of rays with near |eta|: their nodes share more grids
+    by_eta = np.argsort(np.abs(eta), kind="stable")
     for s in range(0, eta.size, _RAY_BLOCK):
-        rays = np.arange(s, min(eta.size, s + _RAY_BLOCK))
+        rays = by_eta[s : s + _RAY_BLOCK]
         rules = [_panel_rule(_ray_edges(eta[i], decay[i], v_hi[i]), *_GAUSS10) for i in rays]
         sizes = np.array([v.size for v, _ in rules])
         owner = np.repeat(rays, sizes)

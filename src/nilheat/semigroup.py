@@ -12,14 +12,16 @@ horizontal gradient.  It checks the method and picks the rule once:
   quadrature  when 2 sqrt(h) >= f's scale, integrate f(w) p_h(g^{-1} w)
               over a tensor grid covering f's support near g, with the
               kernel (and its partials, for the gradient) from one
-              saddle-line pass; otherwise the dilation-reduced
-              int f(g . dil(sqrt h, v)) p_1(v) dv on a grid at the kernel's
-              unit scale.
+              saddle-line pass over the nodes where f != 0 only;
+              otherwise the dilation-reduced int f(g . dil(sqrt h, v))
+              p_1(v) dv on a grid at the kernel's unit scale.
 
 The sample and the reduced grid share one chain-rule body over f's jet at
 g . W.  `semigroup_estimate` and `grad_semigroup_components` are views of
-it.  Disagreement between the routes beyond combined error bars is treated
-as a build-stopping signal by the test suite.
+it.  The semigroup's h is one number, while the kernel entry points take
+an h that broadcasts against the points, one time per point.
+Disagreement between the routes beyond combined error bars is treated as
+a build-stopping signal by the test suite.
 
 Gradients of the semigroup are taken by differentiating under the
 convolution: for fixed w, the left frame applied to g -> f(g . w) is the
@@ -388,6 +390,20 @@ def _chain_coefficients(params, g_flat, W):
     return g_flat[0 : 2 * n : 2] - W[:, 0 : 2 * n : 2], g_flat[1 : 2 * n : 2] - W[:, 1 : 2 * n : 2]
 
 
+def _kernel_on_rows(params, h, coords, rows, order, qspec):
+    """p_h and, for order 1, its Euclidean partials at coords (N, 2n+1),
+    from one kernel pass over coords[rows] only; the other rows are zero
+    (dp is None for order 0)."""
+    p = np.zeros(coords.shape[0])
+    if not order:
+        p[rows] = kernel_points(params, h, coords[rows], qspec)[0]
+        return p, None
+    der = kernel_derivatives(params, h, coords[rows], qspec)
+    dp = np.zeros(coords.shape)
+    p[rows], dp[rows] = der["p"], der["dp"]
+    return p, dp
+
+
 def _semigroup_jet(params, f, h, g_flat, order, method, dspec, qspec, grid_points):
     """[(value, se)] for order 0, [(value, se), (components, se)] for
     order 1: e^{h Delta} f at g and the horizontal components of its
@@ -399,7 +415,9 @@ def _semigroup_jet(params, f, h, g_flat, order, method, dspec, qspec, grid_point
     switches to the dilation-reduced form int f(g . dil(sqrt h, v)) p_1(v) dv
     when the kernel is the narrow factor.  On the support grid order 1
     takes p and X-hat p from one `kernel_derivatives` pass; the sample and
-    the reduced grid share the chain rule on f's jet at g . W.
+    the reduced grid share the chain rule on f's jet at g . W.  The
+    kernel runs on the support-grid nodes where f != 0 only: with none, the
+    result is zero without a kernel call.
     """
     g_flat = np.asarray(g_flat, dtype=float)
     zero = [(0.0, None), (np.zeros(2 * params.n), None)][: order + 1]
@@ -417,13 +435,17 @@ def _semigroup_jet(params, f, h, g_flat, order, method, dspec, qspec, grid_point
             return zero
         shifted = multiply_flat(params, -g_flat, nodes)  # g^{-1} . w
         fval = f.value(nodes)
+        rows = np.flatnonzero(fval)
+        if not rows.size:
+            return zero
+        # p and its partials are zero off the rows, so every sum below keeps
+        # its terms and their order
+        p, dp = _kernel_on_rows(params, h, shifted, rows, order, qspec)
         if not order:
-            pvals, _ = kernel_points(params, h, shifted, qspec)
-            return [(float(np.sum(fval * pvals * wt)), None)]
-        der = kernel_derivatives(params, h, shifted, qspec)
-        hat = horizontal_components(params, der["dp"], shifted, "right")
+            return [(float(np.sum(fval * p * wt)), None)]
+        hat = horizontal_components(params, dp, shifted, "right")
         grad = -np.sum((fval * wt)[:, None] * hat, axis=0)
-        return [(float(np.sum(fval * der["p"] * wt)), None), (grad, None)]
+        return [(float(np.sum(fval * p * wt)), None), (grad, None)]
     sample = wts is None
     parts = f.jet(multiply_flat(params, g_flat, W), order)
     out = [_mean_se(parts[0]) if sample else (float(np.sum(parts[0] * wts)), None)]
@@ -797,8 +819,9 @@ def check_integration_by_parts(params, f, qspec=None, grid_points=18) -> Verific
     """int (V f) p dm = -int f (V p) dm for every horizontal frame field V,
     both left and right invariant, with p the unit-time kernel.
 
-    Both sides are tensor-grid integrals over the support of f; the kernel
-    and its partials come from the saddle-line quadrature.
+    Both sides are tensor-grid integrals over f's support box; the kernel
+    and its partials come from the saddle-line quadrature, on the nodes
+    inside f's support only (f and its gradient vanish on the others).
     """
     qspec = qspec or QuadratureSpec(tol=1e-9)
     lo, hi = f.support_box()
@@ -807,10 +830,9 @@ def check_integration_by_parts(params, f, qspec=None, grid_points=18) -> Verific
     rules = [_panel_rule([lo[d], hi[d]], *gl) for d in range(params.dim)]
     pts, wt = _tensor_rule(*zip(*rules))
 
-    out = kernel_derivatives(params, 1.0, pts, qspec)
-    p, dp = out["p"], out["dp"]
-    fval = f.value(pts)
-    fgrad = f.gradient(pts)
+    rows, _ = f.support_jet(pts)
+    p, dp = _kernel_on_rows(params, 1.0, pts, rows, 1, qspec)
+    fval, fgrad = f.jet(pts, 1)
     worst = 0.0
     details = {}
     for which in ("left", "right"):

@@ -329,15 +329,15 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     cloud = cloud[keep]
     hs = rng.uniform(0.25, 4.0, size=cloud.shape[0])
     zsq, t = block_norms_sq_flat(params, cloud), cloud[:, -1]
-    # each point has its own h on the left; the right side is one h = 1 batch
-    left = np.array([ker.kernel_zsq(params, h, z, tt, spec) for h, z, tt in zip(hs, zsq, t)])
+    # each point has its own h on the left; the right side is at h = 1
+    left, left_err = ker.kernel_zsq(params, hs, zsq, t, spec)
     right, right_err = ker.kernel_zsq(params, 1.0, zsq / hs[:, None], t / hs, spec)
-    dev, _ = ker.scaling_deviation(params, hs, left[:, 0], left[:, 1], right, right_err)
+    dev, _ = ker.scaling_deviation(params, hs, left, left_err, right, right_err)
     worst = float(np.max(dev, initial=0.0))
     rep.stats["scaling_max_deviation"] = worst
     rep.stats["scaling_cases"] = int(cloud.shape[0])
     rep.require(
-        bool(np.all(left[:, 0] > 0) and np.all(right > 0)),
+        bool(np.all(left > 0) and np.all(right > 0)),
         "scaling-law kernel values must be positive",
     )
     rep.require(worst <= 1e-8, "scaling law deviation above 1e-8")

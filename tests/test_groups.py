@@ -75,6 +75,19 @@ def test_multiply_against_complex_oracle():
             assert_allclose(b_got, np.asarray(b_want), rtol=0, atol=1e-14)
 
 
+def test_multiply_one_point_against_rows_is_each_rows_product(any_group):
+    # one point against a stack of rows: each row of the result is that
+    # row's own product, bit for bit
+    params = any_group
+    rows = philox(12, 0).standard_normal((3, 5, params.dim))
+    g = philox(12, 1).standard_normal(params.dim)
+    left, right = multiply_flat(params, g, rows), multiply_flat(params, rows, g)
+    assert left.shape == right.shape == rows.shape
+    for idx in np.ndindex(3, 5):
+        np.testing.assert_array_equal(left[idx], multiply_flat(params, g, rows[idx]))
+        np.testing.assert_array_equal(right[idx], multiply_flat(params, rows[idx], g))
+
+
 def test_identity_and_inverse(any_group, rng):
     params = any_group
     o = np.zeros(params.dim)

@@ -436,7 +436,7 @@ def test_envelope_tables_match_per_point_formula(group, request):
     zsq = philox(32, 0).uniform(0.0, 3.0, (5, params.l))
     zsq[0] = 0.0
     h = 0.7
-    re, im = ker._log_envelope(h, zsq, ker._line_tables(params, lam))
+    re, im = ker._log_envelope(zsq / (4.0 * h), ker._line_tables(params, lam))
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     want = np.empty(re.shape, dtype=complex)
@@ -548,3 +548,58 @@ def test_batch_with_unreachable_tail_raises(h1):
     kernel_zsq(h1, 1.0, np.array([[400.0]]), np.array([0.0]), spec)
     with pytest.raises(QuadratureError):
         kernel_zsq(h1, 1.0, np.array([[400.0], [0.0]]), np.array([0.0, 0.0]), spec)
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_per_point_h_rows_match_scalar_h_calls(group, request):
+    # one time per point: each row of the batch agrees with its own
+    # scalar-h call to rounding (BLAS picks its kernels by the row count)
+    params = request.getfixturevalue(group)
+    pts = uniform_box(params, CloudSpec(24, 1.5, 1.5, 17))
+    pts[:3, -1] = 0.0
+    hs = philox(18, 0).uniform(0.25, 4.0, size=pts.shape[0])
+    hs[3:6] = (0.25, 1.0, 2.0)
+    zsq = block_norms_sq_flat(params, pts)
+    by_zsq, _ = kernel_zsq(params, hs, zsq, pts[:, -1])
+    by_pts, _ = kernel_points(params, hs, pts)
+    der = kernel_derivatives(params, hs, pts)
+    for i, h in enumerate(hs):
+        one = kernel_derivatives(params, float(h), pts[i])
+        for got in (by_zsq[i], by_pts[i], der["p"][i]):
+            assert abs(got - one["p"]) <= 1e-14 * one["p"]
+        scale = np.max(np.abs(one["dp"]))
+        assert np.all(np.abs(der["dp"][i] - one["dp"]) <= 1e-14 * scale)
+        assert float(kernel_zsq(params, float(h), zsq[i], pts[i, -1])[0]) == one["p"]
+
+
+def test_h_broadcasts_against_the_points(noniso):
+    # h of shape (4, 1) against m points gives (4, m): row i is the cloud at h[i]
+    pts = uniform_box(noniso, CloudSpec(5, 1.0, 1.0, 19))
+    hs = np.array([[0.25], [0.5], [1.0], [2.0]])
+    zsq = block_norms_sq_flat(noniso, pts)
+    vals, errs = kernel_zsq(noniso, hs, zsq, pts[:, -1])
+    assert vals.shape == errs.shape == (4, 5)
+    assert kernel_points(noniso, hs, pts)[0].shape == (4, 5)
+    der = kernel_derivatives(noniso, hs, pts)
+    assert der["p"].shape == der["err"].shape == (4, 5)
+    assert der["dp"].shape == (4, 5, noniso.dim)
+    for i, h in enumerate(hs[:, 0]):
+        assert_allclose(vals[i], kernel_zsq(noniso, h, zsq, pts[:, -1])[0], rtol=1e-14, atol=0)
+        row = kernel_derivatives(noniso, h, pts)
+        assert_allclose(der["p"][i], row["p"], rtol=1e-14, atol=0)
+        assert_allclose(der["dp"][i], row["dp"], rtol=1e-14, atol=1e-14 * np.max(np.abs(row["dp"])))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-200])
+def test_bad_entry_in_an_h_array_raises(h1, bad):
+    # 1e-200 makes the prefactor (4 pi h)^-2 overflow
+    hs = np.array([1.0, bad, 0.5])
+    pts = np.array([[0.3, 0.1, 0.2], [0.0, 0.4, -0.5], [0.2, 0.2, 0.0]])
+    with pytest.raises(ValueError):
+        kernel_zsq(h1, hs, block_norms_sq_flat(h1, pts), pts[:, -1])
+    with pytest.raises(ValueError):
+        kernel_points(h1, hs, pts)
+    with pytest.raises(ValueError):
+        kernel_derivatives(h1, hs, pts)
+    with pytest.raises(ValueError):
+        kernel_points(h1, hs[:, None], pts)

@@ -390,6 +390,19 @@ def test_ray_integrals_match_single_rays(noniso):
         assert abs(out["ratio"][i] - one["ratio"]) <= (p_rel + int_rel) * one["ratio"]
 
 
+def test_ray_blocks_cut_in_order_of_eta(noniso, monkeypatch):
+    # blocks are cut from the rays sorted by |eta|, and every result is
+    # written back by ray index: a permuted cloud gives the same rays' values
+    # bit for bit
+    monkeypatch.setattr(polar_module, "_RAY_BLOCK", 5)
+    u, eta, _, _ = sample_exterior_cloud(noniso, 24, seed=5)
+    out = ray_integrals(noniso, u, eta)
+    perm = philox(6, 0).permutation(24)
+    moved = ray_integrals(noniso, u[perm], eta[perm])
+    for key, val in out.items():
+        np.testing.assert_array_equal(moved[key], val[perm])
+
+
 @pytest.mark.parametrize("count", [1, polar_module._RAY_BLOCK + 1])
 def test_suite_lemma6_any_cloud_size(noniso, count):
     cfg = RunConfig(group=noniso, seed=20250809, sizes={"lemma6_points": count})

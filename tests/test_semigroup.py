@@ -774,7 +774,8 @@ def _small_reduced_grid(params):
 def test_semigroup_jet_matches_separate_routes(group, route, request, monkeypatch):
     # value and gradient from one jet equal, bit for bit, the value and the
     # gradient evaluated each on its own: f at the nodes times kernel_points
-    # for the value, the kernel partials or the chain rule for the gradient
+    # for the value, the kernel partials or the chain rule for the gradient;
+    # on the support grid the kernel runs on the nodes with f != 0 only
     params = request.getfixturevalue(group)
     f = standard_family(params, 4, seed=2)[2]  # scale 1
     g = 0.2 * np.sin(np.arange(1.0, params.dim + 1.0))
@@ -791,10 +792,22 @@ def test_semigroup_jet_matches_separate_routes(group, route, request, monkeypatc
     if route == "support":
         nodes, wt = semigroup._support_grid(params, f, grid_points, h, g)
         shifted = multiply_flat(params, -g, nodes)
-        value = float(np.sum(f.value(nodes) * kernel_points(params, h, shifted)[0] * wt))
-        der = kernel_derivatives(params, h, shifted)
-        hat = horizontal_components(params, der["dp"], shifted, "right")
-        grad = -np.sum((f.value(nodes) * wt)[:, None] * hat, axis=0)
+        fval = f.value(nodes)
+        rows = np.flatnonzero(fval)
+        assert 0 < rows.size < fval.size
+        p, dp = np.zeros(fval.size), np.zeros(shifted.shape)
+        p[rows] = kernel_points(params, h, shifted[rows])[0]
+        dp[rows] = kernel_derivatives(params, h, shifted[rows])["dp"]
+        value = float(np.sum(fval * p * wt))
+        hat = horizontal_components(params, dp, shifted, "right")
+        grad = -np.sum((fval * wt)[:, None] * hat, axis=0)
+        # the kernel on every node gives the same sums but for rounding
+        full_value = float(np.sum(fval * kernel_points(params, h, shifted)[0] * wt))
+        full_dp = kernel_derivatives(params, h, shifted)["dp"]
+        full_hat = horizontal_components(params, full_dp, shifted, "right")
+        full_grad = -np.sum((fval * wt)[:, None] * full_hat, axis=0)
+        assert abs(full_value - value) <= 1e-14 * abs(value)
+        assert_allclose(full_grad, grad, rtol=1e-14, atol=0)
     else:
         if route == "mc":
             W = sample_heat_points(params, h, dspec)
@@ -856,3 +869,63 @@ def test_hgrad_field_matches_norm(h1):
     assert float(_hgrad_power(h1, f.gradient(g_flat), g_flat)) == pytest.approx(norm, rel=1e-12)
     sq = _hgrad_power(h1, f.gradient(g_flat), g_flat, power=2)
     assert float(sq) == pytest.approx(norm**2, rel=1e-12)
+
+
+def _recording_kernel(monkeypatch, calls):
+    """Record the points each semigroup kernel call receives."""
+    for name in ("kernel_points", "kernel_derivatives"):
+        original = getattr(semigroup, name)
+
+        def recorded(params, h, coords, *args, _name=name, _original=original):
+            calls.append((_name, np.array(coords)))
+            return _original(params, h, coords, *args)
+
+        monkeypatch.setattr(semigroup, name, recorded)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_support_route_runs_the_kernel_where_f_is_nonzero(h1, order, monkeypatch):
+    f = standard_family(h1, 4, seed=2)[2]  # scale 1
+    g = 0.2 * np.sin(np.arange(1.0, h1.dim + 1.0))
+    nodes, _ = semigroup._support_grid(h1, f, 6, 0.8, g)
+    shifted = multiply_flat(h1, -g, nodes)
+    inside = f.value(nodes) != 0.0
+    assert 0 < np.count_nonzero(inside) < inside.size
+    calls = []
+    _recording_kernel(monkeypatch, calls)
+    semigroup._semigroup_jet(h1, f, 0.8, g, order, "quadrature", None, None, 6)
+    assert len(calls) == 1
+    name, coords = calls[0]
+    assert name == ("kernel_derivatives" if order else "kernel_points")
+    np.testing.assert_array_equal(coords, shifted[inside])
+
+
+def test_support_route_with_f_zero_on_every_node(h1, monkeypatch):
+    # the kernel's reach around g meets f's support box only in a corner
+    # outside f's support ball: zeros, and no kernel call
+    f = linear_bump(np.zeros(3), 1.0, np.array([1.0, 0.5, 0.2]))
+    g = np.array([5.8, 5.8, 0.0])
+    nodes, _ = semigroup._support_grid(h1, f, 6, 0.25, g)
+    assert nodes is not None and not np.any(f.value(nodes))
+    calls = []
+    _recording_kernel(monkeypatch, calls)
+    value = semigroup_estimate(h1, f, 0.25, g, "quadrature", grid_points=6)
+    comps, se = grad_semigroup_components(h1, f, 0.25, g, "quadrature", grid_points=6)
+    assert value == (0.0, None) and se is None
+    np.testing.assert_array_equal(comps, np.zeros(2))
+    assert calls == []
+
+
+def test_integration_by_parts_runs_the_kernel_inside_the_support(h1, monkeypatch):
+    f = standard_family(h1, count=5, seed=14)[2]
+    calls = []
+    _recording_kernel(monkeypatch, calls)
+    rep = check_integration_by_parts(h1, f, QuadratureSpec(tol=1e-9))
+    assert rep.passed
+    lo, hi = f.support_box()
+    rules = [semigroup._panel_rule([lo[d], hi[d]], *np.polynomial.legendre.leggauss(18)) for d in range(3)]
+    pts, _ = semigroup._tensor_rule(*zip(*rules))
+    rows, _ = f.support_jet(pts)
+    assert [name for name, _ in calls] == ["kernel_derivatives"]
+    assert 0 < rows.size < pts.shape[0]
+    np.testing.assert_array_equal(calls[0][1], pts[rows])

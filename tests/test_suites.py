@@ -2,9 +2,11 @@
 that reads constants through it."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from nilheat import kernel as ker
 from nilheat import semigroup as sg
 from nilheat import suites
 from nilheat.freeze import freeze_config
@@ -117,3 +119,20 @@ def test_li_sampler_calls_on_h1(monkeypatch):
     cfg = config_from_dict(dict(_SMALL_H1, h_values=[0.25, 0.5, 1.0, 2.0], suites=["li"]))
     SUITE_RUNNERS["li"](cfg)
     assert len(calls) == 11
+
+
+def test_kernel_suite_takes_few_trapezoid_passes(monkeypatch):
+    # the scaling law's left side is one call over the per-point h, not one
+    # call per point (about 1,000 passes before)
+    calls = []
+    trapezoid = ker._trapezoid
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return trapezoid(*args, **kwargs)
+
+    monkeypatch.setattr(ker, "_trapezoid", counted)
+    with open(Path(__file__).resolve().parents[1] / "configs" / "h1.json") as fh:
+        cfg = config_from_dict(json.load(fh))
+    assert suites.suite_kernel(cfg).passed
+    assert len(calls) <= 20
