@@ -2,9 +2,10 @@
 
 The chart sends (u, eta) to a group point whose angle coordinate is
 exactly eta and whose distance is U |eta|; the curve s -> Psi(u, s eta)
-is the minimizing horizontal path.  Three routes to the Jacobian
-determinant (LU, the bordered-block recursion, the closed form) agree to
-machine precision, and the pushforward of the chart measure reproduces
+is the minimizing horizontal path.  The Jacobian matrix is block
+arrowhead (2x2 blocks bordered by the eta column and the t row), and
+three routes to its determinant (LU, the two-bracket recursion over the
+arrowhead, the closed form) agree to machine precision, and the pushforward of the chart measure reproduces
 the Haar integral.  u is a flat array [Re u_11, Im u_11, ..., Im u_22].
 
 Run:  python3 demos/chart_jacobian.py
@@ -48,7 +49,7 @@ print("roundtrip error:", float(np.max(np.abs(u_back - u))))
 M = jacobian_matrix_flat(params, u, eta)
 print("\nJacobian determinant three ways:")
 print("  LU factorization:        ", np.linalg.det(M))
-print("  bordered-block recursion:", det_bordered(M))
+print("  arrowhead recursion:     ", det_bordered(M))
 print("  closed form:             ", float(jacobian_closed_form_arrays(params, usq, eta)))
 
 # the horizontal path has constant speed U|eta|

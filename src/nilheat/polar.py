@@ -11,18 +11,18 @@ from the origin: its horizontal speed is the constant U |eta| with
 U = (4 sum a_j^2 |u_j|^2)^{1/2}, so d(Psi(u, eta)) = U |eta| and the
 angle coordinate of Psi(u, eta) is exactly eta.
 
-The Jacobian matrix is block sparse: 2x2 rotation-like diagonal blocks
-bordered by one column (d/d eta) and one row (dt/du).  Its determinant
-has the closed form
+The Jacobian matrix is block arrowhead: 2x2 rotation-like diagonal
+blocks bordered by one column (d/d eta) and one row (dt/du).  Its
+determinant has the closed form
 
     J(u, eta) = sum_j [prod_{i != j} (2 - 2 cos 2 a_i eta)^{k_i}]
                 * 8 a_j^2 |u_j|^2
                 * (2 - 2 cos(2 a_j eta) - 2 a_j eta sin(2 a_j eta))
                 * (2 - 2 cos 2 a_j eta)^{k_j - 1},
 
-which the bordered-determinant recursion below reproduces and which is
-positive and even in eta.  Small-angle evaluations of the cancellation-
-prone factors use series.
+which the two-bracket recursion over that arrowhead (`det_bordered`)
+and LU reproduce, and which is positive and even in eta.  Small-angle
+evaluations of the cancellation-prone factors use series.
 
 The complement of the unit ball, U |eta| >= 1, splits into three regions
 used by the ray-integral estimate:
@@ -145,11 +145,7 @@ def psi_flat(params: GroupParams, u_flat, eta):
     out = np.empty(shape + (params.dim,))
     out[..., 0 : 2 * n : 2] = (1.0 - C) * re - S * im
     out[..., 1 : 2 * n : 2] = S * re + (1.0 - C) * im
-    wb = eta[..., None] * np.asarray(params.a)
-    usq = block_norms_sq_flat(params, u_flat)
-    out[..., 2 * n] = np.sum(
-        2.0 * np.asarray(params.a) * usq * _vertical_factor(wb), axis=-1
-    )
+    out[..., 2 * n] = _psi_norms(params, block_norms_sq_flat(params, u_flat), eta)[1]
     return out
 
 
@@ -222,83 +218,36 @@ def jacobian_matrix_flat(params: GroupParams, u_flat, eta):
     return M
 
 
-def _det_laplace(M):
-    """Laplace expansion of a stack (N, m, m) along its first row, minors
-    memoised by column subset: the minor on columns S sits in the last |S|
-    rows, so each of the at most 2^m subsets is expanded once.  A zero
-    entry adds 0.0 in place of its term, as a skipped term would."""
-    m = M.shape[-1]
-    minors = {}
-
-    def minor(cols):
-        if cols not in minors:
-            r = m - len(cols)
-            if len(cols) == 1:
-                minors[cols] = M[:, r, cols[0]]
-            else:
-                total, sign = 0.0, 1.0
-                for i, c in enumerate(cols):
-                    a = M[:, r, c]
-                    sub = minor(cols[:i] + cols[i + 1 :])
-                    total = total + np.where(a != 0.0, sign * a * sub, 0.0)
-                    sign = -sign
-                minors[cols] = total
-        return minors[cols]
-
-    return minor(tuple(range(m)))
-
-
-def _border_mask(M):
-    """Per matrix of a stack (N, m, m): rows/columns 1, 2 couple only to
-    each other and to the last column/row (never true below size 4)."""
-    m = M.shape[-1]
-    if m < 4:
-        return np.zeros(M.shape[0], dtype=bool)
-    return ~(np.any(M[:, :2, 2 : m - 1], axis=(1, 2)) | np.any(M[:, 2 : m - 1, :2], axis=(1, 2)))
-
-
-def _det_recursive(M):
-    """Determinants of a stack (N, m, m): the bordered members by the
-    two-bracket recursion, the others by the Laplace expansion."""
-    m = M.shape[-1]
-    border = _border_mask(M)
-    out = np.empty(M.shape[0])
-    if not border.all():
-        out[~border] = _det_laplace(M[~border])
-    if border.any():
-        B = M[border]
-        b1, b2, b3 = B[:, 0, 0], B[:, 0, 1], B[:, 0, m - 1]
-        b4, b5, b6 = B[:, 1, 0], B[:, 1, 1], B[:, 1, m - 1]
-        b7, b8 = B[:, m - 1, 0], B[:, m - 1, 1]
-        bracket1 = b1 * b5 - b2 * b4
-        bracket2 = b3 * b4 * b8 + b2 * b6 * b7 - b1 * b6 * b8 - b3 * b5 * b7
-        total = np.where(bracket1 != 0.0, bracket1 * _det_recursive(B[:, 2:, 2:]), 0.0)
-        inner = _det_recursive(B[:, 2 : m - 1, 2 : m - 1])
-        out[border] = total + np.where(bracket2 != 0.0, bracket2 * inner, 0.0)
-    return out
-
-
 def det_bordered(M):
-    """Determinants of bordered block matrices by the two-bracket recursion.
+    """Determinants of block-arrowhead matrices by the two-bracket recursion.
 
     M is one matrix (m, m), which gives a float, or a stack (..., m, m),
-    which gives an array (...).  Each matrix must couple rows/columns 1, 2
-    only to each other and to the last column/row; the recursion peels that
-    2x2 block and reduces to the trailing principal minors.  A trailing
-    block without that sparsity (and every block below size 4) is expanded
-    along its first row with its minors memoised by column subset, which
-    costs 2^m minors rather than the m! of the plain expansion.  Every
-    matrix of a stack gets the bits it would get alone.
+    which gives an array (...).  m = 2p + 1, and each row/column pair
+    (2q, 2q+1) couples only to itself and to the last row and column, as
+    in `jacobian_matrix_flat`.  Peeling the first pair gives
+    det M = bracket1 det M[2:, 2:] + bracket2 det M[2:-1, 2:-1], and the
+    second minor is block diagonal, the product of the later bracket1s;
+    the recursion runs unrolled from the last pair up.  Every matrix of a
+    stack gets the bits it would get alone.  ValueError for a non-square
+    or 1-D input, an even m, or a nonzero entry off the arrowhead.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError("need a square matrix or a stack of them")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] % 2 == 0:
+        raise ValueError("need a square matrix of odd size 2p+1 or a stack of them")
     m = M.shape[-1]
-    stack = M.reshape(-1, m, m)
-    if m >= 4 and not _border_mask(stack).all():
-        raise ValueError("matrix does not have the bordered block sparsity")
-    out = _det_recursive(stack).reshape(M.shape[:-2])
-    return float(out) if M.ndim == 2 else out
+    pair = np.arange(m) // 2
+    off = (pair[:, None] != pair[None, :]) & (pair[:, None] < m // 2) & (pair[None, :] < m // 2)
+    if np.any(M[..., off]):
+        raise ValueError("matrix is not block arrowhead")
+    full, inner = M[..., -1, -1].copy(), 1.0
+    for r in range(m - 3, -1, -2):
+        b1, b2, b3 = M[..., r, r], M[..., r, r + 1], M[..., r, -1]
+        b4, b5, b6 = M[..., r + 1, r], M[..., r + 1, r + 1], M[..., r + 1, -1]
+        b7, b8 = M[..., -1, r], M[..., -1, r + 1]
+        bracket1 = b1 * b5 - b2 * b4
+        bracket2 = b3 * b4 * b8 + b2 * b6 * b7 - b1 * b6 * b8 - b3 * b5 * b7
+        full, inner = bracket1 * full + bracket2 * inner, bracket1 * inner
+    return float(full) if M.ndim == 2 else full
 
 
 def jacobian_closed_form_arrays(params: GroupParams, usq, eta):
@@ -325,14 +274,11 @@ def jacobian_closed_form_arrays(params: GroupParams, usq, eta):
 def jacobian_comparison_arrays(params: GroupParams, usq, eta):
     """Power-law comparison quantity for J:
     |eta|^{2n+2} (pi-|eta|)^{2 k_l - 1} (|u'|^2 (pi-|eta|) + |u_l|^2)."""
-    usq = np.asarray(usq, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    gap = math.pi - np.abs(eta)
-    head = usq[..., :-1].sum(axis=-1) if params.l > 1 else np.zeros(eta.shape)
+    _, gap, head, _ = _region_quantities(params, usq, eta)
     return (
-        np.abs(eta) ** (2 * params.n + 2)
+        np.abs(np.asarray(eta, dtype=float)) ** (2 * params.n + 2)
         * gap ** (2 * params.k[-1] - 1)
-        * (head * gap + usq[..., -1])
+        * (head * gap + np.asarray(usq, dtype=float)[..., -1])
     )
 
 

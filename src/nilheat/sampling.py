@@ -69,7 +69,8 @@ def ball_bounding_box(params: GroupParams):
 
 def unit_ball_points(params: GroupParams, count: int, seed: int, stream: int) -> np.ndarray:
     """The points with d < 1 among `count` uniform draws in the ball's
-    bounding box; uniform on the unit ball.
+    bounding box; uniform on the unit ball.  ValueError if none of the
+    draws lands in the ball.
 
     Only draws with |z| < 1 go to the distance solve: d >= |z|, since in
     the chart |z|^2 = 4 sum_j |u_j|^2 sin^2(a_j eta) <= U^2 eta^2 = d^2."""
@@ -78,7 +79,10 @@ def unit_ball_points(params: GroupParams, count: int, seed: int, stream: int) ->
     zsq = block_norms_sq_flat(params, box)
     near = np.sum(zsq, axis=-1) < 1.0
     box, zsq = box[near], zsq[near]
-    return box[distance_squared_arrays(params, zsq, box[:, -1]) < 1.0]
+    kept = box[distance_squared_arrays(params, zsq, box[:, -1]) < 1.0]
+    if kept.shape[0] == 0:
+        raise ValueError(f"none of {count} draws in the bounding box lands in the unit ball")
+    return kept
 
 
 # log-units of real-line cancellation a cloud point may cost the kernel

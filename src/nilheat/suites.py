@@ -55,7 +55,6 @@ _DEFAULT_SIZES = {
     "kernel_cloud": 10000,
     "symmetry_points": 200,
     "polar_points": 1000,
-    "sparse_matrices": 1000,
     "lemma6_points": 1000,
     "family": 32,
     "li_points": 16,
@@ -152,6 +151,10 @@ def config_from_dict(d: dict) -> RunConfig:
     _reject_unknown("config", d, _CONFIG_KEYS)
     _reject_unknown("sizes", d.get("sizes", {}), _DEFAULT_SIZES)
     g = d.get("group", {})
+    _reject_unknown("group", g, ("l", "k", "a"))
+    output_dir = d.get("output_dir", "reports")
+    if not (isinstance(output_dir, str) and output_dir):
+        raise ValueError(f"output_dir must be a non-empty string, got {output_dir!r}")
     try:
         group = GroupParams(
             _count_from("group l", g["l"]),
@@ -168,7 +171,7 @@ def config_from_dict(d: dict) -> RunConfig:
     return RunConfig(
         group=group,
         seed=_count_from("seed", d["seed"], least=0),
-        output_dir=d.get("output_dir", "reports"),
+        output_dir=output_dir,
         suites=tuple(d.get("suites", SUITE_NAMES)),
         quadrature=quad,
         diffusion_paths=_count_from("diffusion paths", diff.get("paths", 10000)),
@@ -450,31 +453,17 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     rep.stats["chart_roundtrip_max"] = rt
     rep.require(rt <= 1e-10, "chart roundtrip above 1e-10")
 
-    # closed form vs LU determinant, and the bordered recursion vs LU
-    rng = philox(cfg.seed, 8)
+    # closed form and the bordered recursion vs LU, on the chart's own
+    # Jacobians
     nj = min(count, 1000)
-    lu = np.linalg.det(polar.jacobian_matrix_flat(params, u[:nj], eta[:nj]))
+    M = polar.jacobian_matrix_flat(params, u[:nj], eta[:nj])
+    lu = np.linalg.det(M)
     cf = polar.jacobian_closed_form_arrays(params, usq[:nj], eta[:nj])
     worst_cf = float(np.max(np.abs(lu - cf) / np.maximum(np.abs(lu), 1e-300)))
     rep.stats["closed_form_vs_lu_max"] = worst_cf
     rep.require(worst_cf <= 1e-9, "closed-form Jacobian drifted from the LU determinant")
-
-    # random bordered matrices, drawn one by one and compared in one stack
-    # per size
-    stacks = {}
-    for _ in range(cfg.sizes["sparse_matrices"]):
-        m = int(rng.integers(4, 9))
-        M = rng.standard_normal((m, m))
-        M[0, 2 : m - 1] = 0.0
-        M[1, 2 : m - 1] = 0.0
-        M[2 : m - 1, 0] = 0.0
-        M[2 : m - 1, 1] = 0.0
-        stacks.setdefault(m, []).append(M)
-    worst_rec = 0.0
-    for mats in stacks.values():
-        M = np.stack(mats)
-        lu, rec = np.linalg.det(M), polar.det_bordered(M)
-        worst_rec = max(worst_rec, float(np.max(np.abs(lu - rec) / np.maximum(np.abs(lu), 1e-12))))
+    rec = polar.det_bordered(M)
+    worst_rec = float(np.max(np.abs(lu - rec) / np.maximum(np.abs(lu), 1e-12)))
     rep.stats["recursion_vs_lu_max"] = worst_rec
     rep.require(worst_rec <= 1e-9, "bordered determinant recursion drifted from LU")
 

@@ -183,36 +183,32 @@ def test_jacobian_homogeneity_in_u(noniso, rng):
     assert M2[dim - 1, dim - 1] == pytest.approx(c * c * M1[dim - 1, dim - 1], rel=1e-13)
 
 
+def _random_arrowhead(rng, m):
+    """A random block-arrowhead matrix of odd size m: each row/column pair
+    couples only to itself and to the last row and column."""
+    M = rng.standard_normal((m, m))
+    pair = np.arange(m) // 2
+    M[(pair[:, None] != pair[None, :]) & (pair[:, None] < m // 2) & (pair[None, :] < m // 2)] = 0.0
+    return M
+
+
 def test_det_bordered_against_lu():
     rng = philox(32, 1)
-    # identity with the required sparsity
     assert det_bordered(np.eye(5)) == 1.0
     for _ in range(300):
-        m = int(rng.integers(4, 9))
-        M = rng.standard_normal((m, m))
-        M[0, 2 : m - 1] = 0.0
-        M[1, 2 : m - 1] = 0.0
-        M[2 : m - 1, 0] = 0.0
-        M[2 : m - 1, 1] = 0.0
+        M = _random_arrowhead(rng, 2 * int(rng.integers(0, 5)) + 1)
         lu = float(np.linalg.det(M))
         assert det_bordered(M) == pytest.approx(lu, rel=1e-9, abs=1e-12)
-    bad = rng.standard_normal((5, 5))
-    with pytest.raises(ValueError):
-        det_bordered(bad)
-
-
-def _random_bordered(rng, m):
-    M = rng.standard_normal((m, m))
-    M[:2, 2 : m - 1] = 0.0
-    M[2 : m - 1, :2] = 0.0
-    return M
 
 
 def _det_reference(M):
     """The textbook recursion, one matrix at a time and nothing memoised:
-    peel a bordered 2x2 block, else expand along the first row."""
+    peel a bordered 2x2 block, else expand along the first row; the 0x0
+    minor is 1."""
     m = M.shape[0]
-    if m >= 4 and not (np.any(M[:2, 2 : m - 1]) or np.any(M[2 : m - 1, :2])):
+    if m == 0:
+        return 1.0
+    if m >= 3 and not (np.any(M[:2, 2 : m - 1]) or np.any(M[2 : m - 1, :2])):
         b1, b2, b3, b4, b5, b6 = M[0, 0], M[0, 1], M[0, -1], M[1, 0], M[1, 1], M[1, -1]
         b7, b8 = M[-1, 0], M[-1, 1]
         bracket1 = b1 * b5 - b2 * b4
@@ -225,34 +221,42 @@ def _det_reference(M):
 
 def test_det_bordered_stack_matches_plain_recursion():
     rng = philox(33, 1)
-    for m in range(4, 9):
-        stack = np.stack([_random_bordered(rng, m) for _ in range(10)])
+    for m in (1, 3, 5, 7, 9):
+        stack = np.stack([_random_arrowhead(rng, m) for _ in range(10)])
         got = det_bordered(stack.reshape(2, 5, m, m))
         assert got.shape == (2, 5)
-        assert np.array_equal(got.ravel(), [_det_reference(M) for M in stack])
         assert np.array_equal(got.ravel(), [det_bordered(M) for M in stack])
+        assert np.array_equal(got.ravel(), [_det_reference(M) for M in stack])
 
 
 def test_det_bordered_mixed_stack(noniso, rng):
-    # random bordered matrices have dense inner blocks (the Laplace
-    # expansion); chart Jacobians have bordered ones (the recursion again)
+    # chart Jacobians and random arrowheads of the same size in one stack
     m = noniso.dim
     jac = jacobian_matrix_flat(
         noniso, rng.standard_normal((6, 2 * noniso.n)), rng.uniform(0.1, 2.9, 6)
     )
-    stack = np.concatenate([jac, [_random_bordered(rng, m) for _ in range(6)]])[rng.permutation(12)]
+    stack = np.concatenate([jac, [_random_arrowhead(rng, m) for _ in range(6)]])[rng.permutation(12)]
     got = det_bordered(stack)
-    assert np.array_equal(got, [_det_reference(M) for M in stack])
     assert np.array_equal(got, [det_bordered(M) for M in stack])
+    assert np.array_equal(got, [_det_reference(M) for M in stack])
     assert_allclose(got, np.linalg.det(stack), rtol=1e-9)
 
 
 def test_det_bordered_rejects_bad_stacks():
     rng = philox(34, 1)
-    stack = np.stack([_random_bordered(rng, 6) for _ in range(4)])
-    stack[2, 3, 0] = 1.0  # one member loses the sparsity
+    stack = np.stack([_random_arrowhead(rng, 7) for _ in range(4)])
+    stack[2, 3, 0] = 1.0  # one member couples two pairs
     with pytest.raises(ValueError):
         det_bordered(stack)
+    # a singly bordered matrix with a dense trailing block
+    dense = rng.standard_normal((7, 7))
+    dense[:2, 2:6] = 0.0
+    dense[2:6, :2] = 0.0
+    with pytest.raises(ValueError):
+        det_bordered(dense)
+    for m in (2, 4, 6):
+        with pytest.raises(ValueError):
+            det_bordered(np.eye(m))
     with pytest.raises(ValueError):
         det_bordered(np.zeros((3, 4, 5)))
     with pytest.raises(ValueError):
@@ -261,8 +265,8 @@ def test_det_bordered_rejects_bad_stacks():
 
 def test_det_bordered_matrix_gives_float():
     rng = philox(35, 1)
-    for m in (1, 3, 4, 7):
-        M = _random_bordered(rng, m) if m >= 4 else rng.standard_normal((m, m))
+    for m in (1, 3, 5, 7):
+        M = _random_arrowhead(rng, m)
         value = det_bordered(M)
         assert type(value) is float
         assert value == pytest.approx(float(np.linalg.det(M)), rel=1e-9)

@@ -310,6 +310,35 @@ def test_config_rejects_malformed_group(tmp_path, cli_env):
         _assert_config_rejected(tmp_path, cli_env, group=group)
 
 
+def test_config_rejects_unknown_group_key(tmp_path, cli_env):
+    _assert_config_rejected(tmp_path, cli_env, group={"l": 1, "k": [1], "a": [1.0], "x": 1})
+
+
+def test_config_rejects_bad_output_dir(tmp_path, cli_env):
+    # the config's own output_dir, with no --output-dir to override it
+    for output_dir in (5, None, ""):
+        path = _write_config(tmp_path, output_dir=output_dir)
+        r = _run_cli(["--config", path, "verify", "distance"], tmp_path, cli_env)
+        _assert_usage_error(r)
+        assert "output_dir" in r.stderr, r.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["badcfg.json"]
+
+
+def test_config_rejects_sparse_matrices_size(tmp_path, cli_env):
+    # the polar suite checks the determinant recursion on its chart
+    # Jacobians; the random-matrix count it once read is an unknown key
+    _assert_config_rejected(tmp_path, cli_env, sizes={"sparse_matrices": 1000})
+
+
+def test_empty_ball_sample_is_a_usage_error(tmp_path, cli_env):
+    # no draw of one lands in the ball: an error line, not a ZeroDivisionError
+    path = _write_config(tmp_path, seed=1, sizes={"ball_count": 1})
+    out = tmp_path / "out"
+    r = _run_cli(["--config", path, "verify", "cheeger", "--output-dir", str(out)], tmp_path, cli_env)
+    _assert_usage_error(r)
+    assert "none of 1 draws" in r.stderr, r.stderr
+
+
 def test_config_rejects_unknown_key(tmp_path, cli_env):
     _assert_config_rejected(tmp_path, cli_env, diffusoin={"steps": 10})
 
@@ -473,17 +502,34 @@ def test_verify_accepts_the_bench_command_line(tmp_path, config_path, cli_env):
     assert (out / "distance.json").exists()
 
 
+def _traced_attribute(layer, attr):
+    """The function or class-dict entry that a `TRACED` pair names."""
+    home = importlib.import_module(f"nilheat.{layer}")
+    if "." in attr:
+        cls_name, meth = attr.split(".")
+        assert hasattr(home, cls_name), f"nilheat.{layer}.{cls_name} does not resolve"
+        return getattr(home, cls_name).__dict__.get(meth)
+    return getattr(home, attr, None)
+
+
 def test_bench_tracer_names_resolve():
     # the benchmark's tracer patches functions by (module, attribute); a
-    # renamed or deleted function must fail here, not only in a traced run
+    # renamed or deleted function must fail here, not only in a traced run.
+    # Installing it replaces each traced function, uninstalling restores it.
     path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    assert tracer.TRACED
-    for layer, attr in tracer.TRACED:
-        owner = importlib.import_module(f"nilheat.{layer}")
-        for part in attr.split("."):
-            assert hasattr(owner, part), f"nilheat.{layer}.{attr} does not resolve"
-            owner = getattr(owner, part)
-        assert callable(owner), f"nilheat.{layer}.{attr} is not callable"
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.TRACED
+    originals = {key: _traced_attribute(*key) for key in bench.TRACED}
+    missing = [key for key, original in originals.items() if not callable(original)]
+    assert not missing, f"traced names that do not resolve to a callable: {missing}"
+    tracer = bench.Tracer()
+    try:
+        tracer.install()
+        unpatched = [key for key, original in originals.items() if _traced_attribute(*key) is original]
+        assert not unpatched, f"traced names never patched: {unpatched}"
+    finally:
+        tracer.uninstall()
+    stale = [key for key, original in originals.items() if _traced_attribute(*key) is not original]
+    assert not stale, f"traced names not restored: {stale}"

@@ -32,6 +32,7 @@ from nilheat.semigroup import (
     sample_heat_points,
     semigroup_estimate,
 )
+from nilheat.suites import RunConfig, _family_and_points
 from nilheat.testfuncs import TestFunction, indicator_like, linear_bump, standard_family
 
 SPEC = DiffusionSpec(paths=12000, seed=77)
@@ -312,6 +313,13 @@ def test_unit_ball_points_keep_the_box_draw(any_group):
     pts = unit_ball_points(params, 5000, 11, 909)
     assert 0 < pts.shape[0] < 5000
     assert np.array_equal(pts, box[d2 < 1.0])
+
+
+def test_unit_ball_points_refuse_an_empty_sample(h1):
+    # one box draw at seed 1 misses the ball: an error naming the count,
+    # not an empty sample whose mean divides by zero
+    with pytest.raises(ValueError, match="none of 1 draws"):
+        unit_ball_points(h1, 1, 1, 909)
 
 
 def test_li_inequality_report(h1):
@@ -707,6 +715,16 @@ def test_translation_dilation_reduction(h1):
     assert rep.passed
     rep = check_translation_dilation_reduction(h1, f, 4.0, np.zeros(3))
     assert rep.passed
+
+
+def test_reduction_passes_at_the_seed_4_li_point(h1):
+    # the li suite's g0 at seed 4: the value cancels to 0.7 % of the
+    # integrand's absolute mass, and a 14-node support grid missed it by
+    # 2.6e-3 of the value
+    fam, points = _family_and_points(RunConfig(group=h1, seed=4))
+    rep = check_translation_dilation_reduction(h1, fam[2], 0.8, points[1])
+    assert rep.passed, rep.stats
+    assert rep.stats["value_rel_error"] <= 5e-4
 
 
 def test_reduction_check_runs_one_kernel_pass_per_side(h1, monkeypatch):
