@@ -7,8 +7,9 @@ a library call.
 Exit codes: 0 all verdicts pass, 1 at least one verdict fails or the
 kernel quadrature cannot deliver a value (QuadratureError,
 KernelConditioningError), 2 usage or configuration error, including a
-non-finite coordinate, a point whose block norms |z_j|^2 overflow, or an
---h that is not finite and positive.
+non-finite coordinate, a point whose block norms |z_j|^2 overflow, an
+--h that is not finite and positive, or a file or directory that cannot be
+opened or made (OSError).
 
 Commands:
   nilheat verify <suite> [...] --config cfg.json [--seed N] [--output-dir D]
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
             return _cmd_eval(args)
         if args.command == "plot":
             return _cmd_plot(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (ker.QuadratureError, ker.KernelConditioningError) as exc:

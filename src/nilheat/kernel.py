@@ -548,12 +548,12 @@ def _tensor_rule(nodes, weights):
     return pts.reshape(-1, len(nodes)), np.ravel(w)
 
 
-def integrate_radial(params: GroupParams, func, rho_max, t_max, points=16, scale=1.0):
+def integrate_radial(params: GroupParams, func, rho_max, t_max, scale=1.0):
     """Integrate func over the whole group assuming it depends on z only
     through the block norms.  Reduces to an (l+1)-dim composite tensor
-    Gauss rule with the block surface factors rho^{2k-1}; `scale` sets the
-    panel width (use sqrt(h) scaling in rho and h scaling in t so the
-    kernel's analyticity strip is resolved).
+    Gauss rule (16 nodes per panel) with the block surface factors
+    rho^{2k-1}; `scale` sets the panel width (use sqrt(h) scaling in rho
+    and h scaling in t so the kernel's analyticity strip is resolved).
 
     func maps block norms zsq (m1, 1, l) and t nodes (1, m2) to values
     broadcastable to (m1, m2): the block-norm rule and the t rule stay
@@ -561,7 +561,7 @@ def integrate_radial(params: GroupParams, func, rho_max, t_max, points=16, scale
     sees the block-norm rows in blocks of at most about `_RADIAL_BLOCK`
     (row, t) entries, which bounds the memory of a product-grid integrand.
     """
-    gl = np.polynomial.legendre.leggauss(points)
+    gl = np.polynomial.legendre.leggauss(16)
 
     def axis(lo, hi, panel_width):
         npan = max(1, int(math.ceil((hi - lo) / panel_width)))

@@ -52,7 +52,6 @@ from .kernel import (
     _panel_rule,
     _sphere_surface,
     _tensor_rule,
-    integrate_radial,
     kernel_zsq,
 )
 from .reports import VerificationReport
@@ -360,7 +359,7 @@ def _ray_edges(eta, decay, v_hi, panels=28):
 
 
 _RAY_TAIL_MARGIN = 40.0  # log-units; e^-40 relative truncation of the ray
-_GAUSS10 = np.polynomial.legendre.leggauss(10)  # per-panel rule on the rays and chart slabs
+_GAUSS10 = np.polynomial.legendre.leggauss(10)  # per-panel rule on the rays
 _RAY_BLOCK = 250  # rays per kernel call: fewer calls, a bounded working set
 
 
@@ -449,57 +448,29 @@ def ray_integral_check(params: GroupParams, u_flat, eta, spec=None):
 # Horizontal path checks
 # ---------------------------------------------------------------------------
 
-def _chart_slab_rules(params: GroupParams, e0, e1, zsq_lo, zsq_hi):
-    """Rules of one pushforward slab e0 <= eta <= e1: per-axis radial nodes
-    and weights (with the block surface factors) bracketing the chart
-    preimage of zsq_lo <= |z_j|^2 <= zsq_hi, and the slab's eta nodes and
-    weights."""
-    a = np.asarray(params.a)
-    w_ends = np.stack([e0 * a, e1 * a])
-    fac_ends = _angle_factor_sq(w_ends)
-    fac_min = fac_ends.min(axis=0)
-    fac_max = fac_ends.max(axis=0)
-    # the angle factor peaks at a_j eta = pi/2 inside a slab
-    crosses = (w_ends[0] < math.pi / 2.0) & (w_ends[1] > math.pi / 2.0)
-    fac_max = np.where(crosses, 4.0, fac_max)
-    rho_lo = np.sqrt(zsq_lo / fac_max) * 0.98
-    rho_hi = np.sqrt(zsq_hi / fac_min) * 1.02 + 1e-3
-    axes, wts = [], []
-    for j in range(params.l):
-        nj, wj = _panel_rule(np.linspace(rho_lo[j], rho_hi[j], 9), *_GAUSS10)
-        axes.append(nj)
-        wts.append(wj * _sphere_surface(params.k[j]) * nj ** (2 * params.k[j] - 1))
-    ne, we = _panel_rule([e0, e1], *_GAUSS10)
-    return axes, wts, ne, we
+def check_change_of_variables(params: GroupParams) -> VerificationReport:
+    """Chart pushforward test, row by row in the block norms zeta_j = |z_j|^2:
+    the integral of F against the Haar measure must equal the integral of
+    F(Psi) J over the chart coordinates.
 
+    F is a product of C^2 profiles in each zeta_j and in t, supported at
+    positive t with the top block away from zero.  Since
+    rho^{2k-1} d rho = zeta^{k-1} d zeta / 2, Haar measure is
+    prod_j (S_{k_j}/2) zeta_j^{k_j-1} d zeta_j dt; at fixed eta the chart
+    sends |u_j|^2 to zeta_j = fac_j |u_j|^2, fac_j = 2 - 2 cos(2 a_j eta),
+    so the chart measure is the same zeta factors times
+    d eta / prod_j fac_j^{k_j}.  Each row of an 8-node Gauss rule per block
+    over F's zeta support compares
 
-def _chart_slab_sum(params: GroupParams, F, axes, wts, ne, we) -> float:
-    """Sum of F(Psi) J against the tensor weights of one slab.
+        direct: int F(zeta, t) dt,
+        chart:  int F(Psi) J(zeta/fac, eta) / prod_j fac_j^{k_j} d eta,
 
-    The radial tensor enters as usq (M, 1, l) and the eta nodes as (E,),
-    so the chart factors of a_j eta are evaluated once per eta node and
-    broadcast over the M radial points; the values and the weights
-    (M, E) raveled are those of the flat (M E, l + 1) tensor, point for
-    point and bit for bit.
+    the chart side by one 24-node panel between theta(zeta, tc - ts) and
+    theta(zeta, tc + ts), where the chart's t meets F's support.  The
+    direct rules are exact (F is a polynomial of degree 6 in zeta and in t
+    on its support), so the rows agree to rounding exactly when
+    J / prod_j fac_j^{k_j} is d t / d eta at fixed zeta.
     """
-    pts, w_rho = _tensor_rule(axes, wts)
-    usq = pts[:, None, :] ** 2
-    vals = F(*_psi_norms(params, usq, ne)) * jacobian_closed_form_arrays(params, usq, ne)
-    return float(np.sum((vals * np.multiply.outer(w_rho, we)).ravel()))
-
-
-def check_change_of_variables(params: GroupParams, spec=None) -> VerificationReport:
-    """Chart pushforward test: integral of F against the Haar measure must
-    equal the integral of F(Psi) J over the chart coordinates.
-
-    F is a smooth block-radial bump supported at positive t with the top
-    block away from zero, so its chart preimage is a bounded set with the
-    angle coordinate strictly inside (0, pi).  Both sides then reduce to
-    (l+1)-dimensional composite Gauss rules: the group side through the
-    block-polar volume factors, the chart side through the same factors in
-    u.  Agreement is limited only by quadrature error.
-    """
-    # block-radial bump: product of C^2 profiles in each |z_j|^2 and in t
     zc = np.full(params.l, 0.6)
     zc[-1] = 1.4
     zs_half = np.full(params.l, 0.5)
@@ -516,52 +487,34 @@ def check_change_of_variables(params: GroupParams, spec=None) -> VerificationRep
             out = out * profile((zsq[..., j] - zc[j]) / zs_half[j])
         return out
 
-    direct = integrate_radial(
-        params,
-        F,
-        rho_max=np.sqrt(zc + zs_half) + 0.05,
-        t_max=tc + ts + 0.05,
-        points=12,
-        scale=0.2,
-    )
+    gauss8 = np.polynomial.legendre.leggauss(8)
+    axes, wts = [], []
+    for j, kj in enumerate(params.k):
+        nodes, weights = _panel_rule([zc[j] - zs_half[j], zc[j] + zs_half[j]], *gauss8)
+        axes.append(nodes)
+        wts.append(weights * 0.5 * _sphere_surface(kj) * nodes ** (kj - 1))
+    zeta, w_row = _tensor_rule(axes, wts)  # (R, l), (R,)
+    t_nodes, t_wts = _panel_rule([tc - ts, tc + ts], *gauss8)
+    direct_rows = F(zeta[:, None, :], t_nodes) @ t_wts
 
-    # chart preimage bounds: angle range over the support corners, then
-    # block radii from |u_j|^2 = |z_j|^2 / (2 - 2 cos(2 a_j eta))
-    zsq_hi = zc + zs_half
-    zsq_lo = np.maximum(zc - zs_half, 0.0)
-    corners = []
-    for mask in range(2**params.l):
-        corner = np.where([(mask >> j) & 1 for j in range(params.l)], zsq_hi, zsq_lo)
-        corners.append(corner)
-    corners = np.asarray(corners)
-    th, _, _ = solve_theta_arrays(
-        params,
-        np.tile(corners, (2, 1)),
-        np.concatenate([np.full(corners.shape[0], tc - ts), np.full(corners.shape[0], tc + ts)]),
-    )
-    eta_lo, eta_hi = float(np.nanmin(th)) - 0.1, float(np.nanmax(th)) + 0.1
-    eta_lo = max(eta_lo, 1e-3)
-    if eta_hi >= math.pi - 0.1:
-        raise RuntimeError("bump support reaches the chart boundary")
+    th = solve_theta_arrays(params, zeta[:, None, :], np.array([tc - ts, tc + ts]))[0]
+    half = 0.5 * (th[:, 1] - th[:, 0])
+    x, w = np.polynomial.legendre.leggauss(24)
+    eta = 0.5 * (th[:, :1] + th[:, 1:]) + half[:, None] * x  # (R, 24)
+    fac = _angle_factor_sq(eta[..., None] * np.asarray(params.a))
+    usq = zeta[:, None, :] / fac
+    vals = F(*_psi_norms(params, usq, eta)) * jacobian_closed_form_arrays(params, usq, eta)
+    chart_rows = half * ((vals / np.prod(fac ** np.asarray(params.k), axis=-1)) @ w)
 
-    # integrate over eta in slabs: the chart preimage of the support is a
-    # curved region whose u-radii scale like 1/(a eta), so per-slab radial
-    # bounds stay tight where a single global box would be astronomically
-    # wasteful
-    n_slabs = max(24, int(math.ceil((eta_hi - eta_lo) / 0.05)))
-    slab_edges = np.linspace(eta_lo, eta_hi, n_slabs + 1)
-    chart = 0.0
-    for s in range(n_slabs):
-        rules = _chart_slab_rules(params, slab_edges[s], slab_edges[s + 1], zsq_lo, zsq_hi)
-        chart += _chart_slab_sum(params, F, *rules)
-
-    rel = abs(chart - direct) / max(abs(direct), 1e-300)
+    direct, chart = float(w_row @ direct_rows), float(w_row @ chart_rows)
+    rel = abs(chart - direct) / abs(direct)
+    row_rel = float(np.max(np.abs(chart_rows - direct_rows) / direct_rows))
     rep = VerificationReport(
         identifier="change-of-variables",
-        config={"group": params.label(), "eta_range": [eta_lo, eta_hi]},
-        stats={"direct": direct, "chart": chart, "rel_difference": rel},
+        config={"group": params.label()},
+        stats={"direct": direct, "chart": chart, "rel_difference": rel, "row_rel_difference_max": row_rel},
     )
-    rep.require(rel <= 1e-4, "pushforward integral mismatch beyond quadrature error")
+    rep.require(rel <= 1e-10 and row_rel <= 1e-10, "pushforward integral mismatch beyond rounding")
     return rep
 
 

@@ -168,11 +168,14 @@ def config_from_dict(d: dict) -> RunConfig:
     quad = _quadrature_from_dict(d.get("quadrature", {}))
     diff = d.get("diffusion", {})
     _reject_unknown("diffusion", diff, ("paths",))
+    suites = d.get("suites", list(SUITE_NAMES))
+    if not isinstance(suites, list):
+        raise ValueError(f"suites must be a list of suite names, got {suites!r}")
     return RunConfig(
         group=group,
         seed=_count_from("seed", d["seed"], least=0),
         output_dir=output_dir,
-        suites=tuple(d.get("suites", SUITE_NAMES)),
+        suites=tuple(suites),
         quadrature=quad,
         diffusion_paths=_count_from("diffusion paths", diff.get("paths", 10000)),
         h_values=_h_values_from(d.get("h_values", [0.25, 0.5, 1.0, 2.0])),
@@ -384,13 +387,11 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     cl = cl[kernel_feasible_mask(params, cl, h=min(cfg.h_values))]
     d = np.sqrt(dist.distance_squared_arrays(params, block_norms_sq_flat(params, cl), cl[:, -1]))
     sel = d > 0.1
-    c3 = 0.0
-    c4 = 0.0
-    for h in cfg.h_values:
-        comps, dt = ker.log_kernel_derivatives(params, h, cl, spec)
-        gnorm = np.sqrt(np.sum(comps**2, axis=-1))
-        c3 = max(c3, float(np.max(h * gnorm[sel] / d[sel])))
-        c4 = max(c4, float(np.max(h * np.abs(dt))))
+    h = np.asarray(cfg.h_values)[:, None]
+    comps, dt = ker.log_kernel_derivatives(params, h, cl, spec)
+    gnorm = np.sqrt(np.sum(comps**2, axis=-1))
+    c3 = float(np.max(h * gnorm[:, sel] / d[sel]))
+    c4 = float(np.max(h * np.abs(dt)))
     rep.stats["log_gradient_constant"] = c3
     rep.stats["t_log_derivative_constant"] = c4
     rep.require(np.isfinite(c3) and np.isfinite(c4), "log-derivative sups must be finite")

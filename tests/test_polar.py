@@ -1,6 +1,7 @@
 """Chart coordinates: map, inverse, Jacobian, regions, ray integrals."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -465,24 +466,44 @@ def test_cauchy_schwarz_tightness(noniso, rng):
     assert dds == pytest.approx(bound, rel=1e-8)
 
 
-def test_chart_slab_sum_matches_flat_tensor(noniso):
-    # one pushforward slab: the radial tensor against the eta nodes gives
-    # the bits of the flat tensor over all l + 1 axes
-    zsq_lo, zsq_hi = np.array([0.1, 0.5]), np.array([1.1, 2.3])
-    axes, wts, ne, we = polar_module._chart_slab_rules(noniso, 1.0, 1.05, zsq_lo, zsq_hi)
-
-    def F(zsq, t):
-        return np.exp(-t) * np.prod(np.clip(1.0 - (zsq - 0.8) ** 2, 0.0, None) ** 3, axis=-1)
-
-    pts, w = polar_module._tensor_rule(axes + [ne], wts + [we])
-    usq, eta = pts[:, :-1] ** 2, pts[:, -1]
-    vals = F(*polar_module._psi_norms(noniso, usq, eta)) * jacobian_closed_form_arrays(noniso, usq, eta)
-    flat = float(np.sum(vals * w))
-    assert flat > 0.0
-    assert polar_module._chart_slab_sum(noniso, F, axes, wts, ne, we) == flat
-
-
 def test_change_of_variables(any_group):
     rep = check_change_of_variables(any_group)
     assert rep.passed
-    assert rep.stats["rel_difference"] <= 1e-4
+    assert rep.stats["rel_difference"] <= 1e-10
+    assert rep.stats["row_rel_difference_max"] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "params", [GroupParams(1, (1,), (1.0,)), GroupParams(2, (1, 1), (0.5, 1.0))], ids=["h1", "k11"]
+)
+def test_change_of_variables_direct_total_closed_form(params):
+    # with every k_j = 1 the Haar side is prod_j pi * (half-width_j * 32/35)
+    # times ts * 32/35 for the (1 - x^2)^3 profiles: 0.5 on the lower blocks,
+    # 0.9 on the top block, 0.7 in t
+    closed = math.pi**params.l * 0.5 ** (params.l - 1) * 0.9 * 0.7 * (32.0 / 35.0) ** (params.l + 1)
+    rep = check_change_of_variables(params)
+    assert rep.stats["direct"] == pytest.approx(closed, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_change_of_variables_sees_a_small_jacobian_error(group, request, monkeypatch):
+    params = request.getfixturevalue(group)
+    exact = polar_module.jacobian_closed_form_arrays
+    monkeypatch.setattr(
+        polar_module,
+        "jacobian_closed_form_arrays",
+        lambda p, usq, eta: exact(p, usq, eta) * (1.0 + 1e-6 * np.asarray(eta)),
+    )
+    rep = check_change_of_variables(params)
+    assert not rep.passed
+    assert rep.stats["rel_difference"] > 1e-7
+
+
+def test_change_of_variables_on_three_blocks():
+    # the check's cost grows like 8^l rows, not like an (l+1)-dim tensor
+    params = GroupParams(3, (2, 1, 1), (0.3, 0.6, 1.0))
+    start = time.perf_counter()
+    rep = check_change_of_variables(params)
+    assert time.perf_counter() - start < 1.0
+    assert rep.passed
+    assert rep.stats["row_rel_difference_max"] <= 1e-10

@@ -339,6 +339,30 @@ def test_empty_ball_sample_is_a_usage_error(tmp_path, cli_env):
     assert "none of 1 draws" in r.stderr, r.stderr
 
 
+def test_config_rejects_suites_that_are_not_a_list(tmp_path, cli_env):
+    # a bare string is not read letter by letter, and no TypeError escapes
+    for suites in (5, None, "kernel"):
+        path = _write_config(tmp_path, suites=suites)
+        out = tmp_path / "out"
+        r = _run_cli(["--config", path, "verify", "--output-dir", str(out)], tmp_path, cli_env)
+        _assert_usage_error(r)
+        assert "suites must be a list" in r.stderr, r.stderr
+        assert not out.exists()
+
+
+def test_config_path_that_is_a_directory(tmp_path, cli_env):
+    r = _run_cli(["--config", str(tmp_path), "verify", "distance"], tmp_path, cli_env)
+    _assert_usage_error(r)
+
+
+def test_output_dir_that_is_a_file(tmp_path, config_path, cli_env):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    r = _run_cli(["--config", config_path, "verify", "distance", "--output-dir", str(taken)], tmp_path, cli_env)
+    _assert_usage_error(r)
+    assert taken.read_text() == ""
+
+
 def test_config_rejects_unknown_key(tmp_path, cli_env):
     _assert_config_rejected(tmp_path, cli_env, diffusoin={"steps": 10})
 
