@@ -809,16 +809,16 @@ def check_integration_by_parts(params, f, qspec=None, grid_points=18) -> Verific
     """int (V f) p dm = -int f (V p) dm for every horizontal frame field V,
     both left and right invariant, with p the unit-time kernel.
 
-    Both sides are tensor-grid integrals over f's support box; the kernel
-    and its partials come from the saddle-line quadrature, on the nodes
-    inside f's support only (f and its gradient vanish on the others).
+    Both sides are integrals on f's unit-time `_support_grid` at the origin;
+    the kernel and its partials come from the saddle-line quadrature, on the
+    nodes inside f's support only (f and its gradient vanish on the others).
     """
     qspec = qspec or QuadratureSpec(tol=1e-9)
-    lo, hi = f.support_box()
-    gl = np.polynomial.legendre.leggauss(grid_points)
-    # one panel per axis
-    rules = [_panel_rule([lo[d], hi[d]], *gl) for d in range(params.dim)]
-    pts, wt = _tensor_rule(*zip(*rules))
+    pts, wt = _support_grid(params, f, grid_points, 1.0, np.zeros(params.dim))
+    if pts is None:
+        rep = VerificationReport(identifier="integration-by-parts", stats={"worst_rel_error": math.inf})
+        rep.require(False, "f's support box lies outside the unit-time kernel's reach")
+        return rep
 
     # f and its gradient vanish off the rows, and both sums run row by row
     # along axis 0, so the rows alone give them bit for bit

@@ -317,15 +317,20 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
             rep.stats["origin_abs_error"] <= 1e-6,
             "unit-time origin value off the 1/64 anchor",
         )
-    mass_spec = ker.QuadratureSpec(tol=1e-9)
-    norm = ker.integrate_radial(
-        params,
-        lambda zs, tt: ker.kernel_product_grid(params, 1.0, zs, tt, mass_spec)[0],
-        rho_max=11.0,
-        t_max=55.0,
-    )
-    rep.stats["mass_deviation"] = abs(norm - 1.0)
-    rep.require(rep.stats["mass_deviation"] <= 1e-6, "kernel mass must be 1")
+    # int p_1 cos(mu t/4) dt = (4 pi)^-n E(mu), E in closed form, on both engines; p is even in t, the
+    # rows are seed-independent (row 0 the t-axis), and mu = 0 is the t-marginal, of unit mass in z
+    zeta = np.vstack([np.zeros(params.l), philox(0, 8).uniform(0.0, 6.0, size=(39, params.l))])
+    t_nodes, t_wts = ker._panel_rule(np.linspace(0.0, 55.0, 23), *np.polynomial.legendre.leggauss(16))
+    mu = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
+    x = np.multiply.outer(mu, params.a)
+    x_sinh, x_coth = (np.divide(x, f(x), out=np.ones_like(x), where=x > 0) for f in (np.sinh, np.tanh))
+    exact = np.prod(x_sinh ** np.asarray(params.k), axis=-1) * np.exp(-0.25 * zeta @ x_coth.T)
+    fourier = 2.0 * (4.0 * math.pi) ** params.n * t_wts[:, None] * np.cos(np.multiply.outer(t_nodes, mu / 4.0))
+    for name, (vals, _) in (("grid", ker.kernel_product_grid(params, 1.0, zeta, t_nodes)),
+                            ("points", ker.kernel_zsq(params, 1.0, zeta[:4, None], t_nodes, spec))):
+        dev = float(np.max(np.abs(vals @ fourier - exact[: len(vals)]) / exact[: len(vals), :1]))
+        rep.stats[f"t_fourier_{name}_max"] = dev
+        rep.require(dev <= 1e-10, f"t-Fourier identity off beyond 1e-10 on the {name} engine")
 
     # scaling law over random (h, g)
     rng = philox(cfg.seed, 3)

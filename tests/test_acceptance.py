@@ -4,7 +4,8 @@ Each test prints a pass/fail line with its headline numbers and enforces
 the stated tolerances.  Criteria 2-5 run the full library suites on the
 shipped configurations (first Heisenberg group and the two-block
 nonisotropic group); criterion 6 runs the inequality suites; criterion 7
-reruns representative suites and compares report bytes.
+reruns representative suites and compares report bytes.  The ungated
+three-block config runs every suite.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 from nilheat.groups import GroupParams, horizontal_components, multiply_flat
 from nilheat.reports import dumps_report
 from nilheat.sampling import philox
-from nilheat.suites import RunConfig, config_from_dict, run_suite
+from nilheat.suites import SUITE_NAMES, RunConfig, config_from_dict, run_suite
 from nilheat.testfuncs import standard_family
 
 GROUP_SETS = [
@@ -224,3 +225,20 @@ def test_criterion_7_determinism(cfg_h1):
     elapsed = time.time() - t0
     _report_line("criterion 7 determinism", True, "distance/lemma6/li byte-identical", elapsed, 300)
     assert elapsed <= 300
+
+
+def test_three_block_config_runs_every_suite():
+    # k = (2, 1, 1) has no frozen entry, so each verdict is its analytic
+    # checks; the kernel suite's checks do not grow with the number of blocks
+    cfg = _load_cfg("configs/three.json")
+    assert cfg.group == GroupParams(3, (2, 1, 1), (0.3, 0.6, 1.0))
+    assert cfg.suites == SUITE_NAMES
+    for name in cfg.suites:
+        t0 = time.time()
+        rep = run_suite(name, cfg)
+        elapsed = time.time() - t0
+        assert rep.passed, (name, rep.notes)
+        assert rep.notes == ["no frozen bounds for this group; band checks skipped"]
+        if name == "kernel":
+            _report_line("three-block kernel", elapsed < 10, "analytic checks", elapsed, 10)
+            assert elapsed < 10

@@ -762,8 +762,8 @@ def test_reduced_route_honours_qspec(h1):
 
 def test_huge_quadrature_grids_raise_before_allocating(noniso, monkeypatch):
     # on the 7-dim group the reduced grid would hold 30 nodes on each z axis
-    # at h = 0.2 (7.3e8 z nodes), and the support grid 16^7 nodes: both
-    # routes refuse before any tensor grid is built
+    # at h = 0.2 (7.3e8 z nodes), the support grid 16^7 nodes and the
+    # integration-by-parts grid 18^7: each refuses before it is built
     def no_tensor(*args):
         raise AssertionError("tensor grid built")
 
@@ -776,6 +776,16 @@ def test_huge_quadrature_grids_raise_before_allocating(noniso, monkeypatch):
             semigroup_estimate(noniso, fam[2], h, g, "quadrature")
         with pytest.raises(QuadratureError, match="tensor grid needs"):
             grad_semigroup_components(noniso, fam[2], h, g, "quadrature")
+    with pytest.raises(QuadratureError, match="tensor grid needs"):
+        check_integration_by_parts(noniso, fam[2])
+
+
+def test_integration_by_parts_outside_the_kernel_reach_fails(h1):
+    # a support box wholly beyond |z_c| <= 10 of the origin gives no grid
+    far = TestFunction(center=[30.0, 0.0, 0.0], scale=1.0, exps=[[0, 0, 0]], coeffs=[1.0])
+    rep = check_integration_by_parts(h1, far)
+    assert rep.passed is False
+    assert rep.notes == ["FAILED: f's support box lies outside the unit-time kernel's reach"]
 
 
 def _small_reduced_grid(params):

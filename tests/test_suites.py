@@ -4,6 +4,7 @@ that reads constants through it."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nilheat import kernel as ker
@@ -136,3 +137,74 @@ def test_kernel_suite_takes_few_trapezoid_passes(monkeypatch):
         cfg = config_from_dict(json.load(fh))
     assert suites.suite_kernel(cfg).passed
     assert len(calls) <= 20
+
+
+# k and a of the groups the kernel suite's t-Fourier identity is checked on
+_KERNEL_GROUPS = {
+    "h1": ([1], [1.0]),
+    "k2": ([2], [1.0]),
+    "noniso": ([1, 2], [0.5, 1.0]),
+    "three": ([2, 1, 1], [0.3, 0.6, 1.0]),
+}
+_GRID_NOTE = "FAILED: t-Fourier identity off beyond 1e-10 on the grid engine"
+_POINTS_NOTE = "FAILED: t-Fourier identity off beyond 1e-10 on the points engine"
+
+
+def _small_kernel_run(group):
+    """The ungated kernel suite on a small cloud of the named group."""
+    k, a = _KERNEL_GROUPS[group]
+    cfg = config_from_dict(
+        {
+            "seed": 20250809,
+            "group": {"l": len(k), "k": k, "a": a},
+            "sizes": {"scaling_points": 20, "symmetry_points": 20, "kernel_cloud": 40},
+        }
+    )
+    return SUITE_RUNNERS["kernel"](cfg)
+
+
+@pytest.mark.parametrize("group", sorted(_KERNEL_GROUPS))
+def test_kernel_suite_checks_the_t_fourier_identity(group):
+    # int p_1(z, t) cos(mu t/4) dt = (4 pi)^-n E(mu) row by row on both
+    # kernel engines; mu = 0 is the unit-mass t-marginal
+    rep = _small_kernel_run(group)
+    assert rep.passed, rep.notes
+    assert rep.stats["t_fourier_grid_max"] <= 1e-10
+    assert rep.stats["t_fourier_points_max"] <= 1e-10
+    assert "mass_deviation" not in rep.stats
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_kernel_suite_fails_a_dilation_invariant_bias(group, monkeypatch):
+    # the pointwise value times 1 + 1e-6 tau/(tau + sum Z): even in t and
+    # unchanged by dilation, so the scaling law cannot see it; the grid
+    # engine does not run through _line_sums
+    line_sums = ker._line_sums
+
+    def biased(params, Z, tau, *args, **kwargs):
+        out = line_sums(params, Z, tau, *args, **kwargs)
+        # tau > 0 only: at the origin the share is 0/0
+        share = np.divide(tau, tau + Z.sum(axis=-1), out=np.zeros_like(tau), where=tau > 0)
+        out["val"] = out["val"] * (1.0 + 1e-6 * share)
+        return out
+
+    monkeypatch.setattr(ker, "_line_sums", biased)
+    rep = _small_kernel_run(group)
+    assert rep.passed is False
+    assert rep.notes == [_POINTS_NOTE]
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso"])
+def test_kernel_suite_fails_an_envelope_table_error(group, monkeypatch):
+    # x coth x off by 1e-7 in the node tables both engines share; the
+    # identity's closed form does not read them, so the error cannot cancel
+    line_tables = ker._line_tables
+
+    def off(params, lam):
+        logw, xc = line_tables(params, lam)
+        return logw, xc * (1.0 + 1e-7)
+
+    monkeypatch.setattr(ker, "_line_tables", off)
+    rep = _small_kernel_run(group)
+    assert rep.passed is False
+    assert rep.notes == [_GRID_NOTE, _POINTS_NOTE]
