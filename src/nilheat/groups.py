@@ -135,16 +135,19 @@ def block_norms_sq_flat(params: GroupParams, coords) -> np.ndarray:
 
 def multiply_flat(params: GroupParams, A, B) -> np.ndarray:
     """Group product (z,t)(z',t') = (z+z', t+t' + 2 sum a_i Im<z_i, z_i'>)
-    on flat points (..., 2n+1)."""
+    on flat points (..., 2n+1); column-major when both operands are."""
     A = _check_trailing(np.asarray(A, dtype=float), params.dim)
     B = _check_trailing(np.asarray(B, dtype=float), params.dim)
     n = params.n
-    xa, ya = A[..., 0 : 2 * n : 2], A[..., 1 : 2 * n : 2]
-    xb, yb = B[..., 0 : 2 * n : 2], B[..., 1 : 2 * n : 2]
-    twist = 2.0 * np.sum(params.pair_a * (ya * xb - xa * yb), axis=-1)
-    out = np.empty(np.broadcast_shapes(A.shape, B.shape))
-    # one column at a time: with one point against many rows, a broadcast
-    # add over whole rows runs numpy's inner loop once per row
+    # one column at a time: with one point against many rows, numpy's inner
+    # loop over whole rows would run once per row.  The twist adds its n
+    # pair terms from 0.0 in order, as np.sum does below 8 terms
+    twist = 0.0
+    for j, a in enumerate(params.pair_a):
+        twist = twist + a * (A[..., 2 * j + 1] * B[..., 2 * j] - A[..., 2 * j] * B[..., 2 * j + 1])
+    twist = 2.0 * twist
+    fortran = A.flags.f_contiguous and B.flags.f_contiguous
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape), order="F" if fortran else "C")
     for c in range(2 * n):
         out[..., c] = A[..., c] + B[..., c]
     out[..., 2 * n] = A[..., 2 * n] + B[..., 2 * n] + twist

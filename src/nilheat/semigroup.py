@@ -150,11 +150,12 @@ def sample_heat_points(params: GroupParams, h: float, spec: DiffusionSpec) -> np
     The z marginal is exactly Gaussian (variance 2h per coordinate, so
     E|z|^2 = 4 n h) and each pair's Levy area has its exact variance; the
     law of t given z is exact but for the tail of the bridge's squared
-    modes, which `_simulate_chunk` replaces by its mean.
+    modes, which `_simulate_chunk` replaces by its mean.  The sample is
+    column-major, so each coordinate is one contiguous column.
     """
     if h <= 0:
         raise ValueError("time parameter h must be positive")
-    out = np.empty((spec.paths, params.dim))
+    out = np.empty((spec.paths, params.dim), order="F")
     for i, start in enumerate(range(0, spec.paths, _PATH_CHUNK)):
         stop = min(start + _PATH_CHUNK, spec.paths)
         out[start:stop] = _simulate_chunk(params, h, spec, i, stop - start)
@@ -497,15 +498,21 @@ def ball_mean(params: GroupParams, f, method="mc", count=200000, seed=7, grid_po
 # Inequality checks
 # ---------------------------------------------------------------------------
 
+def _take_rows(a, rows):
+    """a[rows] for a sample a (N, dim), gathered one column at a time: the
+    columns of a column-major sample are contiguous."""
+    return a.T.take(rows, axis=1).T
+
+
 def _gradient_case(params, f, g_flat, W, pts):
     """One (f, g) case on the samples W, pts = g . W: |grad e^{h D} f(g)|
     by the chain rule under the convolution, and |grad f| on the rows of
     pts inside f's support (it is zero on the other rows, which add
     nothing to the chain-rule sums)."""
     rows, (_, grad) = f.support_jet(pts, 1)
-    cx, cy = _frame(params, grad, *_chain_coefficients(params, g_flat, W[rows]), 1.0)
+    cx, cy = _frame(params, grad, *_chain_coefficients(params, g_flat, _take_rows(W, rows)), 1.0)
     mx, my = np.sum(cx, axis=0) / W.shape[0], np.sum(cy, axis=0) / W.shape[0]
-    return math.sqrt(float(np.sum(mx**2) + np.sum(my**2))), _hgrad_power(params, grad, pts[rows])
+    return math.sqrt(float(np.sum(mx**2) + np.sum(my**2))), _hgrad_power(params, grad, _take_rows(pts, rows))
 
 
 def check_li_inequality(params, family, points, h_values, dspec) -> VerificationReport:
@@ -626,7 +633,7 @@ def check_cheeger(params, family, dspec, ball_count=200000) -> VerificationRepor
         # reductions run over the rows inside f's support; on the others
         # f and grad f vanish, so |f - m_f| = |m_f| there
         rW, (fW, grad_W) = f.support_jet(W, 1)
-        den, den_se = _mean_se(_hgrad_power(params, grad_W, W[rW]), nW)
+        den, den_se = _mean_se(_hgrad_power(params, grad_W, _take_rows(W, rW)), nW)
         if den <= 10.0 * den_se:
             excluded += 1
             continue
@@ -694,7 +701,7 @@ def check_log_sobolev_poincare(params, family, points, h_values, dspec) -> Verif
                 # reductions run over the rows inside f's support; phi = shift
                 # and grad f = 0 on the others
                 rows, (val, grad) = f.support_jet(pts, 1)
-                den, den_se = _mean_se(_hgrad_power(params, grad, pts[rows], power=2), count)
+                den, den_se = _mean_se(_hgrad_power(params, grad, _take_rows(pts, rows), power=2), count)
                 den *= h
                 den_se *= h
                 if den <= 10.0 * den_se:

@@ -15,10 +15,13 @@ value, gradient, and Hessian all vanish outside the reported bounding box.
 One evaluator, `TestFunction.support_jet(coords, order)`, gives the rows
 inside the support (q = |xi|^2 < 1, built one axis at a time on the rows
 still below 1) and the value, gradient and Hessian on those rows only; the
-Monte Carlo checks reduce over them.  `jet` scatters them into zeros, and
-`value`, `gradient` and `hessian` wrap it.  Each kept entry sees the same
-elementwise operations as a dense evaluation, so the results are
-bit-identical to one (q adds the axes in order, as `np.sum` does below 8).
+Monte Carlo checks reduce over them.  The support test reads one column
+coords.T[d] at a time (contiguous in the column-major diffusion sample),
+and the jet computes each power xi[d] ** e once per block of kept rows.
+`jet` scatters the rows into zeros; `value`, `gradient` and `hessian` wrap
+it.  Each kept entry sees the same elementwise operations as a dense
+evaluation, so the results are bit-identical to one (q adds the axes in
+order, as `np.sum` does below 8).
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["TestFunction", "standard_family", "linear_bump", "indicator_like"]
+
+# rows per block of the jet's power table (128 KB per power); unbounded, the
+# table raised the h1 Cheeger peak RSS by 7.8 MB
+_POWER_BLOCK = 16384
 
 
 def _poly_derivative(exps, coeffs, d):
@@ -41,13 +48,18 @@ def _poly_derivative(exps, coeffs, d):
     return new_exps, new_coeffs
 
 
-def _poly_eval(exps, coeffs, xi):
-    out = np.zeros(xi.shape[:-1])
+def _poly_eval(exps, coeffs, xi, powers):
+    """sum_k coeffs[k] prod_d xi[d]^exps[k, d] on rows xi (dim, m); powers
+    caches xi[d] ** e by (d, e) across the polynomials of one block."""
+    out = np.zeros(xi.shape[1:])
     for e, c in zip(exps, coeffs):
         term = c  # times each power in turn; a constant term stays the scalar c
         for d, ed in enumerate(e):
             if ed:
-                term = term * xi[..., d] ** ed
+                pw = powers.get((d, ed))
+                if pw is None:
+                    pw = powers[d, ed] = xi[d] ** ed
+                term = term * pw
         out += term
     return out
 
@@ -107,7 +119,7 @@ class TestFunction:
     def _bump_q(self, q, order=2):
         """Bump profile in q = s^2 and its q-derivatives up to `order`."""
         if self.bump == "poly":
-            w = np.clip(1.0 - q, 0.0, None)
+            w = np.maximum(1.0 - q, 0.0)
             return [w**3, -3.0 * w**2, 6.0 * w][: order + 1]
         # plateau: 1 on s <= 1/2; smoothstep in w = (s - 1/2)/(1/2) beyond.
         s = np.sqrt(np.clip(q, 0.0, None))
@@ -161,52 +173,63 @@ class TestFunction:
         return out
 
     def _in_support(self, flat, order):
-        """Rows of flat (N, dim) with q < 1, their xi, and the bump jet there."""
+        """Rows of flat (N, dim) with q < 1, their xi (dim, k) and the bump
+        jet there; each axis is one column flat.T[d], gathered by 1-D take."""
         # q = |xi|^2 one axis at a time, keeping the rows with q < 1 so far;
         # NaN and inf rows fail the test at their first non-finite axis
-        x = (flat[:, 0] - self.center[0]) / self.scale
+        cols = flat.T
+        x = (cols[0] - self.center[0]) / self.scale
         q = x * x
         rows = np.flatnonzero(q < 1.0)
         q = q[rows]
         for d in range(1, self.dim):
-            x = (flat[rows, d] - self.center[d]) / self.scale
+            x = (cols[d].take(rows) - self.center[d]) / self.scale
             q = q + x * x
             keep = np.flatnonzero(q < 1.0)
             rows, q = rows[keep], q[keep]
-        return rows, (flat[rows] - self.center) / self.scale, self._bump_q(q, order)
+        xi = (cols.take(rows, axis=1) - self.center[:, None]) / self.scale
+        return rows, xi, self._bump_q(q, order)
 
     def _rows_jet(self, xi, bump, order):
-        """Polynomial times bump and its derivatives on in-support rows."""
-        dim = self.dim
+        """Polynomial times bump and its derivatives on in-support rows xi
+        (dim, k), written block by block into the parts."""
+        dim, k = xi.shape
+        # the gradient stays C-ordered, so sums over its rows keep their order
+        parts = [np.empty((k,) + (dim,) * i) for i in range(order + 1)]
+        for start in range(0, k, _POWER_BLOCK):
+            blk = slice(start, start + _POWER_BLOCK)
+            self._block_jet(xi[:, blk], [bq[blk] for bq in bump], [part[blk] for part in parts])
+        return parts
+
+    def _block_jet(self, xi, bump, parts):
+        """Fill the parts on one block of rows; every polynomial reads one
+        table of the powers xi[d] ** e."""
+        dim, powers = self.dim, {}
         b = bump[0]
-        p = _poly_eval(self.exps, self.coeffs, xi)
-        parts = [p * b]
-        if order >= 1:
-            bq = bump[1]
-            grad = np.empty(xi.shape)
-            for d in range(dim):
-                pd = _poly_eval(*self._d1[d], xi)
-                grad[:, d] = (pd * b + p * bq * 2.0 * xi[:, d]) / self.scale
-            parts.append(grad)
-        if order == 2:
-            bqq = bump[2]
-            pd = [_poly_eval(*self._d1[d], xi) for d in range(dim)]
-            hess = np.empty(xi.shape + (dim,))
+        p = _poly_eval(self.exps, self.coeffs, xi, powers)
+        parts[0][:] = p * b
+        if len(parts) == 1:
+            return
+        bq = bump[1]
+        pd = [_poly_eval(*self._d1[d], xi, powers) for d in range(dim)]
+        pbq2 = p * bq * 2.0
+        for d in range(dim):
+            parts[1][:, d] = (pd[d] * b + pbq2 * xi[d]) / self.scale
+        if len(parts) == 3:
+            bqq, hess = bump[2], parts[2]
             for d1 in range(dim):
                 for d2 in range(d1, dim):
-                    pdd = _poly_eval(*self._d2[d1][d2], xi)
+                    pdd = _poly_eval(*self._d2[d1][d2], xi, powers)
                     h = (
                         pdd * b
-                        + pd[d1] * bq * 2.0 * xi[:, d2]
-                        + pd[d2] * bq * 2.0 * xi[:, d1]
-                        + p * (bqq * 4.0 * xi[:, d1] * xi[:, d2])
+                        + pd[d1] * bq * 2.0 * xi[d2]
+                        + pd[d2] * bq * 2.0 * xi[d1]
+                        + p * (bqq * 4.0 * xi[d1] * xi[d2])
                     )
                     if d1 == d2:
                         h = h + p * bq * 2.0
                     hess[:, d1, d2] = h / self.scale**2
                     hess[:, d2, d1] = hess[:, d1, d2]
-            parts.append(hess)
-        return parts
 
     def value(self, coords) -> np.ndarray:
         return self.jet(coords, 0)[0]

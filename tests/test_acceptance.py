@@ -102,7 +102,7 @@ def test_criterion_1_group_measure_suite():
         se = math.sqrt(v1.var() / cases + v2.var() / cases)
         assert abs(float(v1.mean() - v2.mean())) <= 3.0 * se
     elapsed = time.time() - t0
-    _report_line("criterion 1 group/measure", True, f"{len(GROUP_SETS)} groups x {cases} cases", elapsed, 60)
+    _report_line("criterion 1 group/measure", elapsed <= 60, f"{len(GROUP_SETS)} groups x {cases} cases", elapsed, 60)
     assert elapsed <= 60
 
 
@@ -122,7 +122,7 @@ def test_criterion_2_distance_suite(cfg_h1, cfg_noniso):
         assert rep.stats["equivalence"]["ratio_min"] > 0
         assert rep.frozen or not cfg.frozen_for("distance")
     elapsed = time.time() - t0
-    _report_line("criterion 2 distance", True, "; ".join(details), elapsed, 60)
+    _report_line("criterion 2 distance", elapsed <= 60, "; ".join(details), elapsed, 60)
     assert elapsed <= 60
 
 
@@ -140,7 +140,7 @@ def test_criterion_3_kernel_suite(cfg_h1, cfg_noniso):
     elapsed = time.time() - t0
     _report_line(
         "criterion 3 kernel",
-        True,
+        elapsed <= 300,
         f"anchor err {rep_h1.stats['origin_abs_error']:.2e}, "
         f"c3 {rep_h1.stats['log_gradient_constant']:.3f}, "
         f"c4 {rep_h1.stats['t_log_derivative_constant']:.3f}",
@@ -163,7 +163,7 @@ def test_criterion_4_polar_suite(cfg_h1, cfg_noniso):
         assert rep.stats["last_path_check"]["speed_rel_error"] <= 1e-8
         assert rep.stats["change_of_variables"]["rel_difference"] <= 1e-4
     elapsed = time.time() - t0
-    _report_line("criterion 4 polar", True, "both groups", elapsed, 120)
+    _report_line("criterion 4 polar", elapsed <= 120, "both groups", elapsed, 120)
     assert elapsed <= 120
 
 
@@ -178,7 +178,7 @@ def test_criterion_5_ray_integral_suite(cfg_h1, cfg_noniso):
         assert all(v > 0 for v in counts.values())
         details.append(f"{cfg.group.label()}: sup {rep.stats['sup_ratio']:.3f} over {counts}")
     elapsed = time.time() - t0
-    _report_line("criterion 5 ray integral", True, "; ".join(details), elapsed, 300)
+    _report_line("criterion 5 ray integral", elapsed <= 300, "; ".join(details), elapsed, 300)
     assert elapsed <= 300
 
 
@@ -197,7 +197,7 @@ def test_criterion_6_inequality_suite(cfg_h1):
     elapsed = time.time() - t0
     _report_line(
         "criterion 6 inequalities",
-        True,
+        elapsed <= 900,
         f"K {li.stats['gradient_bound']['constant']:.3f}, "
         f"K' {lse.stats['entropy_constant']:.3f}, K'' {lse.stats['variance_constant']:.3f}, "
         f"cheeger {cheeger.stats['global']:.3f}",
@@ -223,7 +223,7 @@ def test_criterion_7_determinism(cfg_h1):
         b = dumps_report(run_suite(name, small))
         assert a == b, f"suite {name} is not rerun-deterministic"
     elapsed = time.time() - t0
-    _report_line("criterion 7 determinism", True, "distance/lemma6/li byte-identical", elapsed, 300)
+    _report_line("criterion 7 determinism", elapsed <= 300, "distance/lemma6/li byte-identical", elapsed, 300)
     assert elapsed <= 300
 
 

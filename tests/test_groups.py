@@ -88,6 +88,32 @@ def test_multiply_one_point_against_rows_is_each_rows_product(any_group):
         np.testing.assert_array_equal(right[idx], multiply_flat(params, rows[idx], g))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [GroupParams(1, (1,), (1.0,)), GroupParams(2, (1, 2), (0.5, 1.0)), GroupParams(3, (2, 1, 1), (0.3, 0.6, 1.0))],
+    ids=["h1", "noniso", "three"],
+)
+def test_multiply_twist_matches_the_row_sum(params):
+    # the twist adds its pair terms column by column; np.sum over each row
+    # adds the same terms in the same order, so the products agree bit for bit
+    def row_sum_product(A, B):
+        n = params.n
+        xa, ya, xb, yb = A[..., 0 : 2 * n : 2], A[..., 1 : 2 * n : 2], B[..., 0 : 2 * n : 2], B[..., 1 : 2 * n : 2]
+        out = A + B
+        out[..., 2 * n] += 2.0 * np.sum(params.pair_a * (ya * xb - xa * yb), axis=-1)
+        return out
+
+    rows = philox(13, 0).standard_normal((20000, params.dim)) * 3.0
+    other = philox(13, 1).standard_normal((20000, params.dim))
+    g = philox(13, 2).standard_normal(params.dim)
+    for A, B in [(g, rows), (rows, g), (rows, other), (np.zeros(params.dim), -rows)]:
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            got = multiply_flat(params, layout(A), layout(B))
+            assert got.flags.f_contiguous == (layout is np.asfortranarray)
+            assert np.array_equal(got, row_sum_product(A, B))
+            assert np.array_equal(np.signbit(got), np.signbit(row_sum_product(A, B)))
+
+
 def test_identity_and_inverse(any_group, rng):
     params = any_group
     o = np.zeros(params.dim)

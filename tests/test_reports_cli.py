@@ -466,6 +466,30 @@ def test_li_with_every_case_excluded_is_a_failed_verdict(tmp_path, cli_env):
     assert any("all cases excluded" in note for note in report["notes"])
 
 
+def test_lse_poe_on_one_path_is_a_failed_verdict(tmp_path, cli_env):
+    # one path has no variance, so the small-h ratios are zero: exit 1 with
+    # a note, not a division error
+    path = tmp_path / "one_path.json"
+    path.write_text(
+        json.dumps(
+            {
+                "seed": 1,
+                "group": {"l": 1, "k": [1], "a": [1.0]},
+                "suites": ["lse-poe"],
+                "sizes": {"family": 8, "li_points": 1},
+                "diffusion": {"paths": 1},
+            }
+        )
+    )
+    out = tmp_path / "out"
+    r = _run_cli(["--config", str(path), "verify", "--output-dir", str(out)], tmp_path, cli_env)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr, r.stderr
+    assert "[FAIL] lse-poe" in r.stdout
+    report = json.loads((out / "lse-poe.json").read_text())
+    assert any("zero or not finite" in note for note in report["notes"])
+
+
 def test_config_rejects_workers_key(tmp_path, cli_env):
     # the sampler has no worker count: a config key naming one is unknown
     path = _write_config(tmp_path, workers=1)

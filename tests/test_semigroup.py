@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nilheat import semigroup
-from nilheat.groups import block_norms_sq_flat, dilate_flat, horizontal_components, multiply_flat
+from nilheat.groups import GroupParams, block_norms_sq_flat, dilate_flat, horizontal_components, multiply_flat
 from nilheat.distance import distance_squared_arrays
 from nilheat.kernel import QuadratureError, QuadratureSpec, kernel_derivatives, kernel_points, kernel_zsq
 from nilheat.sampling import ball_bounding_box, philox, unit_ball_points
@@ -442,6 +442,26 @@ def test_mean_se_counts_fill_rows():
         dense = np.concatenate([kept, np.full(count - k, fill)])
         assert_allclose(_mean_se(kept, count, fill), _mean_se(dense), rtol=1e-14, atol=0)
     assert _mean_se(dense) == (float(np.mean(dense)), float(np.std(dense) / math.sqrt(count)))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [GroupParams(1, (1,), (1.0,)), GroupParams(2, (1, 2), (0.5, 1.0)), GroupParams(3, (2, 1, 1), (0.3, 0.6, 1.0))],
+    ids=["h1", "noniso", "three"],
+)
+def test_gradient_case_reads_either_layout(params):
+    # the sample is column-major; C-ordered copies of W and g . W give the
+    # same floats, so the checks do not depend on the layout
+    W = sample_heat_points(params, 0.5, DiffusionSpec(paths=5000, seed=3))
+    assert W.flags.f_contiguous
+    g = philox(3, 1).uniform(-1.0, 1.0, params.dim)
+    pts = multiply_flat(params, g, W)
+    W_c, pts_c = np.ascontiguousarray(W), np.ascontiguousarray(pts)
+    assert np.array_equal(pts, multiply_flat(params, g, W_c))
+    for f in standard_family(params)[:12]:
+        num, hnorm = semigroup._gradient_case(params, f, g, W, pts)
+        num_c, hnorm_c = semigroup._gradient_case(params, f, g, W_c, pts_c)
+        assert num == num_c and np.array_equal(hnorm, hnorm_c)
 
 
 # Dense references: the formulas of the Monte Carlo checks over f.jet on

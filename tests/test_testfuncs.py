@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nilheat.groups import GroupParams
-from nilheat.testfuncs import TestFunction, indicator_like, linear_bump, standard_family
+from nilheat.testfuncs import _POWER_BLOCK, TestFunction, indicator_like, linear_bump, standard_family
 
 H1 = GroupParams(1, (1,), (1.0,))
 NONISO = GroupParams(2, (1, 2), (0.5, 1.0))
+THREE = GroupParams(3, (2, 1, 1), (0.3, 0.6, 1.0))
 
 
 def _dense_poly(exps, coeffs, xi):
@@ -101,6 +102,32 @@ def test_support_jet_scattered_equals_jet(params):
                 full = np.zeros(w.shape)
                 full[rows] = part
                 assert np.array_equal(full, w) and np.array_equal(full, dense)
+
+
+@pytest.mark.parametrize("params", [H1, NONISO, THREE], ids=["h1", "noniso", "three"])
+def test_column_major_coordinates_give_the_same_jet(params):
+    # the support test and the jet read one coordinate column at a time; a
+    # column-major copy of the rows gives the same rows and parts bit for bit
+    for i, f in enumerate(standard_family(params)):
+        cloud = _cloud(f, 400, seed=i)
+        column_major = np.asfortranarray(cloud)
+        for order in (0, 1, 2):
+            rows, parts = f.support_jet(cloud, order)
+            rows_f, parts_f = f.support_jet(column_major, order)
+            assert np.array_equal(rows, rows_f)
+            for part, part_f in zip(parts + f.jet(cloud, order), parts_f + f.jet(column_major, order)):
+                assert np.array_equal(part, part_f)
+
+
+def test_power_blocks_join_bit_for_bit():
+    # a scale-4 member keeps more rows than one power-table block; the jet
+    # across the block boundary is the dense evaluation bit for bit
+    f = standard_family(H1)[4]
+    assert f.scale == 4.0 and f.exps.max() >= 2
+    cloud = np.asfortranarray(_cloud(f, 4 * _POWER_BLOCK, seed=4))
+    rows, _ = f.support_jet(cloud)
+    assert rows.size > _POWER_BLOCK
+    assert_jet_matches(f, cloud)
 
 
 def test_plateau_bump_matches_dense():
