@@ -77,14 +77,14 @@ def _parse_point(params: GroupParams, text: str):
     return point, zsq
 
 
-def _positive_time(text: str) -> float:
-    """argparse type for --h: a finite positive float."""
+def _positive_float(text: str) -> float:
+    """argparse type for --h and --extent: a finite positive float."""
     try:
         val = float(text)
     except ValueError:
         val = math.nan
     if not (math.isfinite(val) and val > 0):
-        raise argparse.ArgumentTypeError(f"h must be finite and positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return val
 
 
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate the kernel or the distance at a point")
     e.add_argument("quantity", choices=["kernel", "distance"])
     e.add_argument("point", help="comma-separated flat coordinates x_11,y_11,...,t")
-    e.add_argument("--h", type=_positive_time, default=1.0, help="kernel time parameter")
+    e.add_argument("--h", type=_positive_float, default=1.0, help="kernel time parameter")
 
     p = sub.add_parser(
         "plot",
@@ -252,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("quantity", choices=["kernel-slice", "distance-sphere", "ratio-cloud"])
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--points", type=_positive_count, default=200)
-    p.add_argument("--extent", type=float, default=6.0, help="kernel-slice t range")
-    p.add_argument("--h", type=_positive_time, default=1.0)
+    p.add_argument("--extent", type=_positive_float, default=6.0, help="kernel-slice t range")
+    p.add_argument("--h", type=_positive_float, default=1.0)
     return ap
 
 

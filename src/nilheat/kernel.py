@@ -33,6 +33,7 @@ has to be near:
 
 - sigma is |theta| floored onto rungs of pi/64, at most the top rung
   59/64 pi, which boundary-branch points take; the t = 0 slice takes 0.
+  A caller that knows the angles passes them as `theta`.
 - omega = 2 pi/Delta is at least tau + C/pi and C/(pi - sigma), the
   aliasing terms of the shifts down to Im lambda = -pi and up to the pole
   at i pi, and sqrt(2 C kappa), kappa = sum_j Z_j a_j^2 mu'(a_j sigma)
@@ -45,12 +46,12 @@ has to be near:
 
 omega and L are rounded up onto rungs of an eighth of an octave, so a
 point's grid depends only on its (sigma, omega, L) rungs, never on the
-other points of its call.  Points with equal rungs share a grid and its
-complex node tables, sum_j k_j log(x_j/sinh x_j) and x_j coth x_j at
-x_j = a_j lambda_k.  log E is the first minus a part linear in the block
-norms, so m points meet N nodes in two real (m, l) x (l, N) products,
-then one `exp` and one `cos` per entry; the sums run in chunks of about
-`_CHUNK` (point, node) entries.
+other points of its call.  Points with equal rungs, packed into one
+integer key, share a grid and its complex node tables, sum_j k_j
+log(x_j/sinh x_j) and x_j coth x_j at x_j = a_j lambda_k.  log E is the
+first minus a part linear in the block norms, so m points meet N nodes
+in two real (m, l) x (l, N) products, then one `exp` and one `cos` per
+entry; the sums run in chunks of about `_CHUNK` (point, node) entries.
 
 The value returned is the Delta/2 sum, which reuses every node of the
 Delta sum.  Its error estimate is |I_Delta - I_{Delta/2}|, plus the tail
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import distance_squared_arrays, mu_prime, solve_theta_arrays
+from .distance import _SOLVE_BLOCK, _flat_rows, distance_squared_arrays, mu_prime, solve_theta_arrays
 from .groups import GroupParams, _check_trailing, block_norms_sq_flat, horizontal_components
 from .reports import VerificationReport
 
@@ -101,6 +102,8 @@ _NODE_CAP = 1 << 16  # nodes per point on the Delta/2 grid
 _CHUNK = 3e4  # (point, node) entries per chunk of the sums
 _RADIAL_BLOCK = 1 << 20  # (row, t) entries per integrand call in integrate_radial
 _GRID_TILE = 16  # rows per matrix product of kernel_product_grid
+_KEY_DIMS = (_TOP_RUNG + 1, 1 << 16, 1 << 16)  # (sigma, omega, L) rung fields of a grid key
+_KEY_HALF = 1 << 15  # offset of the omega and L rungs: 8 rungs per octave of any double fit
 
 
 class QuadratureError(RuntimeError):
@@ -189,15 +192,15 @@ def _check_inputs(params: GroupParams, h, zsq, t):
     return np.reshape(norm, h.shape)
 
 
-def _sigma_rungs(params: GroupParams, zsq, t):
-    """Rung index of the line height per point: |theta| floored onto
-    rungs of pi/64, capped at the top rung; 0 on the t = 0 slice."""
-    rung = np.zeros(t.shape, dtype=np.int64)
+def _sigma_rungs(params: GroupParams, zsq, t, theta=None):
+    """Rung index of the line height per point: |theta|, solved unless
+    given, floored onto rungs of pi/64 up to the top rung; 0 where t = 0."""
+    rung = np.zeros(t.shape, dtype=np.int8)
     on = np.flatnonzero(t != 0.0)  # the origin would make the angle solve raise
     if on.size:
-        theta, branch, _ = solve_theta_arrays(params, zsq[on], t[on])
-        angle = np.where(branch == 2, math.pi, np.abs(theta))
-        rung[on] = np.minimum(np.floor(angle * (_SIGMA_RUNGS / math.pi)), _TOP_RUNG)
+        angle = solve_theta_arrays(params, zsq[on], t[on])[0] if theta is None else theta[on]
+        # fmin: NaN, the boundary branch's angle, takes the top rung as pi does
+        rung[on] = np.fmin(np.floor(np.abs(angle) * (_SIGMA_RUNGS / math.pi)), _TOP_RUNG)
     return rung
 
 
@@ -298,49 +301,68 @@ def _line_sums(params, Z, tau, sigma, step, count, derivs=False):
     return out
 
 
-def _trapezoid(params, Z, tau, rung, spec, derivs=False):
-    """Saddle-line trapezoid integrals I at reduced points Z (m, l) and
-    tau (m,) whose line heights sit on the sigma rungs `rung` (m,): points
-    with equal (sigma, omega, L) rungs share one grid."""
-    sigma = rung * (math.pi / _SIGMA_RUNGS)
-    w_rung, cut_rung = _grid_rungs(params, Z, tau, sigma, spec)
-    m = Z.shape[0]
-    order = np.lexsort((cut_rung, w_rung, rung))
-    keys = np.stack([rung[order], w_rung[order], cut_rung[order]])
-    starts = np.flatnonzero(np.r_[m > 0, np.any(keys[:, 1:] != keys[:, :-1], axis=0)])
+def _reduced(zs, ts, hs):
+    """Reduced block norms Z = zs/4h (m, l) and tau = |t|/4h (m,)."""
+    four_h = 4.0 * hs
+    return zs / four_h[:, None], np.abs(ts) / four_h
+
+
+def _trapezoid(params, zs, ts, hs, rung, spec, derivs=False):
+    """Saddle-line trapezoid integrals I at points zs (m, l), ts (m,), times
+    hs (m,) and sigma rungs `rung` (m,): points with equal (sigma, omega, L)
+    rungs share one grid.  Z and tau are formed per block and per grid."""
+    m = ts.shape[0]
+    key = np.empty(m, dtype=np.int64)
+    for s in range(0, m, _SOLVE_BLOCK):
+        blk = slice(s, s + _SOLVE_BLOCK)
+        Z, tau = _reduced(zs[blk], ts[blk], hs[blk])
+        w_rung, cut_rung = _grid_rungs(params, Z, tau, rung[blk] * (math.pi / _SIGMA_RUNGS), spec)
+        fields = (rung[blk], w_rung + _KEY_HALF, cut_rung + _KEY_HALF)
+        key[blk] = np.ravel_multi_index(fields, _KEY_DIMS)  # sorts as (sigma, omega, L)
+    order = np.argsort(key, kind="stable")  # a grid's points stay in input order
+    key.sort()
+    starts = np.flatnonzero(np.r_[m > 0, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], m]
-    grids = [_grid(keys[1, s], keys[2, s], spec) for s in starts]  # raise before any work
+    lines = np.transpose(np.unravel_index(key[starts], _KEY_DIMS)).tolist()
+    del key  # the grids' sums below set the peak memory of a large call
+    grids = [_grid(w - _KEY_HALF, cut - _KEY_HALF, spec) for _, w, cut in lines]  # raise first
     out = {"val": np.empty(m), "err": np.empty(m)}
     if derivs:
         out["dtau"], out["dcoth"] = np.empty(m), np.empty((m, params.l))
-    for s, e, (step, count) in zip(starts, ends, grids):
+    for s, e, (r, _, _), (step, count) in zip(starts, ends, lines, grids):
         sel = order[s:e]
-        part = _line_sums(params, Z[sel], tau[sel], sigma[sel[0]], step, count, derivs)
+        Z, tau = _reduced(zs[sel], ts[sel], hs[sel])
+        part = _line_sums(params, Z, tau, r * (math.pi / _SIGMA_RUNGS), step, count, derivs)
         for name, arr in part.items():
             out[name][sel] = arr
     return out
 
 
-def _integrals(params: GroupParams, h, zsq, t, spec, derivs=False):
+def _integrals(params: GroupParams, h, zsq, t, spec, derivs=False, theta=None):
     """Check h (...), zsq (..., l) and t (...), broadcast them against one
     another and run `_trapezoid` on the flat points.  Returns the common
     shape, the flat h (m,), the flat prefactor (m,) and the integrals.  h
     enters the engine only through Z = zsq/4h and tau = |t|/4h; the line
-    heights come from the angles of (zsq, t) themselves."""
+    heights come from the angles of (zsq, t), one per point however many
+    times h repeats it."""
     norm = _check_inputs(params, h, zsq, t)
-    shape = np.broadcast_shapes(zsq.shape[:-1], t.shape, norm.shape)
+    pz, pt, points = _flat_rows(params, zsq, t)
+    shape = np.broadcast_shapes(points, norm.shape)
+    if theta is not None:
+        theta = np.broadcast_to(np.asarray(theta, dtype=float), points).reshape(-1)
+    rung = np.broadcast_to(_sigma_rungs(params, pz, pt, theta).reshape(points), shape).reshape(-1)
     zs = np.ascontiguousarray(np.broadcast_to(zsq, shape + (params.l,)).reshape(-1, params.l))
     ts = np.broadcast_to(t, shape).reshape(-1)
     hs = np.broadcast_to(np.asarray(h, dtype=float), shape).reshape(-1)
-    four_h = 4.0 * hs
-    rung = _sigma_rungs(params, zs, ts)
-    out = _trapezoid(params, zs / four_h[:, None], np.abs(ts) / four_h, rung, spec, derivs)
+    out = _trapezoid(params, zs, ts, hs, rung, spec, derivs)
     return shape, hs, np.broadcast_to(norm, shape).reshape(-1), out
 
 
-def kernel_zsq(params: GroupParams, h, zsq, t, spec=None):
+def kernel_zsq(params: GroupParams, h, zsq, t, spec=None, *, theta=None):
     """Kernel values from block norms: zsq (..., l), t (...) and h, a
-    number or an array, broadcast against one another.
+    number or an array, broadcast against one another.  theta (keyword
+    only): the points' angles where known (eta at Psi(u, eta)); an angle
+    sets only the line height: any angle gives the integral to spec.tol.
 
     Returns (values, errors) of the broadcast shape with the
     (4 pi h)^{-(n+1)} prefactor applied.
@@ -348,8 +370,8 @@ def kernel_zsq(params: GroupParams, h, zsq, t, spec=None):
     spec = spec or QuadratureSpec()
     zsq = np.asarray(zsq, dtype=float)
     t = np.asarray(t, dtype=float)
-    shape, _, norm, out = _integrals(params, h, zsq, t, spec)
-    return (norm * out["val"]).reshape(shape), (norm * out["err"]).reshape(shape)
+    shape, _, norm, out = _integrals(params, h, zsq, t, spec, theta=theta)
+    return tuple(np.multiply(out[k], norm, out=out[k]).reshape(shape) for k in ("val", "err"))
 
 
 def kernel_points(params: GroupParams, h, coords, spec=None):

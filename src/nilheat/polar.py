@@ -360,7 +360,7 @@ def _ray_edges(eta, decay, v_hi, panels=28):
 
 _RAY_TAIL_MARGIN = 40.0  # log-units; e^-40 relative truncation of the ray
 _GAUSS10 = np.polynomial.legendre.leggauss(10)  # per-panel rule on the rays
-_RAY_BLOCK = 250  # rays per kernel call: fewer calls, a bounded working set
+_RAY_BLOCK = 250  # rays per block of node temporaries: a bounded working set
 
 
 def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
@@ -380,10 +380,10 @@ def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
     would swamp the exponentially small true values).  The truncated part
     enters the error estimate through the analytic Gaussian bound.
 
-    The rays go to the kernel in blocks of `_RAY_BLOCK`, cut from the rays
-    in order of |eta|: one `kernel_zsq` call per block takes every ray node
-    of the block plus the block's v = 1 points, and `np.add.reduceat` sums
-    each ray's nodes.  The results are written by ray index.  A ray
+    One `kernel_zsq` call takes every ray node, at its chart angle v eta,
+    and every v = 1 point, ray by ray in order of |eta|, filled in blocks
+    of `_RAY_BLOCK` rays, which bound the temporaries.
+    `np.add.reduceat` sums each ray's nodes.  A ray
     outside the chart (u_l = 0, or |eta| not in (0, pi)) raises
     PolarDomainError.
     """
@@ -394,27 +394,30 @@ def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
     vmax = math.pi / np.abs(eta)
     decay = speed_sq_arrays(params, usq) * eta * eta
     v_hi = np.minimum(vmax, np.sqrt(1.0 + 4.0 * _RAY_TAIL_MARGIN / np.maximum(decay, 1e-12)))
-    integral, int_err, p0, p0err = (np.empty(eta.size) for _ in range(4))
-    # blocks of rays with near |eta|: their nodes share more grids
     by_eta = np.argsort(np.abs(eta), kind="stable")
+    edges = [_ray_edges(eta[i], decay[i], v_hi[i]) for i in by_eta]
+    sizes = np.array([(e.size - 1) * _GAUSS10[0].size for e in edges], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    nodes = int(sizes.sum())
+    # ray nodes first, then the v = 1 points
+    zsq, tv, angle = np.empty((nodes + eta.size, params.l)), *np.empty((2, nodes + eta.size))
+    jw = np.empty(nodes)
     for s in range(0, eta.size, _RAY_BLOCK):
-        rays = by_eta[s : s + _RAY_BLOCK]
-        rules = [_panel_rule(_ray_edges(eta[i], decay[i], v_hi[i]), *_GAUSS10) for i in rays]
-        sizes = np.array([v.size for v, _ in rules])
-        owner = np.repeat(rays, sizes)
-        etav = np.concatenate([v for v, _ in rules]) * eta[owner]
-        wts = np.concatenate([w for _, w in rules])
-        Jv = jacobian_closed_form_arrays(params, usq[owner], etav)
-        # ray nodes first, then the block's v = 1 points
-        zsq, tv = _psi_norms(
-            params, np.concatenate([usq[owner], usq[rays]]), np.concatenate([etav, eta[rays]])
-        )
-        pv, perr = kernel_zsq(params, 1.0, zsq, tv, spec)
-        nodes = etav.size
-        starts = np.cumsum(sizes) - sizes
-        integral[rays] = np.add.reduceat(pv[:nodes] * Jv * wts, starts)
-        int_err[rays] = np.add.reduceat(perr[:nodes] * Jv * np.abs(wts), starts)
-        p0[rays], p0err[rays] = pv[nodes:], perr[nodes:]
+        rules = [_panel_rule(e, *_GAUSS10) for e in edges[s : s + _RAY_BLOCK]]
+        v, w = (np.concatenate(part) for part in zip(*rules))
+        owner = np.repeat(by_eta[s : s + _RAY_BLOCK], sizes[s : s + _RAY_BLOCK])
+        blk = slice(starts[s], starts[s] + v.size)
+        angle[blk] = v * eta[owner]
+        jw[blk] = jacobian_closed_form_arrays(params, usq[owner], angle[blk]) * w
+        zsq[blk], tv[blk] = _psi_norms(params, usq[owner], angle[blk])
+        del rules, v, w, owner  # the kernel call below sets the peak memory
+    angle[nodes:] = eta[by_eta]
+    zsq[nodes:], tv[nodes:] = _psi_norms(params, usq[by_eta], angle[nodes:])
+    pv, perr = kernel_zsq(params, 1.0, zsq, tv, spec, theta=angle)
+    back = np.argsort(by_eta)  # each ray's place in order of |eta|
+    integral = np.add.reduceat(pv[:nodes] * jw, starts)[back]
+    int_err = np.add.reduceat(perr[:nodes] * np.abs(jw), starts)[back]
+    p0, p0err = pv[nodes:][back], perr[nodes:][back]
 
     J0 = jacobian_closed_form_arrays(params, usq, eta)
     # Gaussian bound on each dropped tail, relative to the v = 1 scale

@@ -130,8 +130,8 @@ def test_ray_block_values_above_their_errors(noniso, monkeypatch):
 
     calls = []
 
-    def recording_kernel_zsq(params, h, zsq, t, spec=None):
-        out = kernel_zsq(params, h, zsq, t, spec)
+    def recording_kernel_zsq(params, h, zsq, t, spec=None, **kwargs):
+        out = kernel_zsq(params, h, zsq, t, spec, **kwargs)
         calls.append((np.asarray(t), *out))
         return out
 
@@ -520,9 +520,9 @@ def test_mixed_batch_matches_single_point_calls(noniso, monkeypatch):
     # ray nodes: the block norms and t values one ray integral sends to the kernel
     calls = []
 
-    def recording_kernel_zsq(params, h, zsq, t, spec=None):
+    def recording_kernel_zsq(params, h, zsq, t, spec=None, **kwargs):
         calls.append((np.array(zsq, dtype=float), np.array(t, dtype=float)))
-        return kernel_zsq(params, h, zsq, t, spec)
+        return kernel_zsq(params, h, zsq, t, spec, **kwargs)
 
     monkeypatch.setattr(polar, "kernel_zsq", recording_kernel_zsq)
     polar.ray_integral_check(noniso, np.array([0.4, 0.2, 0.0, 0.3, 0.8, 0.0]), 0.9)

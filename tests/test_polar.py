@@ -1,7 +1,10 @@
 """Chart coordinates: map, inverse, Jacobian, regions, ray integrals."""
 
+import json
 import math
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ from numpy.testing import assert_allclose
 
 from nilheat.distance import distance_squared_arrays, solve_theta_arrays
 from nilheat.groups import GroupParams, block_norms_sq_flat
+from nilheat.kernel import kernel_zsq
+import nilheat.kernel as ker
 from nilheat.polar import (
     ANGLE_MARGIN,
     ANGLE_SPLIT,
@@ -32,7 +37,7 @@ from nilheat.polar import (
 )
 import nilheat.polar as polar_module
 from nilheat.sampling import philox
-from nilheat.suites import RunConfig, suite_lemma6
+from nilheat.suites import RunConfig, config_from_dict, suite_lemma6
 from nilheat.testfuncs import linear_bump, standard_family
 
 
@@ -406,6 +411,54 @@ def test_ray_blocks_cut_in_order_of_eta(noniso, monkeypatch):
     moved = ray_integrals(noniso, u[perm], eta[perm])
     for key, val in out.items():
         np.testing.assert_array_equal(moved[key], val[perm])
+
+
+def _lemma6_cloud(name):
+    """Group, lemma6 chart cloud and quadrature of configs/<name>.json."""
+    with open(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json") as fh:
+        cfg = config_from_dict(json.load(fh))
+    u, eta, _, _ = sample_exterior_cloud(cfg.group, cfg.sizes["lemma6_points"], cfg.seed)
+    return cfg.group, u, eta, cfg.quadrature
+
+
+@pytest.mark.parametrize("name", ["h1", "noniso", "three"])
+def test_ray_node_angles_give_the_solved_rungs(name, monkeypatch):
+    # a ray node's chart angle v eta is its Carnot-Caratheodory angle: on
+    # every lemma6 ray node it floors onto the rung the angle solve gives,
+    # so the kernel values with and without it are the same bits
+    params, u, eta, spec = _lemma6_cloud(name)
+    calls = []
+
+    def recording_kernel_zsq(params, h, zsq, t, spec=None, **kwargs):
+        out = kernel_zsq(params, h, zsq, t, spec, **kwargs)
+        calls.append((zsq, t, kwargs["theta"], *out))
+        return out
+
+    monkeypatch.setattr(polar_module, "kernel_zsq", recording_kernel_zsq)
+    ray_integrals(params, u, eta, spec)
+    assert len(calls) == 1
+    zsq, t, theta, vals, errs = calls[0]
+    assert t.size > 100 * eta.size
+    np.testing.assert_array_equal(
+        ker._sigma_rungs(params, zsq, t, theta), ker._sigma_rungs(params, zsq, t)
+    )
+    solved = kernel_zsq(params, 1.0, zsq, t, spec)
+    np.testing.assert_array_equal(solved[0], vals)
+    np.testing.assert_array_equal(solved[1], errs)
+
+
+def test_ray_integrals_memory_peak():
+    # one kernel call over the 1,000-ray noniso cloud's ~103k nodes: the
+    # node arrays are filled block by block and the kernel holds no
+    # full-length reduced coordinates, keys or sigma array
+    params, u, eta, spec = _lemma6_cloud("noniso")
+    tracemalloc.start()
+    try:
+        ray_integrals(params, u, eta, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2**20
 
 
 @pytest.mark.parametrize("count", [1, polar_module._RAY_BLOCK + 1])

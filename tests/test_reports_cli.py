@@ -171,6 +171,22 @@ def test_cli_verify_roundtrip_and_determinism(tmp_path, config_path, cli_env):
     assert c != a
 
 
+def test_cli_plot_rejects_a_bad_extent_or_h(tmp_path, config_path, cli_env):
+    # the slice's t range and time are finite positive numbers; each bad value
+    # is a usage error naming its flag, with no numpy warning on the way
+    out = tmp_path / "slice.csv"
+    for flag, value in [("--extent", v) for v in ("inf", "nan", "-4", "0", "x")] + [("--h", "-1")]:
+        r = _run_cli(
+            ["--config", config_path, "plot", "kernel-slice", "--out", str(out), flag, value],
+            tmp_path,
+            cli_env,
+        )
+        _assert_usage_error(r)
+        assert f"argument {flag}: expected a finite positive number" in r.stderr
+        assert "Warning" not in r.stderr
+        assert not out.exists()
+
+
 def test_cli_eval_kernel_anchor(tmp_path, config_path, cli_env):
     r = _run_cli(["--config", config_path, "eval", "kernel", "0,0,0", "--h", "1.0"], tmp_path, cli_env)
     assert r.returncode == 0
