@@ -175,7 +175,12 @@ def _check_inputs(params: GroupParams, h, zsq, t):
     return the prefactor (4 pi h)^{-(n+1)} per entry of h (an array of h's
     shape), which must be finite.  zsq must have a trailing axis of l block
     norms.  The prefactor is Python's power of each entry, so an array entry
-    carries the bits of the same h passed as a number."""
+    carries the bits of the same h passed as a number.
+
+    tau = |t|/4h and Z_j = |z_j|^2/4h must be finite.  Both are bounded from
+    the largest |t|, the largest zsq and the smallest h, with no temporary
+    of the broadcast shape, so a call whose largest |t| and smallest h sit
+    on different points is rejected when that bound overflows."""
     _check_trailing(zsq, params.l)
     h = np.asarray(h, dtype=float)
     bad = ~(np.isfinite(h) & (h > 0.0))
@@ -189,6 +194,11 @@ def _check_inputs(params: GroupParams, h, zsq, t):
         norm = [(4.0 * math.pi * v) ** (-(params.n + 1)) for v in h.ravel().tolist()]
     except OverflowError:
         raise ValueError(f"prefactor (4 pi h)^-{params.n + 1} overflows at h = {h.min()}") from None
+    h_min = float(h.min(initial=math.inf))
+    t_max = max(float(np.max(t, initial=0.0)), -float(np.min(t, initial=0.0)))
+    for name, part, top in (("tau", "|t|", t_max), ("Z_j", "|z_j|^2", float(np.max(zsq, initial=0.0)))):
+        if not math.isfinite(top / (4.0 * h_min)):
+            raise ValueError(f"{name} = {part}/4h overflows: {part} up to {top:.3g} at h = {h_min:.3g}")
     return np.reshape(norm, h.shape)
 
 

@@ -326,7 +326,7 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     x_sinh, x_coth = (np.divide(x, f(x), out=np.ones_like(x), where=x > 0) for f in (np.sinh, np.tanh))
     exact = np.prod(x_sinh ** np.asarray(params.k), axis=-1) * np.exp(-0.25 * zeta @ x_coth.T)
     fourier = 2.0 * (4.0 * math.pi) ** params.n * t_wts[:, None] * np.cos(np.multiply.outer(t_nodes, mu / 4.0))
-    for name, (vals, _) in (("grid", ker.kernel_product_grid(params, 1.0, zeta, t_nodes)),
+    for name, (vals, _) in (("grid", ker.kernel_product_grid(params, 1.0, zeta, t_nodes, spec)),
                             ("points", ker.kernel_zsq(params, 1.0, zeta[:4, None], t_nodes, spec))):
         dev = float(np.max(np.abs(vals @ fourier - exact[: len(vals)]) / exact[: len(vals), :1]))
         rep.stats[f"t_fourier_{name}_max"] = dev
@@ -357,14 +357,13 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
     nsym = cfg.sizes["symmetry_points"]
     pts = uniform_box(params, CloudSpec(nsym, 1.5, 1.5, cfg.seed), stream=5)
     pts = pts[kernel_feasible_mask(params, pts)]
-    vals, _ = ker.kernel_points(params, 1.0, pts, spec)
+    out = ker.kernel_derivatives(params, 1.0, pts, spec)
+    vals, dp = out["p"], out["dp"]
     vals_inv, _ = ker.kernel_points(params, 1.0, inverse_flat(pts), spec)
     inv_err = float(np.max(np.abs(vals - vals_inv) / vals))
     rep.stats["inversion_symmetry_max"] = inv_err
     rep.require(inv_err <= 1e-8, "inversion symmetry broken")
 
-    out = ker.kernel_derivatives(params, 1.0, pts, spec)
-    dp = out["dp"]
     n = params.n
     x, y = pts[:, 0 : 2 * n : 2], pts[:, 1 : 2 * n : 2]
     lhs = x * dp[:, 1 : 2 * n : 2]
@@ -441,14 +440,14 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     zsq = block_norms_sq_flat(params, coords)
 
     # angle coordinate and distance along the chart
-    theta, branch, _ = dist.solve_theta_arrays(params, zsq, coords[:, -1])
+    d2, theta, _, _ = dist.distance_squared_arrays(params, zsq, coords[:, -1], return_parts=True)
     ang_err = float(np.max(np.abs(theta - eta)))
     rep.stats["angle_roundtrip_max"] = ang_err
     rep.require(ang_err <= 1e-10, "angle coordinate of the chart is off")
 
     usq = block_norms_sq_flat(params, u)
     Ueta = np.sqrt(polar.speed_sq_arrays(params, usq)) * np.abs(eta)
-    d = np.sqrt(dist.distance_squared_arrays(params, zsq, coords[:, -1]))
+    d = np.sqrt(d2)
     d_err = float(np.max(np.abs(d - Ueta) / Ueta))
     rep.stats["distance_vs_speed_max"] = d_err
     rep.require(d_err <= 1e-8, "chart distance must equal U |eta|")
@@ -615,7 +614,7 @@ def suite_li(cfg: RunConfig) -> VerificationReport:
     # commutation and integration by parts on a mid-sized member
     f = fam[4]
     g0 = points[min(1, len(points) - 1)]  # the second point, or the only one
-    comm = sg.check_commutation(params, f, 1.0, g0, cfg.diffusion(22), method="mc")
+    comm = sg.check_commutation(params, f, 1.0, g0, cfg.diffusion(22))
     rep.stats["commutation_worst"] = comm.stats["worst_rel_error"]
     rep.require(bool(comm.passed), "commutation mismatch")
 
@@ -625,7 +624,7 @@ def suite_li(cfg: RunConfig) -> VerificationReport:
         rep.require(bool(ibp.passed), "integration by parts mismatch")
         # a unit-scale function keeps the reduced gradient well away from
         # zero, so the relative comparison is meaningfully conditioned
-        red = sg.check_translation_dilation_reduction(params, fam[2], 0.8, g0)
+        red = sg.check_translation_dilation_reduction(params, fam[2], 0.8, g0, cfg.quadrature)
         rep.stats["reduction"] = dict(red.stats)
         rep.require(bool(red.passed), "translation-dilation reduction mismatch")
 

@@ -1,7 +1,9 @@
 """Heat kernel quadrature: anchor value, scaling, symmetries, derivatives."""
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -588,6 +590,24 @@ def test_h_broadcasts_against_the_points(noniso):
         row = kernel_derivatives(noniso, h, pts)
         assert_allclose(der["p"][i], row["p"], rtol=1e-14, atol=0)
         assert_allclose(der["dp"][i], row["dp"], rtol=1e-14, atol=1e-14 * np.max(np.abs(row["dp"])))
+
+
+@pytest.mark.parametrize(
+    "zsq, t, name",
+    [(0.0, 1e300, "tau = |t|/4h"), (1e300, 0.0, "Z_j = |z_j|^2/4h"), (0.0, -1e300, "tau = |t|/4h")],
+)
+def test_overflowing_tau_or_block_norm_is_rejected(h1, zsq, t, name):
+    # h = 1e-150 has a finite prefactor, but |t|/4h or |z|^2/4h overflows:
+    # a ValueError naming it, before any numpy warning, on both engines
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(name) + " overflows"):
+            kernel_zsq(h1, 1e-150, [zsq], t)
+        with pytest.raises(ValueError, match=re.escape(name) + " overflows"):
+            kernel_product_grid(h1, 1e-150, [[zsq]], [t])
+        # the bound takes the smallest h of an h array
+        with pytest.raises(ValueError, match=re.escape(name) + " overflows"):
+            kernel_zsq(h1, np.array([1.0, 1e-150]), [zsq], t)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-200])

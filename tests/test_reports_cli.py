@@ -223,6 +223,15 @@ def test_cli_eval_rejects_non_finite_input(tmp_path, config_path, cli_env):
         assert r.stdout == ""
 
 
+def test_cli_eval_rejects_overflowing_tau(tmp_path, config_path, cli_env):
+    # the prefactor at h = 1e-150 is finite, but tau = |t|/4h is not
+    r = _run_cli(["--config", config_path, "eval", "kernel", "0,0,1e300", "--h", "1e-150"], tmp_path, cli_env)
+    _assert_usage_error(r)
+    assert "tau = |t|/4h overflows" in r.stderr, r.stderr
+    assert "RuntimeWarning" not in r.stderr, r.stderr
+    assert r.stdout == ""
+
+
 def test_cli_eval_quadrature_failure_is_an_error_line(tmp_path, config_path, cli_env):
     # a cutoff cap too small for the point, or a |t| whose step count
     # exceeds the node cap: exit 1, one error line
