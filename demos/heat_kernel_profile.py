@@ -20,7 +20,6 @@ from nilheat.kernel import (
     integrate_radial,
     kernel_derivatives,
     kernel_points,
-    kernel_product_grid,
     kernel_zsq,
     scaling_deviation,
 )
@@ -48,10 +47,10 @@ for h in (0.25, 1.7, 4.0):
     print(f"  h = {h}: deviation {dev:.2e}")
 
 # the kernel integrates to one (block-radial reduction of the full integral;
-# the block-norm and t rules meet in one product-grid kernel call)
+# the block-norm and t rules meet in one kernel call per block of rows)
 mass_spec = QuadratureSpec(tol=1e-9)
 mass = integrate_radial(
-    h1, lambda zs, t: kernel_product_grid(h1, 1.0, zs, t, mass_spec)[0], rho_max=11.0, t_max=55.0
+    h1, lambda zs, t: kernel_zsq(h1, 1.0, zs, t, mass_spec)[0], rho_max=11.0, t_max=55.0
 )
 print(f"\nkernel mass over the whole group: {mass:.10f}")
 

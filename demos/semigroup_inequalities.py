@@ -37,14 +37,15 @@ one = indicator_like(h1.dim, 60.0)
 val, se = semigroup_estimate(h1, one, 1.0, np.zeros(3), "mc", spec)
 print("semigroup of the constant 1:", val)
 
-# the two evaluation routes
+# the two evaluation routes; quadrature needs the kernel at least as wide
+# as f: 2 sqrt(h) >= f's scale of 4
 fam = standard_family(h1)
 f = fam[4]
 g = np.array([0.3, -0.2, 0.1])
-vq, _ = semigroup_estimate(h1, f, 1.0, g, "quadrature", qspec=QuadratureSpec(tol=1e-9))
-vm, se = semigroup_estimate(h1, f, 1.0, g, "mc", spec)
-print(f"\nsemigroup value: quadrature {vq:.6f}, Monte Carlo {vm:.6f} +- {se:.1e}")
-comps, _ = grad_semigroup_components(h1, f, 1.0, g, "quadrature", qspec=QuadratureSpec(tol=1e-9))
+vq, _ = semigroup_estimate(h1, f, 4.0, g, "quadrature", qspec=QuadratureSpec(tol=1e-9))
+vm, se = semigroup_estimate(h1, f, 4.0, g, "mc", spec)
+print(f"\nsemigroup value at h = 4: quadrature {vq:.6f}, Monte Carlo {vm:.6f} +- {se:.1e}")
+comps, _ = grad_semigroup_components(h1, f, 4.0, g, "quadrature", qspec=QuadratureSpec(tol=1e-9))
 print("gradient norm (quadrature route):", float(np.sqrt(np.sum(comps**2))))
 
 # average over the unit ball, two ways

@@ -62,6 +62,9 @@ Derivatives are taken under the integral sign from the same terms:
 d/dx_{i,j} weights them by -x_{i,j} a_i lambda coth(a_i lambda)/(2h), and
 d/dt by sign(t) i lambda/4h.  Finite differences are test oracles only.
 
+This is the one engine: `kernel_zsq`, `kernel_points`, `kernel_derivatives`
+and the product view `kernel_product_grid` all sum in `_line_sums`.
+
 The suites still clip their clouds with `sampling.kernel_feasible_mask`
 (25 log-units of real-line cancellation, (d^2 - |z|^2)/4h) and truncate
 the rays of `polar.ray_integrals`: these decide which points a cloud
@@ -101,7 +104,6 @@ _OCTAVE_RUNGS = 8  # rungs per octave of omega and L
 _NODE_CAP = 1 << 16  # nodes per point on the Delta/2 grid
 _CHUNK = 3e4  # (point, node) entries per chunk of the sums
 _RADIAL_BLOCK = 1 << 20  # (row, t) entries per integrand call in integrate_radial
-_GRID_TILE = 16  # rows per matrix product of kernel_product_grid
 _KEY_DIMS = (_TOP_RUNG + 1, 1 << 16, 1 << 16)  # (sigma, omega, L) rung fields of a grid key
 _KEY_HALF = 1 << 15  # offset of the omega and L rungs: 8 rungs per octave of any double fit
 
@@ -223,21 +225,29 @@ def _asymptotic_rate(params: GroupParams, Z):
 
 def _grid_rungs(params: GroupParams, Z, tau, sigma, spec):
     """(omega, L) rung indices per point of Z (..., l) and tau for lines at
-    heights sigma: the smallest i with 2^(i/8) at or above each."""
+    heights sigma: the smallest i with 2^(i/8) at or above each.
+    QuadratureError for a rung past the grid key's fields, which only an
+    overflowing omega or L reaches."""
     a = np.asarray(params.a)
     C = 13.0 + math.log(1.0 / spec.tol)
-    kappa = np.sum(Z * a * a * mu_prime(np.multiply.outer(sigma, a)), axis=-1)
-    omega = np.maximum(tau + C / math.pi, C / (math.pi - sigma))
-    omega = np.maximum(omega, np.sqrt(2.0 * C * kappa))
-    rate = _asymptotic_rate(params, Z)
-    # the tail bound 2|E(L)|/r against the value: |E| falls from its
-    # saddle value at rate r, after e^{sum Z_j} of slack for blocks with
-    # a_j < 1, an algebraic factor (2 a_j L)^{k_j} and the saddle width
-    # 1/sqrt(kappa)
-    slack = C + np.sum(Z, axis=-1) + 0.5 * np.log1p(kappa) + np.log(2.0 / rate)
-    algebraic = np.log(2.0 + 2.0 * np.multiply.outer(slack / rate + sigma, a))
-    cut = (slack + algebraic @ np.asarray(params.k)) / rate
-    return tuple(np.ceil(_OCTAVE_RUNGS * np.log2(v)).astype(np.int64) for v in (omega, cut))
+    # a huge Z or tau overflows to inf or nan here, and is refused below
+    with np.errstate(all="ignore"):
+        kappa = np.sum(Z * a * a * mu_prime(np.multiply.outer(sigma, a)), axis=-1)
+        omega = np.maximum(tau + C / math.pi, C / (math.pi - sigma))
+        omega = np.maximum(omega, np.sqrt(2.0 * C * kappa))
+        rate = _asymptotic_rate(params, Z)
+        # the tail bound 2|E(L)|/r against the value: |E| falls from its
+        # saddle value at rate r, after e^{sum Z_j} of slack for blocks with
+        # a_j < 1, an algebraic factor (2 a_j L)^{k_j} and the saddle width
+        # 1/sqrt(kappa)
+        slack = C + np.sum(Z, axis=-1) + 0.5 * np.log1p(kappa) + np.log(2.0 / rate)
+        algebraic = np.log(2.0 + 2.0 * np.multiply.outer(slack / rate + sigma, a))
+        cut = (slack + algebraic @ np.asarray(params.k)) / rate
+        rungs = [np.ceil(_OCTAVE_RUNGS * np.log2(v)) for v in (omega, cut)]
+    for name, rung in zip(("step count omega", "cutoff L"), rungs):
+        if not np.all(np.abs(rung) < _KEY_HALF):  # NaN fails too
+            raise QuadratureError(f"quadrature {name} overflows at this block norm or t")
+    return tuple(rung.astype(np.int64) for rung in rungs)
 
 
 def _grid(w_rung, cut_rung, spec):
@@ -392,59 +402,16 @@ def kernel_points(params: GroupParams, h, coords, spec=None):
     return kernel_zsq(params, h, zsq, coords[..., -1], spec)
 
 
-def kernel_product_grid(params: GroupParams, h: float, zsq, tvals, spec=None):
-    """Kernel on the product of a block-norm set and a t set at one time h.
-
-    zsq: (..., l), read as m1 rows; tvals: any shape, read as m2 values.
-    Returns (values, errors) of shape (m1, m2), so the (m1, 1, l) and
-    (1, m2) arrays of `integrate_radial` can be passed straight in.  The
-    trapezoid rule runs on the real line (sigma = 0).  A row's (omega, L)
-    rungs come from its block norms and the largest tau of the t set, and
-    the rows with equal rungs share one grid, so the t factor is one matrix
-    product per grid and a row's value depends only on its block norms and
-    the t set.  The error estimate is the Delta rule against the Delta/2
-    rule, the tail bound and the rounding noise.
-    """
-    spec = spec or QuadratureSpec(tol=1e-9)
-    zsq = np.asarray(zsq, dtype=float)
+def kernel_product_grid(params: GroupParams, h, zsq, tvals, spec=None):
+    """`kernel_zsq` on the product of a block-norm set, zsq (..., l) read
+    as m1 rows, and a t set, tvals of any shape read as m2 values: (values,
+    errors) of shape (m1, m2).  Kept for the benchmark tracer, which wraps
+    it by name (ROADMAP direction 8)."""
+    zsq = _check_trailing(np.asarray(zsq, dtype=float), params.l)
     tvals = np.ravel(np.asarray(tvals, dtype=float))
-    norm = float(_check_inputs(params, h, zsq, tvals))
-    zsq = zsq.reshape(-1, params.l)
-    if zsq.shape[0] == 0 or tvals.size == 0:
+    if zsq.size == 0 or tvals.size == 0:
         raise ValueError("empty product grid")
-    Z = zsq / (4.0 * h)
-    tau = np.abs(tvals) / (4.0 * h)
-    # omega grows with tau and L does not depend on it: the largest tau
-    # sets every row's rungs
-    w_rung, cut_rung = _grid_rungs(params, Z, np.full(Z.shape[0], tau.max()), 0.0, spec)
-    keys, group = np.unique(np.stack([w_rung, cut_rung], axis=1), axis=0, return_inverse=True)
-    group = group.ravel()
-    grids = [_grid(w, c, spec) for w, c in keys]  # raise before any work
-    val = np.empty((Z.shape[0], tau.size))
-    err = np.empty_like(val)
-    for g, (step, count) in enumerate(grids):
-        rows = np.flatnonzero(group == g)
-        # the grid's rows, zero-padded into a stack of `_GRID_TILE`-row
-        # tiles: BLAS picks its kernels by the shape of a product, and every
-        # product here has one shape, so a row's sums do not depend on the
-        # rows it shares a call with
-        tiles = np.zeros((-(-rows.size // _GRID_TILE) * _GRID_TILE, params.l))
-        tiles[: rows.size] = Z[rows]
-        tiles = tiles.reshape(-1, _GRID_TILE, params.l)
-        lam = np.arange(2 * count + 1) * (0.5 * step)
-        fine, coarse = _weights(step, count)
-        env = np.exp(_log_envelope(tiles, _line_tables(params, lam))[0])  # (tiles, T, N)
-        cos = np.cos(np.multiply.outer(tau, lam)).T  # (N, m2)
-        sums = [(env * w) @ cos for w in (fine, fine - coarse)]
-        rate = _asymptotic_rate(params, tiles)
-        val[rows], diff, env, rate = (
-            a.reshape((-1,) + a.shape[2:])[: rows.size] for a in sums + [env, rate]
-        )
-        noise = np.finfo(float).eps * (4.0 + tau.max() * lam[-1]) * np.sum(env * fine, axis=-1)
-        err[rows] = np.abs(diff) + (2.0 * env[:, -1] / rate + noise)[:, None]
-    val *= norm
-    err *= norm
-    return val, err
+    return kernel_zsq(params, h, zsq.reshape(-1, 1, params.l), tvals, spec)
 
 
 def kernel_derivatives(params: GroupParams, h, coords, spec=None):
@@ -588,10 +555,10 @@ def integrate_radial(params: GroupParams, func, rho_max, t_max, scale=1.0):
     and h scaling in t so the kernel's analyticity strip is resolved).
 
     func maps block norms zsq (m1, 1, l) and t nodes (1, m2) to values
-    broadcastable to (m1, m2): the block-norm rule and the t rule stay
-    separate, so `kernel_product_grid` can serve as the integrand.  func
-    sees the block-norm rows in blocks of at most about `_RADIAL_BLOCK`
-    (row, t) entries, which bounds the memory of a product-grid integrand.
+    broadcastable to (m1, m2), so `kernel_zsq` can serve as the integrand
+    as it is.  func sees the block-norm rows in blocks of at most about
+    `_RADIAL_BLOCK` (row, t) entries, which bounds the memory of a kernel
+    integrand.
     """
     gl = np.polynomial.legendre.leggauss(16)
 

@@ -9,17 +9,16 @@ horizontal gradient.  It checks the method and picks the rule once:
               series of its Brownian bridge (`_simulate_chunk`), exact in
               law but for the tail of the modes' squared sum, replaced by
               its mean.
-  quadrature  when 2 sqrt(h) >= f's scale, integrate f(w) p_h(g^{-1} w)
-              over a tensor grid covering f's support near g, with the
-              kernel (and its partials, for the gradient) from one
-              saddle-line pass over the nodes where f != 0 only;
-              otherwise the dilation-reduced int f(g . dil(sqrt h, v))
-              p_1(v) dv on a grid at the kernel's unit scale.
+  quadrature  integrate f(w) p_h(g^{-1} w) over a tensor grid covering
+              f's support near g, with the kernel (and its partials, for
+              the gradient) from one saddle-line pass over the nodes where
+              f != 0 only.  It needs 2 sqrt(h) >= f's scale; a kernel
+              narrower than f is the sample's regime, and the route
+              raises ValueError there.
 
-The sample and the reduced grid share one chain-rule body over f's jet at
-g . W.  `semigroup_estimate` and `grad_semigroup_components` are views of
-it.  The semigroup's h is one number, while the kernel entry points take
-an h that broadcasts against the points, one time per point.
+`semigroup_estimate` and `grad_semigroup_components` are views of it.  The
+semigroup's h is one finite positive number, while the kernel entry points
+take an h that broadcasts against the points, one time per point.
 Disagreement between the routes beyond combined error bars is treated as
 a build-stopping signal by the test suite.
 
@@ -59,7 +58,6 @@ from .kernel import (
     _tensor_rule,
     kernel_derivatives,
     kernel_points,
-    kernel_product_grid,
 )
 from .reports import VerificationReport
 from .sampling import ball_bounding_box, philox, unit_ball_points
@@ -143,6 +141,12 @@ def _simulate_chunk(params: GroupParams, h: float, spec: DiffusionSpec, idx: int
     return out
 
 
+def _check_time(h):
+    """ValueError unless the semigroup's time h is finite and positive."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"time parameter h must be finite and positive, got {h}")
+
+
 def sample_heat_points(params: GroupParams, h: float, spec: DiffusionSpec) -> np.ndarray:
     """Endpoints of the horizontal diffusion, p_h distributed.
 
@@ -152,8 +156,7 @@ def sample_heat_points(params: GroupParams, h: float, spec: DiffusionSpec) -> np
     modes, which `_simulate_chunk` replaces by its mean.  The sample is
     column-major, so each coordinate is one contiguous column.
     """
-    if h <= 0:
-        raise ValueError("time parameter h must be positive")
+    _check_time(h)
     out = np.empty((spec.paths, params.dim), order="F")
     for i, start in enumerate(range(0, spec.paths, _PATH_CHUNK)):
         stop = min(start + _PATH_CHUNK, spec.paths)
@@ -302,58 +305,6 @@ def _field_scale(f):
     return 0.5 * float(np.min(np.asarray(hi) - np.asarray(lo)))
 
 
-def _reduced_grid(params, f, h, g_flat, grid_points, qspec):
-    """Grid for the dilation-reduced convolution int f(g . dil(sqrt h, v))
-    p_1(v) dv: the kernel lives at unit scale and f at scale/sqrt(h), so a
-    coarse grid resolves both.  Used when sqrt(h) is small against f's
-    scale; the box is the kernel's unit-time reach cut down to f's
-    preimage.  Returns (dilated nodes W, p_1-weighted quadrature weights);
-    qspec None keeps `kernel_product_grid`'s own default.  Raises
-    QuadratureError above `_GRID_NODE_CAP` nodes.
-    """
-    n = params.n
-    r = math.sqrt(h)
-    B_z, B_t = 9.0, 30.0
-    lo, hi = f.support_box()
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    lo_v = np.empty(params.dim)
-    hi_v = np.empty(params.dim)
-    lo_v[: 2 * n] = np.maximum(-B_z, (lo[: 2 * n] - g_flat[: 2 * n]) / r)
-    hi_v[: 2 * n] = np.minimum(B_z, (hi[: 2 * n] - g_flat[: 2 * n]) / r)
-    twist = _twist_bound(params, g_flat, B_z)
-    lo_v[-1] = max(-B_t, (lo[-1] - g_flat[-1] - r * twist) / h)
-    hi_v[-1] = min(B_t, (hi[-1] - g_flat[-1] + r * twist) / h)
-    if np.any(lo_v >= hi_v):
-        return None, None
-    fscale = _field_scale(f)
-    axes, wts1 = [], []
-    for d in range(params.dim):
-        kernel_width = 1.5 if d < 2 * n else 5.0
-        f_width = fscale / r if d < 2 * n else max(fscale / h, 1.0)
-        width = min(kernel_width, f_width)
-        npan = max(1, int(math.ceil((hi_v[d] - lo_v[d]) / width)))
-        # single-panel axes get the full order; multi-panel axes share it
-        order = grid_points if npan == 1 else 10
-        nodes, wts = _panel_rule(
-            np.linspace(lo_v[d], hi_v[d], npan + 1), *np.polynomial.legendre.leggauss(order)
-        )
-        axes.append(nodes)
-        wts1.append(wts)
-    _check_grid_nodes([ax.size for ax in axes])
-    # the kernel factorizes over (z block norms) x (center coordinate), so
-    # its values come from one product-grid evaluation
-    zpart, wz = _tensor_rule(axes[:-1], wts1[:-1])  # (m1, 2n), (m1,)
-    zsq = block_norms_sq_flat(params, zpart)
-    pvals, _ = kernel_product_grid(params, 1.0, zsq, axes[-1], qspec)  # (m1, m2)
-    weights = (pvals * wz[:, None] * wts1[-1]).ravel()
-    m1, m2 = zsq.shape[0], axes[-1].size
-    W = np.empty((m1 * m2, params.dim))
-    W[:, : 2 * n] = np.repeat(zpart, m2, axis=0) * r
-    W[:, 2 * n] = np.tile(axes[-1], m1) * h
-    return W, weights
-
-
 def _chain_coefficients(params, g_flat, W):
     """x and y of g - w, each (N, n): the left frame applied to g -> f(g . w)
     reads its t-coefficients there.  The two halves are taken apart, since
@@ -365,29 +316,27 @@ def _chain_coefficients(params, g_flat, W):
 def _semigroup_jet(params, f, h, g_flat, order, method, dspec, qspec, grid_points):
     """[(value, se)] for order 0, [(value, se), (components, se)] for
     order 1: e^{h Delta} f at g and the horizontal components of its
-    gradient, with se None on the grids.
+    gradient, with se None on the grid.
 
-    The rule is picked once.  mc draws the diffusion sample.  quadrature
-    integrates f(w) p_h(g^{-1} w) over f's support grid (left translation
-    preserves the measure) when the kernel is at least as wide as f, and
-    switches to the dilation-reduced form int f(g . dil(sqrt h, v)) p_1(v) dv
-    when the kernel is the narrow factor.  On the support grid order 1
-    takes p and X-hat p from one `kernel_derivatives` pass; the sample and
-    the reduced grid share the chain rule on f's jet at g . W.  The
-    kernel runs on the support-grid nodes where f != 0 only: with none, the
-    result is zero without a kernel call.
+    The rule is picked once.  mc draws the diffusion sample and takes the
+    gradient by the chain rule on f's jet at g . W.  quadrature integrates
+    f(w) p_h(g^{-1} w) over f's support grid (left translation preserves
+    the measure), which needs the kernel at least as wide as f: below
+    2 sqrt(h) = f's scale it raises ValueError before any grid is built.
+    Order 1 takes p and X-hat p from one `kernel_derivatives` pass.  The
+    kernel runs on the support-grid nodes where f != 0 only: with none,
+    the result is zero without a kernel call.
     """
+    _check_time(h)
     g_flat = np.asarray(g_flat, dtype=float)
-    zero = [(0.0, None), (np.zeros(2 * params.n), None)][: order + 1]
-    if method == "mc":
-        W, wts = sample_heat_points(params, h, dspec), None
-    elif method != "quadrature":
-        raise ValueError("method must be 'mc' or 'quadrature'")
-    elif 2.0 * math.sqrt(h) < _field_scale(f):
-        W, wts = _reduced_grid(params, f, h, g_flat, grid_points, qspec)
-        if W is None:
-            return zero
-    else:
+    if method == "quadrature":
+        scale = _field_scale(f)
+        if 2.0 * math.sqrt(h) < scale:
+            raise ValueError(
+                f"quadrature needs 2 sqrt(h) >= f's scale {scale:.3g}, got h = {h:.3g}; "
+                'use method="mc"'
+            )
+        zero = [(0.0, None), (np.zeros(2 * params.n), None)][: order + 1]
         nodes, wt = _support_grid(params, f, grid_points, h, g_flat)
         if nodes is None:
             return zero
@@ -408,17 +357,17 @@ def _semigroup_jet(params, f, h, g_flat, order, method, dspec, qspec, grid_point
         hat = horizontal_components(params, der["dp"], shifted, "right")
         grad = -np.sum((fval * wt)[rows, None] * hat, axis=0)
         return [(float(np.sum(fval * p * wt)), None), (grad, None)]
-    sample = wts is None
+    if method != "mc":
+        raise ValueError("method must be 'mc' or 'quadrature'")
+    W = sample_heat_points(params, h, dspec)
     parts = f.jet(multiply_flat(params, g_flat, W), order)
-    out = [_mean_se(parts[0]) if sample else (float(np.sum(parts[0] * wts)), None)]
+    out = [_mean_se(parts[0])]
     if order:
-        if sample:
-            wts = np.full(W.shape[0], 1.0 / W.shape[0])
         comps = np.empty((W.shape[0], 2 * params.n))
         coeffs = _chain_coefficients(params, g_flat, W)
         comps[:, 0::2], comps[:, 1::2] = _frame(params, parts[1], *coeffs, 1.0)
-        se = np.std(comps, axis=0) / math.sqrt(W.shape[0]) if sample else None
-        out.append((np.sum(comps * wts[:, None], axis=0), se))
+        se = np.std(comps, axis=0) / math.sqrt(W.shape[0])
+        out.append((np.sum(comps * (1.0 / W.shape[0]), axis=0), se))
     return out
 
 

@@ -353,40 +353,16 @@ def test_refinement_consistency(noniso):
     assert np.all(np.abs(v1 - v2) <= np.maximum(e1, 1e-16))
 
 
-def test_mass_normalization(h1):
-    spec = QuadratureSpec(tol=1e-9)
-    total = integrate_radial(
-        h1, lambda zs, t: kernel_zsq(h1, 1.0, zs, t, spec)[0], rho_max=11.0, t_max=55.0
-    )
-    assert total == pytest.approx(1.0, abs=1e-6)
-
-
-def test_scaled_mass_normalization(h1):
-    h = 0.5
-    spec = QuadratureSpec(tol=1e-9)
-    total = integrate_radial(
-        h1,
-        lambda zs, t: kernel_zsq(h1, h, zs, t, spec)[0],
-        rho_max=11.0 * math.sqrt(h),
-        t_max=55.0 * h,
-        scale=h,
-    )
-    assert total == pytest.approx(1.0, abs=1e-6)
-
-
-@pytest.mark.parametrize(
-    "group,h", [("h1", 1.0), ("h1", 0.5), ("noniso", 1.0)], ids=["1.0", "0.5", "noniso"]
-)
-def test_product_grid_mass_normalization(group, h, request):
-    # integrate_radial hands its block-norm and t rules to the product grid,
-    # in row blocks: the noniso grid (16,384 x 704) peaked at 236 MB in one call
-    params = request.getfixturevalue(group)
+@pytest.mark.parametrize("h", [1.0, 0.5], ids=["1.0", "0.5"])
+def test_product_grid_mass_normalization(h1, h):
+    # integrate_radial hands its block-norm and t rules to the kernel in
+    # row blocks, which bounds the memory of one call
     spec = QuadratureSpec(tol=1e-9)
     tracemalloc.start()
     try:
         total = integrate_radial(
-            params,
-            lambda zs, t: kernel_product_grid(params, h, zs, t, spec)[0],
+            h1,
+            lambda zs, t: kernel_zsq(h1, h, zs, t, spec)[0],
             rho_max=11.0 * math.sqrt(h),
             t_max=55.0 * h,
             scale=h,
@@ -399,25 +375,17 @@ def test_product_grid_mass_normalization(group, h, request):
 
 
 @pytest.mark.parametrize("group", ["h1", "noniso"])
-def test_product_grid_rows_independent_of_batch(group, request):
-    # a row's grid comes from its own rungs and every matrix product has one
-    # shape: the rows of a split, single-row or permuted call are the whole
-    # call's rows bit for bit
+def test_product_grid_is_kernel_zsq_on_the_product(group, request):
+    # the view's rows and t values, broadcast by hand, give the same bits
     params = request.getfixturevalue(group)
     rng = philox(37, 0)
-    zsq = rng.uniform(0.0, 11.0, (90, params.l)) ** 2
-    zsq[:4] = 0.0
-    spec = QuadratureSpec(tol=1e-9)
-    for t in (np.linspace(-55.0, 55.0, 41), rng.uniform(-20.0, 20.0, 7)):
-        vals, errs = kernel_product_grid(params, 1.0, zsq, t, spec)
-        splits = np.array_split(np.arange(90), 12)
-        singles = [np.array([i]) for i in range(0, 90, 11)]
-        for idx in splits + singles + [rng.permutation(90)]:
-            v, e = kernel_product_grid(params, 1.0, zsq[idx], t, spec)
-            assert np.array_equal(v, vals[idx]) and np.array_equal(e, errs[idx])
-    # the rows' values against their own single-point quadrature
-    v1, _ = kernel_zsq(params, 1.0, zsq[:, None, :], t[None, :], spec)
-    assert_allclose(vals, v1, rtol=1e-8)
+    zsq = rng.uniform(0.0, 3.0, (3, 2, params.l)) ** 2
+    t = rng.uniform(-4.0, 4.0, (2, 3))
+    vals, errs = kernel_product_grid(params, 0.7, zsq, t)
+    assert vals.shape == errs.shape == (6, 6)
+    v, e = kernel_zsq(params, 0.7, zsq.reshape(-1, 1, params.l), t.reshape(1, -1))
+    np.testing.assert_array_equal(vals, v)
+    np.testing.assert_array_equal(errs, e)
 
 
 # complex nodes lambda = x + i sigma whose x_j = a_j lambda fall in all
@@ -608,6 +576,19 @@ def test_overflowing_tau_or_block_norm_is_rejected(h1, zsq, t, name):
         # the bound takes the smallest h of an h array
         with pytest.raises(ValueError, match=re.escape(name) + " overflows"):
             kernel_zsq(h1, np.array([1.0, 1e-150]), [zsq], t)
+
+
+def test_overflowing_grid_rung_is_a_quadrature_error(h1):
+    # tau and Z_j are finite here, but the step count and cutoff they set
+    # overflow: a QuadratureError before the grid key is packed, on both
+    # entry points and with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zsq, t in ((1e307, 1e307), (9e306, 1e307)):
+            with pytest.raises(QuadratureError, match="overflows"):
+                kernel_zsq(h1, 1.0, [zsq], t)
+            with pytest.raises(QuadratureError, match="overflows"):
+                kernel_product_grid(h1, 1.0, [[zsq]], [t])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-200])

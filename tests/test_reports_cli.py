@@ -251,6 +251,16 @@ def test_cli_eval_quadrature_failure_is_an_error_line(tmp_path, config_path, cli
         assert r.stdout == ""
 
 
+def test_cli_eval_overflowing_grid_rung_is_a_quadrature_error(tmp_path, config_path, cli_env):
+    # |z|^2 and t are finite, but the step count they set overflows: exit 1
+    # and one error line, with warnings raised as errors in the child
+    env = dict(cli_env, PYTHONWARNINGS="error")
+    r = _run_cli(["--config", config_path, "eval", "kernel", "3e153,0,1e307"], tmp_path, env)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: quadrature") and r.stderr.count("\n") == 1, r.stderr
+    assert r.stdout == ""
+
+
 def test_cli_plot_outputs(tmp_path, config_path, cli_env):
     sphere = tmp_path / "sphere.csv"
     r = _run_cli(

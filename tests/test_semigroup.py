@@ -1,6 +1,7 @@
 """Diffusion sampler, semigroup routes, and the inequality harness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,14 +144,15 @@ def test_markov_property(any_group):
 
 
 def test_semigroup_identity_at_zero_time(h1):
-    # e^{h Delta} f -> f as h -> 0, first order in h (quadrature route)
+    # e^{h Delta} f -> f as h -> 0, first order in h (Monte Carlo route; the
+    # quadrature route needs 2 sqrt(h) >= f's scale)
     f = standard_family(h1, count=4, seed=2)[2]
     g = f.center + 0.1 * f.scale
-    qs = QuadratureSpec(tol=1e-9)
+    spec = DiffusionSpec(paths=20000, seed=0)
     base = float(f.value(g))
     devs = []
     for h in (0.02, 0.01):
-        v, _ = semigroup_estimate(h1, f, h, g, "quadrature", qspec=qs, grid_points=18)
+        v, _ = semigroup_estimate(h1, f, h, g, "mc", spec)
         devs.append(abs(v - base))
     assert devs[1] <= 0.65 * devs[0]  # O(h) decay
 
@@ -160,8 +162,8 @@ def test_mc_quadrature_agreement(h1):
     rng = philox(55, 0)
     for f in fam[2:4]:
         g = rng.uniform(-0.5, 0.5, h1.dim)
-        vq, _ = semigroup_estimate(h1, f, 0.8, g, "quadrature", qspec=QuadratureSpec(tol=1e-9))
-        vm, se = semigroup_estimate(h1, f, 0.8, g, "mc", SPEC)
+        vq, _ = semigroup_estimate(h1, f, 1.0, g, "quadrature", qspec=QuadratureSpec(tol=1e-9))
+        vm, se = semigroup_estimate(h1, f, 1.0, g, "mc", SPEC)
         assert abs(vm - vq) <= 3.0 * se + 1e-12
 
 
@@ -178,10 +180,10 @@ def test_semigroup_composition_mc(noniso):
 
 
 def test_grad_semigroup_routes(h1):
-    f = standard_family(h1, count=5, seed=6)[4]
+    f = standard_family(h1, count=5, seed=6)[4]  # scale 4: quadrature from h = 4
     g = np.array([0.3, -0.2, 0.15])
-    cq, _ = grad_semigroup_components(h1, f, 0.9, g, "quadrature", qspec=QuadratureSpec(tol=1e-9))
-    cm, se = grad_semigroup_components(h1, f, 0.9, g, "mc", SPEC)
+    cq, _ = grad_semigroup_components(h1, f, 4.0, g, "quadrature", qspec=QuadratureSpec(tol=1e-9))
+    cm, se = grad_semigroup_components(h1, f, 4.0, g, "mc", SPEC)
     assert np.all(np.abs(cq - cm) <= 3.0 * se + 1e-10)
     # finite differences of the quadrature value along the frame flows
     eps = 1e-4
@@ -189,10 +191,10 @@ def test_grad_semigroup_routes(h1):
         step = np.zeros(3)
         step[2 * pair if kind == "x" else 2 * pair + 1] = eps
         vp, _ = semigroup_estimate(
-            h1, f, 0.9, multiply_flat(h1, g, step), "quadrature", qspec=QuadratureSpec(tol=1e-9)
+            h1, f, 4.0, multiply_flat(h1, g, step), "quadrature", qspec=QuadratureSpec(tol=1e-9)
         )
         vm_, _ = semigroup_estimate(
-            h1, f, 0.9, multiply_flat(h1, g, -step), "quadrature", qspec=QuadratureSpec(tol=1e-9)
+            h1, f, 4.0, multiply_flat(h1, g, -step), "quadrature", qspec=QuadratureSpec(tol=1e-9)
         )
         fd = (vp - vm_) / (2 * eps)
         col = 0 if kind == "x" else 1
@@ -784,37 +786,65 @@ def test_reduction_check_runs_one_kernel_pass_per_side(h1, monkeypatch):
     assert calls == {"kernel_points": 0, "kernel_derivatives": 2}
 
 
-def test_reduced_route_honours_qspec(h1):
+def _no_grid_or_kernel(monkeypatch):
+    """Make every tensor-rule and kernel call of the semigroup fail."""
+    def refused(*args, **kwargs):
+        raise AssertionError("grid or kernel call")
+
+    for name in ("_tensor_rule", "kernel_points", "kernel_derivatives"):
+        monkeypatch.setattr(semigroup, name, refused)
+
+
+def test_quadrature_route_needs_the_kernel_as_wide_as_f(h1, monkeypatch):
+    # 2 sqrt(0.02) < f's scale of 1: a ValueError that names the sample
+    # route, before any grid or kernel call and whatever the spec
     f = standard_family(h1, 4, seed=2)[2]
     g = np.array([0.3, -0.2, 0.1])
     capped = QuadratureSpec(lambda_max=1.0)
-    # 2 sqrt(0.02) < f's scale of 1: the dilation-reduced grid
     assert 2.0 * math.sqrt(0.02) < f.scale
-    with pytest.raises(QuadratureError):
-        semigroup_estimate(h1, f, 0.02, g, "quadrature", qspec=capped)
-    with pytest.raises(QuadratureError):
-        grad_semigroup_components(h1, f, 0.02, g, "quadrature", qspec=capped)
-    # the support route refuses the same spec
+    with monkeypatch.context() as m:
+        _no_grid_or_kernel(m)
+        for qspec in (None, capped):
+            with pytest.raises(ValueError, match='method="mc"'):
+                semigroup_estimate(h1, f, 0.02, g, "quadrature", qspec=qspec)
+            with pytest.raises(ValueError, match='method="mc"'):
+                grad_semigroup_components(h1, f, 0.02, g, "quadrature", qspec=qspec)
+    # the support route refuses a spec too small for its nodes
     with pytest.raises(QuadratureError):
         semigroup_estimate(h1, f, 0.8, g, "quadrature", qspec=capped)
 
 
-def test_huge_quadrature_grids_raise_before_allocating(noniso, monkeypatch):
-    # on the 7-dim group the reduced grid would hold 30 nodes on each z axis
-    # at h = 0.2 (7.3e8 z nodes), the support grid 16^7 nodes and the
-    # integration-by-parts grid 18^7: each refuses before it is built
-    def no_tensor(*args):
-        raise AssertionError("tensor grid built")
+@pytest.mark.parametrize("method", ["mc", "quadrature"])
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_semigroup_rejects_a_bad_time(h1, method, h, monkeypatch):
+    # nan used to give (0.0, 0.0) on the sample, and the others numpy
+    # warnings or a math domain error
+    f = standard_family(h1, 4, seed=2)[2]
+    g = np.array([0.3, -0.2, 0.1])
+    _no_grid_or_kernel(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            semigroup_estimate(h1, f, h, g, method, SPEC)
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            grad_semigroup_components(h1, f, h, g, method, SPEC)
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            sample_heat_points(h1, h, SPEC)
 
-    monkeypatch.setattr(semigroup, "_tensor_rule", no_tensor)
+
+def test_huge_quadrature_grids_raise_before_allocating(noniso, monkeypatch):
+    # on the 7-dim group the support grid would hold 16^7 nodes and the
+    # integration-by-parts grid 18^7: each refuses before it is built; at
+    # h = 0.2 the kernel is narrower than f, and the route refuses first
+    _no_grid_or_kernel(monkeypatch)
     fam = standard_family(noniso, 4, seed=2)
     g = np.zeros(noniso.dim)
-    assert 2.0 * math.sqrt(0.2) < fam[2].scale <= 2.0  # reduced at h = 0.2, support at h = 1
-    for h in (0.2, 1.0):
+    assert 2.0 * math.sqrt(0.2) < fam[2].scale <= 2.0
+    for view in (semigroup_estimate, grad_semigroup_components):
+        with pytest.raises(ValueError, match='method="mc"'):
+            view(noniso, fam[2], 0.2, g, "quadrature")
         with pytest.raises(QuadratureError, match="tensor grid needs"):
-            semigroup_estimate(noniso, fam[2], h, g, "quadrature")
-        with pytest.raises(QuadratureError, match="tensor grid needs"):
-            grad_semigroup_components(noniso, fam[2], h, g, "quadrature")
+            view(noniso, fam[2], 1.0, g, "quadrature")
     with pytest.raises(QuadratureError, match="tensor grid needs"):
         check_integration_by_parts(noniso, fam[2])
 
@@ -827,18 +857,9 @@ def test_integration_by_parts_outside_the_kernel_reach_fails(h1):
     assert rep.notes == ["FAILED: f's support box lies outside the unit-time kernel's reach"]
 
 
-def _small_reduced_grid(params):
-    """A fixed 40-node grid of dilated points and weights, in the shape
-    `_reduced_grid` returns, for groups where the real one is too large to
-    build in a test (about 30 nodes per z axis)."""
-    rng = philox(5, 40)
-    W = rng.normal(scale=0.3, size=(40, params.dim))
-    return W, rng.uniform(0.0, 0.05, size=40)
-
-
 @pytest.mark.parametrize("group", ["h1", "noniso"])
-@pytest.mark.parametrize("route", ["mc", "support", "reduced"])
-def test_semigroup_jet_matches_separate_routes(group, route, request, monkeypatch):
+@pytest.mark.parametrize("route", ["mc", "support"])
+def test_semigroup_jet_matches_separate_routes(group, route, request):
     # value and gradient from one jet equal, bit for bit, the value and the
     # gradient evaluated each on its own: f at the nodes times kernel_points
     # for the value, the kernel partials or the chain rule for the gradient;
@@ -846,12 +867,10 @@ def test_semigroup_jet_matches_separate_routes(group, route, request, monkeypatc
     params = request.getfixturevalue(group)
     f = standard_family(params, 4, seed=2)[2]  # scale 1
     g = 0.2 * np.sin(np.arange(1.0, params.dim + 1.0))
-    h = {"mc": 0.5, "support": 0.8, "reduced": 0.05}[route]
+    h = {"mc": 0.5, "support": 0.8}[route]
     grid_points = 6 if params.dim == 3 else 3
     method = "mc" if route == "mc" else "quadrature"
     dspec = DiffusionSpec(paths=3000, seed=4)
-    if route == "reduced" and params.dim > 3:
-        monkeypatch.setattr(semigroup, "_reduced_grid", lambda p, *_: _small_reduced_grid(p))
     jet0 = semigroup._semigroup_jet(params, f, h, g, 0, method, dspec, None, grid_points)
     jet1 = semigroup._semigroup_jet(params, f, h, g, 1, method, dspec, None, grid_points)
 
@@ -876,18 +895,12 @@ def test_semigroup_jet_matches_separate_routes(group, route, request, monkeypatc
         assert abs(full_value - value) <= 1e-14 * abs(value)
         assert_allclose(full_grad, grad, rtol=1e-14, atol=0)
     else:
-        if route == "mc":
-            W = sample_heat_points(params, h, dspec)
-            wts = np.full(W.shape[0], 1.0 / W.shape[0])
-            value, se = _mean_se(f.value(multiply_flat(params, g, W)))
-        else:
-            W, wts = semigroup._reduced_grid(params, f, h, g, grid_points, None)
-            value = float(np.sum(f.value(multiply_flat(params, g, W)) * wts))
+        W = sample_heat_points(params, h, dspec)
+        wts = np.full(W.shape[0], 1.0 / W.shape[0])
+        value, se = _mean_se(f.value(multiply_flat(params, g, W)))
         fgrad = f.gradient(multiply_flat(params, g, W))
         comps = horizontal_components(params, fgrad, g - W, "left")
         grad = np.sum(comps * wts[:, None], axis=0)
-    if method == "quadrature":
-        assert (route == "support") == (2.0 * math.sqrt(h) >= f.scale)
     assert value != 0.0 and np.all(grad != 0.0)
     assert jet0 == [(value, se)]
     assert jet1[0] == (value, se)

@@ -146,7 +146,6 @@ _KERNEL_GROUPS = {
     "noniso": ([1, 2], [0.5, 1.0]),
     "three": ([2, 1, 1], [0.3, 0.6, 1.0]),
 }
-_GRID_NOTE = "FAILED: t-Fourier identity off beyond 1e-10 on the grid engine"
 _POINTS_NOTE = "FAILED: t-Fourier identity off beyond 1e-10 on the points engine"
 
 
@@ -165,20 +164,19 @@ def _small_kernel_run(group):
 
 @pytest.mark.parametrize("group", sorted(_KERNEL_GROUPS))
 def test_kernel_suite_checks_the_t_fourier_identity(group):
-    # int p_1(z, t) cos(mu t/4) dt = (4 pi)^-n E(mu) row by row on both
-    # kernel engines; mu = 0 is the unit-mass t-marginal
+    # int p_1(z, t) cos(mu t/4) dt = (4 pi)^-n E(mu) row by row; mu = 0 is
+    # the unit-mass t-marginal
     rep = _small_kernel_run(group)
     assert rep.passed, rep.notes
-    assert rep.stats["t_fourier_grid_max"] <= 1e-10
     assert rep.stats["t_fourier_points_max"] <= 1e-10
+    assert "t_fourier_grid_max" not in rep.stats
     assert "mass_deviation" not in rep.stats
 
 
 @pytest.mark.parametrize("group", ["h1", "noniso"])
 def test_kernel_suite_fails_a_dilation_invariant_bias(group, monkeypatch):
     # the pointwise value times 1 + 1e-6 tau/(tau + sum Z): even in t and
-    # unchanged by dilation, so the scaling law cannot see it; the grid
-    # engine does not run through _line_sums
+    # unchanged by dilation, so the scaling law cannot see it
     line_sums = ker._line_sums
 
     def biased(params, Z, tau, *args, **kwargs):
@@ -196,8 +194,8 @@ def test_kernel_suite_fails_a_dilation_invariant_bias(group, monkeypatch):
 
 @pytest.mark.parametrize("group", ["h1", "noniso"])
 def test_kernel_suite_fails_an_envelope_table_error(group, monkeypatch):
-    # x coth x off by 1e-7 in the node tables both engines share; the
-    # identity's closed form does not read them, so the error cannot cancel
+    # x coth x off by 1e-7 in the node tables; the identity's closed form
+    # does not read them, so the error cannot cancel
     line_tables = ker._line_tables
 
     def off(params, lam):
@@ -207,4 +205,4 @@ def test_kernel_suite_fails_an_envelope_table_error(group, monkeypatch):
     monkeypatch.setattr(ker, "_line_tables", off)
     rep = _small_kernel_run(group)
     assert rep.passed is False
-    assert rep.notes == [_GRID_NOTE, _POINTS_NOTE]
+    assert rep.notes == [_POINTS_NOTE]
