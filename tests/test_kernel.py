@@ -353,16 +353,37 @@ def test_refinement_consistency(noniso):
     assert np.all(np.abs(v1 - v2) <= np.maximum(e1, 1e-16))
 
 
+def test_mass_normalization(h1):
+    spec = QuadratureSpec(tol=1e-9)
+    total = integrate_radial(
+        h1, lambda zs, t: kernel_zsq(h1, 1.0, zs, t, spec)[0], rho_max=11.0, t_max=55.0
+    )
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def test_scaled_mass_normalization(h1):
+    h = 0.5
+    spec = QuadratureSpec(tol=1e-9)
+    total = integrate_radial(
+        h1,
+        lambda zs, t: kernel_zsq(h1, h, zs, t, spec)[0],
+        rho_max=11.0 * math.sqrt(h),
+        t_max=55.0 * h,
+        scale=h,
+    )
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
 @pytest.mark.parametrize("h", [1.0, 0.5], ids=["1.0", "0.5"])
 def test_product_grid_mass_normalization(h1, h):
-    # integrate_radial hands its block-norm and t rules to the kernel in
-    # row blocks, which bounds the memory of one call
+    # integrate_radial hands its block-norm and t rules to the product-grid
+    # view in row blocks, which bounds the memory of one call
     spec = QuadratureSpec(tol=1e-9)
     tracemalloc.start()
     try:
         total = integrate_radial(
             h1,
-            lambda zs, t: kernel_zsq(h1, h, zs, t, spec)[0],
+            lambda zs, t: kernel_product_grid(h1, h, zs, t, spec)[0],
             rho_max=11.0 * math.sqrt(h),
             t_max=55.0 * h,
             scale=h,
