@@ -15,14 +15,17 @@ The Jacobian matrix is block arrowhead: 2x2 rotation-like diagonal
 blocks bordered by one column (d/d eta) and one row (dt/du).  Its
 determinant has the closed form
 
-    J(u, eta) = sum_j [prod_{i != j} (2 - 2 cos 2 a_i eta)^{k_i}]
-                * 8 a_j^2 |u_j|^2
+    J(u, eta) = sum_j [prod_{i != j} fac_i^{k_i}] * 8 a_j^2 |u_j|^2
                 * (2 - 2 cos(2 a_j eta) - 2 a_j eta sin(2 a_j eta))
-                * (2 - 2 cos 2 a_j eta)^{k_j - 1},
+                * fac_j^{k_j - 1},
+    fac_j = |1 - e^{-2i a_j eta}|^2 = 4 sin^2(a_j eta),
 
 which the two-bracket recursion over that arrowhead (`det_bordered`)
-and LU reproduce, and which is positive and even in eta.  Small-angle
-evaluations of the cancellation-prone factors use series.
+and LU reproduce, and which is positive and even in eta.  Every chart
+factor comes from one sin/cos pair of w = a_j eta (`_chart_factors`).
+fac_j = 4 sin^2 w keeps its digits at both ends of (0, pi), where
+2 - 2 cos 2w cancels.  2w - sin 2w and the corner factor vanish like w^3
+and w^4 at w = 0 in any form, so below |w| = 0.03 they are Taylor series.
 
 The complement of the unit ball, U |eta| >= 1, splits into three regions
 used by the ray-integral estimate:
@@ -101,34 +104,16 @@ def speed_sq_arrays(params: GroupParams, usq):
     return 4.0 * np.sum(np.asarray(params.a) ** 2 * usq, axis=-1)
 
 
-def _angle_factor_sq(w):
-    """2 - 2 cos(2 w) = |1 - e^{-2iw}|^2, series-protected near 0."""
+def _chart_factors(w):
+    """fac = 4 sin^2 w, 2w - sin 2w = 2(w - s c) and the corner factor
+    fac - 4 w s c of the module docstring, from s, c = sin w, cos w."""
     w = np.asarray(w, dtype=float)
-    small = np.abs(w) < 1e-3
-    direct = 2.0 - 2.0 * np.cos(2.0 * w)
-    w2 = w * w
-    series = 4.0 * w2 * (1.0 - w2 / 3.0 + 2.0 * w2 * w2 / 45.0)
-    return np.where(small, series, direct)
-
-
-def _vertical_factor(w):
-    """2 w - sin(2 w), series-protected near 0."""
-    w = np.asarray(w, dtype=float)
+    s, c = np.sin(w), np.cos(w)
+    fac, w2 = 4.0 * s * s, w * w
     small = np.abs(w) < 0.03
-    direct = 2.0 * w - np.sin(2.0 * w)
-    w2 = w * w
-    series = w * w2 * (4.0 / 3.0 - 4.0 * w2 / 15.0 + 8.0 * w2 * w2 / 315.0)
-    return np.where(small, series, direct)
-
-
-def _jacobian_corner_factor(w):
-    """2 - 2 cos(2w) - 2 w sin(2 w) = (4/3) w^4 + O(w^6); positive on (0, pi)."""
-    w = np.asarray(w, dtype=float)
-    small = np.abs(w) < 0.03
-    direct = 2.0 - 2.0 * np.cos(2.0 * w) - 2.0 * w * np.sin(2.0 * w)
-    w2 = w * w
-    series = w2 * w2 * (4.0 / 3.0 - 16.0 * w2 / 45.0 + 4.0 * w2 * w2 / 105.0)
-    return np.where(small, series, direct)
+    vertical = np.where(small, w * w2 * (4.0 / 3.0 - 4.0 * w2 / 15.0 + 8.0 * w2 * w2 / 315.0), 2.0 * (w - s * c))
+    corner = np.where(small, w2 * w2 * (4.0 / 3.0 - 16.0 * w2 / 45.0 + 4.0 * w2 * w2 / 105.0), fac - 4.0 * w * s * c)
+    return fac, vertical, corner
 
 
 def psi_flat(params: GroupParams, u_flat, eta):
@@ -138,12 +123,13 @@ def psi_flat(params: GroupParams, u_flat, eta):
     n = params.n
     a = params.pair_a
     w = eta[..., None] * a  # (..., n)
-    C, S = np.cos(2.0 * w), np.sin(2.0 * w)
+    s, c = np.sin(w), np.cos(w)
     re, im = u_flat[..., 0::2], u_flat[..., 1::2]
     shape = np.broadcast_shapes(u_flat.shape[:-1], eta.shape)
     out = np.empty(shape + (params.dim,))
-    out[..., 0 : 2 * n : 2] = (1.0 - C) * re - S * im
-    out[..., 1 : 2 * n : 2] = S * re + (1.0 - C) * im
+    # z = 2i sin w e^{-iw} u
+    out[..., 0 : 2 * n : 2] = 2.0 * s * (s * re - c * im)
+    out[..., 1 : 2 * n : 2] = 2.0 * s * (c * re + s * im)
     out[..., 2 * n] = _psi_norms(params, block_norms_sq_flat(params, u_flat), eta)[1]
     return out
 
@@ -152,15 +138,16 @@ def _psi_norms(params: GroupParams, usq, eta):
     """Block norms |z_j|^2 (..., l) and t (...) of Psi(u, eta) from the
     block norms |u_j|^2 (..., l) and eta (...)."""
     a = np.asarray(params.a)
-    w = eta[..., None] * a
-    return usq * _angle_factor_sq(w), np.sum(2.0 * a * usq * _vertical_factor(w), axis=-1)
+    fac, vertical, _ = _chart_factors(eta[..., None] * a)
+    return usq * fac, np.sum(2.0 * a * usq * vertical, axis=-1)
 
 
 def psi_inverse_flat(params: GroupParams, coords):
     """Vectorized chart inverse: flat (..., 2n+1) -> (u_flat (..., 2n), eta (...)).
 
-    eta is the angle coordinate and u_j = z_j / (1 - e^{-2i a_j eta}),
-    written in real arithmetic with |1 - e^{-2iw}|^2 = 2 - 2 cos 2w.
+    eta is the angle coordinate and u_j = z_j / (1 - e^{-2i a_j eta})
+    = z_j e^{iw} / (2i sin w), w = a_j eta: a division by 2 sin w, whose
+    square is fac_j = 4 sin^2 w, and no cancellation anywhere in the chart.
     Needs z_l != 0 and t != 0 at every point, so the angle equation has an
     interior solution with 0 < |eta| < pi.
     """
@@ -174,12 +161,11 @@ def psi_inverse_flat(params: GroupParams, coords):
         raise PolarDomainError("chart inverse needs t != 0")
     eta, _, _ = solve_theta_arrays(params, zsq, t)
     w = eta[..., None] * params.pair_a
-    C, S = np.cos(2.0 * w), np.sin(2.0 * w)
-    fac = _angle_factor_sq(w)
+    s, c = np.sin(w), np.cos(w)
     zx, zy = coords[..., 0 : 2 * n : 2], coords[..., 1 : 2 * n : 2]
     u_flat = np.empty(coords.shape[:-1] + (2 * n,))
-    u_flat[..., 0::2] = ((1.0 - C) * zx + S * zy) / fac
-    u_flat[..., 1::2] = (-S * zx + (1.0 - C) * zy) / fac
+    u_flat[..., 0::2] = (s * zx + c * zy) / (2.0 * s)
+    u_flat[..., 1::2] = (s * zy - c * zx) / (2.0 * s)
     return u_flat, eta
 
 
@@ -255,9 +241,7 @@ def jacobian_closed_form_arrays(params: GroupParams, usq, eta):
     eta = np.asarray(eta, dtype=float)
     a = np.asarray(params.a)
     k = np.asarray(params.k)
-    w = eta[..., None] * a  # (..., l)
-    fac = _angle_factor_sq(w)  # 2 - 2 cos(2 a eta)
-    corner = _jacobian_corner_factor(w)
+    fac, _, corner = _chart_factors(eta[..., None] * a)  # (..., l)
     # prod_{i != j} fac_i^{k_i} * fac_j^{k_j - 1}, computed blockwise
     out = np.zeros(np.broadcast_shapes(usq.shape[:-1], eta.shape))
     for j in range(params.l):
@@ -460,8 +444,9 @@ def check_change_of_variables(params: GroupParams) -> VerificationReport:
     positive t with the top block away from zero.  Since
     rho^{2k-1} d rho = zeta^{k-1} d zeta / 2, Haar measure is
     prod_j (S_{k_j}/2) zeta_j^{k_j-1} d zeta_j dt; at fixed eta the chart
-    sends |u_j|^2 to zeta_j = fac_j |u_j|^2, fac_j = 2 - 2 cos(2 a_j eta),
-    so the chart measure is the same zeta factors times
+    sends |u_j|^2 to zeta_j = fac_j |u_j|^2, fac_j = 4 sin^2(a_j eta)
+    (from `_chart_factors`, with no series: it does not cancel), so the
+    chart measure is the same zeta factors times
     d eta / prod_j fac_j^{k_j}.  Each row of an 8-node Gauss rule per block
     over F's zeta support compares
 
@@ -504,7 +489,7 @@ def check_change_of_variables(params: GroupParams) -> VerificationReport:
     half = 0.5 * (th[:, 1] - th[:, 0])
     x, w = np.polynomial.legendre.leggauss(24)
     eta = 0.5 * (th[:, :1] + th[:, 1:]) + half[:, None] * x  # (R, 24)
-    fac = _angle_factor_sq(eta[..., None] * np.asarray(params.a))
+    fac = _chart_factors(eta[..., None] * np.asarray(params.a))[0]
     usq = zeta[:, None, :] / fac
     vals = F(*_psi_norms(params, usq, eta)) * jacobian_closed_form_arrays(params, usq, eta)
     chart_rows = half * ((vals / np.prod(fac ** np.asarray(params.k), axis=-1)) @ w)

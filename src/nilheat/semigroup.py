@@ -359,7 +359,7 @@ def _semigroup_jet(params, f, h, g_flat, order, method, dspec, qspec, grid_point
         return [(float(np.sum(fval * p * wt)), None), (grad, None)]
     if method != "mc":
         raise ValueError("method must be 'mc' or 'quadrature'")
-    W = sample_heat_points(params, h, dspec)
+    W = sample_heat_points(params, h, dspec or DiffusionSpec())
     parts = f.jet(multiply_flat(params, g_flat, W), order)
     out = [_mean_se(parts[0])]
     if order:

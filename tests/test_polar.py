@@ -37,7 +37,7 @@ from nilheat.polar import (
 )
 import nilheat.polar as polar_module
 from nilheat.sampling import philox
-from nilheat.suites import RunConfig, config_from_dict, suite_lemma6
+from nilheat.suites import RunConfig, _random_polar_cloud, config_from_dict, suite_lemma6
 from nilheat.testfuncs import linear_bump, standard_family
 
 
@@ -300,6 +300,53 @@ def test_closed_form_single_block_value():
     h1 = GroupParams(1, (1,), (1.0,))
     got = jacobian_closed_form_arrays(h1, block_norms_sq_flat(h1, u), math.pi / 2)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+# angles where 2 - 2 cos 2w cancels: next to pi, and small
+_END_ANGLES = (math.pi - 2.5e-5, math.pi - 1e-3, 2.2e-3, 0.05)
+
+
+@pytest.mark.parametrize("eta", _END_ANGLES)
+def test_closed_form_jacobian_against_mpmath(noniso, eta):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    usq = np.array([0.7, 1.3])
+    a = [mp.mpf(x) for x in noniso.a]
+    w = [x * mp.mpf(eta) for x in a]
+    fac = [4 * mp.sin(x) ** 2 for x in w]
+    want = mp.fsum(
+        8 * a[j] ** 2 * mp.mpf(usq[j])
+        * (2 - 2 * mp.cos(2 * w[j]) - 2 * w[j] * mp.sin(2 * w[j]))
+        * mp.fprod(fac[i] ** (noniso.k[i] - (i == j)) for i in range(noniso.l))
+        for j in range(noniso.l)
+    )
+    got = jacobian_closed_form_arrays(noniso, usq, eta)
+    assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("eta", _END_ANGLES)
+def test_psi_flat_against_mpmath(noniso, eta):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    u = np.array([0.0, 0.0, 0.0, 0.0, 0.8, 0.0])  # on the top block, a = 1
+    want = (1 - mp.exp(-2j * mp.mpf(eta))) * mp.mpf(0.8)
+    got = psi_flat(noniso, u, eta)
+    assert got[4] == pytest.approx(float(want.real), rel=1e-14, abs=0.0)
+    assert got[5] == pytest.approx(float(want.imag), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closed_form_jacobian_against_lu_on_the_suite_cloud(seed):
+    # the polar suite's cloud and comparison, at 1e-12 rather than its 1e-9 gate
+    for params in (
+        GroupParams(1, (1,), (1.0,)),
+        GroupParams(2, (1, 2), (0.5, 1.0)),
+        GroupParams(3, (2, 1, 1), (0.3, 0.6, 1.0)),
+    ):
+        u, eta = _random_polar_cloud(params, 1000, seed)
+        lu = np.linalg.det(jacobian_matrix_flat(params, u, eta))
+        cf = jacobian_closed_form_arrays(params, block_norms_sq_flat(params, u), eta)
+        assert_allclose(cf, lu, rtol=1e-12, atol=0.0)
 
 
 def test_jacobian_power_law_comparison(any_group, rng):

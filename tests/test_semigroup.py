@@ -1009,3 +1009,14 @@ def test_integration_by_parts_runs_the_kernel_inside_the_support(h1, monkeypatch
     assert [name for name, _ in calls] == ["kernel_derivatives"]
     assert 0 < rows.size < pts.shape[0]
     np.testing.assert_array_equal(calls[0][1], pts[rows])
+
+
+def test_mc_route_defaults_to_the_default_diffusion_spec(h1):
+    # on the mc route dspec=None stands for DiffusionSpec()
+    f = standard_family(h1, 4, seed=2)[2]
+    g = np.zeros(3)
+    assert semigroup_estimate(h1, f, 1.0, g) == semigroup_estimate(h1, f, 1.0, g, "mc", DiffusionSpec())
+    got = grad_semigroup_components(h1, f, 1.0, g)
+    want = grad_semigroup_components(h1, f, 1.0, g, "mc", DiffusionSpec())
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)

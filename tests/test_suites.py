@@ -1,6 +1,7 @@
 """The frozen-band table, the suite gate that applies it, and the freeze tool
 that reads constants through it."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -120,6 +121,36 @@ def test_li_sampler_calls_on_h1(monkeypatch):
     cfg = config_from_dict(dict(_SMALL_H1, h_values=[0.25, 0.5, 1.0, 2.0], suites=["li"]))
     SUITE_RUNNERS["li"](cfg)
     assert len(calls) == 11
+
+
+def _small_noniso_li():
+    return config_from_dict(dict(_SMALL_H1, group={"l": 2, "k": [1, 2], "a": [0.5, 1.0]}, suites=["li"]))
+
+
+def test_li_semigroup_property_reads_sample_rows_on_noniso():
+    # on dim 7 a narrow member can hold none of the sample rows, and a pull
+    # over no rows reads 0.0 and cannot fail
+    rep = SUITE_RUNNERS["li"](_small_noniso_li())
+    rows = rep.stats["semigroup_property_rows"]
+    assert set(rows) == {"two_stage", "one_stage"}
+    assert min(rows.values()) > 0
+    assert rep.stats["semigroup_property_pull"] > 0.0
+    assert rep.passed
+
+
+def test_li_semigroup_property_fails_without_sample_rows(monkeypatch):
+    family = suites.standard_family
+
+    def far_member_4(params, count):
+        fam = family(params, count=count)
+        fam[4] = dataclasses.replace(fam[4], center=fam[4].center + 1e3)
+        return fam
+
+    monkeypatch.setattr(suites, "standard_family", far_member_4)
+    rep = SUITE_RUNNERS["li"](_small_noniso_li())
+    assert rep.stats["semigroup_property_rows"] == {"two_stage": 0, "one_stage": 0}
+    assert rep.passed is False
+    assert "FAILED: no sample row inside the semigroup-property test function" in rep.notes
 
 
 def test_kernel_suite_takes_few_trapezoid_passes(monkeypatch):
