@@ -70,7 +70,7 @@ _NEWTON_STOP = 1e-8  # relative step size past Newton's quadratic phase
 
 
 def _mu_jet(w):
-    """mu(w) and mu'(w) on a 1-d or 2-d array from one sin pair.
+    """mu(w) and mu'(w) on an array of any shape from one sin pair.
 
     With s = sin w and S = sin 2w (so cos w = S / 2s):
     mu = (2w - S)/(2 s^2) and mu' = 2 (sin w - w cos w)/sin^3 w
@@ -136,6 +136,22 @@ def boundary_threshold(params: GroupParams, zsq):
     return float(thresh) if thresh.ndim == 0 else thresh
 
 
+def _angle_jet(a, zsq, theta):
+    """The angle equation's right side and its theta-derivative at fixed z:
+    sum_j a_j mu(a_j theta) zsq_j and sum_j a_j^2 mu'(a_j theta) zsq_j.
+
+    a: (l,); zsq: (..., l); theta: (...).  The sums run over j in order,
+    one column at a time: numpy's sum over a short last axis is several
+    times slower.
+    """
+    m, dm = _mu_jet(theta[..., None] * a)
+    F = dF = 0.0
+    for j, aj in enumerate(a):
+        F = F + aj * m[..., j] * zsq[..., j]
+        dF = dF + aj * aj * dm[..., j] * zsq[..., j]
+    return F, dF
+
+
 def _newton_rows(a, zsq, t):
     """Angle-equation root for one block of rows: (theta, residual).
 
@@ -144,9 +160,7 @@ def _newton_rows(a, zsq, t):
     evaluated theta in [0, _THETA_CAP] with the smallest |F| and that
     F(theta) = sum_j a_j mu(a_j theta) zsq_j - t.
     """
-    a = a[:, None]
-    zsq = zsq.T
-    v = t / np.sum(a * a * zsq, axis=0)
+    v = t / np.sum(a * a * zsq, axis=-1)
     # the two asymptotes come closest (0.03 apart) near v = 0.7
     theta = np.where(v < 0.7, 1.5 * v, math.pi - np.sqrt(math.pi / np.maximum(v, 0.7)))
     theta = np.minimum(theta, _THETA_CAP)
@@ -158,8 +172,8 @@ def _newton_rows(a, zsq, t):
     out = theta.copy()
     res = np.full_like(t, np.inf)
     for npass in range(_MAX_PASSES):
-        m, dm = _mu_jet(a * theta)
-        F = np.sum(a * m * zsq, axis=0) - t
+        F, dF = _angle_jet(a, zsq, theta)
+        F = F - t
         # keep the evaluated angle with the smallest residual
         better = np.abs(F) < np.abs(res[rows])
         out[rows[better]] = theta[better]
@@ -167,8 +181,8 @@ def _newton_rows(a, zsq, t):
         keep = ~(last | (F == 0.0))
         if npass == _MAX_PASSES - 1 or not keep.any():
             break
-        rows, theta, t, zsq, prev = rows[keep], theta[keep], t[keep], zsq[:, keep], prev[keep]
-        F, dF = F[keep], np.sum(a * a * dm[:, keep] * zsq, axis=0)
+        rows, theta, t, zsq, prev = rows[keep], theta[keep], t[keep], zsq[keep], prev[keep]
+        F, dF = F[keep], dF[keep]
         lo = np.where(F < 0.0, theta, lo[keep])
         hi = np.where(F > 0.0, theta, hi[keep])
         # Newton on sinc^2 F: the step is F / (F' + 2 F (cot theta - 1/theta))

@@ -11,21 +11,21 @@ from the origin: its horizontal speed is the constant U |eta| with
 U = (4 sum a_j^2 |u_j|^2)^{1/2}, so d(Psi(u, eta)) = U |eta| and the
 angle coordinate of Psi(u, eta) is exactly eta.
 
-The Jacobian matrix is block arrowhead: 2x2 rotation-like diagonal
-blocks bordered by one column (d/d eta) and one row (dt/du).  Its
-determinant has the closed form
+With fac_j = |1 - e^{-2i a_j eta}|^2 = 4 sin^2(a_j eta) the block norms
+are |z_j|^2 = fac_j |u_j|^2, and t is the right side of the angle
+equation, sum_j a_j mu(a_j eta) |z_j|^2.  The Jacobian matrix is block
+arrowhead: 2x2 rotation-like diagonal blocks bordered by one column
+(d/d eta) and one row (dt/du).  Its determinant has the closed form
 
-    J(u, eta) = sum_j [prod_{i != j} fac_i^{k_i}] * 8 a_j^2 |u_j|^2
-                * (2 - 2 cos(2 a_j eta) - 2 a_j eta sin(2 a_j eta))
-                * fac_j^{k_j - 1},
-    fac_j = |1 - e^{-2i a_j eta}|^2 = 4 sin^2(a_j eta),
+    J(u, eta) = prod_j fac_j^{k_j} * dt/d eta at fixed z
+              = prod_j fac_j^{k_j} * sum_j a_j^2 mu'(a_j eta) |z_j|^2,
 
 which the two-bracket recursion over that arrowhead (`det_bordered`)
-and LU reproduce, and which is positive and even in eta.  Every chart
-factor comes from one sin/cos pair of w = a_j eta (`_chart_factors`).
+and LU reproduce, and which is positive and even in eta.  t and J come
+from one angle-equation jet (`distance._angle_jet`), the one the angle
+solve steps on, so mu and mu' have one body and one series near 0.
 fac_j = 4 sin^2 w keeps its digits at both ends of (0, pi), where
-2 - 2 cos 2w cancels.  2w - sin 2w and the corner factor vanish like w^3
-and w^4 at w = 0 in any form, so below |w| = 0.03 they are Taylor series.
+2 - 2 cos 2w cancels.
 
 The complement of the unit ball, U |eta| >= 1, splits into three regions
 used by the ray-integral estimate:
@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .distance import distance_squared_arrays, solve_theta_arrays
+from .distance import _angle_jet, distance_squared_arrays, solve_theta_arrays
 from .groups import GroupParams, block_norms_sq_flat, horizontal_components
 from .kernel import (
     QuadratureSpec,
@@ -104,18 +104,6 @@ def speed_sq_arrays(params: GroupParams, usq):
     return 4.0 * np.sum(np.asarray(params.a) ** 2 * usq, axis=-1)
 
 
-def _chart_factors(w):
-    """fac = 4 sin^2 w, 2w - sin 2w = 2(w - s c) and the corner factor
-    fac - 4 w s c of the module docstring, from s, c = sin w, cos w."""
-    w = np.asarray(w, dtype=float)
-    s, c = np.sin(w), np.cos(w)
-    fac, w2 = 4.0 * s * s, w * w
-    small = np.abs(w) < 0.03
-    vertical = np.where(small, w * w2 * (4.0 / 3.0 - 4.0 * w2 / 15.0 + 8.0 * w2 * w2 / 315.0), 2.0 * (w - s * c))
-    corner = np.where(small, w2 * w2 * (4.0 / 3.0 - 16.0 * w2 / 45.0 + 4.0 * w2 * w2 / 105.0), fac - 4.0 * w * s * c)
-    return fac, vertical, corner
-
-
 def psi_flat(params: GroupParams, u_flat, eta):
     """Vectorized chart map: u_flat (..., 2n), eta (...) -> flat (..., 2n+1)."""
     u_flat = np.asarray(u_flat, dtype=float)
@@ -130,16 +118,19 @@ def psi_flat(params: GroupParams, u_flat, eta):
     # z = 2i sin w e^{-iw} u
     out[..., 0 : 2 * n : 2] = 2.0 * s * (s * re - c * im)
     out[..., 1 : 2 * n : 2] = 2.0 * s * (c * re + s * im)
-    out[..., 2 * n] = _psi_norms(params, block_norms_sq_flat(params, u_flat), eta)[1]
+    out[..., 2 * n] = _chart_jet(params, block_norms_sq_flat(params, u_flat), eta)[1]
     return out
 
 
-def _psi_norms(params: GroupParams, usq, eta):
-    """Block norms |z_j|^2 (..., l) and t (...) of Psi(u, eta) from the
-    block norms |u_j|^2 (..., l) and eta (...)."""
+def _chart_jet(params: GroupParams, usq, eta):
+    """Block norms |z_j|^2 (..., l), t (...) and the Jacobian J (...) of
+    Psi(u, eta) from the block norms |u_j|^2 (..., l) and eta (...), by
+    one angle-equation jet at the block norms of the image."""
     a = np.asarray(params.a)
-    fac, vertical, _ = _chart_factors(eta[..., None] * a)
-    return usq * fac, np.sum(2.0 * a * usq * vertical, axis=-1)
+    fac = 4.0 * np.sin(eta[..., None] * a) ** 2
+    zsq = usq * fac
+    t, dt = _angle_jet(a, zsq, eta)
+    return zsq, t, np.prod(fac ** np.asarray(params.k), axis=-1) * dt
 
 
 def psi_inverse_flat(params: GroupParams, coords):
@@ -237,21 +228,7 @@ def det_bordered(M):
 
 def jacobian_closed_form_arrays(params: GroupParams, usq, eta):
     """Closed-form chart Jacobian from block norms; vectorized and positive."""
-    usq = np.asarray(usq, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    a = np.asarray(params.a)
-    k = np.asarray(params.k)
-    fac, _, corner = _chart_factors(eta[..., None] * a)  # (..., l)
-    # prod_{i != j} fac_i^{k_i} * fac_j^{k_j - 1}, computed blockwise
-    out = np.zeros(np.broadcast_shapes(usq.shape[:-1], eta.shape))
-    for j in range(params.l):
-        term = 8.0 * a[j] ** 2 * usq[..., j] * corner[..., j]
-        for i in range(params.l):
-            power = k[i] - 1 if i == j else k[i]
-            if power:
-                term = term * fac[..., i] ** power
-        out = out + term
-    return out
+    return _chart_jet(params, np.asarray(usq, dtype=float), np.asarray(eta, dtype=float))[2]
 
 
 def jacobian_comparison_arrays(params: GroupParams, usq, eta):
@@ -392,18 +369,17 @@ def ray_integrals(params: GroupParams, u_flat, eta, spec=None):
         owner = np.repeat(by_eta[s : s + _RAY_BLOCK], sizes[s : s + _RAY_BLOCK])
         blk = slice(starts[s], starts[s] + v.size)
         angle[blk] = v * eta[owner]
-        jw[blk] = jacobian_closed_form_arrays(params, usq[owner], angle[blk]) * w
-        zsq[blk], tv[blk] = _psi_norms(params, usq[owner], angle[blk])
+        zsq[blk], tv[blk], jw[blk] = _chart_jet(params, usq[owner], angle[blk])
+        jw[blk] *= w
         del rules, v, w, owner  # the kernel call below sets the peak memory
     angle[nodes:] = eta[by_eta]
-    zsq[nodes:], tv[nodes:] = _psi_norms(params, usq[by_eta], angle[nodes:])
+    zsq[nodes:], tv[nodes:], J0 = _chart_jet(params, usq[by_eta], angle[nodes:])
     pv, perr = kernel_zsq(params, 1.0, zsq, tv, spec, theta=angle)
     back = np.argsort(by_eta)  # each ray's place in order of |eta|
     integral = np.add.reduceat(pv[:nodes] * jw, starts)[back]
     int_err = np.add.reduceat(perr[:nodes] * np.abs(jw), starts)[back]
-    p0, p0err = pv[nodes:][back], perr[nodes:][back]
+    p0, p0err, J0 = pv[nodes:][back], perr[nodes:][back], J0[back]
 
-    J0 = jacobian_closed_form_arrays(params, usq, eta)
     # Gaussian bound on each dropped tail, relative to the v = 1 scale
     int_err += np.where(
         v_hi < vmax, p0 * J0 * (vmax - v_hi) * math.exp(-_RAY_TAIL_MARGIN), 0.0
@@ -444,9 +420,8 @@ def check_change_of_variables(params: GroupParams) -> VerificationReport:
     positive t with the top block away from zero.  Since
     rho^{2k-1} d rho = zeta^{k-1} d zeta / 2, Haar measure is
     prod_j (S_{k_j}/2) zeta_j^{k_j-1} d zeta_j dt; at fixed eta the chart
-    sends |u_j|^2 to zeta_j = fac_j |u_j|^2, fac_j = 4 sin^2(a_j eta)
-    (from `_chart_factors`, with no series: it does not cancel), so the
-    chart measure is the same zeta factors times
+    sends |u_j|^2 to zeta_j = fac_j |u_j|^2, fac_j = 4 sin^2(a_j eta), so
+    the chart measure is the same zeta factors times
     d eta / prod_j fac_j^{k_j}.  Each row of an 8-node Gauss rule per block
     over F's zeta support compares
 
@@ -489,9 +464,9 @@ def check_change_of_variables(params: GroupParams) -> VerificationReport:
     half = 0.5 * (th[:, 1] - th[:, 0])
     x, w = np.polynomial.legendre.leggauss(24)
     eta = 0.5 * (th[:, :1] + th[:, 1:]) + half[:, None] * x  # (R, 24)
-    fac = _chart_factors(eta[..., None] * np.asarray(params.a))[0]
+    fac = 4.0 * np.sin(eta[..., None] * np.asarray(params.a)) ** 2
     usq = zeta[:, None, :] / fac
-    vals = F(*_psi_norms(params, usq, eta)) * jacobian_closed_form_arrays(params, usq, eta)
+    vals = F(*_chart_jet(params, usq, eta)[:2]) * jacobian_closed_form_arrays(params, usq, eta)
     chart_rows = half * ((vals / np.prod(fac ** np.asarray(params.k), axis=-1)) @ w)
 
     direct, chart = float(w_row @ direct_rows), float(w_row @ chart_rows)

@@ -69,6 +69,13 @@ class VerificationReport:
             self.notes.append("FAILED: " + note)
         return ok
 
+    def require_report(self, sub: "VerificationReport", note: str):
+        """Fold a sub-check's report into the verdict: `require` its verdict
+        and keep its FAILED notes after this report's own."""
+        ok = self.require(sub.passed, note)
+        self.notes.extend(n for n in sub.notes if n.startswith("FAILED: "))
+        return ok
+
 
 def report_to_dict(report: VerificationReport) -> dict:
     return {

@@ -393,11 +393,13 @@ def ball_mean(params: GroupParams, f, method="mc", count=200000, seed=7, grid_po
     mc: rejection sampling in the bounding box; grid: midpoint tensor grid
     (the one-node Gauss rule on each cell) with the d < 1 indicator (the
     cell volume cancels in the mean).  Returns (mean, se); se is None for
-    the grid route.
+    the grid route, which raises QuadratureError above `_GRID_NODE_CAP`
+    nodes.
     """
     if method == "mc":
         kept = unit_ball_points(params, count, seed, 101)
     elif method == "grid":
+        _check_grid_nodes([grid_points] * params.dim)
         z_half, t_half = ball_bounding_box(params)
         midpoint = np.zeros(1), np.full(1, 2.0)
         halves = [z_half] * (2 * params.n) + [t_half]

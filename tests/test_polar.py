@@ -306,22 +306,43 @@ def test_closed_form_single_block_value():
 _END_ANGLES = (math.pi - 2.5e-5, math.pi - 1e-3, 2.2e-3, 0.05)
 
 
-@pytest.mark.parametrize("eta", _END_ANGLES)
-def test_closed_form_jacobian_against_mpmath(noniso, eta):
+def _mp_chart(params, usq, eta):
+    """(t, J) of the chart at block norms usq and angle eta in 40-digit
+    mpmath: t = sum_j 2 a_j |u_j|^2 (2w - sin 2w), w = a_j eta, and J as a
+    sum of corner factors 2 - 2 cos 2w - 2w sin 2w."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    usq = np.array([0.7, 1.3])
-    a = [mp.mpf(x) for x in noniso.a]
+    a = [mp.mpf(x) for x in params.a]
     w = [x * mp.mpf(eta) for x in a]
     fac = [4 * mp.sin(x) ** 2 for x in w]
-    want = mp.fsum(
+    t = mp.fsum(2 * a[j] * mp.mpf(usq[j]) * (2 * w[j] - mp.sin(2 * w[j])) for j in range(params.l))
+    J = mp.fsum(
         8 * a[j] ** 2 * mp.mpf(usq[j])
         * (2 - 2 * mp.cos(2 * w[j]) - 2 * w[j] * mp.sin(2 * w[j]))
-        * mp.fprod(fac[i] ** (noniso.k[i] - (i == j)) for i in range(noniso.l))
-        for j in range(noniso.l)
+        * mp.fprod(fac[i] ** (params.k[i] - (i == j)) for i in range(params.l))
+        for j in range(params.l)
     )
+    return float(t), float(J)
+
+
+@pytest.mark.parametrize("eta", _END_ANGLES)
+def test_closed_form_jacobian_against_mpmath(noniso, eta):
+    usq = np.array([0.7, 1.3])
+    want = _mp_chart(noniso, usq, eta)[1]
     got = jacobian_closed_form_arrays(noniso, usq, eta)
-    assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("eta", (0.0299, 0.0300001))
+def test_chart_t_and_jacobian_against_mpmath_near_small_angles(noniso, eta):
+    # both sides of |w| = 0.03, where a three-term chart series once
+    # switched to the direct forms (1.2e-12 off in J and 7e-13 in t there)
+    usq = np.array([0.7, 1.3])
+    t, J = _mp_chart(noniso, usq, eta)
+    u = np.array([math.sqrt(0.7), 0.0, math.sqrt(1.3), 0.0, 0.0, 0.0])
+    assert_allclose(block_norms_sq_flat(noniso, u), usq, rtol=1e-15)
+    assert jacobian_closed_form_arrays(noniso, usq, eta) == pytest.approx(J, rel=1e-13, abs=0.0)
+    assert psi_flat(noniso, u, eta)[-1] == pytest.approx(t, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("eta", _END_ANGLES)

@@ -849,6 +849,13 @@ def test_huge_quadrature_grids_raise_before_allocating(noniso, monkeypatch):
         check_integration_by_parts(noniso, fam[2])
 
 
+def test_ball_mean_grid_raises_before_allocating(noniso, monkeypatch):
+    # the midpoint grid on the 7-dim group would hold 24^7 (4.6e9) nodes
+    _no_grid_or_kernel(monkeypatch)
+    with pytest.raises(QuadratureError, match="tensor grid needs"):
+        ball_mean(noniso, standard_family(noniso, 4, seed=2)[2], "grid")
+
+
 def test_integration_by_parts_outside_the_kernel_reach_fails(h1):
     # a support box wholly beyond |z_c| <= 10 of the origin gives no grid
     far = TestFunction(center=[30.0, 0.0, 0.0], scale=1.0, exps=[[0, 0, 0]], coeffs=[1.0])

@@ -153,6 +153,37 @@ def test_li_semigroup_property_fails_without_sample_rows(monkeypatch):
     assert "FAILED: no sample row inside the semigroup-property test function" in rep.notes
 
 
+def test_kernel_report_keeps_the_comparison_failure_note(monkeypatch):
+    def failing(params, cloud, spec):
+        rep = VerificationReport(identifier="kernel-comparison")
+        rep.require(False, "comparison ratio below the floor")
+        return rep
+
+    monkeypatch.setattr(ker, "check_kernel_comparison", failing)
+    sizes = dict(_SMALL_H1["sizes"], kernel_cloud=200, scaling_points=100, symmetry_points=20)
+    rep = SUITE_RUNNERS["kernel"](config_from_dict(dict(_SMALL_H1, sizes=sizes, suites=["kernel"])))
+    assert rep.passed is False
+    assert rep.notes == [
+        "FAILED: two-sided comparison report failed",
+        "FAILED: comparison ratio below the floor",
+    ]
+
+
+def test_require_report_keeps_only_failed_notes():
+    sub = VerificationReport(identifier="sub", notes=["a remark"], passed=True)
+    rep = VerificationReport(identifier="top")
+    assert rep.require_report(sub, "sub-check failed") is True
+    assert rep.notes == []
+    sub.require(False, "why")
+    assert rep.require_report(sub, "sub-check failed") is False
+    assert rep.notes == ["FAILED: sub-check failed", "FAILED: why"]
+
+
+def test_config_keys_left_out_keep_the_run_config_defaults():
+    cfg = config_from_dict({"seed": 1, "group": {"l": 1, "k": [1], "a": [1.0]}})
+    assert cfg == RunConfig(group=H1, seed=1)
+
+
 def test_kernel_suite_takes_few_trapezoid_passes(monkeypatch):
     # the scaling law's left side is one call over the per-point h, not one
     # call per point (about 1,000 passes before)
