@@ -37,8 +37,8 @@ from .kernel import (
 )
 from .polar import (
     check_change_of_variables,
+    check_horizontal_rays,
     det_bordered,
-    horizontal_path_check,
     ray_integral_check,
     ray_integrals,
 )

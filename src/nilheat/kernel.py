@@ -501,11 +501,11 @@ def check_kernel_comparison(params: GroupParams, coords, spec=None) -> Verificat
     coords = np.asarray(coords, dtype=float)
     zsq = block_norms_sq_flat(params, coords)
     t = coords[..., -1]
-    _, branch, _ = solve_theta_arrays(params, zsq, t)
+    theta, branch, _ = solve_theta_arrays(params, zsq, t)
     keep = branch != 2
     excluded = int(np.sum(~keep))
     zsq, t = zsq[keep], t[keep]
-    vals, errs = kernel_zsq(params, 1.0, zsq, t, spec)
+    vals, errs = kernel_zsq(params, 1.0, zsq, t, spec, theta=theta[keep])
     _require_conditioned(vals, errs)
     ratio = np.exp(np.log(vals) - kernel_comparison_log_rhs(params, zsq, t))
     rep = VerificationReport(

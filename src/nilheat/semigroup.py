@@ -580,6 +580,7 @@ def check_cheeger(params, family, dspec, ball_count=200000) -> VerificationRepor
         constant=sups["global"],
         exclusions=excluded,
     )
+    rep.require(excluded < len(family), "all cases excluded; nothing to report")
     rep.require(all(np.isfinite(v) for v in sups.values()), "ratios must be finite")
     return rep
 
@@ -649,6 +650,7 @@ def check_log_sobolev_poincare(params, family, points, h_values, dspec) -> Verif
         stats={"entropy_constant": sup_ent, "variance_constant": sup_var, "cases": cases},
         exclusions=excluded,
     )
+    rep.require(cases > 0, "all cases excluded; nothing to report")
     rep.require(np.isfinite(sup_ent) and np.isfinite(sup_var), "constants must be finite")
     return rep
 
@@ -662,6 +664,7 @@ def check_holder_corollary(params, family, points, h_values, dspec, constant) ->
     """
     worst_chain = -np.inf
     excluded = 0
+    cases = 0
     for hi, h in enumerate(h_values):
         W = sample_heat_points(params, h, dspec.with_stream(80 + hi))
         for g_flat in points:
@@ -680,6 +683,7 @@ def check_holder_corollary(params, family, points, h_values, dspec, constant) ->
                 worst_chain = max(
                     worst_chain, (num - constant * rms) / (3.0 * constant * rms_se + 1e-300)
                 )
+                cases += 1
     rep = VerificationReport(
         identifier="holder-consequence-p2",
         config={"group": params.label(), "constant": constant, "paths": dspec.paths},
@@ -687,6 +691,7 @@ def check_holder_corollary(params, family, points, h_values, dspec, constant) ->
         stats={"worst_chain_violation": worst_chain},
         exclusions=excluded,
     )
+    rep.require(cases > 0, "all cases excluded; nothing to report")
     rep.require(worst_chain <= 1.0, "gradient bound chain failed beyond 3 SE")
     return rep
 

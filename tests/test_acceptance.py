@@ -160,7 +160,7 @@ def test_criterion_4_polar_suite(cfg_h1, cfg_noniso):
         assert rep.stats["closed_form_vs_lu_max"] <= 1e-9
         assert rep.stats["recursion_vs_lu_max"] <= 1e-9
         assert rep.stats["distance_vs_speed_max"] <= 1e-8
-        assert rep.stats["last_path_check"]["speed_rel_error"] <= 1e-8
+        assert rep.stats["horizontal_rays"]["speed_rel_error_max"] <= 1e-8
         assert rep.stats["change_of_variables"]["rel_difference"] <= 1e-4
     elapsed = time.time() - t0
     _report_line("criterion 4 polar", elapsed <= 120, "both groups", elapsed, 120)

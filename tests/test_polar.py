@@ -20,9 +20,9 @@ from nilheat.polar import (
     SIZE_SPLIT,
     PolarDomainError,
     check_change_of_variables,
+    check_horizontal_rays,
     classify_region_arrays,
     det_bordered,
-    horizontal_path_check,
     jacobian_closed_form_arrays,
     jacobian_comparison_arrays,
     jacobian_matrix_flat,
@@ -38,7 +38,7 @@ from nilheat.polar import (
 import nilheat.polar as polar_module
 from nilheat.sampling import philox
 from nilheat.suites import RunConfig, _random_polar_cloud, config_from_dict, suite_lemma6
-from nilheat.testfuncs import linear_bump, standard_family
+from nilheat.testfuncs import linear_bump
 
 
 def _random_polar(params, rng, eta=None):
@@ -57,15 +57,14 @@ def _speed(params, u):
 
 
 def test_domain_validation(h1, noniso):
-    # every ray or path-check row must have u_l != 0 and 0 < |eta| < pi
-    f = standard_family(h1, count=2, seed=5)[1]
+    # every ray or ray-check row must have u_l != 0 and 0 < |eta| < pi
     for u, eta in [([0.0, 0.0], 1.0), ([1.0, 0.0], 0.0), ([1.0, 0.0], 3.5), ([1.0, 0.0], -math.pi)]:
         with pytest.raises(PolarDomainError):
             ray_integrals(h1, [u], [eta])
         with pytest.raises(PolarDomainError):
             ray_integral_check(h1, u, eta)
         with pytest.raises(PolarDomainError):
-            horizontal_path_check(h1, u, eta, f)
+            check_horizontal_rays(h1, [u], [eta])
     with pytest.raises(PolarDomainError):
         ray_integrals(h1, [[1.0, 0.0]], [math.nan])
     # one bad row fails the whole batch; only the top block must be nonzero
@@ -73,10 +72,12 @@ def test_domain_validation(h1, noniso):
     with pytest.raises(PolarDomainError):
         ray_integrals(noniso, u, [0.9, 0.9])
     with pytest.raises(PolarDomainError):
+        check_horizontal_rays(noniso, u, [0.9, 0.9])
+    with pytest.raises(PolarDomainError):
         ray_integrals(noniso, u[:1], [-3.2])
     top_only = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.7])
     assert ray_integral_check(noniso, top_only, -0.9)["ratio"] > 0.0
-    assert horizontal_path_check(noniso, top_only, 2.0, standard_family(noniso, 2, seed=5)[1]).passed
+    assert check_horizontal_rays(noniso, [top_only], [2.0]).passed
 
 
 def test_block_norm_identity(any_group, rng):
@@ -560,13 +561,31 @@ def test_path_velocity_speed(any_group, rng):
     assert np.max(np.abs(sp - want)) <= 1e-8 * want
 
 
-def test_horizontal_path_report(any_group, rng):
-    params = any_group
-    u, eta = _random_polar(params, rng)
-    f = standard_family(params, count=3, seed=5)[1]
-    rep = horizontal_path_check(params, u, eta, f)
+def test_horizontal_rays_report(any_group):
+    u, eta = _random_polar_cloud(any_group, 300, 11)
+    rep = check_horizontal_rays(any_group, u, eta)
     assert rep.passed, rep.notes
-    assert rep.config["eta"] == eta
+    assert rep.config["rays"] == 300
+    assert rep.stats["t_rate_rel_error_max"] <= 1e-12
+    assert rep.stats["speed_rel_error_max"] <= 1e-12
+
+
+def test_horizontal_rays_catch_a_frame_coefficient_fault(any_group, monkeypatch):
+    # t-coefficients 2a -> 2a (1 + 1e-6): the gradient's t-entry scaled
+    # by 1 + 1e-6 before the frame reads it is the same fault
+    frame = polar_module.horizontal_components
+
+    def skewed(params, grad, coords, which="left"):
+        grad = np.array(grad, dtype=float)
+        grad[..., -1] *= 1.0 + 1e-6
+        return frame(params, grad, coords, which)
+
+    monkeypatch.setattr(polar_module, "horizontal_components", skewed)
+    u, eta = _random_polar_cloud(any_group, 300, 11)
+    rep = check_horizontal_rays(any_group, u, eta)
+    assert rep.passed is False
+    assert rep.stats["t_rate_rel_error_max"] == pytest.approx(1e-6, rel=1e-6)
+    assert rep.notes == ["FAILED: ray velocity leaves the horizontal frame"]
 
 
 def test_cauchy_schwarz_tightness(noniso, rng):

@@ -380,6 +380,30 @@ def test_li_excludes_constants(h1):
     assert any("all cases excluded" in note for note in rep.notes)
 
 
+# a test function centred far from every sample row: no case has a gradient
+# above its noise floor, so each Monte Carlo check has nothing to report
+_FAR = TestFunction(np.array([30.0, 0.0, 0.0]), 1.0, np.array([[1, 0, 0]]), np.ones(1))
+_FAR_SPEC = DiffusionSpec(paths=2000, seed=77)
+
+
+def test_holder_fails_when_every_case_is_excluded(h1):
+    rep = check_holder_corollary(h1, [_FAR], [np.zeros(3)], (1.0,), _FAR_SPEC, 1.0)
+    assert rep.passed is False and rep.exclusions == 1
+    assert "FAILED: all cases excluded; nothing to report" in rep.notes
+
+
+def test_log_sobolev_poincare_fails_when_every_case_is_excluded(h1):
+    rep = check_log_sobolev_poincare(h1, [_FAR], [np.zeros(3)], (1.0,), _FAR_SPEC)
+    assert rep.passed is False and rep.exclusions == 1 and rep.stats["cases"] == 0
+    assert "FAILED: all cases excluded; nothing to report" in rep.notes
+
+
+def test_cheeger_fails_when_every_case_is_excluded(h1):
+    rep = check_cheeger(h1, [_FAR], _FAR_SPEC, ball_count=2000)
+    assert rep.passed is False and rep.exclusions == 1
+    assert "FAILED: all cases excluded; nothing to report" in rep.notes
+
+
 def test_li_euclidean_direction_sanity(h1):
     # f depending on one x coordinate only (flat plateau in the other
     # directions): the twist plays no role and the gradient ratio reduces
