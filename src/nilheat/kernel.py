@@ -34,15 +34,19 @@ has to be near:
 - sigma is |theta| floored onto rungs of pi/64, at most the top rung
   59/64 pi, which boundary-branch points take; the t = 0 slice takes 0.
   A caller that knows the angles passes them as `theta`.
-- omega = 2 pi/Delta is at least tau + C/pi and C/(pi - sigma), the
-  aliasing terms of the shifts down to Im lambda = -pi and up to the pole
-  at i pi, and sqrt(2 C kappa), kappa = sum_j Z_j a_j^2 mu'(a_j sigma)
-  the saddle's curvature; C = 13 + log(1/tol).  These leave out
-  the essential singularity of E at i pi when z_l != 0, so near the top
-  rungs the Delta rule can stop short of e^{-C} (1e-6 relative on some
-  lemma6 ray nodes); the Delta/2 rule squares its error.
 - the cutoff L is where |E| has fallen by e^{-C} below the value, at its
-  asymptotic decay rate r = sum_j k_j a_j + sum_j Z_j a_j.
+  asymptotic decay rate r = sum_j k_j a_j + sum_j Z_j a_j;
+  C = 1 + log(1/tol), so the tail bound below stays under tol.
+- omega = 2 pi/Delta is at least tau + C'/pi and C'/(pi - sigma), the
+  aliasing terms of the shifts down to Im lambda = -pi and up to the pole
+  at i pi, and sqrt(2 C' kappa), kappa = sum_j Z_j a_j^2 mu'(a_j sigma)
+  the saddle's curvature, with C' = C + 8.  These leave out the essential
+  singularity of E at i pi when z_l != 0, so near the top rungs the Delta
+  rule stops far short of e^{-C'} (6e-6 relative, not 1e-14, on some
+  lemma6 ray nodes at tol 1e-10).  The 8 is the smallest whole margin at
+  which the error estimate below met tol on the kernel suite's cloud, the
+  nodes of 250 lemma6 rays and the t-axis, on h1, noniso and the
+  three-block group, at tol 1e-8 to 1e-12.
 
 omega and L are rounded up onto rungs of an eighth of an octave, so a
 point's grid depends only on its (sigma, omega, L) rungs, never on the
@@ -54,9 +58,13 @@ in two real (m, l) x (l, N) products, then one `exp` and one `cos` per
 entry; the sums run in chunks of about `_CHUNK` (point, node) entries.
 
 The value returned is the Delta/2 sum, which reuses every node of the
-Delta sum.  Its error estimate is |I_Delta - I_{Delta/2}|, plus the tail
-bound 2 |term at L|/r, plus eps times the absolute sum of the terms
-weighted by the size of their exponents (their rounding noise).
+Delta sum.  Halving the step squares the Delta rule's relative error, so
+the estimate of the returned rule's error is |I_Delta - I_{Delta/2}|^2 /
+|I_{Delta/2}| (|I_Delta - I_{Delta/2}| itself where that exceeds the
+value), plus the tail bound 2 |term at L|/r, plus eps times the absolute
+sum of the terms weighted by the size of their complex exponents (their
+rounding noise).  Against the engine at tol 1e-15 on those same points it
+bounded every error above 1e-14 relative.
 
 Derivatives are taken under the integral sign from the same terms:
 d/dx_{i,j} weights them by -x_{i,j} a_i lambda coth(a_i lambda)/(2h), and
@@ -101,6 +109,7 @@ _POSITIVITY_FLOOR = 1e-300
 _SIGMA_RUNGS = 64  # rungs of the line height per strip half-width pi
 _TOP_RUNG = 59  # highest line, 59/64 pi: caps the pole term C/(pi - sigma) of omega
 _OCTAVE_RUNGS = 8  # rungs per octave of omega and L
+_STEP_MARGIN = 8.0  # C' - C: the step aims that many log-units past the cutoff
 _NODE_CAP = 1 << 16  # nodes per point on the Delta/2 grid
 _CHUNK = 3e4  # (point, node) entries per chunk of the sums
 _RADIAL_BLOCK = 1 << 20  # (row, t) entries per integrand call in integrate_radial
@@ -229,12 +238,13 @@ def _grid_rungs(params: GroupParams, Z, tau, sigma, spec):
     QuadratureError for a rung past the grid key's fields, which only an
     overflowing omega or L reaches."""
     a = np.asarray(params.a)
-    C = 13.0 + math.log(1.0 / spec.tol)
+    C = 1.0 + math.log(1.0 / spec.tol)
+    step_c = C + _STEP_MARGIN
     # a huge Z or tau overflows to inf or nan here, and is refused below
     with np.errstate(all="ignore"):
         kappa = np.sum(Z * a * a * mu_prime(np.multiply.outer(sigma, a)), axis=-1)
-        omega = np.maximum(tau + C / math.pi, C / (math.pi - sigma))
-        omega = np.maximum(omega, np.sqrt(2.0 * C * kappa))
+        omega = np.maximum(tau + step_c / math.pi, step_c / (math.pi - sigma))
+        omega = np.maximum(omega, np.sqrt(2.0 * step_c * kappa))
         rate = _asymptotic_rate(params, Z)
         # the tail bound 2|E(L)|/r against the value: |E| falls from its
         # saddle value at rate r, after e^{sum Z_j} of slack for blocks with
@@ -306,7 +316,9 @@ def _line_sums(params, Z, tau, sigma, step, count, derivs=False):
         val[s:e] = term @ fine
         diff[s:e] = val[s:e] - term @ coarse
         absum[s:e] = mag @ fine
-        noise[s:e] = (mag * np.abs(im)) @ fine
+        expo = np.abs(re, out=re)
+        expo += np.abs(im)
+        noise[s:e] = (mag * expo) @ fine
         last[s:e] = mag[:, -1]
         if derivs:
             sine = mag * np.sin(im)
@@ -315,7 +327,11 @@ def _line_sums(params, Z, tau, sigma, step, count, derivs=False):
     rate = _asymptotic_rate(params, Z)
     eps = np.finfo(float).eps
     noise = eps * (noise + (4.0 + 2.0 * sigma * tau) * absum)
-    out = {"val": val, "err": np.abs(diff) + 2.0 * last / rate + noise}
+    # halving the step squares the Delta rule's relative error; a Delta rule
+    # off by more than the value keeps its own error |diff|
+    scale = np.maximum(np.abs(val), np.abs(diff))
+    alias = np.divide(diff * diff, scale, out=np.zeros(m), where=scale > 0.0)
+    out = {"val": val, "err": alias + 2.0 * last / rate + noise}
     if derivs:
         out["dtau"], out["dcoth"] = dtau, dcoth
     return out
@@ -481,6 +497,11 @@ def kernel_comparison_log_rhs(params: GroupParams, zsq, t):
     d2, theta, branch, _ = distance_squared_arrays(params, zsq, t, return_parts=True)
     if np.any(branch == 2):
         raise ValueError("comparison quantity is defined on interior branches only")
+    return _comparison_log_rhs(params, zsq, d2, theta)
+
+
+def _comparison_log_rhs(params: GroupParams, zsq, d2, theta):
+    """`kernel_comparison_log_rhs` from the points' solved d^2 and angles."""
     eps = np.sinc(theta / math.pi)
     zn = np.sqrt(np.sum(zsq, axis=-1))
     zl = zsq[..., -1]
@@ -501,13 +522,13 @@ def check_kernel_comparison(params: GroupParams, coords, spec=None) -> Verificat
     coords = np.asarray(coords, dtype=float)
     zsq = block_norms_sq_flat(params, coords)
     t = coords[..., -1]
-    theta, branch, _ = solve_theta_arrays(params, zsq, t)
+    d2, theta, branch, _ = distance_squared_arrays(params, zsq, t, return_parts=True)
     keep = branch != 2
     excluded = int(np.sum(~keep))
-    zsq, t = zsq[keep], t[keep]
-    vals, errs = kernel_zsq(params, 1.0, zsq, t, spec, theta=theta[keep])
+    zsq, t, d2, theta = zsq[keep], t[keep], d2[keep], theta[keep]
+    vals, errs = kernel_zsq(params, 1.0, zsq, t, spec, theta=theta)
     _require_conditioned(vals, errs)
-    ratio = np.exp(np.log(vals) - kernel_comparison_log_rhs(params, zsq, t))
+    ratio = np.exp(np.log(vals) - _comparison_log_rhs(params, zsq, d2, theta))
     rep = VerificationReport(
         identifier="kernel-two-sided-comparison",
         config={"group": params.label(), "points": int(ratio.size)},

@@ -570,14 +570,17 @@ def check_horizontal_rays(params: GroupParams, u_flat, eta) -> VerificationRepor
     left frame's t-coefficients at Psi(u, eta) (for every f, d/ds f(Psi)
     and c . (Xf, Yf) differ by d_t f times the mismatch), and |c| must be
     U|eta|, both to 1e-10 relative.  PolarDomainError off the chart.  The
-    t-entry's 1 - cos 2 a_j eta loses eps/(a_j eta)^2: rows need |eta| >= 1e-3.
+    t-entry is eta dt/deta = eta 2 sum_j a_j^2 |z_j|^2, read from the image's
+    block norms: the matrix's 1 - cos 2 a_j eta would lose eps/(a_j eta)^2.
+    The frame side cancels one order of eta, about eps/|eta| (2e-11 at
+    |eta| = 1e-5).
     """
     u_flat = np.asarray(u_flat, dtype=float)
     eta = np.asarray(eta, dtype=float)
     usq = block_norms_sq_flat(params, u_flat)
     _check_chart_domain(usq, eta)
-    v = eta[..., None] * jacobian_matrix_flat(params, u_flat, eta)[..., -1]
-    c, vt = v[..., :-1], v[..., -1]
+    c = eta[..., None] * jacobian_matrix_flat(params, u_flat, eta)[..., :-1, -1]
+    vt = 2.0 * eta * (_chart_jet(params, usq, eta)[0] @ np.square(params.a))
     t_coeffs = horizontal_components(params, np.eye(params.dim)[-1], psi_flat(params, u_flat, eta))
     t_err = float(np.max(np.abs(vt - np.sum(c * t_coeffs, axis=-1)) / np.abs(vt)))
     Ueta = np.sqrt(speed_sq_arrays(params, usq)) * np.abs(eta)

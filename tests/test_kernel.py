@@ -15,7 +15,7 @@ from nilheat.distance import (
     mu_prime,
     solve_theta_arrays,
 )
-from nilheat.groups import block_norms_sq_flat, dilate_flat
+from nilheat.groups import GroupParams, block_norms_sq_flat, dilate_flat
 from nilheat.kernel import (
     KernelConditioningError,
     KernelValue,
@@ -77,9 +77,14 @@ def _line_oracle(params, zsq, t):
     )
 
 
+@pytest.fixture(scope="module")
+def three():
+    return GroupParams(3, (2, 1, 1), (0.3, 0.6, 1.0))
+
+
 # (block norms, t) from the t = 0 slice to 39 log-units of real-line
-# cancellation, with a boundary-branch point and two noniso ray nodes of
-# the lemma6 suite (|t| = 67.5 and 201.9)
+# cancellation, with a boundary-branch point per group (the t-axis of three)
+# and two noniso ray nodes of the lemma6 suite (|t| = 67.5 and 201.9)
 _ORACLE_CLOUD = {
     "h1": [
         ([0.0], 0.0),
@@ -95,21 +100,29 @@ _ORACLE_CLOUD = {
         ([6.876948773940537, 7.570524017438181], -67.45546912843153),
         ([0.004519025926464924, 200.15548986153945], -201.94903021505715),
     ],
+    "three": [
+        ([0.4, 0.9, 0.2], 0.0),
+        ([0.5, 0.3, 0.8], 2.0),
+        ([3.0, 0.2, 1.5], -8.0),
+        ([0.0, 0.0, 0.0], 45.0),
+    ],
 }
 
 
-@pytest.mark.parametrize("group", ["h1", "noniso"])
+@pytest.mark.parametrize("group", ["h1", "noniso", "three"])
 def test_kernel_against_line_oracle(group, request):
     params = request.getfixturevalue(group)
     zsq = np.array([z for z, _ in _ORACLE_CLOUD[group]])
     t = np.array([t for _, t in _ORACLE_CLOUD[group]])
     exponents = (distance_squared_arrays(params, zsq, t) - np.sum(zsq, axis=-1)) / 4.0
     assert exponents.min() < 0.5 and exponents.max() > 33.0
+    want = np.array([_line_oracle(params, z, tt) for z, tt in zip(zsq, t)])
+    vals, errs = kernel_zsq(params, 1.0, zsq, t, QuadratureSpec(tol=1e-12))
+    assert np.all(np.abs(vals - want) <= 1e-12 * want)
+    assert np.all(errs < 1e-5 * vals)
+    # at the default spec the error estimate bounds the error, inside tol
     vals, errs = kernel_zsq(params, 1.0, zsq, t)
-    for v, e, z, tt in zip(vals, errs, zsq, t):
-        want = _line_oracle(params, z, tt)
-        assert abs(v - want) <= 1e-12 * want
-        assert e < 1e-5 * v
+    assert np.all(np.abs(vals - want) <= np.minimum(errs, QuadratureSpec().tol * want))
 
 
 def test_origin_anchor_against_oracle(any_group):
@@ -122,8 +135,10 @@ def test_origin_anchor_against_oracle(any_group):
         return mp.fprod((a * lam / mp.sinh(a * lam)) ** k for k, a in zip(params.k, params.a))
 
     want = float(mp.quad(integrand, [0, 1, 4, 16, mp.inf])) * (4.0 * math.pi) ** (-(params.n + 1))
-    value, _ = kernel_zsq(params, 1.0, np.zeros(params.l), 0.0)
+    value, _ = kernel_zsq(params, 1.0, np.zeros(params.l), 0.0, QuadratureSpec(tol=1e-13))
     assert float(value) == pytest.approx(want, rel=1e-13, abs=0.0)
+    value, err = kernel_zsq(params, 1.0, np.zeros(params.l), 0.0)
+    assert abs(float(value) - want) <= min(float(err), QuadratureSpec().tol * want)
 
 
 def test_ray_block_values_above_their_errors(noniso, monkeypatch):
@@ -157,11 +172,54 @@ def test_origin_value_against_oracle(h1, sinh_moment_oracle):
 
 
 def test_h1_closed_form_slice(h1):
-    # p_1(0, t) = sech(pi t / 8)^2 / 64 on the first Heisenberg group
-    for t in (0.0, 0.7, 2.0, 6.0):
+    # p_1(0, t) = sech(pi t / 8)^2 / 64 on the first Heisenberg group; the
+    # t-axis takes the top rung, next to the pole of E at i pi
+    for t in (0.0, 0.7, 2.0, 6.0, 20.0, 40.0):
         v, e = kernel_zsq(h1, 1.0, np.array([0.0]), np.asarray(t))
         want = (1.0 / 64.0) / math.cosh(math.pi * t / 8.0) ** 2
         assert float(v) == pytest.approx(want, rel=1e-8)
+        assert abs(float(v) - want) <= float(e)
+
+
+def _estimate_points(params):
+    """(block norms, t, theta) sets on which the error estimate is checked:
+    500 points of the kernel suite's cloud at h = 0.25 and 1 (as h = 1
+    points of the dilated cloud), every node of a 250-ray lemma6 block at its
+    chart angle, and the t-axis for t in [0.1, 40]."""
+    import nilheat.polar as polar
+
+    cloud = uniform_box(params, CloudSpec(500, 2.0, 2.0, 20250809), stream=6)
+    zsq, t = block_norms_sq_flat(params, cloud), cloud[:, -1]
+    sets = [(np.concatenate([4.0 * zsq, zsq]), np.concatenate([4.0 * t, t]), None)]
+    calls = []
+
+    def recording_kernel_zsq(params, h, zsq, t, spec=None, **kwargs):
+        calls.append((np.asarray(zsq), np.asarray(t), kwargs["theta"]))
+        return kernel_zsq(params, h, zsq, t, spec, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polar, "kernel_zsq", recording_kernel_zsq)
+        polar.ray_integrals(params, *polar.sample_exterior_cloud(params, 250, 20250809)[:2])
+    sets.append(calls[0])
+    axis = np.geomspace(0.1, 40.0, 60)
+    sets.append((np.zeros((axis.size, params.l)), axis, None))
+    return sets
+
+
+@pytest.mark.parametrize("group", ["h1", "noniso", "three"])
+def test_error_estimate_bounds_the_error(group, request):
+    # the returned Delta/2 rule's estimate, |I_Delta - I_Delta/2|^2 / |I|
+    # plus the tail and rounding terms, against the engine at tol 1e-15: it
+    # bounds every error above 1e-14 relative, and it meets tol itself
+    params = request.getfixturevalue(group)
+    for zsq, t, theta in _estimate_points(params):
+        ref, _ = kernel_zsq(params, 1.0, zsq, t, QuadratureSpec(tol=1e-15), theta=theta)
+        for tol in (1e-8, 1e-10, 1e-12):
+            vals, errs = kernel_zsq(params, 1.0, zsq, t, QuadratureSpec(tol=tol), theta=theta)
+            true = np.abs(vals - ref)
+            assert np.all(true <= tol * ref)
+            assert np.all((true <= errs) | (true <= 1e-14 * ref))
+            assert np.all(errs <= tol * vals)
 
 
 def test_symmetries(any_group):

@@ -570,6 +570,24 @@ def test_horizontal_rays_report(any_group):
     assert rep.stats["speed_rel_error_max"] <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        GroupParams(1, (1,), (1.0,)),
+        GroupParams(1, (2,), (1.0,)),
+        GroupParams(2, (1, 2), (0.5, 1.0)),
+        GroupParams(3, (2, 1, 1), (0.3, 0.6, 1.0)),
+    ],
+    ids=["h1", "h1k2", "noniso", "three"],
+)
+def test_horizontal_rays_at_small_eta(params):
+    # read from 1 - cos 2 a_j eta, the t-rate would lose eps/(a_j eta)^2: 8.3e-8 on h1
+    u, eta = _random_polar_cloud(params, 200, 13)
+    rep = check_horizontal_rays(params, u, 1e-5 * np.sign(eta))
+    assert rep.passed, rep.notes
+    assert rep.stats["t_rate_rel_error_max"] <= 1e-10
+
+
 def test_horizontal_rays_catch_a_frame_coefficient_fault(any_group, monkeypatch):
     # t-coefficients 2a -> 2a (1 + 1e-6): the gradient's t-entry scaled
     # by 1 + 1e-6 before the frame reads it is the same fault
