@@ -51,7 +51,6 @@ from .semigroup import (
     check_holder_corollary,
     check_li_inequality,
     check_log_sobolev_poincare,
-    check_translation_dilation_reduction,
     grad_semigroup_components,
     sample_heat_points,
     semigroup_estimate,

@@ -100,7 +100,6 @@ __all__ = [
     "kernel_derivatives",
     "log_kernel_derivatives",
     "scaling_deviation",
-    "kernel_comparison_log_rhs",
     "check_kernel_comparison",
     "integrate_radial",
 ]
@@ -486,22 +485,10 @@ def scaling_deviation(params: GroupParams, h, left, left_err, right, right_err):
     return dev, left_err / left + right_err / right
 
 
-def kernel_comparison_log_rhs(params: GroupParams, zsq, t):
-    """Log of the two-sided comparison quantity for p_1 at interior points.
-
-    Combines the distance Gaussian with the algebraic prefactor built from
-    eps0 = sin(theta)/theta, |z|, and the top block norm |z_l|.
-    """
-    zsq = np.asarray(zsq, dtype=float)
-    t = np.asarray(t, dtype=float)
-    d2, theta, branch, _ = distance_squared_arrays(params, zsq, t, return_parts=True)
-    if np.any(branch == 2):
-        raise ValueError("comparison quantity is defined on interior branches only")
-    return _comparison_log_rhs(params, zsq, d2, theta)
-
-
 def _comparison_log_rhs(params: GroupParams, zsq, d2, theta):
-    """`kernel_comparison_log_rhs` from the points' solved d^2 and angles."""
+    """Log of the two-sided comparison quantity for p_1 at interior points,
+    from their solved d^2 and angles: the distance Gaussian times the
+    prefactor built from eps0 = sin(theta)/theta, |z| and the top |z_l|."""
     eps = np.sinc(theta / math.pi)
     zn = np.sqrt(np.sum(zsq, axis=-1))
     zl = zsq[..., -1]

@@ -467,7 +467,8 @@ def check_change_of_variables(params: GroupParams) -> VerificationReport:
     eta = 0.5 * (th[:, :1] + th[:, 1:]) + half[:, None] * x  # (R, 24)
     fac = 4.0 * np.sin(eta[..., None] * np.asarray(params.a)) ** 2
     usq = zeta[:, None, :] / fac
-    vals = F(*_chart_jet(params, usq, eta)[:2]) * jacobian_closed_form_arrays(params, usq, eta)
+    zsq, t, jac = _chart_jet(params, usq, eta)
+    vals = F(zsq, t) * jac
     chart_rows = half * ((vals / np.prod(fac ** np.asarray(params.k), axis=-1)) @ w)
 
     direct, chart = float(w_row @ direct_rows), float(w_row @ chart_rows)

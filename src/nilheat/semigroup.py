@@ -47,7 +47,6 @@ from .groups import (
     GroupParams,
     _frame,
     block_norms_sq_flat,
-    dilate_flat,
     horizontal_components,
     multiply_flat,
 )
@@ -73,9 +72,7 @@ __all__ = [
     "check_cheeger",
     "check_log_sobolev_poincare",
     "check_holder_corollary",
-    "check_translation_dilation_reduction",
     "check_integration_by_parts",
-    "TransformedField",
 ]
 
 
@@ -196,67 +193,9 @@ def _hgrad_power(params: GroupParams, grad, coords, power=1):
     return nrm if power == 1 else nrm**power
 
 
-class TransformedField:
-    """f composed with g' -> g . dilate(r, g'); value and gradient."""
-
-    def __init__(self, params: GroupParams, f, g_flat, r: float):
-        self.params = params
-        self.f = f
-        self.g_flat = np.asarray(g_flat, dtype=float)
-        self.r = float(r)
-
-    def _map(self, coords):
-        return multiply_flat(self.params, self.g_flat, dilate_flat(self.params, self.r, coords))
-
-    def support_box(self):
-        """Preimage bound of f's support under g' -> g . dilate(r, g')."""
-        params, r = self.params, self.r
-        lo, hi = self.f.support_box()
-        n = params.n
-        z_lo = (lo[: 2 * n] - self.g_flat[: 2 * n]) / r
-        z_hi = (hi[: 2 * n] - self.g_flat[: 2 * n]) / r
-        twist = _twist_bound(params, self.g_flat, np.maximum(np.abs(z_lo), np.abs(z_hi)))
-        t_lo = (lo[-1] - self.g_flat[-1] - r * twist) / (r * r)
-        t_hi = (hi[-1] - self.g_flat[-1] + r * twist) / (r * r)
-        return np.concatenate([z_lo, [t_lo]]), np.concatenate([z_hi, [t_hi]])
-
-    def jet(self, coords, order=0):
-        """[value] or [value, gradient] at coords, from one jet of f."""
-        if order not in (0, 1):
-            raise ValueError("jet order must be 0 or 1")
-        parts = self.f.jet(self._map(coords), order)
-        if order:
-            n = self.params.n
-            g = parts[1]
-            # chain rule through v -> g . dilate(r, v): r times the left frame
-            # with its t-coefficients read at g, and r^2 d/dt
-            X, Y = _frame(self.params, g, self.g_flat[0 : 2 * n : 2], self.g_flat[1 : 2 * n : 2], 1.0)
-            out = np.empty(g.shape)
-            out[..., 0 : 2 * n : 2] = self.r * X
-            out[..., 1 : 2 * n : 2] = self.r * Y
-            out[..., 2 * n] = self.r * self.r * g[..., 2 * n]
-            parts[1] = out
-        return parts
-
-    def value(self, coords):
-        return self.jet(coords, 0)[0]
-
-    def gradient(self, coords):
-        return self.jet(coords, 1)[1]
-
-
 # ---------------------------------------------------------------------------
 # Convolution evaluation
 # ---------------------------------------------------------------------------
-
-def _twist_bound(params, g_flat, z_bound):
-    """Bound on the center shift 2 sum_i a_i |Im<g_i, z'_i>| that a left
-    translation by g adds, over z' whose coordinates satisfy
-    |z'_c| <= z_bound[c] (Cauchy-Schwarz per block)."""
-    g_norm = np.sqrt(block_norms_sq_flat(params, g_flat))
-    z_norm = np.sqrt(block_norms_sq_flat(params, np.broadcast_to(z_bound, (2 * params.n,))))
-    return float(np.sum(2.0 * np.asarray(params.a) * g_norm * z_norm))
-
 
 def _check_grid_nodes(axis_sizes):
     """QuadratureError, before anything is allocated, when the tensor grid
@@ -283,7 +222,10 @@ def _support_grid(params, f, grid_points, h, g_flat):
     reach_z = 10.0 * math.sqrt(h)
     lo[: 2 * n] = np.maximum(lo[: 2 * n], g_flat[: 2 * n] - reach_z)
     hi[: 2 * n] = np.minimum(hi[: 2 * n], g_flat[: 2 * n] + reach_z)
-    reach_t = 40.0 * h + _twist_bound(params, g_flat, reach_z)
+    # a left translation by g shifts the center coordinate by
+    # 2 sum_j a_j Im<g_j, z'_j>, at most 2 sum_j a_j |g_j| |z'_j|
+    g_norm, z_norm = np.sqrt(block_norms_sq_flat(params, np.stack([g_flat[: 2 * n], np.full(2 * n, reach_z)])))
+    reach_t = 40.0 * h + float(np.sum(2.0 * np.asarray(params.a) * g_norm * z_norm))
     lo[-1] = max(lo[-1], g_flat[-1] - reach_t)
     hi[-1] = min(hi[-1], g_flat[-1] + reach_t)
     if np.any(lo >= hi):
@@ -295,14 +237,6 @@ def _support_grid(params, f, grid_points, h, g_flat):
     _check_grid_nodes(npan * grid_points)
     rules = [_panel_rule(np.linspace(lo[d], hi[d], npan[d] + 1), *gl) for d in range(params.dim)]
     return _tensor_rule(*zip(*rules))
-
-
-def _field_scale(f):
-    scale = getattr(f, "scale", None)
-    if scale is not None:
-        return float(scale)
-    lo, hi = f.support_box()
-    return 0.5 * float(np.min(np.asarray(hi) - np.asarray(lo)))
 
 
 def _chain_coefficients(params, g_flat, W):
@@ -330,7 +264,7 @@ def _semigroup_jet(params, f, h, g_flat, order, method, dspec, qspec, grid_point
     _check_time(h)
     g_flat = np.asarray(g_flat, dtype=float)
     if method == "quadrature":
-        scale = _field_scale(f)
+        scale = f.scale
         if 2.0 * math.sqrt(h) < scale:
             raise ValueError(
                 f"quadrature needs 2 sqrt(h) >= f's scale {scale:.3g}, got h = {h:.3g}; "
@@ -486,49 +420,51 @@ def check_li_inequality(params, family, points, h_values, dspec) -> Verification
 
 
 def check_commutation(params, f, h, g_flat, dspec) -> VerificationReport:
-    """Right-frame commutation with the semigroup, on one diffusion sample W.
+    """Right-frame commutation with the semigroup, and the left frame's
+    chain rule, on one diffusion sample W.
 
-    Left side: the right frame applied to g -> e^{h D} f(g) by central
+    Right leg: the right frame applied to g -> e^{h D} f(g) by central
     finite differences along the frame flows (left translations), each
-    semigroup value the mean of f over g' . W.  Right side: the semigroup
-    applied to the right frame of f, one column mean each of the right
-    frame of one gradient of f at g . W.  Every value reads the same W, so
-    the finite differences see common random numbers.
+    semigroup value the mean of f over g' . W, against the semigroup of the
+    right frame of f, one column mean each of the right frame of one
+    gradient of f at g . W.  Left leg (stats prefixed left_): the left
+    frame's central differences (right translations) against the column
+    means of the chain-rule components that `_semigroup_jet` and the li
+    sweep average, from the same gradient.  Every value reads the same W,
+    so the finite differences see common random numbers.
     """
     g_flat = np.asarray(g_flat, dtype=float)
     eps = 1e-4
     W = sample_heat_points(params, h, dspec)
     pts = multiply_flat(params, g_flat, W)
-    right = horizontal_components(params, f.gradient(pts), pts, "right")
+    grad = f.gradient(pts)
+    left = np.empty((W.shape[0], 2 * params.n))
+    left[:, 0::2], left[:, 1::2] = _frame(params, grad, *_chain_coefficients(params, g_flat, W), 1.0)
+    labels = [f"{kind}{i}{j}" for i in range(params.l) for j in range(params.k[i]) for kind in "xy"]
+    steps = eps * np.eye(params.dim)[: 2 * params.n]
 
     def mean_f(g):
         return float(np.mean(f.value(multiply_flat(params, g, W))))
 
-    lhs_all, rhs_all, labels = [], [], []
-    for i in range(params.l):
-        for j in range(params.k[i]):
-            for kind in ("x", "y"):
-                column = 2 * (sum(params.k[:i]) + j) + (kind == "y")
-                step = np.zeros(params.dim)
-                step[column] = eps
-                # right-frame flow = left translation by the step point
-                g_plus = multiply_flat(params, step, g_flat)
-                g_minus = multiply_flat(params, -step, g_flat)
-                lhs_all.append((mean_f(g_plus) - mean_f(g_minus)) / (2.0 * eps))
-                rhs_all.append(float(np.mean(right[:, column])))
-                labels.append(f"{kind}{i}{j}")
-    lhs_all = np.asarray(lhs_all)
-    rhs_all = np.asarray(rhs_all)
-    scale = max(float(np.max(np.abs(rhs_all))), 1e-6)
-    errs = np.abs(lhs_all - rhs_all) / scale
-    worst = float(np.max(errs))
+    stats = {}
+    for prefix, comps, flow in (
+        # the right frame flows by left translations, the left frame by right ones
+        ("", horizontal_components(params, grad, pts, "right"), lambda s: multiply_flat(params, s, g_flat)),
+        ("left_", left, lambda s: multiply_flat(params, g_flat, s)),
+    ):
+        lhs = np.array([(mean_f(flow(s)) - mean_f(flow(-s))) / (2.0 * eps) for s in steps])
+        rhs = np.array([float(np.mean(comps[:, c])) for c in range(2 * params.n)])
+        errs = np.abs(lhs - rhs) / max(float(np.max(np.abs(rhs))), 1e-6)
+        stats[prefix + "worst_rel_error"] = float(np.max(errs))
+        stats[prefix + "per_field"] = dict(zip(labels, errs.tolist()))
     rep = VerificationReport(
         identifier="right-frame-commutation",
         config={"group": params.label(), "h": h},
         seed=dspec.seed,
-        stats={"worst_rel_error": worst, "per_field": dict(zip(labels, errs.tolist()))},
+        stats=stats,
     )
-    rep.require(worst <= 1e-3, "commutation mismatch above 1e-3")
+    rep.require(stats["worst_rel_error"] <= 1e-3, "commutation mismatch above 1e-3")
+    rep.require(stats["left_worst_rel_error"] <= 1e-3, "left-frame chain rule mismatch above 1e-3")
     return rep
 
 
@@ -693,43 +629,6 @@ def check_holder_corollary(params, family, points, h_values, dspec, constant) ->
     )
     rep.require(cases > 0, "all cases excluded; nothing to report")
     rep.require(worst_chain <= 1.0, "gradient bound chain failed beyond 3 SE")
-    return rep
-
-
-def check_translation_dilation_reduction(params, f, h, g_flat, qspec=None, grid_points=17) -> VerificationReport:
-    """Reduction of the semigroup to the origin at unit time.
-
-    e^{h D} f(g) must equal e^{D} f_{g,h}(0) with
-    f_{g,h}(g') = f(g . dilate(sqrt h, g')), and the gradients must match
-    after the 1/sqrt(h) rescaling.  Evaluated by quadrature on both sides.
-    """
-    g_flat = np.asarray(g_flat, dtype=float)
-    qspec = qspec or QuadratureSpec(tol=1e-8)
-
-    def by_quadrature(field, time, point, points):
-        """(value, horizontal gradient norm) of e^{time D} field at point,
-        from one grid, one evaluation of the field and one kernel pass."""
-        jet = _semigroup_jet(params, field, time, point, 1, "quadrature", None, qspec, points)
-        (value, _), (comps, _) = jet
-        return value, float(np.sqrt(np.sum(comps**2)))
-
-    lhs, glhs = by_quadrature(f, h, g_flat, grid_points)
-    # finer grid on the reduced side: under matched grids the two tensor
-    # sums coincide identically, which would make the check vacuous
-    moved = TransformedField(params, f, g_flat, math.sqrt(h))
-    rhs, grhs = by_quadrature(moved, 1.0, np.zeros(params.dim), grid_points + 3)
-    scale = max(abs(lhs), abs(rhs), 1e-12)
-    value_err = abs(lhs - rhs) / scale
-    gscale = max(glhs, grhs / math.sqrt(h), 1e-12)
-    grad_err = abs(glhs - grhs / math.sqrt(h)) / gscale
-
-    rep = VerificationReport(
-        identifier="translation-dilation-reduction",
-        config={"group": params.label(), "h": h, "grid_points": grid_points},
-        stats={"value_rel_error": value_err, "grad_rel_error": grad_err},
-    )
-    rep.require(value_err <= 1e-3, "semigroup value reduction mismatch")
-    rep.require(grad_err <= 1e-3, "semigroup gradient reduction mismatch")
     return rep
 
 

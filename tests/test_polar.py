@@ -646,12 +646,14 @@ def test_change_of_variables_direct_total_closed_form(params):
 @pytest.mark.parametrize("group", ["h1", "noniso"])
 def test_change_of_variables_sees_a_small_jacobian_error(group, request, monkeypatch):
     params = request.getfixturevalue(group)
-    exact = polar_module.jacobian_closed_form_arrays
-    monkeypatch.setattr(
-        polar_module,
-        "jacobian_closed_form_arrays",
-        lambda p, usq, eta: exact(p, usq, eta) * (1.0 + 1e-6 * np.asarray(eta)),
-    )
+    # the check reads J from the chart jet that also gives (|z_j|^2, t)
+    exact = polar_module._chart_jet
+
+    def biased(p, usq, eta):
+        zsq, t, jac = exact(p, usq, eta)
+        return zsq, t, jac * (1.0 + 1e-6 * np.asarray(eta))
+
+    monkeypatch.setattr(polar_module, "_chart_jet", biased)
     rep = check_change_of_variables(params)
     assert not rep.passed
     assert rep.stats["rel_difference"] > 1e-7

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nilheat import semigroup
-from nilheat.groups import GroupParams, block_norms_sq_flat, dilate_flat, horizontal_components, multiply_flat
+from nilheat.groups import GroupParams, block_norms_sq_flat, horizontal_components, multiply_flat
 from nilheat.distance import distance_squared_arrays
 from nilheat.kernel import QuadratureError, QuadratureSpec, kernel_derivatives, kernel_points, kernel_zsq
 from nilheat.sampling import ball_bounding_box, philox, unit_ball_points
@@ -19,7 +19,6 @@ from nilheat.semigroup import (
     _mean_se,
     _mean_var,
     _simulate_chunk,
-    TransformedField,
     ball_mean,
     check_cheeger,
     check_commutation,
@@ -27,12 +26,10 @@ from nilheat.semigroup import (
     check_integration_by_parts,
     check_li_inequality,
     check_log_sobolev_poincare,
-    check_translation_dilation_reduction,
     grad_semigroup_components,
     sample_heat_points,
     semigroup_estimate,
 )
-from nilheat.suites import RunConfig, _family_and_points
 from nilheat.testfuncs import TestFunction, indicator_like, linear_bump, standard_family
 
 SPEC = DiffusionSpec(paths=12000, seed=77)
@@ -212,8 +209,11 @@ def _right_frame_means(params, f, h, g, spec, draw=sample_heat_points):
 def test_gradient_at_origin_equals_right_frame_average(noniso):
     # at the origin the gradient components coincide with the semigroup of
     # the right-frame derivatives, sample by sample
-    f = standard_family(noniso, count=4, seed=8)[1]
+    f = standard_family(noniso, count=4, seed=8)[2]
     g0 = np.zeros(noniso.dim)
+    # with no sample row inside f's support both sides are exactly zero
+    rows, _ = f.support_jet(sample_heat_points(noniso, 0.6, SPEC))
+    assert rows.size > 0
     comps, _ = grad_semigroup_components(noniso, f, 0.6, g0, "mc", SPEC)
     rhs = _right_frame_means(noniso, f, 0.6, g0, SPEC)
     for column in range(2 * noniso.n):
@@ -263,6 +263,22 @@ def test_commutation_mc_draws_one_sample(h1, monkeypatch):
         lhs.append((v_plus - v_minus) / (2.0 * eps))
     errs = np.abs(np.asarray(lhs) - np.asarray(rhs)) / max(float(np.max(np.abs(rhs))), 1e-6)
     assert rep.stats["per_field"] == {"x00": errs[0], "y00": errs[1]}
+    # the left leg: central differences of the mean of f over g . (+-step) . W
+    # against the column means of the left frame of grad f at g . W, its
+    # t-coefficients read at g - W
+    W = draw(h1, 1.0, spec)
+    pts = multiply_flat(h1, g, W)
+    chain = horizontal_components(h1, f.gradient(pts), g - W, "left")
+    lhs, rhs = [], [float(np.mean(chain[:, c])) for c in range(2)]
+    for c in range(2):
+        step = np.zeros(3)
+        step[c] = eps
+        v_plus = float(np.mean(f.value(multiply_flat(h1, multiply_flat(h1, g, step), W))))
+        v_minus = float(np.mean(f.value(multiply_flat(h1, multiply_flat(h1, g, -step), W))))
+        lhs.append((v_plus - v_minus) / (2.0 * eps))
+    errs = np.abs(np.asarray(lhs) - np.asarray(rhs)) / max(float(np.max(np.abs(rhs))), 1e-6)
+    assert rep.stats["left_per_field"] == {"x00": errs[0], "y00": errs[1]}
+    assert rep.stats["left_worst_rel_error"] == max(errs) <= 1e-3
     assert len(calls) == 5
 
 
@@ -770,46 +786,6 @@ def test_integration_by_parts(h1):
     assert rep.stats["worst_rel_error"] <= 1e-3
 
 
-def test_translation_dilation_reduction(h1):
-    f = standard_family(h1, count=5, seed=16)[2]
-    # identity case
-    rep = check_translation_dilation_reduction(h1, f, 1.0, np.zeros(3))
-    assert rep.passed
-    # pure translation and a dilation case
-    rep = check_translation_dilation_reduction(h1, f, 1.0, np.array([0.5, -0.3, 0.2]))
-    assert rep.passed
-    rep = check_translation_dilation_reduction(h1, f, 4.0, np.zeros(3))
-    assert rep.passed
-
-
-def test_reduction_passes_at_the_seed_4_li_point(h1):
-    # the li suite's g0 at seed 4: the value cancels to 0.7 % of the
-    # integrand's absolute mass, and a 14-node support grid missed it by
-    # 2.6e-3 of the value
-    fam, points = _family_and_points(RunConfig(group=h1, seed=4))
-    rep = check_translation_dilation_reduction(h1, fam[2], 0.8, points[1])
-    assert rep.passed, rep.stats
-    assert rep.stats["value_rel_error"] <= 5e-4
-
-
-def test_reduction_check_runs_one_kernel_pass_per_side(h1, monkeypatch):
-    # each side builds its grid once and takes the value and the gradient
-    # from one kernel_derivatives pass; no separate kernel_points pass
-    calls = {"kernel_points": 0, "kernel_derivatives": 0}
-    for name in calls:
-        original = getattr(semigroup, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(semigroup, name, counted)
-    f = standard_family(h1, 4, seed=2)[2]
-    rep = check_translation_dilation_reduction(h1, f, 0.8, np.array([0.3, -0.2, 0.1]))
-    assert rep.passed
-    assert calls == {"kernel_points": 0, "kernel_derivatives": 2}
-
-
 def _no_grid_or_kernel(monkeypatch):
     """Make every tensor-rule and kernel call of the semigroup fail."""
     def refused(*args, **kwargs):
@@ -944,31 +920,6 @@ def test_semigroup_jet_matches_separate_routes(group, route, request):
     assert semigroup_estimate(params, f, h, g, method, dspec, grid_points=grid_points) == (value, se)
     comps_view, _ = grad_semigroup_components(params, f, h, g, method, dspec, grid_points=grid_points)
     np.testing.assert_array_equal(comps_view, grad)
-
-
-def test_transformed_field_consistency(h1):
-    f = standard_family(h1, count=3, seed=18)[1]
-    g = np.array([0.4, 0.1, -0.3])
-    moved = TransformedField(h1, f, g, math.sqrt(2.0))
-    rng = philox(64, 2)
-    pts = rng.uniform(-0.6, 0.6, size=(40, 3))
-    scaled = pts * math.sqrt(2.0)
-    scaled[:, -1] = pts[:, -1] * 2.0
-    direct = f.value(multiply_flat(h1, g, scaled))
-    assert_allclose(moved.value(pts), direct, atol=0)
-    # gradient by finite differences, at points whose images lie near f's
-    # center, where f and its gradient do not vanish
-    near = f.center + rng.uniform(-0.3, 0.3, size=(5, 3)) * f.scale
-    inside = dilate_flat(h1, 1.0 / math.sqrt(2.0), multiply_flat(h1, -g, near))
-    assert_allclose(moved.value(inside), f.value(near), rtol=1e-12)
-    grad = moved.gradient(inside)
-    assert np.all(np.abs(grad) > 0.0)
-    eps = 1e-6
-    for d in range(3):
-        e = np.zeros(3)
-        e[d] = eps
-        fd = (moved.value(inside + e) - moved.value(inside - e)) / (2 * eps)
-        assert np.max(np.abs(grad[:, d] - fd)) <= 1e-6 * (1 + np.max(np.abs(fd)))
 
 
 def test_hgrad_field_matches_norm(h1):
